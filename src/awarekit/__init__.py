@@ -58,7 +58,6 @@ from .hms import (
     event_aware,
     event_know,
     event_neg,
-    valid_over_hms,
     validate_frame,
     validate_model,
 )
@@ -72,7 +71,6 @@ from .klm import (
     eval_LKA,
     induced_pointwise,
     lattice_cap,
-    satisfying_states,
     subsets,
     validate_klm,
 )

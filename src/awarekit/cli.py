@@ -18,6 +18,7 @@ from .formula import (
     enumerate_formulas,
     expand_defined,
     parse,
+    require_signature,
     to_text,
 )
 from .hms import HMSModel, eval_L_hms, validate_model
@@ -157,6 +158,7 @@ def _cmd_eval(args):
             raise UsageError(f"no such world: {w.base}")
         if not w.vocabulary <= model.base.atoms:
             raise UsageError(f"vocabulary of {args.at} is not a subset of the atoms")
+        require_signature(f, model.base.atoms, model.base.agents)
         ev = Evaluator(model, lang, strict_two_valued=args.strict_two_valued)
         value = ev.value(f, w)
     elif isinstance(model, HMSModel):
@@ -346,6 +348,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, KeyError, OSError) as exc:
         print(f"awarekit: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("awarekit: input is nested too deeply to process", file=sys.stderr)
         return 2
 
 

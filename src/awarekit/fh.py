@@ -25,8 +25,9 @@ from .formula import (
     enumerate_formulas,
     expand_defined,
     in_language,
+    require_signature,
 )
-from .kripke import KripkeModel, validate_kripke
+from .kripke import KripkeModel, box, group_cells, members, validate_kripke
 
 
 @dataclass(frozen=True)
@@ -143,49 +144,78 @@ def check_ka(s: FHModel):
 
 
 class FHEvaluator:
-    """Memoizing two-valued evaluator for one model."""
+    """Bitmask evaluator for one model, two-valued: the set of worlds where
+    a formula is True, as an int over the sorted worlds, computed once per
+    distinct subformula."""
 
     def __init__(self, s: FHModel, lang: Lang):
         self.s = s
         self.lang = lang
-        self._cache = {}
+        self.states = sorted(s.base.worlds)
+        self.index = {w: i for i, w in enumerate(self.states)}
+        self.full = (1 << len(self.states)) - 1
+        self.atom_true = {
+            p: sum(1 << self.index[w] for w in holds) for p, holds in s.base.valuation.items()
+        }
+        self.cells = {
+            a: group_cells([sum(1 << self.index[v] for v in s.base.successors(a, w))
+                            for w in self.states])
+            for a in s.base.agents
+        }
+        self._memo = {}
 
-    def value(self, f: Formula, w) -> bool:
-        key = (f, w)
-        got = self._cache.get(key)
+    def defined_mask(self, atoms) -> int:
+        """Every formula has a truth value at every world."""
+        return self.full
+
+    def true_mask(self, f: Formula) -> int:
+        got = self._memo.get(f)
         if got is None:
-            got = self._value(f, w)
-            self._cache[key] = got
+            got = self._true_mask(f)
+            self._memo[f] = got
         return got
 
-    def _value(self, f, w):
-        s = self.s
-        if isinstance(f, Top):
-            return True
-        if isinstance(f, Atom):
+    def value(self, f: Formula, w) -> bool:
+        return bool((self.true_mask(f) >> self.index[w]) & 1)
+
+    def check(self, g: Formula):
+        """Validity of g; the worlds where it fails, in sorted order."""
+        bad = self.full & ~self.true_mask(g)
+        if not bad:
+            return True, []
+        return False, members(bad, self.states)
+
+    def _aware(self, agent, f):
+        return sum(1 << i for i, w in enumerate(self.states) if aware_of(self.s, agent, w, f))
+
+    def _true_mask(self, f):
+        kind = type(f)
+        if kind is Not:
+            return self.full & ~self.true_mask(f.child)
+        if kind is And:
+            return self.true_mask(f.left) & self.true_mask(f.right)
+        if kind is Atom:
             try:
-                return w in s.base.valuation[f.name]
+                return self.atom_true[f.name]
             except KeyError:
                 raise KeyError(f"atom {f.name!r} is outside the model's language") from None
-        if isinstance(f, Not):
-            return not self.value(f.child, w)
-        if isinstance(f, And):
-            return self.value(f.left, w) and self.value(f.right, w)
-        if isinstance(f, Know):
+        if kind is Know:
+            out = box(self.cells[f.agent], self.true_mask(f.child))
             if self.lang is Lang.L:
                 # explicit reading: awareness of the content plus truth
                 # throughout the cell
-                if not aware_of(s, f.agent, w, f.child):
-                    return False
-            return all(self.value(f.child, v) for v in s.base.successors(f.agent, w))
-        if isinstance(f, Aware):
+                out &= self._aware(f.agent, f.child)
+            return out
+        if kind is Aware:
             if self.lang is Lang.L:
                 raise ValueError("Aware is not a grammar node of L; expand it first")
-            return aware_of(s, f.agent, w, f.child)
-        if isinstance(f, ExplicitKnow):
+            return self._aware(f.agent, f.child)
+        if kind is ExplicitKnow:
             if self.lang is Lang.L:
                 raise ValueError("ExplicitKnow is not a grammar node of L; expand it first")
-            return self.value(expand_defined(f, Lang.LKA), w)
+            return self.true_mask(expand_defined(f, Lang.LKA))
+        if kind is Top:
+            return self.full
         raise TypeError(f"not a formula: {f!r}")
 
 
@@ -201,6 +231,7 @@ def eval_L_fh(s: FHModel, w, f: Formula, evaluator=None) -> bool:
     if not in_language(f, Lang.L):
         raise ValueError("formula is not in the explicit-knowledge language; expand it first")
     _check_world(s, w)
+    require_signature(f, s.base.atoms, s.base.agents)
     ev = evaluator or FHEvaluator(s, Lang.L)
     return ev.value(f, w)
 
@@ -209,5 +240,6 @@ def eval_LKA_fh(s: FHModel, w, f: Formula, evaluator=None) -> bool:
     """Two-valued satisfaction with K implicit, A by awareness-set membership,
     and X as their conjunction."""
     _check_world(s, w)
+    require_signature(f, s.base.atoms, s.base.agents)
     ev = evaluator or FHEvaluator(s, Lang.LKA)
     return ev.value(f, w)

@@ -161,6 +161,15 @@ def agents_of(f: Formula) -> frozenset:
     return frozenset()
 
 
+def require_signature(f: Formula, atoms, agents) -> None:
+    """Refuse a formula that mentions atoms or agents outside a model's."""
+    for what, used, known in (("atoms", atoms_of(f), atoms), ("agents", agents_of(f), agents)):
+        unknown = used - frozenset(known)
+        if unknown:
+            raise KeyError(f"formula mentions {what} outside the model: "
+                           f"{', '.join(sorted(unknown))}")
+
+
 def depth_of(f: Formula) -> int:
     if isinstance(f, (Top, Atom)):
         return 0

@@ -11,8 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .formula import And, Atom, Formula, Know, Lang, Not, Top, atoms_of, in_language
+from .formula import (
+    And,
+    Atom,
+    Formula,
+    Know,
+    Lang,
+    Not,
+    Top,
+    atoms_of,
+    in_language,
+    require_signature,
+)
 from .klm import PropertyReport
+from .kripke import members
 from .truth import Truth
 
 MAX_FRAME_STATES = 10_000
@@ -362,12 +374,22 @@ def defined_atoms(m: HMSModel, O) -> frozenset:
 
 
 class DenotationEvaluator:
-    """Compositional event-denotation evaluator with a per-instance memo."""
+    """Compositional event-denotation evaluator with a per-instance memo.
+
+    Denotations are events of the frame's algebra. Truth, falsity and
+    per-atom definedness are read off them as bitmasks over the sorted
+    states: True where the denotation's up-closure holds the state, False
+    where its negation's does.
+    """
 
     def __init__(self, m: HMSModel):
         self.m = m
+        self.states = sorted(m.frame.state_space)
+        self.index = {s: i for i, s in enumerate(self.states)}
+        self.full = (1 << len(self.states)) - 1
         self._den = {}
         self._up = {}
+        self._masks = {}
 
     def denotation(self, f: Formula) -> Event:
         got = self._den.get(f)
@@ -396,20 +418,54 @@ class DenotationEvaluator:
             return event_know(fr, f.agent, self.denotation(f.child))
         raise ValueError(f"{type(f).__name__} is not an explicit-knowledge grammar node")
 
-    def up(self, e: Event):
+    def _up_mask(self, e: Event) -> int:
         got = self._up.get(e)
         if got is None:
-            got = self.m.frame.up(e)
+            index = self.index
+            got = sum(1 << index[s] for s in self.m.frame.up(e))
             self._up[e] = got
         return got
 
+    def _truth(self, f):
+        """(True mask, False mask) of f."""
+        got = self._masks.get(f)
+        if got is None:
+            e = self.denotation(f)
+            got = self._up_mask(e), self._up_mask(event_neg(self.m.frame, e))
+            self._masks[f] = got
+        return got
+
+    def true_mask(self, f: Formula) -> int:
+        return self._truth(f)[0]
+
+    def defined_mask(self, atoms) -> int:
+        """States where every atom of the set has a truth value; an atom
+        without valuation has none anywhere."""
+        out = self.full
+        for p in atoms:
+            if p not in self.m.valuation:
+                return 0
+            true, false = self._truth(Atom(p))
+            out &= true | false
+        return out
+
     def value(self, f: Formula, state) -> Truth:
-        e = self.denotation(f)
-        if state in self.up(e):
+        i = self.index[state]
+        true, false = self._truth(f)
+        if (true >> i) & 1:
             return Truth.TRUE
-        if state in self.up(event_neg(self.m.frame, e)):
+        if (false >> i) & 1:
             return Truth.FALSE
         return Truth.UNDEFINED
+
+    def check(self, g: Formula):
+        """Guarded validity of g: True wherever its atoms are defined;
+        the failing states in sorted order."""
+        defined = self.defined_mask(atoms_of(g))
+        bad = defined & ~self.true_mask(g) if defined else 0
+        if not bad:
+            return True, []
+        return False, members(bad, self.states)
 
 
 def denotation(m: HMSModel, f: Formula) -> Event:
@@ -423,18 +479,6 @@ def eval_L_hms(m: HMSModel, state, f: Formula, evaluator=None) -> Truth:
     negation's, Undefined otherwise."""
     if state not in m.frame.state_space:
         raise KeyError(f"unknown state {state!r}")
+    require_signature(f, m.atoms, m.frame.agents)
     ev = evaluator or DenotationEvaluator(m)
     return ev.value(f, state)
-
-
-def valid_over_hms(models, f: Formula):
-    """Validity in the guarded sense: true at every state of every model where
-    all the formula's atoms have defined truth values."""
-    witnesses = []
-    atoms = atoms_of(f)
-    for idx, m in enumerate(models):
-        ev = DenotationEvaluator(m)
-        for s in sorted(m.frame.state_space):
-            if atoms <= defined_atoms(m, {s}) and ev.value(f, s) is not Truth.TRUE:
-                witnesses.append((idx, s))
-    return not witnesses, witnesses

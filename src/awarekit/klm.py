@@ -24,12 +24,11 @@ from .formula import (
     Lang,
     Not,
     Top,
-    atoms_of,
-    expand_defined,
     in_language,
+    require_signature,
 )
-from .kripke import KripkeModel, WorldId, validate_kripke
-from .truth import Truth, truth_of
+from .kripke import KripkeModel, WorldId, box, group_cells, members, validate_kripke
+from .truth import Truth
 
 DEFAULT_LATTICE_CAP = 12
 
@@ -245,87 +244,148 @@ def canonicalize(base: KripkeModel, pointwise, override_cap=False):
 # three-valued satisfaction
 
 
+class Slot(Formula):
+    """Mutable placeholder leaf for schema skeletons. A skeleton is built once
+    per schema and agent tuple; per metavariable filling only the slots'
+    precomputed true masks and atom sets are swapped in."""
+
+    __slots__ = ("mask", "atoms")
+
+
 class Evaluator:
-    """Memoizing evaluator for one model; safe to reuse across formulas."""
+    """Bitmask evaluator for one model; safe to reuse across formulas.
+
+    States are the world copies in omega order and a set of states is a
+    Python int. Each distinct subformula is evaluated once, to the mask of
+    states where it is True; a formula is Undefined at w_X exactly when it
+    mentions an atom outside X. With strict_two_valued the definedness guards
+    are dropped and atoms read from the top valuation, giving a fully
+    two-valued reading.
+    """
 
     def __init__(self, k: KripkeLatticeModel, lang: Lang = Lang.L, strict_two_valued=False):
         self.k = k
         self.lang = lang
         self.strict = strict_two_valued
-        self._cache = {}
+        self.states = k.omega()
+        self.index = {s: i for i, s in enumerate(self.states)}
+        self.full = (1 << len(self.states)) - 1
+        base = k.base
 
-    def _atoms(self, f):
-        return atoms_of(f)
+        def mask(holds):
+            return sum(1 << i for i, s in enumerate(self.states) if holds(s))
+
+        # guard[p]: where p has a truth value; aware[a][p]: where p is in the
+        # vocabulary of agent a's awareness image X & Aw_a(w)
+        self.guard = {
+            p: self.full if self.strict else mask(lambda s: p in s.vocabulary)
+            for p in base.atoms
+        }
+        self.atom_true = {
+            p: self.guard[p] & mask(lambda s: s.base in base.valuation[p])
+            for p in base.atoms
+        }
+        self.aware = {
+            a: {p: mask(lambda s: p in s.vocabulary and p in k.awareness[a][s.base])
+                for p in base.atoms}
+            for a in base.agents
+        }
+        # K_a quantifies over the cell of w: explicitly at the awareness
+        # image's vocabulary, implicitly at the top vocabulary
+        top = frozenset(base.atoms)
+        self.cells = {}
+        for a in base.agents:
+            succ = {w: base.successors(a, w) for w in base.worlds}
+            cells = []
+            for s in self.states:
+                Y = s.vocabulary & k.awareness[a][s.base] if lang is Lang.L else top
+                cells.append(sum(1 << self.index[WorldId(v, Y)] for v in succ[s.base]))
+            self.cells[a] = group_cells(cells)
+        self._memo = {}
+
+    def defined_mask(self, atoms) -> int:
+        """States where every atom of the set has a truth value."""
+        m = self.full
+        for p in atoms:
+            m &= self.guard[p]
+        return m
+
+    def true_mask(self, f: Formula) -> int:
+        return self._eval(f, self._memo)[0]
 
     def value(self, f: Formula, w: WorldId) -> Truth:
-        key = (f, w)
-        got = self._cache.get(key)
-        if got is None:
-            got = self._value(f, w)
-            self._cache[key] = got
-        return got
-
-    def _value(self, f, w):
-        k, X = self.k, w.vocabulary
-        if isinstance(f, Top):
+        i = self.index[w]
+        t, at = self._eval(f, self._memo)
+        if (t >> i) & 1:
             return Truth.TRUE
-        if isinstance(f, Atom):
-            if self.strict:
-                return truth_of(w.base in k.base.valuation[f.name])
-            if f.name not in X:
-                return Truth.UNDEFINED
-            return truth_of(w.base in k.base.valuation[f.name])
-        if isinstance(f, Not):
-            if not self.strict and not self._atoms(f.child) <= X:
-                return Truth.UNDEFINED
-            return truth_of(self.value(f.child, w) is not Truth.TRUE)
-        if isinstance(f, And):
-            if not self.strict and not (self._atoms(f.left) | self._atoms(f.right)) <= X:
-                return Truth.UNDEFINED
-            return truth_of(
-                self.value(f.left, w) is Truth.TRUE and self.value(f.right, w) is Truth.TRUE
-            )
-        if isinstance(f, Know):
-            if self.lang is Lang.L:
-                return self._know_explicit(f, w)
-            return self._know_implicit(f, w)
-        if isinstance(f, Aware):
-            if self.lang is not Lang.LKA:
-                raise ValueError("Aware is not a grammar node of L; expand it first")
-            if not self.strict and not self._atoms(f.child) <= X:
-                return Truth.UNDEFINED
-            img = awareness_image(k, f.agent, w)
-            return truth_of(self._atoms(f.child) <= img.vocabulary)
-        if isinstance(f, ExplicitKnow):
+        if (self.defined_mask(at) >> i) & 1:
+            return Truth.FALSE
+        return Truth.UNDEFINED
+
+    def check(self, g: Formula):
+        """Guarded validity of an expanded formula; witnesses in state order."""
+        t, at = self._eval(g, self._memo)
+        bad = self.defined_mask(at) & ~t
+        if not bad:
+            return True, []
+        return False, members(bad, self.states)
+
+    def check_skeleton(self, skeleton) -> bool:
+        """Guarded validity of a schema skeleton under its slots' current
+        fillings. Nothing is memoized, since the slots change per instance."""
+        t, at = self._eval(skeleton, None)
+        return not (self.defined_mask(at) & ~t)
+
+    def _eval(self, f, memo):
+        """(true mask, atom set) of f; memo is None for skeletons."""
+        if memo is not None:
+            got = memo.get(f)
+            if got is not None:
+                return got
+        kind = type(f)
+        if kind is Slot:
+            return f.mask, f.atoms
+        if kind is Not:
+            t, at = self._eval(f.child, memo)
+            got = self.defined_mask(at) & ~t, at
+        elif kind is And:
+            tl, al = self._eval(f.left, memo)
+            tr, ar = self._eval(f.right, memo)
+            got = tl & tr, al | ar
+        elif kind is Atom:
+            got = self.atom_true[f.name], frozenset((f.name,))
+        elif kind is Know:
+            t, at = self._eval(f.child, memo)
+            got = self._know(f.agent, t, at), at
+        elif kind is Aware:
+            t, at = self._eval(f.child, memo)
+            got = self._aware(f.agent, t, at), at
+        elif kind is ExplicitKnow:
             if self.lang is not Lang.LKA:
                 raise ValueError("ExplicitKnow is not a grammar node of L; expand it first")
-            return self.value(expand_defined(f, Lang.LKA), w)
-        raise TypeError(f"not a formula: {f!r}")
+            t, at = self._eval(f.child, memo)
+            got = self._aware(f.agent, t, at) & self._know(f.agent, t, at), at
+        elif kind is Top:
+            got = self.full, frozenset()
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        if memo is not None:
+            memo[f] = got
+        return got
 
-    def _know_explicit(self, f, w):
-        """Explicit-knowledge clause: quantify over the cell of the awareness
-        image, at the image's vocabulary level."""
-        k, X = self.k, w.vocabulary
-        if not self._atoms(f.child) <= X:
-            return Truth.UNDEFINED
-        img = awareness_image(k, f.agent, w)
-        Y = img.vocabulary
-        for v in k.base.successors(f.agent, img.base):
-            if self.value(f.child, WorldId(v, Y)) is not Truth.TRUE:
-                return Truth.FALSE
-        return Truth.TRUE
+    def _know(self, agent, t, at):
+        return box(self.cells[agent], t) & self.defined_mask(at)
 
-    def _know_implicit(self, f, w):
-        """Implicit-knowledge clause: quantify over the cell in the top model,
-        the objective perspective."""
-        k, X = self.k, w.vocabulary
-        if not self.strict and not self._atoms(f.child) <= X:
-            return Truth.UNDEFINED
-        top = frozenset(k.base.atoms)
-        for v in k.base.successors(f.agent, w.base):
-            if self.value(f.child, WorldId(v, top)) is not Truth.TRUE:
-                return Truth.FALSE
-        return Truth.TRUE
+    def _aware(self, agent, t, at):
+        m = self.defined_mask(at)
+        if self.lang is Lang.LKA:
+            per = self.aware[agent]
+            for p in at:
+                m &= per[p]
+            return m
+        # under L, A_a f abbreviates K_a f or K_a not K_a f
+        k1 = self._know(agent, t, at)
+        return k1 | self._know(agent, m & ~k1, at)
 
 
 def _check_world(k, w):
@@ -336,11 +396,13 @@ def _check_world(k, w):
 def eval_L(k: KripkeLatticeModel, w: WorldId, f: Formula, evaluator=None) -> Truth:
     """Three-valued satisfaction of an explicit-knowledge formula at w_X.
 
-    Undefined exactly when the formula mentions atoms outside X.
+    Undefined exactly when the formula mentions atoms outside X; atoms or
+    agents outside the model are an error, as in every model class.
     """
     if not in_language(f, Lang.L):
         raise ValueError("formula is not in the explicit-knowledge language; expand it first")
     _check_world(k, w)
+    require_signature(f, k.base.atoms, k.base.agents)
     ev = evaluator or Evaluator(k, Lang.L)
     return ev.value(f, w)
 
@@ -354,13 +416,6 @@ def eval_LKA(k: KripkeLatticeModel, w: WorldId, f: Formula, evaluator=None,
     from the top valuation, giving a fully two-valued reading.
     """
     _check_world(k, w)
+    require_signature(f, k.base.atoms, k.base.agents)
     ev = evaluator or Evaluator(k, Lang.LKA, strict_two_valued)
     return ev.value(f, w)
-
-
-def satisfying_states(k: KripkeLatticeModel, f: Formula, lang: Lang = Lang.L,
-                      override_cap=False):
-    """All w_X where f evaluates True, in deterministic order."""
-    ev = Evaluator(k, lang)
-    fn = eval_L if lang is Lang.L else eval_LKA
-    return [w for w in k.omega(override_cap) if fn(k, w, f, evaluator=ev) is Truth.TRUE]

@@ -91,6 +91,30 @@ class RestrictedModel:
         )
 
 
+def group_cells(cells):
+    """Pair each distinct cell with the set of states that have it; both are
+    bitmasks, and `cells` holds one cell per state index."""
+    groups = {}
+    for i, cell in enumerate(cells):
+        groups[cell] = groups.get(cell, 0) | (1 << i)
+    return list(groups.items())
+
+
+def box(groups, child: int) -> int:
+    """The modal box over bitmasks: the states whose whole cell lies inside
+    the set `child`, for cells grouped by group_cells."""
+    out = 0
+    for cell, members in groups:
+        if child & cell == cell:
+            out |= members
+    return out
+
+
+def members(mask: int, states):
+    """The states whose bits are set in the mask, in index order."""
+    return [states[i] for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
 def validate_kripke(m: KripkeModel):
     """Report-style validation; the returned list is empty iff m is well formed."""
     problems = []

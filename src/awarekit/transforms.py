@@ -163,6 +163,11 @@ def h_transform(k: KripkeLatticeModel) -> HMSModel:
     """One space per restriction, ordered by vocabulary inclusion, with
     projections dropping atoms and possibility sets the information cells of
     the awareness images."""
+    return _h_transform(k)[0]
+
+
+def _h_transform(k):
+    """The H-transform output with the frame-check report that vouches for it."""
     problems = validate_klm(k)
     if problems:
         raise ValueError(f"input is not well formed: {problems[0]}")
@@ -211,7 +216,7 @@ def h_transform(k: KripkeLatticeModel) -> HMSModel:
     if not report.all_pass():
         failed = [n for n, ok in report.passed.items() if not ok]
         raise ValueError(f"transform output fails frame checks: {failed}")
-    return out
+    return out, report
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +269,6 @@ def transform(kind: str, model) -> TransformReport:
     """Dispatch on the transform kind and bundle the output with the property
     report of its class."""
     from .fh import check_pp
-    from .hms import validate_model as hms_validate
     from .klm import check_awareness_properties, induced_pointwise
 
     if kind == "L":
@@ -274,8 +278,7 @@ def transform(kind: str, model) -> TransformReport:
         )
         return TransformReport(out, report, corr)
     if kind == "H":
-        out = h_transform(model)
-        return TransformReport(out, hms_validate(out))
+        return TransformReport(*_h_transform(model))
     if kind == "K":
         out = k_transform(model)
         report = check_awareness_properties(

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product
 
-from .fh import FHEvaluator, FHModel, aware_of, check_ka, check_pp
+from .fh import FHEvaluator, FHModel, check_ka
 from .formula import (
     And,
     Atom,
@@ -22,22 +23,20 @@ from .formula import (
     Lang,
     Not,
     TOP,
-    Top,
     atoms_of,
     conj,
     enumerate_formulas,
     expand_defined,
     iff,
     implies,
-    in_language,
     lor,
     to_text,
 )
-from .hms import DenotationEvaluator, HMSModel, defined_atoms
-from .klm import Evaluator, KripkeLatticeModel, subsets, validate_klm
+from .hms import DenotationEvaluator, HMSModel
+from .klm import Evaluator, KripkeLatticeModel, Slot, subsets, validate_klm
 from .kripke import KripkeModel, WorldId, relation_properties
 from .transforms import fh_transform, k_transform, l_transform
-from .truth import Truth, truth_of
+from .truth import truth_of
 
 INSTANTIATION_CAP = 10 ** 6
 
@@ -162,256 +161,6 @@ def check_equiv_fh_klm(x, lang: Lang, depth: int) -> EquivalenceReport:
 SEMANTICS = ("HMS", "KLM_L", "KLM_LKA", "FH_L", "FH_LKA")
 
 
-class _Slot(Formula):
-    """Mutable placeholder leaf for schema skeletons. A skeleton is built once
-    per schema and agent tuple; per metavariable filling only the slots'
-    precomputed true masks and atom sets are swapped in."""
-
-    __slots__ = ("mask", "atoms")
-
-
-class _KlmSetEvaluator:
-    """Computes, per formula, the bitmask of lattice states where it is True.
-
-    States are indexed in omega order; masks are Python ints. Each distinct
-    subformula is evaluated once per model, which makes large schema
-    instantiation sweeps cheap compared to per-state recursion.
-    """
-
-    def __init__(self, k: KripkeLatticeModel, lang: Lang):
-        self.k = k
-        self.lang = lang
-        self.states = k.omega()
-        self.index = {s: i for i, s in enumerate(self.states)}
-        n = len(self.states)
-        self.full = (1 << n) - 1
-        self.atom_defined = {}
-        self.atom_true = {}
-        for p in k.base.atoms:
-            d = t = 0
-            holds = k.base.valuation[p]
-            for i, s in enumerate(self.states):
-                if p in s.vocabulary:
-                    d |= 1 << i
-                    if s.base in holds:
-                        t |= 1 << i
-            self.atom_defined[p] = d
-            self.atom_true[p] = t
-        self.base_mask = {}
-        for i, s in enumerate(self.states):
-            self.base_mask[s.base] = self.base_mask.get(s.base, 0) | (1 << i)
-        top = frozenset(k.base.atoms)
-        self.top_index = {w: self.index[WorldId(w, top)] for w in k.base.worlds}
-        self.succ = {
-            a: {w: sorted(k.base.successors(a, w)) for w in k.base.worlds}
-            for a in k.base.agents
-        }
-        self.aware_atom = {}
-        for a in k.base.agents:
-            per = {}
-            for p in k.base.atoms:
-                m = 0
-                for i, s in enumerate(self.states):
-                    if p in k.awareness[a][s.base]:
-                        m |= 1 << i
-                per[p] = m
-            self.aware_atom[a] = per
-        self._memo = {}
-
-    def defined_mask(self, atom_set):
-        m = self.full
-        for p in atom_set:
-            m &= self.atom_defined[p]
-        return m
-
-    def true_mask(self, f: Formula) -> int:
-        got = self._memo.get(f)
-        if got is None:
-            got = self._true_mask(f)
-            self._memo[f] = got
-        return got
-
-    def _true_mask(self, f):
-        if isinstance(f, Not):
-            return self.defined_mask(atoms_of(f.child)) & ~self.true_mask(f.child)
-        if isinstance(f, And):
-            return self.true_mask(f.left) & self.true_mask(f.right)
-        if isinstance(f, Atom):
-            return self.atom_true[f.name]
-        if isinstance(f, Know):
-            if self.lang is Lang.L:
-                return self._know_explicit_mask(f)
-            return self._know_implicit_mask(f)
-        if isinstance(f, Aware):
-            if self.lang is not Lang.LKA:
-                raise ValueError("Aware is not a grammar node of L; expand it first")
-            m = self.defined_mask(atoms_of(f.child))
-            per = self.aware_atom[f.agent]
-            for p in atoms_of(f.child):
-                m &= per[p]
-            return m
-        if isinstance(f, Top):
-            return self.full
-        if isinstance(f, ExplicitKnow):
-            return self.true_mask(expand_defined(f, Lang.LKA))
-        raise TypeError(f"not a formula: {f!r}")
-
-    def _know_implicit_mask(self, f):
-        return self.know_implicit_mask(
-            f.agent, self.true_mask(f.child), atoms_of(f.child))
-
-    def know_implicit_mask(self, agent, child, at):
-        succ = self.succ[agent]
-        spread = 0
-        for w, vs in succ.items():
-            if all((child >> self.top_index[v]) & 1 for v in vs):
-                spread |= self.base_mask[w]
-        return self.defined_mask(at) & spread
-
-    def _know_explicit_mask(self, f):
-        return self.know_explicit_mask(
-            f.agent, self.true_mask(f.child), atoms_of(f.child))
-
-    def know_explicit_mask(self, agent, child, at):
-        succ = self.succ[agent]
-        aw = self.k.awareness[agent]
-        index = self.index
-        out = 0
-        for i, s in enumerate(self.states):
-            if not at <= s.vocabulary:
-                continue
-            Y = s.vocabulary & aw[s.base]
-            if all((child >> index[WorldId(v, Y)]) & 1 for v in succ[s.base]):
-                out |= 1 << i
-        return out
-
-    def slot_mask(self, f):
-        """(true mask, atom set) for a schema skeleton whose leaves may be
-        _Slot placeholders carrying precomputed masks. Allocation-free per
-        instantiation, which keeps large schema sweeps fast."""
-        if type(f) is _Slot:
-            return f.mask, f.atoms
-        if isinstance(f, Not):
-            t, at = self.slot_mask(f.child)
-            return self.defined_mask(at) & ~t, at
-        if isinstance(f, And):
-            tl, al = self.slot_mask(f.left)
-            tr, ar = self.slot_mask(f.right)
-            return tl & tr, al | ar
-        if isinstance(f, Know):
-            t, at = self.slot_mask(f.child)
-            if self.lang is Lang.L:
-                return self.know_explicit_mask(f.agent, t, at), at
-            return self.know_implicit_mask(f.agent, t, at), at
-        if isinstance(f, Aware):
-            t, at = self.slot_mask(f.child)
-            return self._aware_slot_mask(f.agent, t, at), at
-        if isinstance(f, ExplicitKnow):
-            if self.lang is not Lang.LKA:
-                raise ValueError("ExplicitKnow is not a grammar node of L")
-            t, at = self.slot_mask(f.child)
-            return (self._aware_slot_mask(f.agent, t, at)
-                    & self.know_implicit_mask(f.agent, t, at)), at
-        if isinstance(f, Top):
-            return self.full, frozenset()
-        if isinstance(f, Atom):
-            return self.atom_true[f.name], frozenset((f.name,))
-        raise TypeError(f"not a formula: {f!r}")
-
-    def _aware_slot_mask(self, agent, t, at):
-        if self.lang is Lang.LKA:
-            m = self.defined_mask(at)
-            per = self.aware_atom[agent]
-            for p in at:
-                m &= per[p]
-            return m
-        # under L, A_a f abbreviates K_a f or K_a not K_a f
-        d = self.defined_mask(at)
-        k1 = self.know_explicit_mask(agent, t, at)
-        k2 = self.know_explicit_mask(agent, d & ~k1, at)
-        return d & (k1 | k2)
-
-    def check_skeleton(self, skeleton):
-        """True iff the skeleton instance is guarded-valid on this model."""
-        t, at = self.slot_mask(skeleton)
-        return not (self.defined_mask(at) & ~t)
-
-    def check(self, g: Formula):
-        """Guarded validity of an expanded formula; witnesses in state order."""
-        defined = self.defined_mask(atoms_of(g))
-        bad = defined & ~self.true_mask(g)
-        if not bad:
-            return True, []
-        return False, [self.states[i] for i in range(bad.bit_length()) if (bad >> i) & 1]
-
-
-class _FhSetEvaluator:
-    """World-set evaluator for the two-valued awareness-structure semantics."""
-
-    def __init__(self, s: FHModel, lang: Lang):
-        self.s = s
-        self.lang = lang
-        self.worlds = sorted(s.base.worlds)
-        self.index = {w: i for i, w in enumerate(self.worlds)}
-        self.full = (1 << len(self.worlds)) - 1
-        self.succ = {
-            a: {w: sorted(s.base.successors(a, w)) for w in self.worlds}
-            for a in s.base.agents
-        }
-        self._memo = {}
-
-    def true_mask(self, f: Formula) -> int:
-        got = self._memo.get(f)
-        if got is None:
-            got = self._true_mask(f)
-            self._memo[f] = got
-        return got
-
-    def _aware_mask(self, agent, child):
-        out = 0
-        for i, w in enumerate(self.worlds):
-            if aware_of(self.s, agent, w, child):
-                out |= 1 << i
-        return out
-
-    def _true_mask(self, f):
-        s = self.s
-        if isinstance(f, Top):
-            return self.full
-        if isinstance(f, Atom):
-            try:
-                holds = s.base.valuation[f.name]
-            except KeyError:
-                raise KeyError(f"atom {f.name!r} is outside the model's language") from None
-            return sum(1 << i for i, w in enumerate(self.worlds) if w in holds)
-        if isinstance(f, Not):
-            return self.full & ~self.true_mask(f.child)
-        if isinstance(f, And):
-            return self.true_mask(f.left) & self.true_mask(f.right)
-        if isinstance(f, Know):
-            child = self.true_mask(f.child)
-            out = 0
-            for i, w in enumerate(self.worlds):
-                if all((child >> self.index[v]) & 1 for v in self.succ[f.agent][w]):
-                    out |= 1 << i
-            if self.lang is Lang.L:
-                out &= self._aware_mask(f.agent, f.child)
-            return out
-        if isinstance(f, Aware):
-            if self.lang is not Lang.LKA:
-                raise ValueError("Aware is not a grammar node of L; expand it first")
-            return self._aware_mask(f.agent, f.child)
-        if isinstance(f, ExplicitKnow):
-            return self.true_mask(expand_defined(f, Lang.LKA))
-        raise TypeError(f"not a formula: {f!r}")
-
-    def check(self, g: Formula):
-        bad = self.full & ~self.true_mask(g)
-        if not bad:
-            return True, []
-        return False, [self.worlds[i] for i in range(bad.bit_length()) if (bad >> i) & 1]
-
-
 class ValidityChecker:
     """Guarded validity over a fixed corpus, with evaluators and verdicts
     shared across queries so large instantiation sweeps stay cheap."""
@@ -422,53 +171,27 @@ class ValidityChecker:
         self.models = list(models)
         self.semantics = semantics
         self.lang = Lang.L if semantics in ("HMS", "KLM_L", "FH_L") else Lang.LKA
-        self._evaluators = []
-        self._states = []
-        for m in self.models:
-            if semantics == "HMS":
-                self._evaluators.append(DenotationEvaluator(m))
-                self._states.append(
-                    [(s, defined_atoms(m, {s})) for s in sorted(m.frame.state_space)]
-                )
-            elif semantics in ("KLM_L", "KLM_LKA"):
-                self._evaluators.append(_KlmSetEvaluator(m, self.lang))
-            else:
-                self._evaluators.append(_FhSetEvaluator(m, self.lang))
+        if semantics == "HMS":
+            self.evaluators = [DenotationEvaluator(m) for m in self.models]
+        elif semantics in ("KLM_L", "KLM_LKA"):
+            self.evaluators = [Evaluator(m, self.lang) for m in self.models]
+        else:
+            self.evaluators = [FHEvaluator(m, self.lang) for m in self.models]
         self._verdicts = {}
-        self._expanded = {}
 
     def check(self, f: Formula):
         got = self._verdicts.get(f)
         if got is None:
-            got = self._check(f)
+            g = expand_defined(f, self.lang)
+            witnesses = []
+            for idx, ev in enumerate(self.evaluators):
+                witnesses.extend((idx, str(s)) for s in ev.check(g)[1])
+            got = not witnesses, witnesses
             self._verdicts[f] = got
         return got
 
     def valid(self, f: Formula) -> bool:
         return self.check(f)[0]
-
-    def _expand(self, f):
-        got = self._expanded.get(f)
-        if got is None:
-            got = expand_defined(f, self.lang)
-            self._expanded[f] = got
-        return got
-
-    def _check(self, f):
-        g = self._expand(f)
-        witnesses = []
-        if self.semantics == "HMS":
-            at = atoms_of(g)
-            for idx, ev in enumerate(self._evaluators):
-                for state, defined in self._states[idx]:
-                    if at <= defined and ev.value(g, state) is not Truth.TRUE:
-                        witnesses.append((idx, str(state)))
-        else:
-            for idx, ev in enumerate(self._evaluators):
-                ok, states = ev.check(g)
-                if not ok:
-                    witnesses.extend((idx, str(s)) for s in states)
-        return not witnesses, witnesses
 
 
 def valid_over(models, f: Formula, semantics: str):
@@ -509,8 +232,8 @@ def _hms_schemas():
                lambda ms, ags: iff(A(ags[0], Not(ms[0])), A(ags[0], ms[0]))),
         Schema("Awareness Conjunction", 2, 1,
                lambda ms, ags: iff(
-                   A(ags[0], _and(ms[0], ms[1])),
-                   _and(A(ags[0], ms[0]), A(ags[0], ms[1])))),
+                   A(ags[0], And(ms[0], ms[1])),
+                   And(A(ags[0], ms[0]), A(ags[0], ms[1])))),
         Schema("Awareness Knowledge Reflection", 1, 2,
                lambda ms, ags: iff(A(ags[0], ms[0]), A(ags[0], K(ags[1], ms[0])))),
         Schema("T", 1, 1, lambda ms, ags: implies(K(ags[0], ms[0]), ms[0])),
@@ -523,12 +246,12 @@ def _lga_schemas():
     A, K, X = Aware, Know, ExplicitKnow
     return _pl_schemas() + [
         Schema("K-Distribution", 2, 1, lambda ms, ags: implies(
-            _and(K(ags[0], ms[0]), implies(K(ags[0], ms[0]), K(ags[0], ms[1]))),
+            And(K(ags[0], ms[0]), implies(K(ags[0], ms[0]), K(ags[0], ms[1]))),
             K(ags[0], ms[1]))),
         Schema("Explicit Knowledge", 1, 1, lambda ms, ags: iff(
-            X(ags[0], ms[0]), _and(K(ags[0], ms[0]), A(ags[0], ms[0])))),
+            X(ags[0], ms[0]), And(K(ags[0], ms[0]), A(ags[0], ms[0])))),
         Schema("A1", 2, 1, lambda ms, ags: iff(
-            A(ags[0], _and(ms[0], ms[1])), _and(A(ags[0], ms[0]), A(ags[0], ms[1])))),
+            A(ags[0], And(ms[0], ms[1])), And(A(ags[0], ms[0]), A(ags[0], ms[1])))),
         Schema("A2", 1, 1, lambda ms, ags: iff(A(ags[0], Not(ms[0])), A(ags[0], ms[0]))),
         Schema("A3", 1, 2, lambda ms, ags: iff(
             A(ags[0], X(ags[1], ms[0])), A(ags[0], ms[0]))),
@@ -541,11 +264,6 @@ def _lga_schemas():
         Schema("A12", 1, 1, lambda ms, ags: implies(
             Not(A(ags[0], ms[0])), K(ags[0], Not(A(ags[0], ms[0]))))),
     ]
-
-
-def _and(f, g):
-    from .formula import And
-    return And(f, g)
 
 
 SCHEMA_5 = Schema("5", 1, 1, lambda ms, ags: implies(
@@ -619,35 +337,22 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
               "checked": 0, "schemas": {}, "rules": {}, "failures": [],
               "rule_note": "rules checked as validity preservation over this corpus only"}
 
-    def agent_tuples(n):
-        if n == 0:
-            return [()]
-        if n == 1:
-            return [(a,) for a in agent_list]
-        return [(a, b) for a in agent_list for b in agent_list]
-
-    def meta_tuples(n):
-        out = [()]
-        for _ in range(n):
-            out = [t + (f,) for t in out for f in metas]
-        return out
-
     checker = ValidityChecker(models, semantics)
-    fast = all(isinstance(ev, _KlmSetEvaluator) for ev in checker._evaluators)
+    fast = semantics in ("KLM_L", "KLM_LKA")
     if fast:
         meta_masks = [
             {f: (ev.true_mask(f), atoms_of(f)) for f in metas}
-            for ev in checker._evaluators
+            for ev in checker.evaluators
         ]
     for schema in list(suite.schemas) + list(extra_schemas):
         entry = {"checked": 0, "failures": []}
-        slots = tuple(_Slot() for _ in range(schema.meta_arity))
-        for ags in agent_tuples(schema.agent_arity):
+        slots = tuple(Slot() for _ in range(schema.meta_arity))
+        for ags in product(agent_list, repeat=schema.agent_arity):
             skeleton = schema.build(slots, ags) if fast else None
-            for ms in meta_tuples(schema.meta_arity):
+            for ms in product(metas, repeat=schema.meta_arity):
                 if fast:
                     ok = True
-                    for ev, masks in zip(checker._evaluators, meta_masks):
+                    for ev, masks in zip(checker.evaluators, meta_masks):
                         for slot, f in zip(slots, ms):
                             slot.mask, slot.atoms = masks[f]
                         if not ev.check_skeleton(skeleton):

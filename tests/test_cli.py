@@ -66,6 +66,31 @@ def test_eval_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "eval", "i &", "--model", TRADE, "--at", "w1")
     assert code == 2
+    code, out, err = run(capsys, "eval", "~" * 5000 + "i", "--model", TRADE,
+                         "--at", "w1")
+    assert code == 2 and "nested too deeply" in err and not out
+
+
+def test_eval_strict_two_valued(capsys):
+    # the explicit-knowledge clause drops its guard too, so the reading is
+    # two-valued in L as well as in LKA
+    for lang in ("L", "LKA"):
+        code, out, _ = run(capsys, "eval", "K{b} l", "--model", TRADE,
+                           "--at", "w1@{i}", "--lang", lang, "--strict-two-valued")
+        assert code == 0 and out.strip() == "True", lang
+
+
+def test_eval_unknown_atoms_in_every_model_class(tmp_path, capsys):
+    hms_path = str(tmp_path / "trade.hms.json")
+    assert run(capsys, "transform", "--kind", "H", "--in", TRADE, "--out", hms_path)[0] == 0
+    messages = set()
+    for model, at in ((TRADE, "w1"), (TRADE_FH, "w1"), (hms_path, "w1@{i,l}")):
+        code, out, err = run(capsys, "eval", "K{b} (zz & i & yy)", "--model", model,
+                             "--at", at)
+        assert code == 2 and not out, model
+        messages.add(err)
+    assert len(messages) == 1
+    assert "yy, zz" in messages.pop()
 
 
 def test_eval_fh_model(capsys):

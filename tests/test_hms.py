@@ -13,12 +13,12 @@ from awarekit.hms import (
     event_aware,
     event_know,
     event_neg,
-    valid_over_hms,
     validate_frame,
     validate_model,
 )
 from awarekit.transforms import h_transform
 from awarekit.truth import Truth
+from awarekit.verify import valid_over
 
 from conftest import make_trade
 
@@ -106,9 +106,9 @@ def test_denotation_is_an_event(hms_trade):
 
 
 def test_valid_over_hms(hms_trade):
-    ok, witnesses = valid_over_hms([hms_trade], parse("K{b} i -> i", Lang.L))
+    ok, witnesses = valid_over([hms_trade], parse("K{b} i -> i", Lang.L), "HMS")
     assert ok and not witnesses
-    ok, witnesses = valid_over_hms([hms_trade], parse("K{b} i", Lang.L))
+    ok, witnesses = valid_over([hms_trade], parse("K{b} i", Lang.L), "HMS")
     assert not ok and witnesses
 
 

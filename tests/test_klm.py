@@ -10,11 +10,10 @@ from awarekit.klm import (
     eval_L,
     eval_LKA,
     induced_pointwise,
-    satisfying_states,
     subsets,
     validate_klm,
 )
-from awarekit.kripke import KripkeModel, WorldId
+from awarekit.kripke import KripkeModel, WorldId, members
 from awarekit.truth import Truth
 
 from conftest import make_trade, part
@@ -114,7 +113,8 @@ def test_strict_two_valued_toggle(trade):
 
 
 def test_satisfying_states(trade):
-    got = satisfying_states(trade, parse("K{b} l", Lang.L), Lang.L)
+    ev = Evaluator(trade, Lang.L)
+    got = members(ev.true_mask(parse("K{b} l", Lang.L)), ev.states)
     assert at("w1", I_L) in got
     assert at("w2", I_L) not in got
 

@@ -1,5 +1,6 @@
 import pytest
 
+from awarekit import hms, transforms
 from awarekit.fh import AtomGenerated, check_ka, check_pp, FHModel
 from awarekit.hms import validate_model
 from awarekit.klm import (
@@ -110,3 +111,17 @@ def test_transform_dispatcher(trade_m, hms_trade):
         assert report.output is not None
     with pytest.raises(ValueError):
         transform("Z", trade_m)
+
+
+def test_h_output_is_validated_once(trade_m, monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return validate_model(m)
+
+    monkeypatch.setattr(hms, "validate_model", counted)
+    monkeypatch.setattr(transforms, "validate_model", counted)
+    report = transform("H", trade_m)
+    assert len(calls) == 1
+    assert report.properties.all_pass(*FRAME_CHECKS, "valuation")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from awarekit.formula import Lang, parse
-from awarekit.klm import Evaluator, validate_klm
+from awarekit.klm import validate_klm
 from awarekit.kripke import relation_properties
 from awarekit.transforms import fh_transform, h_transform
 from awarekit.truth import Truth
@@ -23,6 +23,7 @@ from awarekit.verify import (
 )
 
 from conftest import make_trade
+from oracles import KlmOracle
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +70,8 @@ def test_set_evaluator_matches_per_state(trade_m):
     from awarekit.formula import enumerate_formulas
     for lang, semantics in [(Lang.L, "KLM_L"), (Lang.LKA, "KLM_LKA")]:
         checker = ValidityChecker([trade_m], semantics)
-        ev = checker._evaluators[0]
-        per_state = Evaluator(trade_m, lang)
+        ev = checker.evaluators[0]
+        per_state = KlmOracle(trade_m, lang)
         for f in enumerate_formulas(["i", "l"], ["b", "o"], 2, lang):
             mask = ev.true_mask(f)
             for i, s in enumerate(ev.states):
