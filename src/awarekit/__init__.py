@@ -78,7 +78,6 @@ from .kripke import (
     KripkeModel,
     RestrictedModel,
     WorldId,
-    information_cell,
     parse_world_id,
     relation_properties,
     restrict,

@@ -50,6 +50,11 @@ class UsageError(Exception):
     pass
 
 
+def _text(exc):
+    """The message of an exception; str() of a KeyError would quote it."""
+    return exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+
+
 def _load(path):
     """Load a model file; bare bundled fixture names resolve to the package
     copies when no such file exists locally."""
@@ -61,7 +66,7 @@ def _load(path):
     try:
         return load_model(path)
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot load {path}: {exc}") from exc
+        raise UsageError(f"cannot load {path}: {_text(exc)}") from exc
 
 
 def _contains_explicit_know(f):
@@ -343,11 +348,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"awarekit: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"awarekit: {exc}", file=sys.stderr)
+    except (UsageError, ValueError, KeyError, OSError) as exc:
+        print(f"awarekit: {_text(exc)}", file=sys.stderr)
         return 2
     except RecursionError:
         print("awarekit: input is nested too deeply to process", file=sys.stderr)

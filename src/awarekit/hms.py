@@ -3,13 +3,14 @@ events and their algebra, and the three-valued semantics over them.
 
 A frame holds disjoint state spaces ordered by expressiveness, surjective
 commuting projections between comparable spaces, and one possibility
-correspondence per agent. Events are pairs (base set, base space); their
-upward closure is computed on demand, never stored.
+correspondence per agent. Events are pairs (base set, base space). States are
+indexed as bits: an event's upward closure is the OR of per-state lift masks,
+and knowledge and awareness are `kripke.box`, as in the other model classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formula import (
     And,
@@ -24,7 +25,7 @@ from .formula import (
     require_signature,
 )
 from .klm import PropertyReport
-from .kripke import members
+from .kripke import box, group_cells, members
 from .truth import Truth
 
 MAX_FRAME_STATES = 10_000
@@ -52,96 +53,128 @@ class UnawarenessFrame:
         """`order` lists generating pairs (lower, upper); the reflexive
         transitive closure is taken here. `projections` maps (upper, lower)
         pairs to state maps; missing comparable pairs are filled in by
-        composition where possible."""
+        composition where possible. Indexed here: a bit per state, the spaces
+        above and below each space as masks and lists, and each state's lift."""
         self.spaces = {S: frozenset(states) for S, states in spaces.items()}
         self.pi = {a: {s: frozenset(ts) for s, ts in per.items()} for a, per in pi.items()}
         self.agents = frozenset(self.pi)
-        self.state_space = {}
-        for S, states in self.spaces.items():
-            for s in states:
-                self.state_space[s] = S
+        self.state_space = {s: S for S, states in self.spaces.items() for s in states}
+        order = [(lo, hi) for lo, hi in order]
+        names = list(self.spaces)
+        unknown = {S for pair in [*order, *projections] for S in pair} - self.spaces.keys()
+        unknown |= {t for per in self.pi.values() for s, ts in per.items() for t in (s, *ts)
+                    if t not in self.state_space}
+        if unknown:
+            raise ValueError(f"order, projections or pi name unknown {sorted(unknown)}")
+        self.states = sorted(self.state_space)
+        self.index = {s: i for i, s in enumerate(self.states)}
+        self.full = (1 << len(self.states)) - 1
+        # possibility sets grouped for kripke.box, for each agent with total pi
+        self.cells = {a: group_cells([self.mask(per[s]) for s in self.states])
+                      for a, per in self.pi.items() if per.keys() >= self.state_space.keys()}
 
-        # reflexive-transitive closure of the generating order
-        leq = {(S, S) for S in self.spaces}
-        leq.update((lo, up) for (lo, up) in order)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(leq):
-                for (c, d) in list(leq):
-                    if b == c and (a, d) not in leq:
-                        leq.add((a, d))
-                        changed = True
-        self.leq = leq
+        # the order: bit rows over the spaces, closed by Warshall
+        bit = {S: 1 << i for i, S in enumerate(names)}
+        up = {S: bit[S] for S in names}
+        for lo, hi in order:
+            up[lo] |= bit[hi]
+        for k in names:
+            for S in names:
+                if up[S] & bit[k]:
+                    up[S] |= up[k]
+        self.up_set = up
+        self.down_set = {T: sum(bit[S] for S in names if up[S] & bit[T]) for T in names}
+        self.spaces_above = {S: members(up[S], names) for S in names}
+        self.spaces_below = {S: members(self.down_set[S], names) for S in names}
+        self.leq = {(S, S) for S in names}
+        self.leq.update(order)
+        self.leq.update((S, T) for S in names for T in self.spaces_above[S])
+        self._by_up, self._by_down = {}, {}
+        for S in names:
+            self._by_up.setdefault(up[S], []).append(S)
+            self._by_down.setdefault(self.down_set[S], []).append(S)
 
         maps = {(S, S): {s: s for s in states} for S, states in self.spaces.items()}
-        for (up, lo), m in projections.items():
-            maps[(up, lo)] = dict(m)
-        # fill in missing comparable pairs by composing available maps
-        changed = True
-        while changed:
-            changed = False
-            for (lo, up) in self.leq:
-                if (up, lo) in maps:
-                    continue
-                for mid in self.spaces:
-                    if (lo, mid) in self.leq and (mid, up) in self.leq and \
-                            (up, mid) in maps and (mid, lo) in maps:
-                        upper_map, lower_map = maps[(up, mid)], maps[(mid, lo)]
-                        try:
-                            maps[(up, lo)] = {
-                                s: lower_map[upper_map[s]] for s in self.spaces[up]
-                            }
-                        except KeyError:
-                            continue
-                        changed = True
+        maps.update(((hi, lo), dict(m)) for (hi, lo), m in projections.items())
+        # compose each missing map through a space in between, shorter
+        # intervals first so that the maps to compose are in place
+        missing = [(lo, hi) for (lo, hi) in self.leq if (hi, lo) not in maps]
+        missing.sort(key=lambda p: (up[p[0]] & self.down_set[p[1]]).bit_count())
+        for lo, hi in missing:
+            for mid in members(up[lo] & self.down_set[hi] & ~bit[lo] & ~bit[hi], names):
+                if (hi, mid) in maps and (mid, lo) in maps:
+                    upper, lower = maps[(hi, mid)], maps[(mid, lo)]
+                    try:
+                        maps[(hi, lo)] = {s: lower[upper[s]] for s in self.spaces[hi]}
                         break
+                    except KeyError:
+                        pass
         self.maps = maps
 
-    @property
-    def states(self):
-        return frozenset(self.state_space)
+        self._lift = {S: {} for S in names}  # S -> bit of t -> states lifting t
+        for (S, T) in self.leq:
+            lift, own, m = self._lift[S], self.spaces[S], maps.get((T, S), {})
+            for s in self.spaces[T]:
+                t = m.get(s)
+                if t in own:
+                    b = 1 << self.index[t]
+                    lift[b] = lift.get(b, 0) | 1 << self.index[s]
 
     def below(self, S, T):
         """S is weakly less expressive than T."""
         return (S, T) in self.leq
 
     def project(self, state, lower):
-        upper = self.state_space[state]
-        return self.maps[(upper, lower)][state]
+        return self.maps[(self.state_space[state], lower)][state]
+
+    @staticmethod
+    def _only(by_set, mask):
+        """The least (greatest) element of a set of spaces, given as a mask,
+        read off the up-sets (down-sets): the one space with that row."""
+        hits = by_set.get(mask, ())
+        return hits[0] if len(hits) == 1 else None
 
     def join(self, S1, S2):
-        ubs = [S for S in self.spaces if self.below(S1, S) and self.below(S2, S)]
-        least = [S for S in ubs if all(self.below(S, U) for U in ubs)]
-        return least[0] if len(least) == 1 else None
+        return self._only(self._by_up, self.up_set.get(S1, 0) & self.up_set.get(S2, 0))
 
     def meet(self, S1, S2):
-        lbs = [S for S in self.spaces if self.below(S, S1) and self.below(S, S2)]
-        greatest = [S for S in lbs if all(self.below(L, S) for L in lbs)]
-        return greatest[0] if len(greatest) == 1 else None
+        return self._only(self._by_down, self.down_set.get(S1, 0) & self.down_set.get(S2, 0))
 
     def top_space(self):
-        tops = [S for S in self.spaces if all(self.below(T, S) for T in self.spaces)]
-        return tops[0] if len(tops) == 1 else None
+        return self._only(self._by_down, (1 << len(self.spaces)) - 1)
 
     def bottom_space(self):
-        bots = [S for S in self.spaces if all(self.below(S, T) for T in self.spaces)]
-        return bots[0] if len(bots) == 1 else None
+        return self._only(self._by_up, (1 << len(self.spaces)) - 1)
+
+    def mask(self, states) -> int:
+        return sum(1 << i for i in {self.index[s] for s in states})
+
+    def lift(self, base: int, S) -> int:
+        """The upward closure of the states of space S in the mask `base`."""
+        lift, out = self._lift[S], 0
+        while base:
+            low = base & -base
+            out |= lift.get(low, 0)
+            base ^= low
+        return out
+
+    def up_mask(self, e: Event) -> int:
+        """The upward closure of an event, as a mask."""
+        S = e.base_space
+        if not e.base_set <= self.spaces[S]:
+            raise ValueError(f"base set is not a subset of space {S!r}")
+        return self.lift(self.mask(e.base_set), S)
 
     def upward_closure(self, D, S):
         """All states in weakly more expressive spaces projecting into D."""
-        D = frozenset(D)
-        if not D <= self.spaces[S]:
-            raise ValueError(f"base set is not a subset of space {S!r}")
-        out = set()
-        for S2 in self.spaces:
-            if self.below(S, S2) and (S2, S) in self.maps:
-                m = self.maps[(S2, S)]
-                out.update(s for s in self.spaces[S2] if m.get(s) in D)
-        return frozenset(out)
+        return frozenset(members(self.up_mask(Event.make(S, D)), self.states))
 
     def up(self, e: Event):
         return self.upward_closure(e.base_set, e.base_space)
+
+    def cell_spaces(self, cell):
+        """The spaces of a possibility set's states, sorted; one if well formed."""
+        return sorted({self.state_space[t] for t in cell})
 
 
 def validate_frame(f: UnawarenessFrame) -> PropertyReport:
@@ -157,7 +190,6 @@ def validate_frame(f: UnawarenessFrame) -> PropertyReport:
 
 
 def _check_lattice(f, report):
-    spaces = list(f.spaces)
     seen = {}
     for S, states in f.spaces.items():
         if not states:
@@ -166,8 +198,8 @@ def _check_lattice(f, report):
             if s in seen and seen[s] != S:
                 report.record("lattice", ("states shared by spaces", s, seen[s], S))
             seen[s] = S
-    for S in spaces:
-        for S2 in spaces:
+    for S in f.spaces:
+        for S2 in f.spaces:
             if S != S2 and f.below(S, S2) and f.below(S2, S):
                 report.record("lattice", ("antisymmetry", S, S2))
             if f.below(S, S2) and len(f.spaces[S]) > len(f.spaces[S2]):
@@ -200,18 +232,14 @@ def _check_projections(f, report):
         if lo == up and any(m[s] != s for s in f.spaces[up]):
             report.record("projections", ("identity projection is not identity", up))
     for S in f.spaces:
-        for S1 in f.spaces:
-            for S2 in f.spaces:
-                if f.below(S, S1) and f.below(S1, S2):
-                    direct = f.maps.get((S2, S))
-                    via = f.maps.get((S2, S1))
-                    low = f.maps.get((S1, S))
-                    if direct is None or via is None or low is None:
-                        continue
-                    for s in f.spaces[S2]:
-                        if direct[s] != low[via[s]]:
-                            report.record("projections", ("non-commuting", S2, S1, S, s))
-                            break
+        for S1 in f.spaces_above[S]:
+            for S2 in f.spaces_above[S1]:
+                direct, via, low = f.maps.get((S2, S)), f.maps.get((S2, S1)), f.maps.get((S1, S))
+                if direct is None or via is None or low is None:
+                    continue
+                s = next((s for s in f.spaces[S2] if direct[s] != low[via[s]]), None)
+                if s is not None:
+                    report.record("projections", ("non-commuting", S2, S1, S, s))
     report.record("projections")
 
 
@@ -224,67 +252,45 @@ def _check_pi(f, report):
     for a in sorted(f.agents):
         per = f.pi[a]
         for w, cell in sorted(per.items()):
-            Sw = f.state_space[w]
-            targets = {f.state_space[t] for t in cell}
+            Sw, targets = f.state_space[w], f.cell_spaces(cell)
             if len(targets) != 1:
-                report.record("Conf", (a, w, "cell straddles spaces", sorted(targets)))
+                report.record("Conf", (a, w, "cell straddles spaces", targets))
                 continue
-            S = targets.pop()
+            S = targets[0]
             if not f.below(S, Sw):
                 report.record("Conf", (a, w, "cell not weakly below", S, Sw))
                 continue
             report.record("Conf")
             # Gref: w is in the upward closure of its own cell
-            if w in f.upward_closure(cell, S):
-                report.record("Gref")
-            else:
-                report.record("Gref", (a, w))
+            report.record("Gref", None if f.lift(f.mask(cell), S) >> f.index[w] & 1 else (a, w))
             # Stat: every considered state shares the cell
-            for t in cell:
-                if per.get(t) != cell:
-                    report.record("Stat", (a, w, t))
-                    break
-            else:
-                report.record("Stat")
+            t = next((t for t in cell if per.get(t) != cell), None)
+            report.record("Stat", None if t is None else (a, w, t))
         # PPI and PPK quantify over projections of states
-        for w in sorted(f.state_space):
-            Sw = f.state_space[w]
+        for w in f.states:
             cell = per.get(w)
             if cell is None:
                 continue
-            for S in f.spaces:
-                if not f.below(S, Sw):
-                    continue
-                down = f.project(w, S)
-                cell_down = per.get(down)
+            Scell = f.cell_spaces(cell)
+            up_w = f.lift(f.mask(cell), Scell[0]) if len(Scell) == 1 else 0
+            for S in f.spaces_below[f.state_space[w]]:
+                cell_down = per.get(f.project(w, S))
                 if cell_down is None:
                     continue
-                Scell = {f.state_space[t] for t in cell}
-                Sdown = {f.state_space[t] for t in cell_down}
+                Sdown = f.cell_spaces(cell_down)
                 if len(Scell) != 1 or len(Sdown) != 1:
                     continue  # Conf already failed
-                up_w = f.upward_closure(cell, Scell.pop())
-                up_down = f.upward_closure(cell_down, next(iter(Sdown)))
-                if up_w <= up_down:
-                    report.record("PPI")
-                else:
-                    report.record("PPI", (a, w, S))
+                outside = up_w & ~f.lift(f.mask(cell_down), Sdown[0])
+                report.record("PPI", (a, w, S) if outside else None)
             # PPK: S <= S' <= S'', w in S'', cell in S'
-            Scell = {f.state_space[t] for t in cell}
             if len(Scell) != 1:
                 continue
-            Sp = Scell.pop()
-            for S in f.spaces:
-                if not f.below(S, Sp):
-                    continue
+            for S in f.spaces_below[Scell[0]]:
                 projected_cell = frozenset(f.project(t, S) for t in cell)
                 down_cell = per.get(f.project(w, S))
-                if down_cell is None:
-                    continue
-                if projected_cell == down_cell:
-                    report.record("PPK")
-                else:
-                    report.record("PPK", (a, w, Sp, S))
+                if down_cell is not None:
+                    report.record("PPK", None if projected_cell == down_cell
+                                  else (a, w, Scell[0], S))
     for name in ("Conf", "Gref", "Stat", "PPI", "PPK"):
         report.record(name)
 
@@ -306,35 +312,33 @@ def event_and(f: UnawarenessFrame, events) -> Event:
         space = f.join(space, e.base_space)
         if space is None:
             raise FrameDefect("join of base spaces undefined")
-    ups = [f.up(e) for e in events]
-    inter = frozenset.intersection(*ups)
-    base = inter & f.spaces[space]
-    if f.upward_closure(base, space) != inter:
-        raise FrameDefect("intersection of up-closures is not an event at the join space")
-    return Event(space, base)
+    inter = f.full
+    for e in events:
+        inter &= f.up_mask(e)
+    return _up_set_event(f, inter, space, "intersection of up-closures")
 
 
 def _up_set_event(f, raw, space, what):
-    base = raw & f.spaces[space]
-    if f.upward_closure(base, space) != raw:
-        raise FrameDefect(f"{what} set is not an up-set based at {space!r}")
-    return Event(space, base)
+    """The event based at `space` whose upward closure is the mask `raw`."""
+    base = raw & f.mask(f.spaces[space])
+    if f.lift(base, space) != raw:
+        raise FrameDefect(f"{what} is not an up-set based at {space!r}")
+    return Event(space, frozenset(members(base, f.states)))
 
 
 def event_know(f: UnawarenessFrame, agent, e: Event) -> Event:
     """The event that the agent knows e: states whose cell sits inside e's
     up-closure, based at e's space."""
-    up = f.up(e)
-    raw = frozenset(w for w in f.state_space if f.pi[agent][w] <= up)
-    return _up_set_event(f, raw, e.base_space, "knowledge")
+    up = f.up_mask(e)
+    return _up_set_event(f, box(f.cells[agent], up), e.base_space, "knowledge set")
 
 
 def event_aware(f: UnawarenessFrame, agent, e: Event) -> Event:
     """The event that the agent is aware of e: states whose cell sits weakly
     above e's base space."""
-    expressible = f.upward_closure(f.spaces[e.base_space], e.base_space)
-    raw = frozenset(w for w in f.state_space if f.pi[agent][w] <= expressible)
-    return _up_set_event(f, raw, e.base_space, "awareness")
+    S = e.base_space
+    expressible = f.lift(f.mask(f.spaces[S]), S)
+    return _up_set_event(f, box(f.cells[agent], expressible), S, "awareness set")
 
 
 # ---------------------------------------------------------------------------
@@ -364,38 +368,29 @@ def validate_model(m: HMSModel) -> PropertyReport:
 
 def defined_atoms(m: HMSModel, O) -> frozenset:
     """Atoms with a defined truth value throughout the state set O."""
-    O = frozenset(O)
-    out = set()
-    for p, e in m.valuation.items():
-        defined = m.frame.up(e) | m.frame.up(event_neg(m.frame, e))
-        if O <= defined:
-            out.add(p)
-    return frozenset(out)
+    fr = m.frame
+    O = fr.mask(O)
+    return frozenset(
+        p for p, e in m.valuation.items()
+        if not O & ~(fr.up_mask(e) | fr.up_mask(event_neg(fr, e)))
+    )
 
 
 class DenotationEvaluator:
     """Compositional event-denotation evaluator with a per-instance memo.
-
-    Denotations are events of the frame's algebra. Truth, falsity and
-    per-atom definedness are read off them as bitmasks over the sorted
-    states: True where the denotation's up-closure holds the state, False
-    where its negation's does.
-    """
+    Truth, falsity and per-atom definedness are read off the denotations as
+    masks over the frame's states: True where the denotation's up-closure
+    holds the state, False where its negation's does."""
 
     def __init__(self, m: HMSModel):
         self.m = m
-        self.states = sorted(m.frame.state_space)
-        self.index = {s: i for i, s in enumerate(self.states)}
-        self.full = (1 << len(self.states)) - 1
-        self._den = {}
-        self._up = {}
-        self._masks = {}
+        self.states = m.frame.states
+        self._den, self._masks = {}, {}
 
     def denotation(self, f: Formula) -> Event:
         got = self._den.get(f)
         if got is None:
-            got = self._denote(f)
-            self._den[f] = got
+            got = self._den[f] = self._denote(f)
         return got
 
     def _denote(self, f):
@@ -418,21 +413,12 @@ class DenotationEvaluator:
             return event_know(fr, f.agent, self.denotation(f.child))
         raise ValueError(f"{type(f).__name__} is not an explicit-knowledge grammar node")
 
-    def _up_mask(self, e: Event) -> int:
-        got = self._up.get(e)
-        if got is None:
-            index = self.index
-            got = sum(1 << index[s] for s in self.m.frame.up(e))
-            self._up[e] = got
-        return got
-
     def _truth(self, f):
         """(True mask, False mask) of f."""
         got = self._masks.get(f)
         if got is None:
-            e = self.denotation(f)
-            got = self._up_mask(e), self._up_mask(event_neg(self.m.frame, e))
-            self._masks[f] = got
+            fr, e = self.m.frame, self.denotation(f)
+            got = self._masks[f] = fr.up_mask(e), fr.up_mask(event_neg(fr, e))
         return got
 
     def true_mask(self, f: Formula) -> int:
@@ -441,7 +427,7 @@ class DenotationEvaluator:
     def defined_mask(self, atoms) -> int:
         """States where every atom of the set has a truth value; an atom
         without valuation has none anywhere."""
-        out = self.full
+        out = self.m.frame.full
         for p in atoms:
             if p not in self.m.valuation:
                 return 0
@@ -450,7 +436,7 @@ class DenotationEvaluator:
         return out
 
     def value(self, f: Formula, state) -> Truth:
-        i = self.index[state]
+        i = self.m.frame.index[state]
         true, false = self._truth(f)
         if (true >> i) & 1:
             return Truth.TRUE
@@ -480,5 +466,4 @@ def eval_L_hms(m: HMSModel, state, f: Formula, evaluator=None) -> Truth:
     if state not in m.frame.state_space:
         raise KeyError(f"unknown state {state!r}")
     require_signature(f, m.atoms, m.frame.agents)
-    ev = evaluator or DenotationEvaluator(m)
-    return ev.value(f, state)
+    return (evaluator or DenotationEvaluator(m)).value(f, state)

@@ -1,4 +1,4 @@
-"""Plain Kripke models, information cells, and restrictions to atom subsets.
+"""Plain Kripke models, the bitmask modal box, and restrictions to atom subsets.
 
 A restriction is a lazy view: the restricted worlds w_X are (world, X) pairs,
 the relation mirrors the source relation exactly, and the valuation covers
@@ -145,19 +145,6 @@ def restrict(m: KripkeModel, X) -> RestrictedModel:
     if extra:
         raise ValueError(f"restriction atoms {sorted(extra)} not in the model")
     return RestrictedModel(m, X)
-
-
-def information_cell(m, agent, world):
-    """I_a(w): the successor set of w under agent a's relation.
-
-    Accepts a KripkeModel with a plain world id, or a RestrictedModel with a
-    WorldId at its vocabulary.
-    """
-    if isinstance(m, RestrictedModel):
-        return m.successors(agent, world)
-    if isinstance(world, WorldId):
-        return restrict(m, world.vocabulary).successors(agent, world)
-    return m.successors(agent, world)
 
 
 def relation_properties(m: KripkeModel):

@@ -18,6 +18,49 @@ from .kripke import KripkeModel
 KINDS = ("kripke", "klm", "hms", "fh")
 
 
+# The JSON shape of each body kind: str is a string, [x] a list of x, [x, y]
+# a pair, {"*": x} an object of x, and otherwise an object with these fields
+# ("?" marks an optional one).
+_WORLDS = {"atoms": [str], "agents": [str], "worlds": [str],
+           "relations": {"*": [[str, str]]}, "valuation": {"*": [str]}}
+_SHAPES = {
+    "kripke": _WORLDS,
+    "klm": {**_WORLDS, "awareness": {"*": {"*": [str]}}},
+    "hms": {"spaces": {"*": [str]}, "order?": [[str, str]],
+            "projections?": {"*": {"*": str}}, "pi": {"*": {"*": [str]}},
+            "valuation": {"*": {"base_space": str, "base_set": [str]}}},
+    "fh": {**_WORLDS, "awareness_sets": {"*": {"*": {
+        "kind": str, "atoms?": [str], "formulas?": [str]}}}},
+}
+
+
+def _check_shape(value, shape, path=""):
+    """Refuse a body whose JSON shape differs, naming the path of the fault."""
+    if shape is str:
+        expected, ok = "a string", isinstance(value, str)
+    elif isinstance(shape, list):
+        expected = "a list" if len(shape) == 1 else "a pair"
+        ok = isinstance(value, list) and len(shape) in (1, len(value))
+    else:
+        expected, ok = "an object", isinstance(value, dict)
+    if not ok:
+        got = f"a list of {len(value)}" if isinstance(value, list) else type(value).__name__
+        raise ValueError(f"{path or 'model'}: expected {expected}, got {got}")
+    if isinstance(shape, list):
+        for i, x in enumerate(value):
+            _check_shape(x, shape[min(i, len(shape) - 1)], f"{path}[{i}]")
+    elif isinstance(shape, dict) and "*" in shape:
+        for k, v in value.items():
+            _check_shape(v, shape["*"], f"{path}.{k}".lstrip("."))
+    elif isinstance(shape, dict):
+        for key, sub in shape.items():
+            name = key.rstrip("?")
+            if name in value:
+                _check_shape(value[name], sub, f"{path}.{name}".lstrip("."))
+            elif name == key:
+                raise ValueError(f"{path}.{name}: missing".lstrip("."))
+
+
 def load_kripke(body) -> KripkeModel:
     return KripkeModel.make(
         atoms=body["atoms"],
@@ -151,10 +194,12 @@ def load_model(path_or_body, kind=None):
             parts = str(path_or_body).split(".")
             if len(parts) >= 3 and parts[-2] in KINDS:
                 kind = parts[-2]
+        _check_shape(body, {})
     kind = body.pop("kind", kind)
     body.pop("comment", None)
     if kind not in KINDS:
         raise ValueError(f"cannot determine model kind (got {kind!r})")
+    _check_shape(body, _SHAPES[kind])
     return _LOADERS[kind](body)
 
 

@@ -5,7 +5,6 @@ copies of its lattice-of-restrictions counterpart.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .fh import AtomGenerated, Explicit, FHModel, check_ka
@@ -13,8 +12,6 @@ from .formula import atoms_of
 from .hms import Event, HMSModel, UnawarenessFrame, defined_atoms, validate_model
 from .klm import KripkeLatticeModel, _check_cap, awareness_image, subsets, validate_klm
 from .kripke import KripkeModel, WorldId, relation_properties
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -39,10 +36,6 @@ class TransformReport:
 # L-transform: space lattice to restriction lattice
 
 
-def _space_atoms(m: HMSModel):
-    return {S: defined_atoms(m, m.frame.spaces[S]) for S in m.frame.spaces}
-
-
 def _min_space_for(m, at_of, X):
     """min{S : At(S) = X}, or None if no space realizes X; an ambiguity (two
     incomparable minimal candidates) is refused."""
@@ -62,17 +55,10 @@ def _min_space_for(m, at_of, X):
 
 
 def _cell_space(m, cell):
-    spaces = {m.frame.state_space[t] for t in cell}
+    spaces = m.frame.cell_spaces(cell)
     if len(spaces) != 1:
-        raise ValueError(f"possibility set straddles spaces {sorted(spaces)}")
-    S = spaces.pop()
-    others = [
-        S2 for S2 in m.frame.spaces
-        if S2 != S and cell <= m.frame.spaces[S2]
-    ]
-    if others:
-        log.debug("possibility set also contained in spaces %s", sorted(others))
-    return S
+        raise ValueError(f"possibility set straddles spaces {spaces}")
+    return spaces[0]
 
 
 def l_transform(m: HMSModel):
@@ -87,7 +73,7 @@ def l_transform(m: HMSModel):
     T = fr.top_space()
     if T is None:
         raise ValueError("frame has no unique top space")
-    at_of = _space_atoms(m)
+    at_of = {S: defined_atoms(m, states) for S, states in fr.spaces.items()}
     atoms = frozenset(m.atoms)
     if _min_space_for(m, at_of, atoms) is None:
         raise ValueError("no space realizes the full atom set")
@@ -104,10 +90,7 @@ def l_transform(m: HMSModel):
                     pairs.add((w, v))
         relations[a] = frozenset(pairs)
 
-    valuation = {}
-    ups = {p: fr.up(e) for p, e in m.valuation.items()}
-    for p in atoms:
-        valuation[p] = frozenset(w for w in worlds if w in ups[p])
+    valuation = {p: worlds & fr.up(m.valuation[p]) for p in atoms}
 
     base = KripkeModel.make(atoms, fr.agents, worlds, relations, valuation)
 

@@ -86,7 +86,7 @@ def check_L_equiv_hms_klm(m: HMSModel, depth: int) -> EquivalenceReport:
     ev_hms = DenotationEvaluator(m)
     ev_klm = Evaluator(klm, Lang.L)
     for f in formulas:
-        for s in sorted(m.frame.state_space):
+        for s in ev_hms.states:
             left = ev_hms.value(f, s)
             for v in sorted(corr[s], key=WorldId.sort_key):
                 right = ev_klm.value(f, v)
@@ -300,18 +300,15 @@ def _suite_semantics(suite, model):
 
 
 def _model_signature(models):
-    atoms, agents = set(), set()
-    for m in models:
-        if isinstance(m, KripkeLatticeModel):
-            atoms |= m.base.atoms
-            agents |= m.base.agents
-        elif isinstance(m, HMSModel):
-            atoms |= m.atoms
-            agents |= m.frame.agents
-        else:
-            atoms |= m.base.atoms
-            agents |= m.base.agents
-    return frozenset(atoms), frozenset(agents)
+    """The atoms and agents of the corpus. Each evaluator knows only its own
+    model's atoms and agents, so models that differ in them are refused."""
+    sigs = [(m.atoms, m.frame.agents) if isinstance(m, HMSModel) else
+            (m.base.atoms, m.base.agents) for m in models]
+    for sig in sigs[1:]:
+        if sig != sigs[0]:
+            raise ValueError("the models differ in signature: " + " vs ".join(
+                f"atoms {sorted(at)}, agents {sorted(ag)}" for at, ag in (sigs[0], sig)))
+    return sigs[0] if sigs else (frozenset(), frozenset())
 
 
 def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,

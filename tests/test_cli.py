@@ -90,7 +90,9 @@ def test_eval_unknown_atoms_in_every_model_class(tmp_path, capsys):
         assert code == 2 and not out, model
         messages.add(err)
     assert len(messages) == 1
-    assert "yy, zz" in messages.pop()
+    message = messages.pop()
+    assert message == "awarekit: formula mentions atoms outside the model: yy, zz\n"
+    assert "'" not in message
 
 
 def test_eval_fh_model(capsys):
@@ -132,6 +134,14 @@ def test_axioms_pass_and_include_5(capsys):
     assert code == 1
     body = json.loads(out)
     assert body["schemas"]["5"]["failures"][0]["state"] == "w2@{i,l}"
+
+
+def test_axioms_refuses_mixed_signatures(capsys):
+    code, out, err = run(capsys, "axioms", "--suite", "hms", "--models", TRADE,
+                         "triv1.klm.json", "--depth", "1", "--no-rules")
+    assert code == 2 and not out
+    assert err == ("awarekit: the models differ in signature: atoms ['i', 'l'], "
+                   "agents ['b', 'o'] vs atoms ['p'], agents ['a']\n")
 
 
 def test_enumerate(capsys):

@@ -124,3 +124,78 @@ def test_model_valuation_validated():
     assert validate_model(m).passed["valuation"]
     bad = HMSModel(fr, {"p": Event.make("U", {"zz"})})
     assert not validate_model(bad).passed["valuation"]
+
+
+def frame(spaces, order, projections, pi=None):
+    return UnawarenessFrame(spaces, order, projections, pi or {})
+
+
+TWO = {"U": ["u1", "u2"], "D": ["d1", "d2"]}
+TWO_MAP = {("U", "D"): {"u1": "d1", "u2": "d2"}}
+
+def test_order_closure_and_composed_projections():
+    """Generating pairs are closed transitively, and a missing projection is
+    composed from the maps through the spaces in between."""
+    fr = frame({"T": ["t1", "t2"], "B": ["b"], "M1": ["m1", "m2"], "M2": ["n1", "n2"]},
+               [("B", "M1"), ("M1", "M2"), ("M2", "T")],
+               {("T", "M2"): {"t1": "n1", "t2": "n2"}, ("M2", "M1"): {"n1": "m1", "n2": "m2"},
+                ("M1", "B"): {"m1": "b", "m2": "b"}})
+    assert fr.below("B", "T") and fr.below("M1", "T") and not fr.below("T", "B")
+    assert fr.top_space() == "T" and fr.bottom_space() == "B"
+    assert fr.maps[("T", "B")] == {"t1": "b", "t2": "b"}
+    assert fr.maps[("T", "M1")] == {"t1": "m1", "t2": "m2"}
+    assert fr.up(Event.make("M1", {"m1"})) == frozenset({"m1", "n1", "t1"})
+    assert validate_frame(fr).all_pass("lattice", "projections")
+
+
+# One malformed frame per check. Each has a single failing instance of its
+# check, so the first witness does not depend on set iteration order.
+MALFORMED = [
+    ("lattice", ("no unique join", "A", "A"), frame(
+        {"A": ["a"], "B": ["b"]}, [("A", "B"), ("B", "A")],
+        {("B", "A"): {"b": "a"}, ("A", "B"): {"a": "b"}})),
+    ("lattice", ("no unique join", "X", "Y"), frame(
+        {"B": ["b"], "X": ["x1", "x2"], "Y": ["y1", "y2"]},
+        [("B", "X"), ("B", "Y")],
+        {("X", "B"): {"x1": "b", "x2": "b"}, ("Y", "B"): {"y1": "b", "y2": "b"}})),
+    ("projections", ("missing projection", "U", "D"), frame(
+        {"U": ["u1", "u2"], "D": ["d"]}, [("D", "U")], {})),
+    ("projections", ("non-commuting", "T", "M", "B", "t3"), frame(
+        {"B": ["b1", "b2"], "M": ["m1", "m2", "m3"], "T": ["t1", "t2", "t3"]},
+        [("B", "M"), ("M", "T")],
+        {("T", "M"): {"t1": "m1", "t2": "m2", "t3": "m3"},
+         ("M", "B"): {"m1": "b1", "m2": "b2", "m3": "b2"},
+         ("T", "B"): {"t1": "b1", "t2": "b2", "t3": "b1"}})),
+    ("Conf", ("a", "u2", "cell straddles spaces", ["D", "U"]), frame(
+        TWO, [("D", "U")], TWO_MAP,
+        {"a": {"u1": ["u1"], "u2": ["u2", "d2"], "d1": ["d1"], "d2": ["d2"]}})),
+    ("Gref", ("a", "u1"), frame(
+        TWO, [("D", "U")], TWO_MAP,
+        {"a": {"u1": ["u2"], "u2": ["u2"], "d1": ["d1"], "d2": ["d2"]}})),
+    ("Stat", ("a", "u1", "u2"), frame(
+        TWO, [("D", "U")], TWO_MAP,
+        {"a": {"u1": ["u1", "u2"], "u2": ["u2"], "d1": ["d1"], "d2": ["d2"]}})),
+    ("PPI", ("a", "u1", "D"), frame(
+        TWO, [("D", "U")], TWO_MAP,
+        {"a": {"u1": ["u1", "u2"], "u2": ["u1", "u2"], "d1": ["d1"], "d2": ["d2"]}})),
+    ("PPK", ("a", "u1", "U", "D"), frame(
+        TWO, [("D", "U")], TWO_MAP,
+        {"a": {"u1": ["u1"], "u2": ["u2"], "d1": ["d1", "d2"], "d2": ["d1", "d2"]}})),
+]
+
+
+@pytest.mark.parametrize("check, witness, fr", MALFORMED,
+                         ids=[f"{c}-{w[0]}-{w[1]}" for c, w, _ in MALFORMED])
+def test_malformed_frame_witnesses(check, witness, fr):
+    report = validate_frame(fr)
+    assert set(report.passed) == set(FRAME_CHECKS)
+    assert report.passed[check] is False
+    assert report.witnesses[check] == witness
+
+
+def test_knowledge_event_must_be_an_up_set():
+    """On the PPI-failing frame, the states that know {d1} are not the
+    up-closure of any event at D, and the event algebra says so."""
+    fr = next(fr for check, _, fr in MALFORMED if check == "PPI")
+    with pytest.raises(FrameDefect, match="knowledge set is not an up-set based at 'D'"):
+        event_know(fr, "a", Event.make("D", {"d1"}))

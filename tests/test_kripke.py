@@ -3,7 +3,6 @@ import pytest
 from awarekit.kripke import (
     KripkeModel,
     WorldId,
-    information_cell,
     parse_world_id,
     relation_properties,
     restrict,
@@ -44,7 +43,6 @@ def test_successors_and_cells():
     m = small()
     assert m.successors("a", "u") == frozenset({"u", "v"})
     assert m.successors("a", "v") == frozenset({"v"})
-    assert information_cell(m, "a", "u") == frozenset({"u", "v"})
 
 
 def test_restrict_is_a_lazy_view():

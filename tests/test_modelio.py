@@ -104,3 +104,33 @@ def test_bad_projection_key():
     bad["projections"] = {"nodash": {}}
     with pytest.raises(ValueError):
         load_model(bad)
+
+
+
+def _edited(model, edit):
+    body = store_model(model)
+    edit(body)
+    return body
+
+
+@pytest.mark.parametrize("name, make, message", [
+    ("list.klm.json", lambda: [1, 2], "model: expected an object, got a list of 2"),
+    ("pair.klm.json",
+     lambda: _edited(make_trade(), lambda b: b["relations"]["b"][0].pop()),
+     "relations.b[0]: expected a pair, got a list of 1"),
+    ("spaces.hms.json",
+     lambda: _edited(h_transform(make_trade()), lambda b: b.update(spaces=[])),
+     "spaces: expected an object, got a list of 0"),
+    ("set.hms.json",
+     lambda: _edited(h_transform(make_trade()), lambda b: b["valuation"]["i"].update(base_set=3)),
+     "valuation.i.base_set: expected a list, got int"),
+    ("pi.hms.json",
+     lambda: _edited(h_transform(make_trade()), lambda b: b.pop("pi")),
+     "pi: missing"),
+])
+def test_loader_refuses_bad_shapes(tmp_path, name, make, message):
+    path = tmp_path / name
+    path.write_text(json.dumps(make()))
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    assert str(info.value) == message
