@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 all checks pass, 1 check failures (reports still emitted),
-2 input or usage error.
+Exit codes: 0 all checks pass, 1 check failures or a check cut short by a
+cap (reports still emitted), 2 input or usage error.
 """
 
 from __future__ import annotations
@@ -226,8 +226,11 @@ def _cmd_equiv(args):
         first = report.first_disagreement
         lines.append(f"first: {first['formula']} at {first['state']}: "
                      f"{first['left']} vs {first['right']}")
+    if report.capped:
+        lines.append("incomplete: stopped at the instantiation cap; "
+                     "later formulas were not checked")
     _emit(args, body, lines)
-    return 0 if not report.failures else 1
+    return 1 if report.failures or report.capped else 0
 
 
 def _cmd_axioms(args):

@@ -29,45 +29,45 @@ class Formula:
 
 @dataclass(frozen=True)
 class Top(Formula):
-    __slots__ = ("_h", "_at")
+    __slots__ = ("_h", "_at", "_d")
 
 
 @dataclass(frozen=True)
 class Atom(Formula):
-    __slots__ = ("name", "_h", "_at")
+    __slots__ = ("name", "_h", "_at", "_d")
     name: str
 
 
 @dataclass(frozen=True)
 class Not(Formula):
-    __slots__ = ("child", "_h", "_at")
+    __slots__ = ("child", "_h", "_at", "_d")
     child: Formula
 
 
 @dataclass(frozen=True)
 class And(Formula):
-    __slots__ = ("left", "right", "_h", "_at")
+    __slots__ = ("left", "right", "_h", "_at", "_d")
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
 class Know(Formula):
-    __slots__ = ("agent", "child", "_h", "_at")
+    __slots__ = ("agent", "child", "_h", "_at", "_d")
     agent: str
     child: Formula
 
 
 @dataclass(frozen=True)
 class Aware(Formula):
-    __slots__ = ("agent", "child", "_h", "_at")
+    __slots__ = ("agent", "child", "_h", "_at", "_d")
     agent: str
     child: Formula
 
 
 @dataclass(frozen=True)
 class ExplicitKnow(Formula):
-    __slots__ = ("agent", "child", "_h", "_at")
+    __slots__ = ("agent", "child", "_h", "_at", "_d")
     agent: str
     child: Formula
 
@@ -171,11 +171,19 @@ def require_signature(f: Formula, atoms, agents) -> None:
 
 
 def depth_of(f: Formula) -> int:
+    """The AST depth of f, memoized on the node."""
+    try:
+        return object.__getattribute__(f, "_d")
+    except AttributeError:
+        pass
     if isinstance(f, (Top, Atom)):
-        return 0
-    if isinstance(f, And):
-        return 1 + max(depth_of(f.left), depth_of(f.right))
-    return 1 + depth_of(f.child)
+        out = 0
+    elif isinstance(f, And):
+        out = 1 + max(depth_of(f.left), depth_of(f.right))
+    else:
+        out = 1 + depth_of(f.child)
+    object.__setattr__(f, "_d", out)
+    return out
 
 
 def in_language(f: Formula, lang: Lang) -> bool:
@@ -218,15 +226,11 @@ def _expand_defined(f, lang):
         return And(expand_defined(f.left, lang), expand_defined(f.right, lang))
     if isinstance(f, Know):
         return Know(f.agent, expand_defined(f.child, lang))
-    if isinstance(f, ExplicitKnow):
+    if isinstance(f, (Aware, ExplicitKnow)):
         g = expand_defined(f.child, lang)
-        return expand_defined(And(Aware(f.agent, g), Know(f.agent, g)), lang)
-    if isinstance(f, Aware):
-        g = expand_defined(f.child, lang)
-        if lang is Lang.LKA:
-            return Aware(f.agent, g)
         k = Know(f.agent, g)
-        return lor(k, Know(f.agent, Not(k)))
+        aware = Aware(f.agent, g) if lang is Lang.LKA else lor(k, Know(f.agent, Not(k)))
+        return And(aware, k) if isinstance(f, ExplicitKnow) else aware
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -251,6 +255,13 @@ def to_text(f: Formula) -> str:
     if isinstance(f, ExplicitKnow):
         return f"X{{{f.agent}}} {to_text(f.child)}"
     raise TypeError(f"not a formula: {f!r}")
+
+
+# Deeper formulas are refused by the parser. At this depth the recursive
+# passes (to_text, expand_defined and the evaluators, also on the L expansion
+# of nested A or X, up to seven times as deep) stay well under Python's
+# default recursion limit of 1000.
+MAX_DEPTH = 64
 
 
 class ParseError(ValueError):
@@ -304,6 +315,24 @@ class _Parser:
         self.tokens = tokens
         self.lang = lang
         self.i = 0
+        self.level = 0
+
+    @staticmethod
+    def bound(depth, pos):
+        if depth > MAX_DEPTH:
+            raise ParseError(f"formula nested too deeply: more than {MAX_DEPTH} levels", pos)
+
+    def nested(self, parse, pos):
+        """Parse one level deeper, refusing to recurse past the bound."""
+        self.level += 1
+        self.bound(self.level, pos)
+        out = parse()
+        self.level -= 1
+        return out
+
+    def bounded(self, f, pos):
+        self.bound(depth_of(f), pos)
+        return f
 
     def peek(self):
         return self.tokens[self.i]
@@ -322,30 +351,30 @@ class _Parser:
     def parse_formula(self):
         left = self.parse_or()
         if self.peek()[0] == "arrow":
-            self.advance()
-            right = self.parse_formula()  # right associative
-            return implies(left, right)
+            pos = self.advance()[2]
+            right = self.nested(self.parse_formula, pos)  # right associative
+            return self.bounded(implies(left, right), pos)
         return left
 
     def parse_or(self):
         out = self.parse_and()
         while self.peek()[0] == "|":
-            self.advance()
-            out = lor(out, self.parse_and())
+            pos = self.advance()[2]
+            out = self.bounded(lor(out, self.parse_and()), pos)
         return out
 
     def parse_and(self):
         out = self.parse_unary()
         while self.peek()[0] == "&":
-            self.advance()
-            out = And(out, self.parse_unary())
+            pos = self.advance()[2]
+            out = self.bounded(And(out, self.parse_unary()), pos)
         return out
 
     def parse_unary(self):
         kind, value, pos = self.peek()
         if kind == "~":
             self.advance()
-            return Not(self.parse_unary())
+            return self.bounded(Not(self.nested(self.parse_unary, pos)), pos)
         if kind == "modal":
             self.advance()
             letter, agent = value
@@ -353,7 +382,8 @@ class _Parser:
                 raise ParseError(
                     f"operator {letter}{{{agent}}} is not a grammar primitive of L", pos
                 )
-            return _MODAL_NODE[letter](agent, self.parse_unary())
+            child = self.nested(self.parse_unary, pos)
+            return self.bounded(_MODAL_NODE[letter](agent, child), pos)
         if kind == "top":
             self.advance()
             return TOP
@@ -362,7 +392,7 @@ class _Parser:
             return Atom(value)
         if kind == "(":
             self.advance()
-            inner = self.parse_formula()
+            inner = self.nested(self.parse_formula, pos)
             self.expect(")")
             return inner
         raise ParseError(f"unexpected token {value!r}", pos)

@@ -26,7 +26,7 @@ from .formula import (
 )
 from .klm import PropertyReport
 from .kripke import box, group_cells, members
-from .truth import Truth
+from .truth import Truth, truth_at
 
 MAX_FRAME_STATES = 10_000
 
@@ -69,6 +69,7 @@ class UnawarenessFrame:
         self.states = sorted(self.state_space)
         self.index = {s: i for i, s in enumerate(self.states)}
         self.full = (1 << len(self.states)) - 1
+        self.space_mask = {S: self.mask(states) for S, states in self.spaces.items()}
         # possibility sets grouped for kripke.box, for each agent with total pi
         self.cells = {a: group_cells([self.mask(per[s]) for s in self.states])
                       for a, per in self.pi.items() if per.keys() >= self.state_space.keys()}
@@ -216,7 +217,8 @@ def _check_lattice(f, report):
 
 
 def _check_projections(f, report):
-    for (lo, up) in f.leq:
+    total = {}  # the maps that are total into their target space
+    for (lo, up) in sorted(f.leq):
         m = f.maps.get((up, lo))
         if m is None:
             report.record("projections", ("missing projection", up, lo))
@@ -227,6 +229,7 @@ def _check_projections(f, report):
         if not set(m.values()) <= set(f.spaces[lo]):
             report.record("projections", ("image outside target space", up, lo))
             continue
+        total[(up, lo)] = m
         if set(m.values()) != set(f.spaces[lo]):
             report.record("projections", ("not surjective", up, lo))
         if lo == up and any(m[s] != s for s in f.spaces[up]):
@@ -234,13 +237,19 @@ def _check_projections(f, report):
     for S in f.spaces:
         for S1 in f.spaces_above[S]:
             for S2 in f.spaces_above[S1]:
-                direct, via, low = f.maps.get((S2, S)), f.maps.get((S2, S1)), f.maps.get((S1, S))
+                direct, via, low = total.get((S2, S)), total.get((S2, S1)), total.get((S1, S))
                 if direct is None or via is None or low is None:
                     continue
                 s = next((s for s in f.spaces[S2] if direct[s] != low[via[s]]), None)
                 if s is not None:
                     report.record("projections", ("non-commuting", S2, S1, S, s))
     report.record("projections")
+
+
+def _projection(f, state, lower):
+    """The state's projection to `lower`; None where the map is missing or not
+    total, which the projections check reports."""
+    return f.maps.get((f.state_space[state], lower), {}).get(state)
 
 
 def _check_pi(f, report):
@@ -274,7 +283,7 @@ def _check_pi(f, report):
             Scell = f.cell_spaces(cell)
             up_w = f.lift(f.mask(cell), Scell[0]) if len(Scell) == 1 else 0
             for S in f.spaces_below[f.state_space[w]]:
-                cell_down = per.get(f.project(w, S))
+                cell_down = per.get(_projection(f, w, S))
                 if cell_down is None:
                     continue
                 Sdown = f.cell_spaces(cell_down)
@@ -286,9 +295,9 @@ def _check_pi(f, report):
             if len(Scell) != 1:
                 continue
             for S in f.spaces_below[Scell[0]]:
-                projected_cell = frozenset(f.project(t, S) for t in cell)
-                down_cell = per.get(f.project(w, S))
-                if down_cell is not None:
+                projected_cell = frozenset(_projection(f, t, S) for t in cell)
+                down_cell = per.get(_projection(f, w, S))
+                if down_cell is not None and None not in projected_cell:
                     report.record("PPK", None if projected_cell == down_cell
                                   else (a, w, Scell[0], S))
     for name in ("Conf", "Gref", "Stat", "PPI", "PPK"):
@@ -296,7 +305,39 @@ def _check_pi(f, report):
 
 
 # ---------------------------------------------------------------------------
-# event algebra
+# event algebra, on (base space, base mask, up-closure mask) triples; the
+# Event functions below and DenotationEvaluator share it
+
+
+def _based(f, up, space, what):
+    """The triple of the event based at `space` whose up-closure is `up`."""
+    base = up & f.space_mask[space]
+    if f.lift(base, space) != up:
+        raise FrameDefect(f"{what} is not an up-set based at {space!r}")
+    return space, base, up
+
+
+def _neg(f, space, base):
+    base = f.space_mask[space] & ~base
+    return space, base, f.lift(base, space)
+
+
+def _conj(f, spaces, ups):
+    """The conjunction of events: based at the join of their spaces, with the
+    intersection of their up-closures, `ups`, read once the join exists."""
+    space = spaces[0]
+    for S in spaces[1:]:
+        space = f.join(space, S)
+        if space is None:
+            raise FrameDefect("join of base spaces undefined")
+    inter = f.full
+    for up in ups:
+        inter &= up
+    return _based(f, inter, space, "intersection of up-closures")
+
+
+def _event(f, space, base, up):
+    return Event(space, frozenset(members(base, f.states)))
 
 
 def event_neg(f: UnawarenessFrame, e: Event) -> Event:
@@ -307,38 +348,22 @@ def event_and(f: UnawarenessFrame, events) -> Event:
     events = list(events)
     if not events:
         raise ValueError("conjunction of no events")
-    space = events[0].base_space
-    for e in events[1:]:
-        space = f.join(space, e.base_space)
-        if space is None:
-            raise FrameDefect("join of base spaces undefined")
-    inter = f.full
-    for e in events:
-        inter &= f.up_mask(e)
-    return _up_set_event(f, inter, space, "intersection of up-closures")
-
-
-def _up_set_event(f, raw, space, what):
-    """The event based at `space` whose upward closure is the mask `raw`."""
-    base = raw & f.mask(f.spaces[space])
-    if f.lift(base, space) != raw:
-        raise FrameDefect(f"{what} is not an up-set based at {space!r}")
-    return Event(space, frozenset(members(base, f.states)))
+    return _event(f, *_conj(f, [e.base_space for e in events], (f.up_mask(e) for e in events)))
 
 
 def event_know(f: UnawarenessFrame, agent, e: Event) -> Event:
     """The event that the agent knows e: states whose cell sits inside e's
     up-closure, based at e's space."""
     up = f.up_mask(e)
-    return _up_set_event(f, box(f.cells[agent], up), e.base_space, "knowledge set")
+    return _event(f, *_based(f, box(f.cells[agent], up), e.base_space, "knowledge set"))
 
 
 def event_aware(f: UnawarenessFrame, agent, e: Event) -> Event:
     """The event that the agent is aware of e: states whose cell sits weakly
     above e's base space."""
     S = e.base_space
-    expressible = f.lift(f.mask(f.spaces[S]), S)
-    return _up_set_event(f, box(f.cells[agent], expressible), S, "awareness set")
+    expressible = f.lift(f.space_mask[S], S)
+    return _event(f, *_based(f, box(f.cells[agent], expressible), S, "awareness set"))
 
 
 # ---------------------------------------------------------------------------
@@ -368,19 +393,15 @@ def validate_model(m: HMSModel) -> PropertyReport:
 
 def defined_atoms(m: HMSModel, O) -> frozenset:
     """Atoms with a defined truth value throughout the state set O."""
-    fr = m.frame
-    O = fr.mask(O)
-    return frozenset(
-        p for p, e in m.valuation.items()
-        if not O & ~(fr.up_mask(e) | fr.up_mask(event_neg(fr, e)))
-    )
+    ev, O = DenotationEvaluator(m), m.frame.mask(O)
+    return frozenset(p for p in m.valuation if not O & ~ev.defined_mask((p,)))
 
 
 class DenotationEvaluator:
     """Compositional event-denotation evaluator with a per-instance memo.
-    Truth, falsity and per-atom definedness are read off the denotations as
-    masks over the frame's states: True where the denotation's up-closure
-    holds the state, False where its negation's does."""
+    A denotation is a (base space, base mask, up-closure mask) triple over the
+    frame's states: True where its up-closure holds the state, False where
+    its negation's does."""
 
     def __init__(self, m: HMSModel):
         self.m = m
@@ -388,41 +409,48 @@ class DenotationEvaluator:
         self._den, self._masks = {}, {}
 
     def denotation(self, f: Formula) -> Event:
-        got = self._den.get(f)
-        if got is None:
-            got = self._den[f] = self._denote(f)
-        return got
+        return _event(self.m.frame, *self._denote(f))
 
     def _denote(self, f):
+        got = self._den.get(f)
+        if got is not None:
+            return got
         m, fr = self.m, self.m.frame
         if isinstance(f, Top):
             bottom = fr.bottom_space()
             if bottom is None:
                 raise FrameDefect("frame has no bottom space")
-            return Event(bottom, fr.spaces[bottom])
-        if isinstance(f, Atom):
+            got = _neg(fr, bottom, 0)  # the whole bottom space
+        elif isinstance(f, Atom):
             try:
-                return m.valuation[f.name]
+                e = m.valuation[f.name]
             except KeyError:
                 raise KeyError(f"atom {f.name!r} has no valuation") from None
-        if isinstance(f, Not):
-            return event_neg(fr, self.denotation(f.child))
-        if isinstance(f, And):
-            return event_and(fr, [self.denotation(f.left), self.denotation(f.right)])
-        if isinstance(f, Know):
-            return event_know(fr, f.agent, self.denotation(f.child))
-        raise ValueError(f"{type(f).__name__} is not an explicit-knowledge grammar node")
+            up = fr.up_mask(e)
+            got = e.base_space, fr.mask(e.base_set), up
+        elif isinstance(f, Not):
+            got = _neg(fr, *self._denote(f.child)[:2])
+        elif isinstance(f, And):
+            (sl, _, ul), (sr, _, ur) = self._denote(f.left), self._denote(f.right)
+            got = _conj(fr, (sl, sr), (ul, ur))
+        elif isinstance(f, Know):
+            space, _, up = self._denote(f.child)
+            got = _based(fr, box(fr.cells[f.agent], up), space, "knowledge set")
+        else:
+            raise ValueError(f"{type(f).__name__} is not an explicit-knowledge grammar node")
+        self._den[f] = got
+        return got
 
-    def _truth(self, f):
-        """(True mask, False mask) of f."""
+    def truth_masks(self, f: Formula):
+        """(True mask, False mask) of f; the rest of the states are Undefined."""
         got = self._masks.get(f)
         if got is None:
-            fr, e = self.m.frame, self.denotation(f)
-            got = self._masks[f] = fr.up_mask(e), fr.up_mask(event_neg(fr, e))
+            space, base, up = self._denote(f)
+            got = self._masks[f] = up, _neg(self.m.frame, space, base)[2] & ~up
         return got
 
     def true_mask(self, f: Formula) -> int:
-        return self._truth(f)[0]
+        return self.truth_masks(f)[0]
 
     def defined_mask(self, atoms) -> int:
         """States where every atom of the set has a truth value; an atom
@@ -431,18 +459,13 @@ class DenotationEvaluator:
         for p in atoms:
             if p not in self.m.valuation:
                 return 0
-            true, false = self._truth(Atom(p))
+            true, false = self.truth_masks(Atom(p))
             out &= true | false
         return out
 
     def value(self, f: Formula, state) -> Truth:
         i = self.m.frame.index[state]
-        true, false = self._truth(f)
-        if (true >> i) & 1:
-            return Truth.TRUE
-        if (false >> i) & 1:
-            return Truth.FALSE
-        return Truth.UNDEFINED
+        return truth_at(*self.truth_masks(f), i)
 
     def check(self, g: Formula):
         """Guarded validity of g: True wherever its atoms are defined;

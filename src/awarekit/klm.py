@@ -28,7 +28,7 @@ from .formula import (
     require_signature,
 )
 from .kripke import KripkeModel, WorldId, box, group_cells, members, validate_kripke
-from .truth import Truth
+from .truth import Truth, truth_at
 
 DEFAULT_LATTICE_CAP = 12
 
@@ -313,19 +313,18 @@ class Evaluator:
     def true_mask(self, f: Formula) -> int:
         return self._eval(f, self._memo)[0]
 
+    def truth_masks(self, f: Formula):
+        """(True mask, False mask) of f; the rest of the states are Undefined."""
+        t, at = self._eval(f, self._memo)
+        return t, self.defined_mask(at) & ~t
+
     def value(self, f: Formula, w: WorldId) -> Truth:
         i = self.index[w]
-        t, at = self._eval(f, self._memo)
-        if (t >> i) & 1:
-            return Truth.TRUE
-        if (self.defined_mask(at) >> i) & 1:
-            return Truth.FALSE
-        return Truth.UNDEFINED
+        return truth_at(*self.truth_masks(f), i)
 
     def check(self, g: Formula):
         """Guarded validity of an expanded formula; witnesses in state order."""
-        t, at = self._eval(g, self._memo)
-        bad = self.defined_mask(at) & ~t
+        bad = self.truth_masks(g)[1]
         if not bad:
             return True, []
         return False, members(bad, self.states)

@@ -19,3 +19,10 @@ class Truth(enum.Enum):
 
 def truth_of(b: bool) -> Truth:
     return Truth.TRUE if b else Truth.FALSE
+
+
+def truth_at(true: int, false: int, i: int) -> Truth:
+    """The value at state bit i, given the masks where it is True and False."""
+    if true >> i & 1:
+        return Truth.TRUE
+    return Truth.FALSE if false >> i & 1 else Truth.UNDEFINED

@@ -35,8 +35,8 @@ from .formula import (
 from .hms import DenotationEvaluator, HMSModel
 from .klm import Evaluator, KripkeLatticeModel, Slot, subsets, validate_klm
 from .kripke import KripkeModel, WorldId, relation_properties
-from .transforms import fh_transform, k_transform, l_transform
-from .truth import truth_of
+from .transforms import fh_transform, h_transform, k_transform, l_transform
+from .truth import truth_at
 
 INSTANTIATION_CAP = 10 ** 6
 
@@ -47,6 +47,7 @@ class EquivalenceReport:
     depth: int
     checked: int = 0
     failures: list = field(default_factory=list)
+    capped: bool = False  # stopped at INSTANTIATION_CAP before the last formula
 
     def record(self, formula, state, left, right):
         self.failures.append(
@@ -63,8 +64,11 @@ class EquivalenceReport:
         return self.failures[0] if self.failures else None
 
     def to_json(self):
-        return {"kind": self.kind, "depth": self.depth,
+        body = {"kind": self.kind, "depth": self.depth,
                 "checked": self.checked, "failures": self.failures}
+        if self.capped:
+            body["capped"] = True
+        return body
 
 
 def _require_partitional(k):
@@ -77,48 +81,91 @@ def _require_partitional(k):
 # satisfaction-preservation checks
 
 
+def _lifter(states, images):
+    """The relabelling that carries a mask over `states` to the mask over the
+    positions i whose images[i] is in it. Tables over chunks of source bits
+    (bytes, or nibbles when byte tables would be large) make it a few int
+    operations per mask."""
+    targets = dict.fromkeys(states, 0)
+    for i, s in enumerate(images):
+        targets[s] |= 1 << i
+    targets = list(targets.values())
+    width = 8 if len(targets) * len(images) <= 1 << 22 else 4
+    tables = []
+    for lo in range(0, len(targets), width):
+        table = [0]
+        for target in targets[lo:lo + width]:
+            table += [t | target for t in table]
+        tables.append(table)
+    low = (1 << width) - 1
+
+    def lift(mask):
+        out = 0
+        for table in tables:
+            out |= table[mask & low]
+            mask >>= width
+        return out
+    return lift
+
+
+def _sweep(report, formulas, pairs, masks):
+    """Check each formula with one mask comparison. `masks(f)` gives the
+    (True, False) masks of the left and of the right values and the mask of
+    the positions compared, all over one bit space; `pairs` lists the state
+    label and position of each pair in report order. Only a formula whose
+    masks differ is gone through pair by pair, to record its disagreements."""
+    for n, f in enumerate(formulas, 1):
+        (lt, lf), (rt, rf), within = masks(f)
+        report.checked += within.bit_count()
+        differ = ((lt ^ rt) | (lf ^ rf)) & within
+        if differ:
+            for label, i in pairs:
+                if differ >> i & 1:
+                    report.record(f, label, truth_at(lt, lf, i), truth_at(rt, rf, i))
+        if report.checked > INSTANTIATION_CAP:
+            report.capped = n < len(formulas)
+            break
+    return report
+
+
 def check_L_equiv_hms_klm(m: HMSModel, depth: int) -> EquivalenceReport:
     """Agreement of the lattice model built from m with m itself, at every
     corresponding world copy of every state."""
     klm, corr = l_transform(m)
-    report = EquivalenceReport("equivalence", depth)
     formulas = enumerate_formulas(m.atoms, m.frame.agents, depth, Lang.L)
     ev_hms = DenotationEvaluator(m)
     ev_klm = Evaluator(klm, Lang.L)
-    for f in formulas:
-        for s in ev_hms.states:
-            left = ev_hms.value(f, s)
-            for v in sorted(corr[s], key=WorldId.sort_key):
-                right = ev_klm.value(f, v)
-                report.checked += 1
-                if left is not right:
-                    report.record(f, f"{s}/{v}", left, right)
-        if report.checked > INSTANTIATION_CAP:
-            break
-    return report
+    pairs = [(s, v) for s in ev_hms.states for v in sorted(corr[s], key=WorldId.sort_key)]
+    from_hms = _lifter(ev_hms.states, [s for s, _ in pairs])
+    from_klm = _lifter(ev_klm.states, [v for _, v in pairs])
+    everywhere = (1 << len(pairs)) - 1
+
+    def masks(f):
+        left_true, left_false = ev_hms.truth_masks(f)
+        right_true, right_false = ev_klm.truth_masks(f)
+        return ((from_hms(left_true), from_hms(left_false)),
+                (from_klm(right_true), from_klm(right_false)), everywhere)
+
+    return _sweep(EquivalenceReport("equivalence", depth), formulas,
+                  [(f"{s}/{v}", i) for i, (s, v) in enumerate(pairs)], masks)
 
 
 def check_L_equiv_klm_hms(k: KripkeLatticeModel, depth: int) -> EquivalenceReport:
     """Agreement of k with its space-lattice transform at every w_X."""
-    from .transforms import h_transform
-
     _require_partitional(k)
     hms = h_transform(k)
-    report = EquivalenceReport("equivalence", depth)
     formulas = enumerate_formulas(k.base.atoms, k.base.agents, depth, Lang.L)
     ev_klm = Evaluator(k, Lang.L)
     ev_hms = DenotationEvaluator(hms)
-    omega = k.omega()
-    for f in formulas:
-        for w in omega:
-            left = ev_klm.value(f, w)
-            right = ev_hms.value(f, str(w))
-            report.checked += 1
-            if left is not right:
-                report.record(f, w, left, right)
-        if report.checked > INSTANTIATION_CAP:
-            break
-    return report
+    from_hms = _lifter(ev_hms.states, [str(w) for w in ev_klm.states])
+
+    def masks(f):
+        left = ev_klm.truth_masks(f)
+        true, false = ev_hms.truth_masks(f)
+        return left, (from_hms(true), from_hms(false)), ev_klm.full
+
+    return _sweep(EquivalenceReport("equivalence", depth), formulas,
+                  [(w, i) for i, w in enumerate(ev_klm.states)], masks)
 
 
 def check_equiv_fh_klm(x, lang: Lang, depth: int) -> EquivalenceReport:
@@ -134,24 +181,20 @@ def check_equiv_fh_klm(x, lang: Lang, depth: int) -> EquivalenceReport:
         fh, klm = fh_transform(x), x
     else:
         raise TypeError(f"expected an FH or Kripke lattice model, got {type(x).__name__}")
-    report = EquivalenceReport("equivalence", depth)
     formulas = enumerate_formulas(klm.base.atoms, klm.base.agents, depth, lang)
     ev_fh = FHEvaluator(fh, lang)
     ev_klm = Evaluator(klm, lang)
-    vocabularies = subsets(klm.base.atoms)
-    for f in formulas:
-        at = atoms_of(f)
-        covering = [X for X in vocabularies if at <= X]
-        for w in sorted(klm.base.worlds):
-            right = truth_of(ev_fh.value(f, w))
-            for X in covering:
-                left = ev_klm.value(f, WorldId(w, X))
-                report.checked += 1
-                if left is not right:
-                    report.record(f, WorldId(w, X), left, right)
-        if report.checked > INSTANTIATION_CAP:
-            break
-    return report
+    # world w of the awareness structure stands for every copy w_X
+    from_fh = _lifter(ev_fh.states, [v.base for v in ev_klm.states])
+
+    def masks(f):
+        right = from_fh(ev_fh.true_mask(f))
+        left, covering = ev_klm.true_mask(f), ev_klm.defined_mask(atoms_of(f))
+        return (left, covering & ~left), (right, ev_klm.full & ~right), covering
+
+    pairs = [WorldId(w, X) for w in sorted(klm.base.worlds) for X in subsets(klm.base.atoms)]
+    return _sweep(EquivalenceReport("equivalence", depth), formulas,
+                  [(v, ev_klm.index[v]) for v in pairs], masks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
-"""Reference semantics: the definitional per-state evaluators.
+"""Reference semantics: the definitional per-state evaluators, and the
+per-state equivalence checkers.
 
-These follow the satisfaction clauses one state at a time and are kept only
-as the oracle that the bitmask evaluators in `awarekit.klm` and `awarekit.fh`
-are checked against. For space-lattice models the oracle is the direct
-recursive evaluator of acceptance criterion 8.
+The evaluators follow the satisfaction clauses one state at a time and are
+kept only as the oracle that the bitmask evaluators in `awarekit.klm` and
+`awarekit.fh` are checked against. For space-lattice models the oracle is the
+direct recursive evaluator of acceptance criterion 8. The checkers compare two
+models formula by formula and state by state, and are the oracle for the mask
+comparison of `awarekit.verify`.
 """
 
-from awarekit.fh import aware_of
+from awarekit import verify
+from awarekit.fh import FHEvaluator, FHModel, aware_of, check_ka
 from awarekit.formula import (
     And,
     Atom,
@@ -18,9 +22,11 @@ from awarekit.formula import (
     Not,
     Top,
     atoms_of,
+    enumerate_formulas,
     expand_defined,
 )
-from awarekit.klm import KripkeLatticeModel, awareness_image
+from awarekit.hms import DenotationEvaluator
+from awarekit.klm import Evaluator, KripkeLatticeModel, awareness_image, subsets
 from awarekit.kripke import WorldId
 from awarekit.truth import Truth, truth_of
 
@@ -153,3 +159,72 @@ class FhOracle:
                 raise ValueError("ExplicitKnow is not a grammar node of L; expand it first")
             return self.value(expand_defined(f, Lang.LKA), w)
         raise TypeError(f"not a formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
+# per-state equivalence checkers; the transforms are read from awarekit.verify
+# so that a test's replacement of them reaches both sides
+
+
+def equiv_hms_klm(m, depth):
+    klm, corr = verify.l_transform(m)
+    report = verify.EquivalenceReport("equivalence", depth)
+    formulas = enumerate_formulas(m.atoms, m.frame.agents, depth, Lang.L)
+    ev_hms = DenotationEvaluator(m)
+    ev_klm = Evaluator(klm, Lang.L)
+    for f in formulas:
+        for s in ev_hms.states:
+            left = ev_hms.value(f, s)
+            for v in sorted(corr[s], key=WorldId.sort_key):
+                right = ev_klm.value(f, v)
+                report.checked += 1
+                if left is not right:
+                    report.record(f, f"{s}/{v}", left, right)
+        if report.checked > verify.INSTANTIATION_CAP:
+            break
+    return report
+
+
+def equiv_klm_hms(k, depth):
+    hms = verify.h_transform(k)
+    report = verify.EquivalenceReport("equivalence", depth)
+    formulas = enumerate_formulas(k.base.atoms, k.base.agents, depth, Lang.L)
+    ev_klm = Evaluator(k, Lang.L)
+    ev_hms = DenotationEvaluator(hms)
+    omega = k.omega()
+    for f in formulas:
+        for w in omega:
+            left = ev_klm.value(f, w)
+            right = ev_hms.value(f, str(w))
+            report.checked += 1
+            if left is not right:
+                report.record(f, w, left, right)
+        if report.checked > verify.INSTANTIATION_CAP:
+            break
+    return report
+
+
+def equiv_fh_klm(x, lang, depth):
+    if isinstance(x, FHModel):
+        assert check_ka(x)[0]
+        fh, klm = x, verify.k_transform(x)
+    else:
+        fh, klm = verify.fh_transform(x), x
+    report = verify.EquivalenceReport("equivalence", depth)
+    formulas = enumerate_formulas(klm.base.atoms, klm.base.agents, depth, lang)
+    ev_fh = FHEvaluator(fh, lang)
+    ev_klm = Evaluator(klm, lang)
+    vocabularies = subsets(klm.base.atoms)
+    for f in formulas:
+        at = atoms_of(f)
+        covering = [X for X in vocabularies if at <= X]
+        for w in sorted(klm.base.worlds):
+            right = truth_of(ev_fh.value(f, w))
+            for X in covering:
+                left = ev_klm.value(f, WorldId(w, X))
+                report.checked += 1
+                if left is not right:
+                    report.record(f, WorldId(w, X), left, right)
+        if report.checked > verify.INSTANTIATION_CAP:
+            break
+    return report

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import awarekit
+from awarekit import verify
 from awarekit.cli import main
 from awarekit.modelio import fixture_path, load_model
 
@@ -168,3 +173,51 @@ def test_fixtures_listing(capsys):
 def test_missing_file(capsys):
     code, _, err = run(capsys, "check", "no-such-file.json")
     assert code == 2 and "no such model file" in err
+
+
+def _frame_file(tmp_path, spaces, order, pi):
+    path = tmp_path / "frame.hms.json"
+    path.write_text(json.dumps({"kind": "hms", "spaces": spaces, "order": order,
+                                "projections": {}, "pi": pi, "valuation": {}}))
+    return str(path)
+
+
+def test_check_reports_missing_projection(capsys, tmp_path):
+    """A projection missing under a total possibility correspondence is a
+    failed check with a witness, not a crash."""
+    path = _frame_file(tmp_path, {"T": ["t1", "t2"], "B": ["b"]}, [["B", "T"]],
+                       {"a": {"t1": ["t1"], "t2": ["t2"], "b": ["b"]}})
+    code, out, _ = run(capsys, "check", path, "--json")
+    body = json.loads(out)
+    assert code == 1 and body["properties"]["projections"] is False
+    assert body["witnesses"]["projections"] == "('missing projection', 'T', 'B')"
+
+
+def test_check_witness_does_not_depend_on_hash_seed(tmp_path):
+    """The first projections witness is the same under every hash seed."""
+    path = _frame_file(tmp_path, {"T": ["t"], "A": ["a"], "B": ["b"], "C": ["c"]},
+                       [["A", "T"], ["B", "T"], ["C", "T"]], {})
+    src = os.path.dirname(os.path.dirname(awarekit.__file__))
+    witnesses = set()
+    for seed in range(1, 7):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "awarekit.cli", "check", path, "--json"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 1, done.stderr
+        witnesses.add(json.loads(done.stdout)["witnesses"]["projections"])
+    assert witnesses == {"('missing projection', 'T', 'A')"}
+
+
+def test_equiv_capped_is_incomplete(capsys, monkeypatch):
+    """An equivalence check stopped by the instantiation cap is flagged in
+    the JSON and in the human report, and never exits 0."""
+    monkeypatch.setattr(verify, "INSTANTIATION_CAP", 50)
+    code, out, _ = run(capsys, "equiv", TRADE, "--depth", "2", "--json")
+    body = json.loads(out)
+    assert code == 1 and body["capped"] is True and body["failures"] == []
+    code, out, _ = run(capsys, "equiv", TRADE, "--depth", "2")
+    assert code == 1 and "incomplete" in out
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "equiv", TRADE, "--depth", "2", "--json")
+    assert code == 0 and "capped" not in json.loads(out)

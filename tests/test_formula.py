@@ -1,6 +1,11 @@
+import random
+import sys
+
 import pytest
 
+from awarekit.fh import FHEvaluator
 from awarekit.formula import (
+    MAX_DEPTH,
     And,
     Atom,
     Aware,
@@ -22,7 +27,13 @@ from awarekit.formula import (
     parse,
     to_text,
 )
+from awarekit.hms import DenotationEvaluator
+from awarekit.klm import Evaluator
+from awarekit.kripke import WorldId
+from awarekit.transforms import fh_transform, h_transform
 from awarekit.truth import Truth, truth_of
+
+from conftest import make_trade
 
 
 def test_truth_enum_is_not_boolean():
@@ -120,3 +131,93 @@ def test_commutative_and_duplicates_skipped():
     pq = And(Atom("p"), Atom("q"))
     qp = And(Atom("q"), Atom("p"))
     assert (pq in forms) != (qp in forms)
+
+
+def _nested(depth):
+    """Texts of formulas of the given AST depth, one per kind of nesting."""
+    return {
+        "not": "~" * depth + "i",
+        "know": "K{b} " * depth + "i",
+        "aware": "A{b} " * depth + "i",
+        "explicit": "X{b} " * depth + "i",
+        "and-left": " & ".join(["i"] * (depth + 1)),
+        "and-right": "(i & " * depth + "l" + ")" * depth,
+    }
+
+
+def test_parse_refuses_nesting_beyond_the_bound():
+    for kind, text in _nested(MAX_DEPTH).items():
+        assert depth_of(parse(text)) == MAX_DEPTH, kind
+    too_deep = list(_nested(MAX_DEPTH + 1).values()) + [
+        "(" * 5000 + "p" + ")" * 5000, "~" * 5000 + "p", " -> ".join(["p"] * 5000),
+        " | ".join(["p"] * 5000), "~(" * 40 + "p" + ")" * 40]
+    for text in too_deep:
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse(text)
+
+
+def test_nesting_bound_stays_under_the_recursion_limit():
+    """At the bound, printing, expansion and every evaluator (also on the L
+    expansion of nested A and X) run under Python's default limit."""
+    k = make_trade()
+    fh, hms = fh_transform(k), h_transform(k)
+    w = WorldId("w1", frozenset({"i", "l"}))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for kind, text in _nested(MAX_DEPTH).items():
+            f = parse(text)
+            assert parse(to_text(f)) == f, kind
+            g = expand_defined(f, Lang.L)
+            expand_defined(f, Lang.LKA)
+            Evaluator(k, Lang.LKA).value(f, w)
+            FHEvaluator(fh, Lang.LKA).value(f, "w1")
+            Evaluator(k, Lang.L).value(g, w)
+            FHEvaluator(fh, Lang.L).value(g, "w1")
+            DenotationEvaluator(hms).value(g, "w1@{i,l}")
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+TOKENS = ["~", "&", "|", "->", "(", ")", "K{a}", "A{b}", "X{a}", "K{}", "T", "p", "q",
+          "r2", "Tp", "->-", "{", "}", "@", "\t", "é"]
+
+
+def _random_tokens(rng, depth):
+    """The tokens of a random formula, written with every kind of sugar."""
+    if depth == 0 or rng.random() < 0.3:
+        return [rng.choice(["p", "q", "T", "r2"])]
+    op = rng.choice(["~", "K{a}", "A{b}", "X{a}", "&", "|", "->", "()"])
+    if op in ("&", "|", "->"):
+        return ["(", *_random_tokens(rng, depth - 1), op, *_random_tokens(rng, depth - 1), ")"]
+    if op == "()":
+        return ["(", *_random_tokens(rng, depth - 1), ")"]
+    return [op, *_random_tokens(rng, depth - 1)]
+
+
+def test_parser_fuzz():
+    """Random token strings either parse and round-trip through to_text, or
+    are refused with ParseError."""
+    rng = random.Random(4)
+    parsed = refused = 0
+    for n in range(3000):
+        if n % 50 == 0:  # deep nesting, on either side of the bound
+            tokens = rng.choices(["~", "(", "K{a}", "A{b}"], k=rng.randint(20, 1500))
+            tokens += ["p"] + [")"] * tokens.count("(")
+        elif n % 3 == 0:
+            tokens = rng.choices(TOKENS, k=rng.randint(1, 12))
+        else:  # a formula, and in half the cases a few token edits of it
+            tokens = _random_tokens(rng, rng.randint(0, 6))
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                i = rng.randrange(len(tokens) + 1)
+                tokens[i:i + rng.randint(0, 1)] = rng.choice([[], [rng.choice(TOKENS)]])
+        text = rng.choice(["", " "]).join(tokens)
+        for lang in (Lang.L, Lang.LKA):
+            try:
+                f = parse(text, lang)
+            except ParseError:
+                refused += 1
+                continue
+            parsed += 1
+            assert parse(to_text(f), lang) == f, text
+    assert parsed > 1000 and refused > 1000

@@ -160,6 +160,18 @@ MALFORMED = [
         {("X", "B"): {"x1": "b", "x2": "b"}, ("Y", "B"): {"y1": "b", "y2": "b"}})),
     ("projections", ("missing projection", "U", "D"), frame(
         {"U": ["u1", "u2"], "D": ["d"]}, [("D", "U")], {})),
+    # with a total possibility correspondence, PPI and PPK skip the pairs
+    # that cannot be projected instead of failing on them
+    ("projections", ("missing projection", "T", "B"), frame(
+        {"T": ["t1", "t2"], "B": ["b"]}, [("B", "T")], {},
+        {"a": {"t1": ["t1"], "t2": ["t2"], "b": ["b"]}})),
+    ("projections", ("not total", "U", "D"), frame(
+        TWO, [("D", "U")], {("U", "D"): {"u1": "d1"}},
+        {"a": {"u1": ["u1"], "u2": ["u2"], "d1": ["d1"], "d2": ["d2"]}})),
+    ("projections", ("not total", "T", "M"), frame(
+        {"B": ["b"], "M": ["m1", "m2"], "T": ["t1", "t2"]}, [("B", "M"), ("M", "T")],
+        {("T", "M"): {"t1": "m1"}, ("M", "B"): {"m1": "b", "m2": "b"},
+         ("T", "B"): {"t1": "b", "t2": "b"}})),
     ("projections", ("non-commuting", "T", "M", "B", "t3"), frame(
         {"B": ["b1", "b2"], "M": ["m1", "m2", "m3"], "T": ["t1", "t2", "t3"]},
         [("B", "M"), ("M", "T")],

@@ -1,8 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+from awarekit import verify
 from awarekit.formula import Lang, parse
+from awarekit.hms import Event, HMSModel
 from awarekit.klm import validate_klm
 from awarekit.kripke import relation_properties
 from awarekit.transforms import fh_transform, h_transform
@@ -22,6 +25,7 @@ from awarekit.verify import (
     valid_over,
 )
 
+import oracles
 from conftest import make_trade
 from oracles import KlmOracle
 
@@ -156,3 +160,99 @@ def test_random_models_are_deterministic():
     a = random_klm_eq(random.Random(42))
     b = random_klm_eq(random.Random(42))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the mask comparison of the equivalence checkers against the per-state loops
+
+
+def _checker_cases(seed):
+    """The six checker calls on one seeded partitional model and one seeded
+    model with arbitrary relations, each with its per-state oracle."""
+    k = random_klm_eq(random.Random(seed))
+    hms = h_transform(k)
+    cases = [(check_L_equiv_klm_hms, oracles.equiv_klm_hms, (k, 2)),
+             (check_L_equiv_hms_klm, oracles.equiv_hms_klm, (hms, 2))]
+    r = random_klm(random.Random(seed))
+    for x in (r, fh_transform(r)):
+        for lang in (Lang.L, Lang.LKA):
+            cases.append((check_equiv_fh_klm, oracles.equiv_fh_klm, (x, lang, 2)))
+    return cases
+
+
+def test_checkers_match_per_state_oracle():
+    for seed in range(12):
+        for check, oracle, args in _checker_cases(seed):
+            body = check(*args).to_json()
+            assert body == oracle(*args).to_json(), (seed, check.__name__)
+            assert body["checked"] > 0
+
+
+def _flip_base(base, seed):
+    """The base model with one atom's truth flipped at one world."""
+    p = sorted(base.atoms)[seed % len(base.atoms)]
+    w = sorted(base.worlds)[seed % len(base.worlds)]
+    return replace(base, valuation={**base.valuation, p: base.valuation[p] ^ {w}})
+
+
+def _flip_hms(m, seed):
+    """The space-lattice model with one state of one atom's base space
+    moved into or out of the atom's base set."""
+    p = sorted(m.valuation)[seed % len(m.valuation)]
+    e = m.valuation[p]
+    states = sorted(m.frame.spaces[e.base_space])
+    s = states[seed % len(states)]
+    return HMSModel(m.frame, {**m.valuation, p: Event(e.base_space, e.base_set ^ {s})})
+
+
+def _injectors(seed):
+    """Replacements of each transform in verify that flip one atom of the
+    transform's output, so that the two sides disagree somewhere."""
+    l_transform, h_transform_ = verify.l_transform, verify.h_transform
+    fh_transform_, k_transform = verify.fh_transform, verify.k_transform
+
+    def l_flipped(m):
+        klm, corr = l_transform(m)
+        return replace(klm, base=_flip_base(klm.base, seed)), corr
+
+    return {
+        "l_transform": l_flipped,
+        "h_transform": lambda k: _flip_hms(h_transform_(k), seed),
+        "fh_transform": lambda k: replace(fh_transform_(k), base=_flip_base(k.base, seed)),
+        "k_transform": lambda s: replace(k_transform(s), base=_flip_base(s.base, seed)),
+    }
+
+
+def test_injected_disagreements_match_oracle(monkeypatch):
+    """With one transform's output flipped at one atom, each checker reports
+    the same disagreements as the per-state loops, in the same order."""
+    for seed in range(12):
+        injectors = _injectors(seed)
+        for check, oracle, args in _checker_cases(seed):
+            with monkeypatch.context() as patch:
+                for name, flipped in injectors.items():
+                    patch.setattr(verify, name, flipped)
+                body = check(*args).to_json()
+                assert body == oracle(*args).to_json(), (seed, check.__name__)
+            assert body["failures"], (seed, check.__name__)
+
+
+def test_capped_report(monkeypatch, trade_m):
+    """A check stopped by the instantiation cap before its last formula
+    says so; the count and the failures match the per-state loops."""
+    full = check_L_equiv_klm_hms(trade_m, 2)
+    monkeypatch.setattr(verify, "INSTANTIATION_CAP", 100)
+    for check, oracle, args in _checker_cases(3) + [
+            (check_L_equiv_klm_hms, oracles.equiv_klm_hms, (trade_m, 2))]:
+        report = check(*args)
+        assert report.capped and report.to_json()["capped"] is True
+        body = report.to_json()
+        del body["capped"]
+        assert body == oracle(*args).to_json()
+    capped = check_L_equiv_klm_hms(trade_m, 2)
+    assert 100 < capped.checked < full.checked
+    # a cap passed exactly at the last formula truncates nothing
+    monkeypatch.setattr(verify, "INSTANTIATION_CAP", full.checked - 1)
+    report = check_L_equiv_klm_hms(trade_m, 2)
+    assert report.checked == full.checked and not report.capped
+    assert "capped" not in report.to_json()
