@@ -29,45 +29,45 @@ class Formula:
 
 @dataclass(frozen=True)
 class Top(Formula):
-    __slots__ = ("_h", "_at", "_d")
+    __slots__ = ("_h", "_at")
 
 
 @dataclass(frozen=True)
 class Atom(Formula):
-    __slots__ = ("name", "_h", "_at", "_d")
+    __slots__ = ("name", "_h", "_at")
     name: str
 
 
 @dataclass(frozen=True)
 class Not(Formula):
-    __slots__ = ("child", "_h", "_at", "_d")
+    __slots__ = ("child", "_h", "_at")
     child: Formula
 
 
 @dataclass(frozen=True)
 class And(Formula):
-    __slots__ = ("left", "right", "_h", "_at", "_d")
+    __slots__ = ("left", "right", "_h", "_at")
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
 class Know(Formula):
-    __slots__ = ("agent", "child", "_h", "_at", "_d")
+    __slots__ = ("agent", "child", "_h", "_at")
     agent: str
     child: Formula
 
 
 @dataclass(frozen=True)
 class Aware(Formula):
-    __slots__ = ("agent", "child", "_h", "_at", "_d")
+    __slots__ = ("agent", "child", "_h", "_at")
     agent: str
     child: Formula
 
 
 @dataclass(frozen=True)
 class ExplicitKnow(Formula):
-    __slots__ = ("agent", "child", "_h", "_at", "_d")
+    __slots__ = ("agent", "child", "_h", "_at")
     agent: str
     child: Formula
 
@@ -171,19 +171,11 @@ def require_signature(f: Formula, atoms, agents) -> None:
 
 
 def depth_of(f: Formula) -> int:
-    """The AST depth of f, memoized on the node."""
-    try:
-        return object.__getattribute__(f, "_d")
-    except AttributeError:
-        pass
     if isinstance(f, (Top, Atom)):
-        out = 0
-    elif isinstance(f, And):
-        out = 1 + max(depth_of(f.left), depth_of(f.right))
-    else:
-        out = 1 + depth_of(f.child)
-    object.__setattr__(f, "_d", out)
-    return out
+        return 0
+    if isinstance(f, And):
+        return 1 + max(depth_of(f.left), depth_of(f.right))
+    return 1 + depth_of(f.child)
 
 
 def in_language(f: Formula, lang: Lang) -> bool:
@@ -257,11 +249,15 @@ def to_text(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-# Deeper formulas are refused by the parser. At this depth the recursive
-# passes (to_text, expand_defined and the evaluators, also on the L expansion
-# of nested A or X, up to seven times as deep) stay well under Python's
-# default recursion limit of 1000.
-MAX_DEPTH = 64
+# The parser refuses a formula whose tree, as the evaluators walk it, is
+# deeper than this: a node is one level, except that A and X count as the six
+# and seven levels of their unfolding in L. It also refuses text whose
+# parentheses and prefix operators nest deeper, which bounds its own
+# recursion. At this bound parsing, to_text, expand_defined and every
+# evaluator stay under Python's default recursion limit of 1000.
+MAX_DEPTH = 128
+
+_UNFOLDED_DEPTH = {Aware: 6, ExplicitKnow: 7}
 
 
 class ParseError(ValueError):
@@ -315,7 +311,8 @@ class _Parser:
         self.tokens = tokens
         self.lang = lang
         self.i = 0
-        self.level = 0
+        self.level = 0  # parser recursion: open parentheses, prefix operators, ->
+        self.depths = {}  # node -> depth of its tree as the evaluators walk it
 
     @staticmethod
     def bound(depth, pos):
@@ -330,8 +327,20 @@ class _Parser:
         self.level -= 1
         return out
 
+    def depth(self, f):
+        d = self.depths.get(f)
+        if d is None:
+            if isinstance(f, (Top, Atom)):
+                d = 0
+            elif isinstance(f, And):
+                d = 1 + max(self.depth(f.left), self.depth(f.right))
+            else:
+                d = _UNFOLDED_DEPTH.get(type(f), 1) + self.depth(f.child)
+            self.depths[f] = d
+        return d
+
     def bounded(self, f, pos):
-        self.bound(depth_of(f), pos)
+        self.bound(self.depth(f), pos)
         return f
 
     def peek(self):

@@ -25,7 +25,7 @@ from .formula import (
     require_signature,
 )
 from .klm import PropertyReport
-from .kripke import box, group_cells, members
+from .kripke import box, group_cells, members, relabel
 from .truth import Truth, truth_at
 
 MAX_FRAME_STATES = 10_000
@@ -152,12 +152,7 @@ class UnawarenessFrame:
 
     def lift(self, base: int, S) -> int:
         """The upward closure of the states of space S in the mask `base`."""
-        lift, out = self._lift[S], 0
-        while base:
-            low = base & -base
-            out |= lift.get(low, 0)
-            base ^= low
-        return out
+        return relabel(base, self._lift[S])
 
     def up_mask(self, e: Event) -> int:
         """The upward closure of an event, as a mask."""
@@ -336,26 +331,27 @@ def _conj(f, spaces, ups):
     return _based(f, inter, space, "intersection of up-closures")
 
 
-def _event(f, space, base, up):
+def _event(f, triple):
+    space, base, _ = triple
     return Event(space, frozenset(members(base, f.states)))
 
 
 def event_neg(f: UnawarenessFrame, e: Event) -> Event:
-    return Event(e.base_space, f.spaces[e.base_space] - e.base_set)
+    return _event(f, _neg(f, e.base_space, f.mask(e.base_set)))
 
 
 def event_and(f: UnawarenessFrame, events) -> Event:
     events = list(events)
     if not events:
         raise ValueError("conjunction of no events")
-    return _event(f, *_conj(f, [e.base_space for e in events], (f.up_mask(e) for e in events)))
+    return _event(f, _conj(f, [e.base_space for e in events], (f.up_mask(e) for e in events)))
 
 
 def event_know(f: UnawarenessFrame, agent, e: Event) -> Event:
     """The event that the agent knows e: states whose cell sits inside e's
     up-closure, based at e's space."""
     up = f.up_mask(e)
-    return _event(f, *_based(f, box(f.cells[agent], up), e.base_space, "knowledge set"))
+    return _event(f, _based(f, box(f.cells[agent], up), e.base_space, "knowledge set"))
 
 
 def event_aware(f: UnawarenessFrame, agent, e: Event) -> Event:
@@ -363,7 +359,7 @@ def event_aware(f: UnawarenessFrame, agent, e: Event) -> Event:
     above e's base space."""
     S = e.base_space
     expressible = f.lift(f.space_mask[S], S)
-    return _event(f, *_based(f, box(f.cells[agent], expressible), S, "awareness set"))
+    return _event(f, _based(f, box(f.cells[agent], expressible), S, "awareness set"))
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +387,9 @@ def validate_model(m: HMSModel) -> PropertyReport:
     return report
 
 
-def defined_atoms(m: HMSModel, O) -> frozenset:
+def defined_atoms(m: HMSModel, O, evaluator=None) -> frozenset:
     """Atoms with a defined truth value throughout the state set O."""
-    ev, O = DenotationEvaluator(m), m.frame.mask(O)
+    ev, O = evaluator or DenotationEvaluator(m), m.frame.mask(O)
     return frozenset(p for p in m.valuation if not O & ~ev.defined_mask((p,)))
 
 
@@ -409,7 +405,7 @@ class DenotationEvaluator:
         self._den, self._masks = {}, {}
 
     def denotation(self, f: Formula) -> Event:
-        return _event(self.m.frame, *self._denote(f))
+        return _event(self.m.frame, self._denote(f))
 
     def _denote(self, f):
         got = self._den.get(f)
@@ -427,7 +423,7 @@ class DenotationEvaluator:
             except KeyError:
                 raise KeyError(f"atom {f.name!r} has no valuation") from None
             up = fr.up_mask(e)
-            got = e.base_space, fr.mask(e.base_set), up
+            got = e.base_space, up & fr.space_mask[e.base_space], up
         elif isinstance(f, Not):
             got = _neg(fr, *self._denote(f.child)[:2])
         elif isinstance(f, And):

@@ -110,6 +110,17 @@ def box(groups, child: int) -> int:
     return out
 
 
+def relabel(mask: int, table) -> int:
+    """The union of table[b] over the set bits b of the mask; a bit missing
+    from the table maps to nothing."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table.get(low, 0)
+        mask ^= low
+    return out
+
+
 def members(mask: int, states):
     """The states whose bits are set in the mask, in index order."""
     return [states[i] for i in range(mask.bit_length()) if (mask >> i) & 1]

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 from .fh import AtomGenerated, Explicit, FHModel, check_ka
 from .formula import atoms_of
-from .hms import Event, HMSModel, UnawarenessFrame, defined_atoms, validate_model
+from .hms import (DenotationEvaluator, Event, HMSModel, UnawarenessFrame, defined_atoms,
+                  validate_model)
 from .klm import KripkeLatticeModel, _check_cap, awareness_image, subsets, validate_klm
 from .kripke import KripkeModel, WorldId, relation_properties
 
@@ -73,7 +74,8 @@ def l_transform(m: HMSModel):
     T = fr.top_space()
     if T is None:
         raise ValueError("frame has no unique top space")
-    at_of = {S: defined_atoms(m, states) for S, states in fr.spaces.items()}
+    ev = DenotationEvaluator(m)
+    at_of = {S: defined_atoms(m, states, ev) for S, states in fr.spaces.items()}
     atoms = frozenset(m.atoms)
     if _min_space_for(m, at_of, atoms) is None:
         raise ValueError("no space realizes the full atom set")

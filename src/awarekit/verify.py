@@ -34,7 +34,7 @@ from .formula import (
 )
 from .hms import DenotationEvaluator, HMSModel
 from .klm import Evaluator, KripkeLatticeModel, Slot, subsets, validate_klm
-from .kripke import KripkeModel, WorldId, relation_properties
+from .kripke import KripkeModel, WorldId, relabel, relation_properties
 from .transforms import fh_transform, h_transform, k_transform, l_transform
 from .truth import truth_at
 
@@ -83,29 +83,12 @@ def _require_partitional(k):
 
 def _lifter(states, images):
     """The relabelling that carries a mask over `states` to the mask over the
-    positions i whose images[i] is in it. Tables over chunks of source bits
-    (bytes, or nibbles when byte tables would be large) make it a few int
-    operations per mask."""
-    targets = dict.fromkeys(states, 0)
+    positions i whose images[i] is in it."""
+    bit = {s: 1 << j for j, s in enumerate(states)}
+    table = {}
     for i, s in enumerate(images):
-        targets[s] |= 1 << i
-    targets = list(targets.values())
-    width = 8 if len(targets) * len(images) <= 1 << 22 else 4
-    tables = []
-    for lo in range(0, len(targets), width):
-        table = [0]
-        for target in targets[lo:lo + width]:
-            table += [t | target for t in table]
-        tables.append(table)
-    low = (1 << width) - 1
-
-    def lift(mask):
-        out = 0
-        for table in tables:
-            out |= table[mask & low]
-            mask >>= width
-        return out
-    return lift
+        table[bit[s]] = table.get(bit[s], 0) | 1 << i
+    return lambda mask: relabel(mask, table)
 
 
 def _sweep(report, formulas, pairs, masks):

@@ -133,39 +133,63 @@ def test_commutative_and_duplicates_skipped():
     assert (pq in forms) != (qp in forms)
 
 
-def _nested(depth):
-    """Texts of formulas of the given AST depth, one per kind of nesting."""
-    return {
-        "not": "~" * depth + "i",
-        "know": "K{b} " * depth + "i",
-        "aware": "A{b} " * depth + "i",
-        "explicit": "X{b} " * depth + "i",
-        "and-left": " & ".join(["i"] * (depth + 1)),
-        "and-right": "(i & " * depth + "l" + ")" * depth,
-    }
+# kind of nesting: levels per repetition, text of n repetitions; a level is
+# a node of the tree the evaluators walk (A and X unfold to six and seven
+# nodes in L), or a parenthesis or prefix operator in the text
+_NESTING = {
+    "not": (1, lambda n: "~" * n + "i"),
+    "know": (1, lambda n: "K{b} " * n + "i"),
+    "aware": (6, lambda n: "A{b} " * n + "i"),
+    "explicit": (7, lambda n: "X{b} " * n + "i"),
+    "and-left": (1, lambda n: " & ".join(["i"] * (n + 1))),
+    "and-right": (1, lambda n: "(i & " * n + "l" + ")" * n),
+    "or": (3, lambda n: " | ".join(["i"] * (n + 1))),
+    "implies": (3, lambda n: " -> ".join(["i"] * (n + 1))),
+    "parens": (1, lambda n: "(" * n + "i" + ")" * n),
+    "not-parens": (2, lambda n: "~(" * n + "i" + ")" * n),
+}
+
+
+def _nested(past=0):
+    """One text per kind of nesting, as deep as the bound allows, or `past`
+    repetitions deeper."""
+    return {kind: text(MAX_DEPTH // per + past) for kind, (per, text) in _NESTING.items()}
 
 
 def test_parse_refuses_nesting_beyond_the_bound():
-    for kind, text in _nested(MAX_DEPTH).items():
-        assert depth_of(parse(text)) == MAX_DEPTH, kind
-    too_deep = list(_nested(MAX_DEPTH + 1).values()) + [
+    for text in _nested().values():
+        parse(text)
+    too_deep = list(_nested(past=1).values()) + [
         "(" * 5000 + "p" + ")" * 5000, "~" * 5000 + "p", " -> ".join(["p"] * 5000),
-        " | ".join(["p"] * 5000), "~(" * 40 + "p" + ")" * 40]
+        " | ".join(["p"] * 5000)]
     for text in too_deep:
         with pytest.raises(ParseError, match="nested too deeply"):
             parse(text)
 
 
+def test_flat_chains_and_parentheses_are_not_nesting():
+    """Long chains of one binary operator and redundant parentheses parse as
+    deep as the tree they build allows, and evaluate."""
+    k = make_trade()
+    w = WorldId("w1", frozenset({"i", "l"}))
+    ev = Evaluator(k, Lang.L)
+    either = ev.value(lor(Atom("i"), Atom("l")), w)
+    assert ev.value(parse(" | ".join(["i"] * 29 + ["l"]), Lang.L), w) is either
+    assert ev.value(parse("(" * 100 + "i | l" + ")" * 100, Lang.L), w) is either
+    assert ev.value(parse(" -> ".join(["i"] * 30), Lang.L), w) is Truth.TRUE
+    assert parse("~(" * 40 + "p" + ")" * 40) == parse("~" * 40 + "p")
+
+
 def test_nesting_bound_stays_under_the_recursion_limit():
-    """At the bound, printing, expansion and every evaluator (also on the L
-    expansion of nested A and X) run under Python's default limit."""
+    """At the bound, parsing, printing, expansion and every evaluator (also
+    on the L expansion of nested A and X) run under Python's default limit."""
     k = make_trade()
     fh, hms = fh_transform(k), h_transform(k)
     w = WorldId("w1", frozenset({"i", "l"}))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        for kind, text in _nested(MAX_DEPTH).items():
+        for kind, text in _nested().items():
             f = parse(text)
             assert parse(to_text(f)) == f, kind
             g = expand_defined(f, Lang.L)
