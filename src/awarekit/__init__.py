@@ -39,8 +39,6 @@ from .formula import (
     iff,
     implies,
     in_language,
-    land,
-    lnot,
     lor,
     parse,
     to_text,

@@ -257,7 +257,13 @@ def _cmd_axioms(args):
                      f"{'preserved' if entry['preserved'] else 'VIOLATED'} "
                      f"({entry['premise_valid']} premise-valid instances)")
     lines.append(report["rule_note"])
-    lines.append("suite passes" if report["passed"] else "suite FAILED")
+    if report.get("capped"):
+        lines.append("incomplete: stopped at the instantiation cap; "
+                     "later instances were not checked")
+    if report["passed"]:
+        lines.append("suite passes")
+    elif report["failures"] or not all(e["preserved"] for e in report["rules"].values()):
+        lines.append("suite FAILED")
     _emit(args, report, lines)
     return 0 if report["passed"] else 1
 

@@ -102,14 +102,6 @@ for _cls in _HASH_PARTS:
 TOP = Top()
 
 
-def lnot(f: Formula) -> Formula:
-    return Not(f)
-
-
-def land(f: Formula, g: Formula) -> Formula:
-    return And(f, g)
-
-
 def lor(f: Formula, g: Formula) -> Formula:
     return Not(And(Not(f), Not(g)))
 
@@ -151,14 +143,33 @@ def atoms_of(f: Formula) -> frozenset:
     return out
 
 
+def _fold(f, leaf, node):
+    """Fold f bottom-up, visiting each distinct node once: shared subterms
+    (as expand_defined makes them) would otherwise be walked once per path.
+    `node(f, child results)` combines; `leaf(f)` gives Top and Atom."""
+    memo = {}
+
+    def walk(g):
+        got = memo.get(id(g))
+        if got is None:
+            if isinstance(g, And):
+                got = node(g, (walk(g.left), walk(g.right)))
+            elif isinstance(g, (Not, Know, Aware, ExplicitKnow)):
+                got = node(g, (walk(g.child),))
+            else:
+                got = leaf(g)
+            memo[id(g)] = got
+        return got
+
+    return walk(f)
+
+
 def agents_of(f: Formula) -> frozenset:
-    if isinstance(f, (Know, Aware, ExplicitKnow)):
-        return frozenset((f.agent,)) | agents_of(f.child)
-    if isinstance(f, Not):
-        return agents_of(f.child)
-    if isinstance(f, And):
-        return agents_of(f.left) | agents_of(f.right)
-    return frozenset()
+    def node(g, parts):
+        out = frozenset().union(*parts)
+        return out | {g.agent} if isinstance(g, (Know, Aware, ExplicitKnow)) else out
+
+    return _fold(f, lambda g: frozenset(), node)
 
 
 def require_signature(f: Formula, atoms, agents) -> None:
@@ -171,22 +182,13 @@ def require_signature(f: Formula, atoms, agents) -> None:
 
 
 def depth_of(f: Formula) -> int:
-    if isinstance(f, (Top, Atom)):
-        return 0
-    if isinstance(f, And):
-        return 1 + max(depth_of(f.left), depth_of(f.right))
-    return 1 + depth_of(f.child)
+    return _fold(f, lambda g: 0, lambda g, parts: 1 + max(parts))
 
 
 def in_language(f: Formula, lang: Lang) -> bool:
     """True iff f uses only grammar nodes of lang."""
-    if isinstance(f, (Aware, ExplicitKnow)):
-        return lang is Lang.LKA and in_language(f.child, lang)
-    if isinstance(f, (Not, Know)):
-        return in_language(f.child, lang)
-    if isinstance(f, And):
-        return in_language(f.left, lang) and in_language(f.right, lang)
-    return True
+    return _fold(f, lambda g: True, lambda g, parts: all(parts) and (
+        lang is Lang.LKA or not isinstance(g, (Aware, ExplicitKnow))))
 
 
 _EXPAND_MEMO = {}

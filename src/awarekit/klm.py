@@ -244,14 +244,6 @@ def canonicalize(base: KripkeModel, pointwise, override_cap=False):
 # three-valued satisfaction
 
 
-class Slot(Formula):
-    """Mutable placeholder leaf for schema skeletons. A skeleton is built once
-    per schema and agent tuple; per metavariable filling only the slots'
-    precomputed true masks and atom sets are swapped in."""
-
-    __slots__ = ("mask", "atoms")
-
-
 class Evaluator:
     """Bitmask evaluator for one model; safe to reuse across formulas.
 
@@ -329,21 +321,19 @@ class Evaluator:
             return True, []
         return False, members(bad, self.states)
 
-    def check_skeleton(self, skeleton) -> bool:
-        """Guarded validity of a schema skeleton under its slots' current
-        fillings. Nothing is memoized, since the slots change per instance."""
-        t, at = self._eval(skeleton, None)
+    def valid(self, f: Formula) -> bool:
+        """Guarded validity of f, in one walk that memoizes nothing, so that
+        a sweep over many instances keeps no memory."""
+        t, at = self._eval(f, None)
         return not (self.defined_mask(at) & ~t)
 
     def _eval(self, f, memo):
-        """(true mask, atom set) of f; memo is None for skeletons."""
+        """(true mask, atom set) of f; memo is None for an unmemoized walk."""
         if memo is not None:
             got = memo.get(f)
             if got is not None:
                 return got
         kind = type(f)
-        if kind is Slot:
-            return f.mask, f.atoms
         if kind is Not:
             t, at = self._eval(f.child, memo)
             got = self.defined_mask(at) & ~t, at

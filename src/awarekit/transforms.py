@@ -98,7 +98,7 @@ def l_transform(m: HMSModel):
 
     # pointwise awareness at realized vocabularies
     realized = {}
-    for X in {ats for ats in at_of.values()}:
+    for X in sorted(set(at_of.values()), key=lambda X: (len(X), sorted(X))):
         S_X = _min_space_for(m, at_of, X)
         if S_X is not None:
             realized[X] = S_X
@@ -151,15 +151,18 @@ def h_transform(k: KripkeLatticeModel) -> HMSModel:
     return _h_transform(k)[0]
 
 
+def _require_partitional(k):
+    for a, flags in relation_properties(k.base).items():
+        if not flags["equivalence"]:
+            raise ValueError(f"relation of agent {a!r} is not an equivalence relation")
+
+
 def _h_transform(k):
     """The H-transform output with the frame-check report that vouches for it."""
     problems = validate_klm(k)
     if problems:
         raise ValueError(f"input is not well formed: {problems[0]}")
-    props = relation_properties(k.base)
-    for a, flags in props.items():
-        if not flags["equivalence"]:
-            raise ValueError(f"relation of agent {a!r} is not an equivalence relation")
+    _require_partitional(k)
     _check_cap(k.base.atoms)
 
     atoms = k.base.atoms

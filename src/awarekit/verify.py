@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 
-from .fh import FHEvaluator, FHModel, check_ka
+from .fh import Explicit, FHEvaluator, FHModel, check_ka
 from .formula import (
     And,
     Atom,
@@ -33,9 +33,10 @@ from .formula import (
     to_text,
 )
 from .hms import DenotationEvaluator, HMSModel
-from .klm import Evaluator, KripkeLatticeModel, Slot, subsets, validate_klm
-from .kripke import KripkeModel, WorldId, relabel, relation_properties
-from .transforms import fh_transform, h_transform, k_transform, l_transform
+from .klm import Evaluator, KripkeLatticeModel, subsets, validate_klm
+from .kripke import KripkeModel, WorldId, relabel
+from .transforms import (_require_partitional, fh_transform, h_transform, k_transform,
+                         l_transform)
 from .truth import truth_at
 
 INSTANTIATION_CAP = 10 ** 6
@@ -69,12 +70,6 @@ class EquivalenceReport:
         if self.capped:
             body["capped"] = True
         return body
-
-
-def _require_partitional(k):
-    for a, flags in relation_properties(k.base).items():
-        if not flags["equivalence"]:
-            raise ValueError(f"relation of agent {a!r} is not an equivalence relation")
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +130,6 @@ def check_L_equiv_hms_klm(m: HMSModel, depth: int) -> EquivalenceReport:
 
 def check_L_equiv_klm_hms(k: KripkeLatticeModel, depth: int) -> EquivalenceReport:
     """Agreement of k with its space-lattice transform at every w_X."""
-    _require_partitional(k)
     hms = h_transform(k)
     formulas = enumerate_formulas(k.base.atoms, k.base.agents, depth, Lang.L)
     ev_klm = Evaluator(k, Lang.L)
@@ -361,53 +355,59 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
               "rule_note": "rules checked as validity preservation over this corpus only"}
 
     checker = ValidityChecker(models, semantics)
-    fast = semantics in ("KLM_L", "KLM_LKA")
-    if fast:
-        meta_masks = [
-            {f: (ev.true_mask(f), atoms_of(f)) for f in metas}
-            for ev in checker.evaluators
-        ]
+    ids = _signature_classes(checker, metas)
+    lattice = semantics in ("KLM_L", "KLM_LKA")
+    capped = False
     for schema in list(suite.schemas) + list(extra_schemas):
         entry = {"checked": 0, "failures": []}
-        slots = tuple(Slot() for _ in range(schema.meta_arity))
+        n = schema.meta_arity
         for ags in product(agent_list, repeat=schema.agent_arity):
-            skeleton = schema.build(slots, ags) if fast else None
-            for ms in product(metas, repeat=schema.meta_arity):
-                if fast:
-                    ok = True
-                    for ev, masks in zip(checker.evaluators, meta_masks):
-                        for slot, f in zip(slots, ms):
-                            slot.mask, slot.atoms = masks[f]
-                        if not ev.check_skeleton(skeleton):
-                            ok = False
-                            break
-                    if not ok:
-                        ok, witnesses = checker.check(schema.build(ms, ags))
-                else:
-                    ok, witnesses = checker.check(schema.build(ms, ags))
+            verdicts = {}  # class tuple -> witnesses of its first instance
+            for ms, key in zip(product(metas, repeat=n), product(ids, repeat=n)):
+                if key not in verdicts:
+                    # on lattice models one unmemoized walk per model decides,
+                    # and only a failing instance is checked for its witnesses
+                    f = schema.build(ms, ags)
+                    valid = lattice and all(ev.valid(f) for ev in checker.evaluators)
+                    verdicts[key] = [] if valid else checker.check(f)[1]
+                witnesses = verdicts[key]
                 entry["checked"] += 1
                 report["checked"] += 1
-                if not ok:
-                    idx, state = witnesses[0]
+                if witnesses:
                     failure = {"formula": to_text(schema.build(ms, ags)),
-                               "state": str(state),
+                               "state": str(witnesses[0][1]),
                                "left": "Undefined" if semantics == "HMS" else "not True",
                                "right": "True"}
                     entry["failures"].append(failure)
                     report["failures"].append({"schema": schema.id, **failure})
                 if report["checked"] > INSTANTIATION_CAP:
-                    entry["capped"] = True
+                    entry["capped"] = capped = True
                     break
-            if entry.get("capped"):
+            if capped:
                 break
         entry["passed"] = not entry["failures"]
         report["schemas"][schema.id] = entry
     if check_rules:
         _check_rules(checker, suite, metas, agent_list, report)
-    report["passed"] = not report["failures"] and all(
+    if capped:
+        report["capped"] = True
+    report["passed"] = not capped and not report["failures"] and all(
         r["preserved"] for r in report["rules"].values()
     )
     return report
+
+
+def _signature_classes(checker, metas):
+    """The class id of each metavariable filling. An instance's verdict and
+    witnesses depend only on the true mask and atom set of each filling on
+    every model, so fillings that agree on these form one class. Formula-list
+    awareness sets read syntax, so there each formula is its own class."""
+    if any(isinstance(aset, Explicit) for m in checker.models if isinstance(m, FHModel)
+           for per in m.awareness.values() for aset in per.values()):
+        return list(range(len(metas)))
+    classes = {}
+    return [classes.setdefault(tuple((ev.true_mask(f), atoms_of(f)) for ev in checker.evaluators),
+                               len(classes)) for f in metas]
 
 
 def _check_rules(checker, suite, metas, agent_list, report):

@@ -1,13 +1,17 @@
-"""Reference semantics: the definitional per-state evaluators, and the
-per-state equivalence checkers.
+"""Reference semantics: the definitional per-state evaluators, the
+per-state equivalence checkers, and the per-instance axiom sweep.
 
 The evaluators follow the satisfaction clauses one state at a time and are
 kept only as the oracle that the bitmask evaluators in `awarekit.klm` and
 `awarekit.fh` are checked against. For space-lattice models the oracle is the
 direct recursive evaluator of acceptance criterion 8. The checkers compare two
 models formula by formula and state by state, and are the oracle for the mask
-comparison of `awarekit.verify`.
+comparison of `awarekit.verify`. The axiom sweep builds and checks every
+schema instance on its own, and is the oracle for the per-class verdicts of
+`verify.check_axiom_suite`.
 """
+
+from itertools import product
 
 from awarekit import verify
 from awarekit.fh import FHEvaluator, FHModel, aware_of, check_ka
@@ -24,6 +28,7 @@ from awarekit.formula import (
     atoms_of,
     enumerate_formulas,
     expand_defined,
+    to_text,
 )
 from awarekit.hms import DenotationEvaluator
 from awarekit.klm import Evaluator, KripkeLatticeModel, awareness_image, subsets
@@ -227,4 +232,43 @@ def equiv_fh_klm(x, lang, depth):
                     report.record(f, WorldId(w, X), left, right)
         if report.checked > verify.INSTANTIATION_CAP:
             break
+    return report
+
+
+# ---------------------------------------------------------------------------
+# per-instance axiom sweep
+
+
+def axiom_sweep(models, suite, depth, extra_schemas=()):
+    """Every instance of every schema, expanded and checked on every model,
+    counted and capped as `verify.check_axiom_suite` does; its checked,
+    schemas and failures."""
+    semantics = verify._suite_semantics(suite, models[0])
+    atoms, agents = verify._model_signature(models)
+    lang = Lang.L if suite.name == "HMS" else Lang.LKA
+    evaluators = verify.ValidityChecker(models, semantics).evaluators
+    metas = enumerate_formulas(atoms, agents, depth, lang)
+    report = {"checked": 0, "schemas": {}, "failures": []}
+    for schema in list(suite.schemas) + list(extra_schemas):
+        entry = {"checked": 0, "failures": []}
+        for ags in product(sorted(agents), repeat=schema.agent_arity):
+            for ms in product(metas, repeat=schema.meta_arity):
+                f = schema.build(ms, ags)
+                g = expand_defined(f, lang)
+                bad = [s for ev in evaluators for s in ev.check(g)[1]]
+                entry["checked"] += 1
+                report["checked"] += 1
+                if bad:
+                    failure = {"formula": to_text(f), "state": str(bad[0]),
+                               "left": "Undefined" if semantics == "HMS" else "not True",
+                               "right": "True"}
+                    entry["failures"].append(failure)
+                    report["failures"].append({"schema": schema.id, **failure})
+                if report["checked"] > verify.INSTANTIATION_CAP:
+                    entry["capped"] = True
+                    break
+            if entry.get("capped"):
+                break
+        entry["passed"] = not entry["failures"]
+        report["schemas"][schema.id] = entry
     return report

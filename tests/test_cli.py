@@ -197,16 +197,41 @@ def test_check_witness_does_not_depend_on_hash_seed(tmp_path):
     """The first projections witness is the same under every hash seed."""
     path = _frame_file(tmp_path, {"T": ["t"], "A": ["a"], "B": ["b"], "C": ["c"]},
                        [["A", "T"], ["B", "T"], ["C", "T"]], {})
-    src = os.path.dirname(os.path.dirname(awarekit.__file__))
     witnesses = set()
     for seed in range(1, 7):
-        env = {**os.environ, "PYTHONHASHSEED": str(seed),
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-m", "awarekit.cli", "check", path, "--json"],
-                              capture_output=True, text=True, env=env, timeout=60)
+        done = _run_seeded(seed, "check", path, "--json")
         assert done.returncode == 1, done.stderr
         witnesses.add(json.loads(done.stdout)["witnesses"]["projections"])
     assert witnesses == {"('missing projection', 'T', 'A')"}
+
+
+def _run_seeded(seed, *argv):
+    """The CLI in a fresh process under the given hash seed."""
+    src = os.path.dirname(os.path.dirname(awarekit.__file__))
+    env = {**os.environ, "PYTHONHASHSEED": str(seed),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "awarekit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_l_transform_error_does_not_depend_on_hash_seed(capsys, tmp_path):
+    """Of two No-Surprises violations, the L-transform names the same one
+    under every hash seed."""
+    path = str(tmp_path / "h.hms.json")
+    assert run(capsys, "transform", "--kind", "H", "--in", TRADE, "--out", path)[0] == 0
+    with open(path) as fh:
+        body = json.load(fh)
+    body["pi"]["b"]["w2@{l}"] = ["w2@{l}", "w3@{l}"]
+    body["pi"]["b"]["w2@{i}"] = ["w2@{}", "w3@{}"]
+    with open(path, "w") as fh:
+        json.dump(body, fh)
+    errors = set()
+    for seed in range(7, 13):
+        done = _run_seeded(seed, "transform", "--kind", "L", "--in", path,
+                           "--out", str(tmp_path / "out.klm.json"))
+        assert done.returncode == 2 and "No-Surprises" in done.stderr, done.stderr
+        errors.add(done.stderr)
+    assert len(errors) == 1 and "w2@{i,l}@{i} maps to" in errors.pop()
 
 
 def test_equiv_capped_is_incomplete(capsys, monkeypatch):
@@ -220,4 +245,22 @@ def test_equiv_capped_is_incomplete(capsys, monkeypatch):
     assert code == 1 and "incomplete" in out
     monkeypatch.undo()
     code, out, _ = run(capsys, "equiv", TRADE, "--depth", "2", "--json")
+    assert code == 0 and "capped" not in json.loads(out)
+
+
+def test_axioms_capped_is_incomplete(capsys, monkeypatch):
+    """An axiom suite stopped by the instantiation cap is flagged in the JSON
+    and in the human report, never passes, and never exits 0."""
+    argv = ("axioms", "--suite", "hms", "--models", TRADE, "--depth", "1", "--no-rules")
+    monkeypatch.setattr(verify, "INSTANTIATION_CAP", 50)
+    code, out, _ = run(capsys, *argv, "--json")
+    body = json.loads(out)
+    assert code == 1 and body["capped"] is True and body["passed"] is False
+    assert body["failures"] == []
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and "suite passes" not in out and "suite FAILED" not in out
+    assert ("incomplete: stopped at the instantiation cap; "
+            "later instances were not checked") in out.splitlines()
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *argv, "--json")
     assert code == 0 and "capped" not in json.loads(out)

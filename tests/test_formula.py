@@ -88,6 +88,16 @@ def test_in_language():
     assert in_language(parse("X{a} p"), Lang.LKA)
 
 
+def test_walkers_visit_shared_subterms_once():
+    """On a DAG whose tree has 2^64 paths the walkers stay linear."""
+    g = Know("a", Atom("p"))
+    for _ in range(64):
+        g = And(g, g)
+    assert agents_of(g) == frozenset({"a"}) and depth_of(g) == 65
+    assert in_language(g, Lang.L)
+    assert not in_language(And(g, Aware("b", g)), Lang.L)
+
+
 def test_expand_defined_under_L():
     a = Aware("a", Atom("p"))
     k = Know("a", Atom("p"))

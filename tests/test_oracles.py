@@ -1,23 +1,24 @@
 """The bitmask evaluators against the definitional per-state oracles in
-oracles.py, on seeded random models."""
+oracles.py, and the axiom suite against the per-instance sweep there, on
+seeded random models."""
 
 import random
 
+from awarekit import verify
 from awarekit.fh import Explicit, FHEvaluator, FHModel
-from awarekit.formula import (
-    Aware,
-    ExplicitKnow,
-    Lang,
-    atoms_of,
-    enumerate_formulas,
-    expand_defined,
+from awarekit.formula import Aware, ExplicitKnow, Lang, enumerate_formulas, expand_defined
+from awarekit.klm import Evaluator
+from awarekit.transforms import fh_transform, h_transform
+from awarekit.verify import (
+    SCHEMA_5,
+    check_axiom_suite,
+    hms_suite,
+    lga_suite,
+    random_klm,
+    random_klm_eq,
 )
-from awarekit.klm import Evaluator, Slot
-from awarekit.transforms import fh_transform
-from awarekit.truth import Truth
-from awarekit.verify import SCHEMA_5, hms_suite, lga_suite, random_klm
 
-from oracles import FhOracle, KlmOracle
+from oracles import FhOracle, KlmOracle, axiom_sweep
 
 MODELS = 40
 SAMPLE = 60
@@ -58,23 +59,36 @@ def test_cores_match_oracles():
                         assert core.value(f, w) is oracle.value(g, w), (lang, f, w)
 
 
-def test_skeletons_match_instances():
+def _sweep_cases(rng):
+    """(models, suite) corpora of every model class."""
+    hms, lga = hms_suite(), lga_suite()
+    for _ in range(2):
+        k, g = random_klm_eq(rng, max_atoms=2), random_klm(rng, max_atoms=2)
+        yield [k], hms
+        yield [g], lga
+        yield [h_transform(k)], hms
+        yield [fh_transform(g)], lga
+        pool = enumerate_formulas(g.base.atoms, g.base.agents, 1, Lang.LKA)
+        yield [FHModel.make(g.base, {
+            a: {w: Explicit.make(rng.sample(pool, 8)) for w in sorted(g.base.worlds)}
+            for a in sorted(g.base.agents)})], lga
+    # corpora of three one-atom models, which share their signature
+    yield [random_klm_eq(rng, max_atoms=1) for _ in range(3)], hms
+    yield [random_klm(rng, max_atoms=1) for _ in range(3)], lga
+
+
+def _sweep_parts(report):
+    return {key: report[key] for key in ("checked", "schemas", "failures")}
+
+
+def test_suite_matches_instance_sweep(monkeypatch, trade):
+    """The per-class verdicts of check_axiom_suite give the same counts,
+    failures and witnesses as checking every instance on its own."""
     rng = random.Random(2107)
-    for _ in range(MODELS):
-        k = random_klm(rng)
-        agents = sorted(k.base.agents)
-        for suite, lang in ((hms_suite(), Lang.L), (lga_suite(), Lang.LKA)):
-            ev, oracle = Evaluator(k, lang), KlmOracle(k, lang)
-            metas = enumerate_formulas(k.base.atoms, k.base.agents, 1, lang)
-            for schema in suite.schemas + (SCHEMA_5,):
-                slots = tuple(Slot() for _ in range(schema.meta_arity))
-                for _ in range(5):
-                    ms = tuple(rng.choice(metas) for _ in slots)
-                    ags = tuple(rng.choice(agents) for _ in range(schema.agent_arity))
-                    for slot, f in zip(slots, ms):
-                        slot.mask, slot.atoms = ev.true_mask(f), atoms_of(f)
-                    g = expand_defined(schema.build(ms, ags), lang)
-                    valid = ev.check(g)[0]
-                    assert ev.check_skeleton(schema.build(slots, ags)) == valid, (schema.id, g)
-                    assert valid == all(oracle.value(g, w) is not Truth.FALSE
-                                        for w in ev.states), (schema.id, g)
+    for models, suite in _sweep_cases(rng):
+        got = check_axiom_suite(models, suite, 1, extra_schemas=(SCHEMA_5,), check_rules=False)
+        assert _sweep_parts(got) == axiom_sweep(models, suite, 1, (SCHEMA_5,)), suite.name
+    monkeypatch.setattr(verify, "INSTANTIATION_CAP", 3000)
+    got = check_axiom_suite([trade], hms_suite(), 1, extra_schemas=(SCHEMA_5,), check_rules=False)
+    assert got["capped"] and not got["passed"]
+    assert _sweep_parts(got) == axiom_sweep([trade], hms_suite(), 1, (SCHEMA_5,))
