@@ -52,10 +52,6 @@ from .hms import (
     defined_atoms,
     denotation,
     eval_L_hms,
-    event_and,
-    event_aware,
-    event_know,
-    event_neg,
     validate_frame,
     validate_model,
 )
@@ -102,7 +98,6 @@ from .verify import (
     check_equiv_fh_klm,
     check_L_equiv_hms_klm,
     check_L_equiv_klm_hms,
-    derived_theorem_checks,
     hms_suite,
     lga_suite,
     random_klm,

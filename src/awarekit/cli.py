@@ -246,9 +246,10 @@ def _cmd_axioms(args):
     lines = [f"suite: {suite.name}, instantiation depth {args.depth}, "
              f"{report['checked']} instances"]
     for sid, entry in report["schemas"].items():
-        lines.append(f"schema {sid}: "
-                     f"{'pass' if entry['passed'] else 'FAIL'} "
-                     f"({entry['checked']} instances)")
+        verdict = "FAIL" if entry["failures"] else "pass"
+        if entry.get("capped"):  # a pass cut short by the cap is no verdict
+            verdict = "FAIL, capped" if entry["failures"] else "capped"
+        lines.append(f"schema {sid}: {verdict} ({entry['checked']} instances)")
         if entry["failures"]:
             first = entry["failures"][0]
             lines.append(f"  witness: {first['formula']} at {first['state']}")

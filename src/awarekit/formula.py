@@ -422,6 +422,31 @@ def parse(text: str, lang: Lang = Lang.LKA) -> Formula:
 # bounded enumeration
 
 
+# enumerate_formulas refuses more formulas than this before allocating any.
+# The largest list the checks, tests and benchmark build has 91,794 (LKA, two
+# atoms and two agents, depth 3); depth 4 starts at 1.5e7 (L, one atom, two
+# agents). A longer list only reaches verify.INSTANTIATION_CAP, also 10^6,
+# since each formula adds at least one checked pair or instance.
+MAX_FORMULAS = 10 ** 6
+
+
+def formula_count(atoms, agents, depth: int, lang: Lang = Lang.L) -> int:
+    """The length of enumerate_formulas(atoms, agents, depth, lang). Level d
+    holds a Not and per agent a K (and under LKA an A) of each level d-1
+    formula, and an And of each unordered pair below d with one at d-1."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if not atoms or not agents:
+        raise ValueError("atoms and agents must be nonempty")
+    unary = 1 + len(frozenset(agents)) * (2 if lang is Lang.LKA else 1)
+    exact = upto = 1 + len(frozenset(atoms))
+    below = 0
+    for _ in range(depth):
+        exact = exact * unary + (upto * (upto + 1) - below * (below + 1)) // 2
+        below, upto = upto, upto + exact
+    return upto
+
+
 @lru_cache(maxsize=256)
 def _enumerate_cached(atoms, agents, depth, lang):
     atoms = sorted(atoms)
@@ -432,7 +457,6 @@ def _enumerate_cached(atoms, agents, depth, lang):
         prev = exact[d - 1]
         level = [Not(f) for f in prev]
         n = len(out)
-        index = {id(f): i for i, f in enumerate(out)}
         # ordered left <= right by enumeration index, at least one child of
         # depth exactly d-1, so each pair appears at exactly one level
         prev_ids = {id(f) for f in prev}
@@ -458,10 +482,11 @@ def enumerate_formulas(atoms, agents, depth: int, lang: Lang = Lang.L):
     by the enumeration indices of the subformulas; And arguments are ordered
     (left index <= right index) to skip commutative duplicates. The depth-d
     sequence is a prefix of the depth-(d+1) sequence. Purely syntactic:
-    semantically redundant formulas are kept.
+    semantically redundant formulas are kept. More than MAX_FORMULAS are
+    refused.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if not atoms or not agents:
-        raise ValueError("atoms and agents must be nonempty")
+    n = formula_count(atoms, agents, depth, lang)
+    if n > MAX_FORMULAS:
+        raise ValueError(f"refusing to enumerate {n:,} formulas of depth up to {depth} "
+                         f"(limit {MAX_FORMULAS:,}); lower the depth")
     return list(_enumerate_cached(frozenset(atoms), frozenset(agents), depth, lang))

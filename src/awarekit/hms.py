@@ -5,7 +5,7 @@ A frame holds disjoint state spaces ordered by expressiveness, surjective
 commuting projections between comparable spaces, and one possibility
 correspondence per agent. Events are pairs (base set, base space). States are
 indexed as bits: an event's upward closure is the OR of per-state lift masks,
-and knowledge and awareness are `kripke.box`, as in the other model classes.
+and knowledge is `kripke.box`, as in the other model classes.
 """
 
 from __future__ import annotations
@@ -300,8 +300,8 @@ def _check_pi(f, report):
 
 
 # ---------------------------------------------------------------------------
-# event algebra, on (base space, base mask, up-closure mask) triples; the
-# Event functions below and DenotationEvaluator share it
+# event algebra, on (base space, base mask, up-closure mask) triples, for
+# DenotationEvaluator
 
 
 def _based(f, up, space, what):
@@ -317,49 +317,13 @@ def _neg(f, space, base):
     return space, base, f.lift(base, space)
 
 
-def _conj(f, spaces, ups):
-    """The conjunction of events: based at the join of their spaces, with the
-    intersection of their up-closures, `ups`, read once the join exists."""
-    space = spaces[0]
-    for S in spaces[1:]:
-        space = f.join(space, S)
-        if space is None:
-            raise FrameDefect("join of base spaces undefined")
-    inter = f.full
-    for up in ups:
-        inter &= up
-    return _based(f, inter, space, "intersection of up-closures")
-
-
-def _event(f, triple):
-    space, base, _ = triple
-    return Event(space, frozenset(members(base, f.states)))
-
-
-def event_neg(f: UnawarenessFrame, e: Event) -> Event:
-    return _event(f, _neg(f, e.base_space, f.mask(e.base_set)))
-
-
-def event_and(f: UnawarenessFrame, events) -> Event:
-    events = list(events)
-    if not events:
-        raise ValueError("conjunction of no events")
-    return _event(f, _conj(f, [e.base_space for e in events], (f.up_mask(e) for e in events)))
-
-
-def event_know(f: UnawarenessFrame, agent, e: Event) -> Event:
-    """The event that the agent knows e: states whose cell sits inside e's
-    up-closure, based at e's space."""
-    up = f.up_mask(e)
-    return _event(f, _based(f, box(f.cells[agent], up), e.base_space, "knowledge set"))
-
-
-def event_aware(f: UnawarenessFrame, agent, e: Event) -> Event:
-    """The event that the agent is aware of e: states whose cell sits weakly
-    above e's base space."""
-    S = e.base_space
-    expressible = f.lift(f.space_mask[S], S)
-    return _event(f, _based(f, box(f.cells[agent], expressible), S, "awareness set"))
+def _conj(f, left, right):
+    """The conjunction of two events: based at the join of their spaces, with
+    the intersection of their up-closures."""
+    space = f.join(left[0], right[0])
+    if space is None:
+        raise FrameDefect("join of base spaces undefined")
+    return _based(f, left[2] & right[2], space, "intersection of up-closures")
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +369,8 @@ class DenotationEvaluator:
         self._den, self._masks = {}, {}
 
     def denotation(self, f: Formula) -> Event:
-        return _event(self.m.frame, self._denote(f))
+        space, base, _ = self._denote(f)
+        return Event(space, frozenset(members(base, self.states)))
 
     def _denote(self, f):
         got = self._den.get(f)
@@ -427,8 +392,7 @@ class DenotationEvaluator:
         elif isinstance(f, Not):
             got = _neg(fr, *self._denote(f.child)[:2])
         elif isinstance(f, And):
-            (sl, _, ul), (sr, _, ur) = self._denote(f.left), self._denote(f.right)
-            got = _conj(fr, (sl, sr), (ul, ur))
+            got = _conj(fr, self._denote(f.left), self._denote(f.right))
         elif isinstance(f, Know):
             space, _, up = self._denote(f.child)
             got = _based(fr, box(fr.cells[f.agent], up), space, "knowledge set")

@@ -9,6 +9,7 @@ the reports label it as such.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -27,9 +28,9 @@ from .formula import (
     conj,
     enumerate_formulas,
     expand_defined,
+    formula_count,
     iff,
     implies,
-    lor,
     to_text,
 )
 from .hms import DenotationEvaluator, HMSModel
@@ -106,11 +107,90 @@ def _sweep(report, formulas, pairs, masks):
     return report
 
 
+def _reads_syntax(models):
+    """Whether some awareness set is a formula list (`Explicit`), which reads
+    syntax, so that formulas with one signature may still differ."""
+    return any(isinstance(aset, Explicit) for m in models if isinstance(m, FHModel)
+               for per in m.awareness.values() for aset in per.values())
+
+
+def _signature(f, evaluators):
+    """The atom set of f and its true mask on each evaluator's model, which
+    fix every mask of f and of each connective applied to it, unless
+    awareness sets read syntax. The lattice and awareness-structure
+    evaluators compute from these alone. A space-lattice denotation (base
+    space, base mask, up mask) has as base space the join of its atoms'
+    valuation spaces (bottom for none: Not and Know keep the space, And joins
+    it), and as base mask the up mask, its true mask, within that space."""
+    return (atoms_of(f), *(ev.true_mask(f) for ev in evaluators))
+
+
+def _by_class(report, language, evaluators, masks):
+    """Decide a bounded check per class of formulas with one signature (the
+    Lindenbaum-Tarski quotient on the two models), without enumerating them:
+    the classes are built depth by depth from one representative each, in
+    the enumerator's order, counting their formulas. Gives False, deciding
+    nothing, where a class disagrees or the count passes the cap."""
+    atoms, agents, depth, lang = language
+    if formula_count(*language) > INSTANTIATION_CAP:
+        return False
+    reps, ids, weights = [], {}, []  # per class: representative, compared positions
+
+    def cls(f):
+        key = _signature(f, evaluators)
+        c = ids.get(key)
+        if c is None:
+            (lt, lf), (rt, rf), within = masks(f)
+            c = ids[key] = len(reps)
+            reps.append(f)
+            weights.append(None if ((lt ^ rt) | (lf ^ rf)) & within else within.bit_count())
+        return c
+
+    # class -> number of formulas of depth exactly d, at most d, at most d-1
+    exact = Counter(cls(f) for f in [TOP, *(Atom(p) for p in sorted(atoms))])
+    upto, below = exact.copy(), Counter()
+    modal = [Know] + ([Aware] if lang is Lang.LKA else [])
+    for _ in range(depth):
+        level = Counter()
+        for c in sorted(exact):
+            level[cls(Not(reps[c]))] += exact[c]
+        known = sorted(upto)
+        for i, c1 in enumerate(known):
+            for c2 in known[i:]:
+                # pairs with at least one formula of the last level
+                u1, u2, b1, b2 = upto[c1], upto[c2], below[c1], below[c2]
+                n = u1 * u2 - b1 * b2 if c1 != c2 else (u1 * (u1 + 1) - b1 * (b1 + 1)) // 2
+                if n:
+                    level[cls(And(reps[c1], reps[c2]))] += n
+        for op, a in product(modal, sorted(agents)):
+            for c in sorted(exact):
+                level[cls(op(a, reps[c]))] += exact[c]
+        if None in weights:
+            return False
+        below, exact = upto.copy(), level
+        upto.update(level)
+    checked = sum(n * weights[c] for c, n in upto.items())
+    if checked > INSTANTIATION_CAP:
+        return False
+    report.checked = checked
+    return True
+
+
+def _equivalence(language, evaluators, pairs, masks, syntactic=False):
+    """The report of a check bounded by `language`, the enumerator's
+    arguments: by class where that decides it, else formula by formula."""
+    report = EquivalenceReport("equivalence", language[2])
+    if syntactic or not _by_class(report, language, evaluators, masks):
+        _sweep(report, enumerate_formulas(*language), pairs, masks)
+    return report
+
+
 def check_L_equiv_hms_klm(m: HMSModel, depth: int) -> EquivalenceReport:
     """Agreement of the lattice model built from m with m itself, at every
     corresponding world copy of every state."""
     klm, corr = l_transform(m)
-    formulas = enumerate_formulas(m.atoms, m.frame.agents, depth, Lang.L)
+    language = m.atoms, m.frame.agents, depth, Lang.L
+    formula_count(*language)  # refuses what the enumerator refuses, before set-up
     ev_hms = DenotationEvaluator(m)
     ev_klm = Evaluator(klm, Lang.L)
     pairs = [(s, v) for s in ev_hms.states for v in sorted(corr[s], key=WorldId.sort_key)]
@@ -124,14 +204,15 @@ def check_L_equiv_hms_klm(m: HMSModel, depth: int) -> EquivalenceReport:
         return ((from_hms(left_true), from_hms(left_false)),
                 (from_klm(right_true), from_klm(right_false)), everywhere)
 
-    return _sweep(EquivalenceReport("equivalence", depth), formulas,
-                  [(f"{s}/{v}", i) for i, (s, v) in enumerate(pairs)], masks)
+    return _equivalence(language, (ev_hms, ev_klm),
+                        [(f"{s}/{v}", i) for i, (s, v) in enumerate(pairs)], masks)
 
 
 def check_L_equiv_klm_hms(k: KripkeLatticeModel, depth: int) -> EquivalenceReport:
     """Agreement of k with its space-lattice transform at every w_X."""
     hms = h_transform(k)
-    formulas = enumerate_formulas(k.base.atoms, k.base.agents, depth, Lang.L)
+    language = k.base.atoms, k.base.agents, depth, Lang.L
+    formula_count(*language)
     ev_klm = Evaluator(k, Lang.L)
     ev_hms = DenotationEvaluator(hms)
     from_hms = _lifter(ev_hms.states, [str(w) for w in ev_klm.states])
@@ -141,8 +222,8 @@ def check_L_equiv_klm_hms(k: KripkeLatticeModel, depth: int) -> EquivalenceRepor
         true, false = ev_hms.truth_masks(f)
         return left, (from_hms(true), from_hms(false)), ev_klm.full
 
-    return _sweep(EquivalenceReport("equivalence", depth), formulas,
-                  [(w, i) for i, w in enumerate(ev_klm.states)], masks)
+    return _equivalence(language, (ev_klm, ev_hms),
+                        [(w, i) for i, w in enumerate(ev_klm.states)], masks)
 
 
 def check_equiv_fh_klm(x, lang: Lang, depth: int) -> EquivalenceReport:
@@ -158,7 +239,8 @@ def check_equiv_fh_klm(x, lang: Lang, depth: int) -> EquivalenceReport:
         fh, klm = fh_transform(x), x
     else:
         raise TypeError(f"expected an FH or Kripke lattice model, got {type(x).__name__}")
-    formulas = enumerate_formulas(klm.base.atoms, klm.base.agents, depth, lang)
+    language = klm.base.atoms, klm.base.agents, depth, lang
+    formula_count(*language)
     ev_fh = FHEvaluator(fh, lang)
     ev_klm = Evaluator(klm, lang)
     # world w of the awareness structure stands for every copy w_X
@@ -170,8 +252,8 @@ def check_equiv_fh_klm(x, lang: Lang, depth: int) -> EquivalenceReport:
         return (left, covering & ~left), (right, ev_klm.full & ~right), covering
 
     pairs = [WorldId(w, X) for w in sorted(klm.base.worlds) for X in subsets(klm.base.atoms)]
-    return _sweep(EquivalenceReport("equivalence", depth), formulas,
-                  [(v, ev_klm.index[v]) for v in pairs], masks)
+    return _equivalence(language, (ev_fh, ev_klm),
+                        [(v, ev_klm.index[v]) for v in pairs], masks, _reads_syntax([fh]))
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +284,16 @@ class ValidityChecker:
     def check(self, f: Formula):
         got = self._verdicts.get(f)
         if got is None:
-            g = expand_defined(f, self.lang)
-            witnesses = []
-            for idx, ev in enumerate(self.evaluators):
-                witnesses.extend((idx, str(s)) for s in ev.check(g)[1])
-            got = not witnesses, witnesses
-            self._verdicts[f] = got
+            got = self._verdicts[f] = self.verdict(f)
         return got
+
+    def verdict(self, f: Formula):
+        """check(f) without the memo, for a sweep that asks about each
+        formula once."""
+        g = expand_defined(f, self.lang)
+        witnesses = [(idx, str(s)) for idx, ev in enumerate(self.evaluators)
+                     for s in ev.check(g)[1]]
+        return not witnesses, witnesses
 
     def valid(self, f: Formula) -> bool:
         return self.check(f)[0]
@@ -369,7 +454,7 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
                     # and only a failing instance is checked for its witnesses
                     f = schema.build(ms, ags)
                     valid = lattice and all(ev.valid(f) for ev in checker.evaluators)
-                    verdicts[key] = [] if valid else checker.check(f)[1]
+                    verdicts[key] = [] if valid else checker.verdict(f)[1]
                 witnesses = verdicts[key]
                 entry["checked"] += 1
                 report["checked"] += 1
@@ -398,16 +483,13 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
 
 
 def _signature_classes(checker, metas):
-    """The class id of each metavariable filling. An instance's verdict and
-    witnesses depend only on the true mask and atom set of each filling on
-    every model, so fillings that agree on these form one class. Formula-list
-    awareness sets read syntax, so there each formula is its own class."""
-    if any(isinstance(aset, Explicit) for m in checker.models if isinstance(m, FHModel)
-           for per in m.awareness.values() for aset in per.values()):
+    """The class id of each metavariable filling: an instance's verdict and
+    witnesses depend only on each filling's signature, unless awareness sets
+    read syntax, where each formula is its own class."""
+    if _reads_syntax(checker.models):
         return list(range(len(metas)))
     classes = {}
-    return [classes.setdefault(tuple((ev.true_mask(f), atoms_of(f)) for ev in checker.evaluators),
-                               len(classes)) for f in metas]
+    return [classes.setdefault(_signature(f, checker.evaluators), len(classes)) for f in metas]
 
 
 def _check_rules(checker, suite, metas, agent_list, report):
@@ -453,40 +535,6 @@ def _check_rules(checker, suite, metas, agent_list, report):
                         entry["vacuous"] += 1
         entry["preserved"] = not entry["violations"]
         report["rules"][rule] = entry
-
-
-# ---------------------------------------------------------------------------
-# derived theorems
-
-
-def derived_theorem_checks(models):
-    """Three consequences of the explicit-knowledge axioms, checked with all
-    depth-1 instantiations over the corpus signature."""
-    atoms, agents = _model_signature(models)
-    metas = enumerate_formulas(atoms, agents, 1, Lang.L)
-    checker = ValidityChecker(models, "KLM_L")
-    report = {}
-
-    def check(name, build):
-        failures = []
-        for a in sorted(agents):
-            for f in metas:
-                inst = build(a, f)
-                ok, witnesses = checker.check(inst)
-                if not ok:
-                    failures.append({"formula": to_text(inst),
-                                     "state": str(witnesses[0][1])})
-        report[name] = {"passed": not failures, "failures": failures}
-
-    check("knowledge trichotomy", lambda a, f: implies(
-        Know(a, Not(Know(a, Not(Know(a, f))))),
-        lor(Know(a, f), Know(a, Not(Know(a, f))))))
-    check("awareness introspection", lambda a, f: implies(
-        Aware(a, f), Know(a, Aware(a, f))))
-    check("awareness generated by atoms", lambda a, f: iff(
-        Aware(a, f), conj([Aware(a, Atom(p)) for p in sorted(atoms_of(f))])))
-    report["passed"] = all(v["passed"] for k, v in report.items() if k != "passed")
-    return report
 
 
 # ---------------------------------------------------------------------------

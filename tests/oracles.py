@@ -4,7 +4,8 @@ per-state equivalence checkers, and the per-instance axiom sweep.
 The evaluators follow the satisfaction clauses one state at a time and are
 kept only as the oracle that the bitmask evaluators in `awarekit.klm` and
 `awarekit.fh` are checked against. For space-lattice models the oracle is the
-direct recursive evaluator of acceptance criterion 8. The checkers compare two
+direct recursive evaluator of acceptance criterion 8, and the event algebra
+here works on sets of states, as the definitions do. The checkers compare two
 models formula by formula and state by state, and are the oracle for the mask
 comparison of `awarekit.verify`. The axiom sweep builds and checks every
 schema instance on its own, and is the oracle for the per-class verdicts of
@@ -30,7 +31,7 @@ from awarekit.formula import (
     expand_defined,
     to_text,
 )
-from awarekit.hms import DenotationEvaluator
+from awarekit.hms import DenotationEvaluator, Event, FrameDefect
 from awarekit.klm import Evaluator, KripkeLatticeModel, awareness_image, subsets
 from awarekit.kripke import WorldId
 from awarekit.truth import Truth, truth_of
@@ -164,6 +165,57 @@ class FhOracle:
                 raise ValueError("ExplicitKnow is not a grammar node of L; expand it first")
             return self.value(expand_defined(f, Lang.LKA), w)
         raise TypeError(f"not a formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
+# the event algebra of a space lattice, on sets of states
+
+
+def _based(fr, states, space, what):
+    """The event based at `space` whose up-closure is `states`."""
+    e = Event.make(space, states & fr.spaces[space])
+    if fr.up(e) != states:
+        raise FrameDefect(f"{what} is not an up-set based at {space!r}")
+    return e
+
+
+def event_neg(fr, e):
+    """The complement of the base set within the base space."""
+    return Event.make(e.base_space, fr.spaces[e.base_space] - e.base_set)
+
+
+def event_and(fr, events):
+    """Based at the join of the base spaces, with the intersection of the
+    up-closures."""
+    events = list(events)
+    if not events:
+        raise ValueError("conjunction of no events")
+    space = events[0].base_space
+    for e in events[1:]:
+        space = fr.join(space, e.base_space)
+        if space is None:
+            raise FrameDefect("join of base spaces undefined")
+    return _based(fr, frozenset.intersection(*(fr.up(e) for e in events)), space,
+                  "intersection of up-closures")
+
+
+def _box(fr, agent, states):
+    """The states whose possibility set lies inside `states`."""
+    return frozenset(s for s, cell in fr.pi[agent].items() if cell <= states)
+
+
+def event_know(fr, agent, e):
+    """The states whose possibility set lies inside e's up-closure, based at
+    e's space."""
+    return _based(fr, _box(fr, agent, fr.up(e)), e.base_space, "knowledge set")
+
+
+def event_aware(fr, agent, e):
+    """The states whose possibility set lies weakly above e's base space,
+    based at that space."""
+    S = e.base_space
+    expressible = fr.upward_closure(fr.spaces[S], S)
+    return _based(fr, _box(fr, agent, expressible), S, "awareness set")
 
 
 # ---------------------------------------------------------------------------

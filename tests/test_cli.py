@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ import awarekit
 from awarekit import verify
 from awarekit.cli import main
 from awarekit.modelio import fixture_path, load_model
+from awarekit.verify import SCHEMA_5, check_axiom_suite, hms_suite
 
 TRADE = str(fixture_path("trade.klm.json"))
 TRADE_FH = str(fixture_path("trade.fh.json"))
@@ -158,6 +160,21 @@ def test_enumerate(capsys):
     assert len(lines) == len(set(lines))
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--atoms", "p,q", "--agents", "a,b", "--depth", "4"),
+    ("equiv", TRADE, "--depth", "4"),
+    ("axioms", "--suite", "hms", "--models", TRADE, "--depth", "4", "--no-rules"),
+], ids=["enumerate", "equiv", "axioms"])
+def test_enumeration_budget_refuses_depth_4(capsys, argv):
+    """Past the formula budget the commands refuse, before they allocate."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert err == ("awarekit: refusing to enumerate 359,026,203 formulas of depth up to 4 "
+                   "(limit 1,000,000); lower the depth\n")
+
+
 def test_fixture_name_resolution(capsys):
     # bundled fixture names work from any directory
     code, out, _ = run(capsys, "check", "triv1.klm.json")
@@ -261,6 +278,21 @@ def test_axioms_capped_is_incomplete(capsys, monkeypatch):
     assert code == 1 and "suite passes" not in out and "suite FAILED" not in out
     assert ("incomplete: stopped at the instantiation cap; "
             "later instances were not checked") in out.splitlines()
+    # each schema line says whether the cap cut that schema short
+    schema_lines = [line for line in out.splitlines() if line.startswith("schema ")]
+    assert schema_lines == [
+        f"schema {sid}: {'capped' if entry.get('capped') else 'pass'} "
+        f"({entry['checked']} instances)" for sid, entry in body["schemas"].items()]
+    assert schema_lines[:3] == ["schema PL-Top: pass (1 instances)",
+                                "schema PL1: capped (50 instances)",
+                                "schema PL2: capped (1 instances)"]
+    monkeypatch.undo()
+    # a schema that failed before the cap says both
+    full = check_axiom_suite([load_model(TRADE)], hms_suite(), 1,
+                             extra_schemas=(SCHEMA_5,), check_rules=False)
+    monkeypatch.setattr(verify, "INSTANTIATION_CAP", full["checked"] - 2)
+    code, out, _ = run(capsys, *argv, "--include-5")
+    assert code == 1 and "schema 5: FAIL, capped (35 instances)" in out.splitlines()
     monkeypatch.undo()
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0 and "capped" not in json.loads(out)

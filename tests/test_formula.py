@@ -6,6 +6,7 @@ import pytest
 from awarekit.fh import FHEvaluator
 from awarekit.formula import (
     MAX_DEPTH,
+    MAX_FORMULAS,
     And,
     Atom,
     Aware,
@@ -20,6 +21,7 @@ from awarekit.formula import (
     depth_of,
     enumerate_formulas,
     expand_defined,
+    formula_count,
     iff,
     implies,
     in_language,
@@ -134,6 +136,23 @@ def test_enumeration_counts_and_language():
         enumerate_formulas([], ["a"], 1)
     with pytest.raises(ValueError):
         enumerate_formulas(["p"], ["a"], -1)
+
+
+def test_formula_count_is_the_enumeration_length():
+    for atoms, agents, depth in [(["p"], ["a"], 3), (["p", "q"], ["a", "b"], 2),
+                                 (["p", "q", "r"], ["a"], 2), (["p", "q"], ["a", "b"], 0)]:
+        for lang in Lang:
+            assert formula_count(atoms, agents, depth, lang) == \
+                len(enumerate_formulas(atoms, agents, depth, lang)), (atoms, depth, lang)
+    # the two figures of the budget's comment, and the largest refused case
+    assert formula_count(["i", "l"], ["b", "o"], 3, Lang.LKA) == 91_794
+    assert formula_count(["p"], ["a", "b"], 4) == 14_903_066
+    assert formula_count(list("pqrstu"), ["a", "b"], 3, Lang.LKA) == 4_054_120
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        formula_count(["p"], ["a"], -1)
+    with pytest.raises(ValueError, match="refusing to enumerate 4,054,120 formulas"):
+        enumerate_formulas(list("pqrstu"), ["a", "b"], 3, Lang.LKA)
+    assert formula_count(["p"], ["a"], 5) > MAX_FORMULAS
 
 
 def test_commutative_and_duplicates_skipped():

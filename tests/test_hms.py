@@ -9,10 +9,6 @@ from awarekit.hms import (
     defined_atoms,
     denotation,
     eval_L_hms,
-    event_and,
-    event_aware,
-    event_know,
-    event_neg,
     validate_frame,
     validate_model,
 )
@@ -21,6 +17,7 @@ from awarekit.truth import Truth
 from awarekit.verify import valid_over
 
 from conftest import make_trade
+from oracles import event_and, event_aware, event_know, event_neg
 
 FRAME_CHECKS = ("lattice", "projections", "Conf", "Gref", "Stat", "PPI", "PPK")
 

@@ -49,8 +49,8 @@ def test_cores_match_oracles():
             # awareness sets of formulas, drawn from the sample and its subformulas
             pool = [g for _, g in sample] + [g.child for _, g in sample if hasattr(g, "child")]
             syntactic = FHModel.make(k.base, {
-                a: {w: Explicit.make(rng.sample(pool, 8)) for w in k.base.worlds}
-                for a in k.base.agents})
+                a: {w: Explicit.make(rng.sample(pool, 8)) for w in sorted(k.base.worlds)}
+                for a in sorted(k.base.agents)})
             for s in (fh, syntactic):
                 core, oracle = FHEvaluator(s, lang), FhOracle(s, lang)
                 for f, g in sample:

@@ -3,7 +3,7 @@
 import random
 
 from awarekit.formula import Lang, atoms_of, enumerate_formulas, expand_defined
-from awarekit.hms import Event, event_neg
+from awarekit.hms import Event
 from awarekit.klm import (
     Evaluator,
     check_awareness_properties,
@@ -14,6 +14,8 @@ from awarekit.kripke import WorldId, restrict
 from awarekit.transforms import h_transform
 from awarekit.truth import Truth
 from awarekit.verify import random_klm, random_klm_eq
+
+from oracles import event_neg
 
 CASES = 500
 

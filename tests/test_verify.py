@@ -4,8 +4,22 @@ from dataclasses import replace
 import pytest
 
 from awarekit import verify
-from awarekit.formula import Lang, parse
-from awarekit.hms import Event, HMSModel
+from awarekit.fh import Explicit, FHModel
+from awarekit.formula import (
+    Atom,
+    Aware,
+    Know,
+    Lang,
+    Not,
+    atoms_of,
+    conj,
+    enumerate_formulas,
+    iff,
+    implies,
+    lor,
+    parse,
+)
+from awarekit.hms import DenotationEvaluator, Event, HMSModel
 from awarekit.klm import validate_klm
 from awarekit.kripke import relation_properties
 from awarekit.transforms import fh_transform, h_transform
@@ -17,7 +31,6 @@ from awarekit.verify import (
     check_equiv_fh_klm,
     check_L_equiv_hms_klm,
     check_L_equiv_klm_hms,
-    derived_theorem_checks,
     hms_suite,
     lga_suite,
     random_klm,
@@ -129,12 +142,24 @@ def test_suite_model_mismatch(trade_m):
         check_axiom_suite([], hms_suite(), 1)
 
 
+DERIVED_THEOREMS = {
+    "knowledge trichotomy": lambda a, f: implies(
+        Know(a, Not(Know(a, Not(Know(a, f))))), lor(Know(a, f), Know(a, Not(Know(a, f))))),
+    "awareness introspection": lambda a, f: implies(Aware(a, f), Know(a, Aware(a, f))),
+    "awareness generated by atoms": lambda a, f: iff(
+        Aware(a, f), conj([Aware(a, Atom(p)) for p in sorted(atoms_of(f))])),
+}
+
+
 def test_derived_theorems(trade_m):
-    results = derived_theorem_checks([trade_m])
-    assert set(results) == {"knowledge trichotomy", "awareness introspection",
-                            "awareness generated by atoms", "passed"}
-    assert results["passed"]
-    assert all(v["passed"] for k, v in results.items() if k != "passed")
+    """Three consequences of the explicit-knowledge axioms are valid on trade
+    at every depth-1 instance."""
+    checker = ValidityChecker([trade_m], "KLM_L")
+    metas = enumerate_formulas(trade_m.base.atoms, trade_m.base.agents, 1, Lang.L)
+    for name, build in DERIVED_THEOREMS.items():
+        for a in sorted(trade_m.base.agents):
+            for f in metas:
+                assert checker.valid(build(a, f)), (name, a, f)
 
 
 def test_random_klm_eq_is_partitional():
@@ -256,3 +281,84 @@ def test_capped_report(monkeypatch, trade_m):
     report = check_L_equiv_klm_hms(trade_m, 2)
     assert report.checked == full.checked and not report.capped
     assert "capped" not in report.to_json()
+
+
+# ---------------------------------------------------------------------------
+# verdicts per signature class
+
+
+def _no_enumeration(*args):
+    raise AssertionError("the formulas were enumerated")
+
+
+def test_trade_depth_3_is_decided_by_class(monkeypatch, trade_m):
+    """The six depth-3 trade checks agree on every class, so none of them
+    enumerates a formula; the counts are the formula sweep's."""
+    monkeypatch.setattr(verify, "enumerate_formulas", _no_enumeration)
+    fh = fh_transform(trade_m)
+    reports = [check_L_equiv_klm_hms(trade_m, 3), check_L_equiv_hms_klm(h_transform(trade_m), 3)]
+    reports += [check_equiv_fh_klm(x, lang, 3)
+                for lang in (Lang.L, Lang.LKA) for x in (fh, trade_m)]
+    assert [r.to_json() for r in reports] == [
+        {"kind": "equivalence", "depth": 3, "checked": n, "failures": []}
+        for n in (321_516, 321_516, 114_885, 114_885, 405_525, 405_525)]
+
+
+def test_space_lattice_signature_fixes_the_denotation():
+    """On space-lattice transforms, formulas with one atom set and one true
+    mask have one denotation, base space and base set alike, which is what
+    lets the class pass key space-lattice formulas by their signature."""
+    rng = random.Random(2108)
+    for _ in range(12):
+        ev = DenotationEvaluator(h_transform(random_klm_eq(rng)))
+        seen = {}
+        for f in enumerate_formulas(ev.m.atoms, ev.m.frame.agents, 2, Lang.L):
+            e = ev.denotation(f)
+            assert seen.setdefault(verify._signature(f, [ev]), e) == e, f
+
+
+def _explicit(r, seed):
+    """An awareness structure on r's base with formula-list awareness sets,
+    one per agent, so that awareness is constant along the relations."""
+    rng = random.Random(seed)
+    pool = enumerate_formulas(r.base.atoms, r.base.agents, 1, Lang.LKA)
+    return FHModel.make(r.base, {
+        a: dict.fromkeys(sorted(r.base.worlds), Explicit.make(rng.sample(pool, 4)))
+        for a in sorted(r.base.agents)})
+
+
+def _class_cases(seed):
+    """The checker calls at depths 1 to 3 (one-atom models at depth 3): both
+    L directions on a partitional model, and FH L and LKA both ways on a model
+    with arbitrary relations and on an awareness structure with formula-list
+    awareness sets."""
+    for depth in (1, 2, 3):
+        size = {"max_worlds": 3, "max_atoms": 1 if depth == 3 else 3}
+        k = random_klm_eq(random.Random(seed), **size)
+        yield check_L_equiv_klm_hms, oracles.equiv_klm_hms, (k, depth)
+        yield check_L_equiv_hms_klm, oracles.equiv_hms_klm, (h_transform(k), depth)
+        r = random_klm(random.Random(seed), **size)
+        for x in (r, fh_transform(r), _explicit(r, seed)):
+            for lang in (Lang.L, Lang.LKA):
+                yield check_equiv_fh_klm, oracles.equiv_fh_klm, (x, lang, depth)
+
+
+def test_class_verdicts_match_per_state_oracle(monkeypatch):
+    """Every report equals the per-state loops'. A report with no failure is
+    decided by class without enumerating, except on formula-list awareness
+    sets, which read syntax; a report with failures falls back to the
+    formula sweep for them."""
+    enumerated = []
+    enumerate_formulas_ = verify.enumerate_formulas
+    monkeypatch.setattr(verify, "enumerate_formulas",
+                        lambda *args: enumerated.append(args) or enumerate_formulas_(*args))
+    kinds = set()
+    for seed in range(3):
+        for check, oracle, args in _class_cases(seed):
+            enumerated.clear()
+            body = check(*args).to_json()
+            assert body == oracle(*args).to_json(), (seed, check.__name__, args[1:])
+            syntactic = isinstance(args[0], FHModel) and verify._reads_syntax([args[0]])
+            assert bool(enumerated) == (syntactic or bool(body["failures"])), (seed, args[1:])
+            kinds.add((syntactic, bool(body["failures"])))
+    assert kinds == {(False, False), (False, True), (True, True)}
