@@ -422,18 +422,20 @@ def parse(text: str, lang: Lang = Lang.LKA) -> Formula:
 # bounded enumeration
 
 
-# enumerate_formulas refuses more formulas than this before allocating any.
-# The largest list the checks, tests and benchmark build has 91,794 (LKA, two
-# atoms and two agents, depth 3); depth 4 starts at 1.5e7 (L, one atom, two
-# agents). A longer list only reaches verify.INSTANTIATION_CAP, also 10^6,
-# since each formula adds at least one checked pair or instance.
+# formula_count, and so enumerate_formulas, refuses more formulas than this
+# before any is allocated. The largest list the checks, tests and benchmark
+# build has 91,794 (LKA, two atoms and two agents, depth 3); depth 4 starts at
+# 2.6e6 (L, one atom, one agent). A longer list only reaches
+# verify.INSTANTIATION_CAP, also 10^6, since each formula adds at least one
+# checked pair or instance.
 MAX_FORMULAS = 10 ** 6
 
 
 def formula_count(atoms, agents, depth: int, lang: Lang = Lang.L) -> int:
-    """The length of enumerate_formulas(atoms, agents, depth, lang). Level d
-    holds a Not and per agent a K (and under LKA an A) of each level d-1
-    formula, and an And of each unordered pair below d with one at d-1."""
+    """The length of enumerate_formulas(atoms, agents, depth, lang), refusing
+    more than MAX_FORMULAS as the enumerator does. Level d holds a Not and per
+    agent a K (and under LKA an A) of each level d-1 formula, and an And of
+    each unordered pair below d with one at d-1."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if not atoms or not agents:
@@ -444,6 +446,9 @@ def formula_count(atoms, agents, depth: int, lang: Lang = Lang.L) -> int:
     for _ in range(depth):
         exact = exact * unary + (upto * (upto + 1) - below * (below + 1)) // 2
         below, upto = upto, upto + exact
+    if upto > MAX_FORMULAS:
+        raise ValueError(f"refusing to enumerate {upto:,} formulas of depth up to {depth} "
+                         f"(limit {MAX_FORMULAS:,}); lower the depth")
     return upto
 
 
@@ -485,8 +490,5 @@ def enumerate_formulas(atoms, agents, depth: int, lang: Lang = Lang.L):
     semantically redundant formulas are kept. More than MAX_FORMULAS are
     refused.
     """
-    n = formula_count(atoms, agents, depth, lang)
-    if n > MAX_FORMULAS:
-        raise ValueError(f"refusing to enumerate {n:,} formulas of depth up to {depth} "
-                         f"(limit {MAX_FORMULAS:,}); lower the depth")
+    formula_count(atoms, agents, depth, lang)
     return list(_enumerate_cached(frozenset(atoms), frozenset(agents), depth, lang))

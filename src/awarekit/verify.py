@@ -125,15 +125,18 @@ def _signature(f, evaluators):
     return (atoms_of(f), *(ev.true_mask(f) for ev in evaluators))
 
 
+class _Disagrees(Exception):
+    """Raised by the class pass at the first class whose two sides differ."""
+
+
 def _by_class(report, language, evaluators, masks):
     """Decide a bounded check per class of formulas with one signature (the
     Lindenbaum-Tarski quotient on the two models), without enumerating them:
     the classes are built depth by depth from one representative each, in
-    the enumerator's order, counting their formulas. Gives False, deciding
-    nothing, where a class disagrees or the count passes the cap."""
+    the enumerator's order, counting their formulas. Raises _Disagrees at
+    the first class that disagrees; gives False where the pair count passes
+    the cap (the checkers' formula_count keeps the formula count within it)."""
     atoms, agents, depth, lang = language
-    if formula_count(*language) > INSTANTIATION_CAP:
-        return False
     reps, ids, weights = [], {}, []  # per class: representative, compared positions
 
     def cls(f):
@@ -141,9 +144,11 @@ def _by_class(report, language, evaluators, masks):
         c = ids.get(key)
         if c is None:
             (lt, lf), (rt, rf), within = masks(f)
+            if ((lt ^ rt) | (lf ^ rf)) & within:
+                raise _Disagrees
             c = ids[key] = len(reps)
             reps.append(f)
-            weights.append(None if ((lt ^ rt) | (lf ^ rf)) & within else within.bit_count())
+            weights.append(within.bit_count())
         return c
 
     # class -> number of formulas of depth exactly d, at most d, at most d-1
@@ -165,8 +170,6 @@ def _by_class(report, language, evaluators, masks):
         for op, a in product(modal, sorted(agents)):
             for c in sorted(exact):
                 level[cls(op(a, reps[c]))] += exact[c]
-        if None in weights:
-            return False
         below, exact = upto.copy(), level
         upto.update(level)
     checked = sum(n * weights[c] for c, n in upto.items())
@@ -180,7 +183,11 @@ def _equivalence(language, evaluators, pairs, masks, syntactic=False):
     """The report of a check bounded by `language`, the enumerator's
     arguments: by class where that decides it, else formula by formula."""
     report = EquivalenceReport("equivalence", language[2])
-    if syntactic or not _by_class(report, language, evaluators, masks):
+    try:
+        decided = not syntactic and _by_class(report, language, evaluators, masks)
+    except _Disagrees:
+        decided = False
+    if not decided:
         _sweep(report, enumerate_formulas(*language), pairs, masks)
     return report
 

@@ -204,7 +204,10 @@ def test_malformed_frame_witnesses(check, witness, fr):
 
 def test_knowledge_event_must_be_an_up_set():
     """On the PPI-failing frame, the states that know {d1} are not the
-    up-closure of any event at D, and the event algebra says so."""
+    up-closure of any event at D: the event algebra and the denotation say so."""
     fr = next(fr for check, _, fr in MALFORMED if check == "PPI")
     with pytest.raises(FrameDefect, match="knowledge set is not an up-set based at 'D'"):
         event_know(fr, "a", Event.make("D", {"d1"}))
+    m = HMSModel(fr, {"p": Event.make("D", {"d1"})})
+    with pytest.raises(FrameDefect, match="knowledge set is not an up-set based at 'D'"):
+        denotation(m, parse("K{a} p", Lang.L))

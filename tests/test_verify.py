@@ -6,6 +6,7 @@ import pytest
 from awarekit import verify
 from awarekit.fh import Explicit, FHModel
 from awarekit.formula import (
+    TOP,
     Atom,
     Aware,
     Know,
@@ -250,16 +251,41 @@ def _injectors(seed):
 
 def test_injected_disagreements_match_oracle(monkeypatch):
     """With one transform's output flipped at one atom, each checker reports
-    the same disagreements as the per-state loops, in the same order."""
+    the same disagreements as the per-state loops, in the same order, at
+    depth 0 as at depth 2. The class pass gives up at that atom, having
+    keyed no formula beyond Top and the atoms, and the formula sweep reports."""
+    keyed = []
+    signature = verify._signature
+    monkeypatch.setattr(verify, "_signature", lambda f, evs: keyed.append(f) or signature(f, evs))
     for seed in range(12):
         injectors = _injectors(seed)
         for check, oracle, args in _checker_cases(seed):
-            with monkeypatch.context() as patch:
-                for name, flipped in injectors.items():
-                    patch.setattr(verify, name, flipped)
-                body = check(*args).to_json()
-                assert body == oracle(*args).to_json(), (seed, check.__name__)
-            assert body["failures"], (seed, check.__name__)
+            for args in (args, (*args[:-1], 0)):
+                keyed.clear()
+                with monkeypatch.context() as patch:
+                    for name, flipped in injectors.items():
+                        patch.setattr(verify, name, flipped)
+                    body = check(*args).to_json()
+                    assert body == oracle(*args).to_json(), (seed, check.__name__, args[-1])
+                assert body["failures"], (seed, check.__name__, args[-1])
+                assert keyed and all(f == TOP or isinstance(f, Atom) for f in keyed)
+
+
+def _no_set_up(*args):
+    raise AssertionError("an evaluator was built")
+
+
+def test_budget_is_refused_before_set_up(monkeypatch, trade_m):
+    """A check past the formula budget is refused before any evaluator is
+    built, with the enumerator's message."""
+    for name in ("Evaluator", "DenotationEvaluator", "FHEvaluator"):
+        monkeypatch.setattr(verify, name, _no_set_up)
+    for check, args in [(check_L_equiv_klm_hms, (trade_m, 4)),
+                        (check_L_equiv_hms_klm, (h_transform(trade_m), 4)),
+                        (check_equiv_fh_klm, (trade_m, Lang.LKA, 4)),
+                        (check_equiv_fh_klm, (fh_transform(trade_m), Lang.L, 4))]:
+        with pytest.raises(ValueError, match="refusing to enumerate .* formulas of depth up to 4"):
+            check(*args)
 
 
 def test_capped_report(monkeypatch, trade_m):
@@ -328,11 +354,11 @@ def _explicit(r, seed):
 
 
 def _class_cases(seed):
-    """The checker calls at depths 1 to 3 (one-atom models at depth 3): both
+    """The checker calls at depths 0 to 3 (one-atom models at depth 3): both
     L directions on a partitional model, and FH L and LKA both ways on a model
     with arbitrary relations and on an awareness structure with formula-list
     awareness sets."""
-    for depth in (1, 2, 3):
+    for depth in (0, 1, 2, 3):
         size = {"max_worlds": 3, "max_atoms": 1 if depth == 3 else 3}
         k = random_klm_eq(random.Random(seed), **size)
         yield check_L_equiv_klm_hms, oracles.equiv_klm_hms, (k, depth)
@@ -361,4 +387,4 @@ def test_class_verdicts_match_per_state_oracle(monkeypatch):
             syntactic = isinstance(args[0], FHModel) and verify._reads_syntax([args[0]])
             assert bool(enumerated) == (syntactic or bool(body["failures"])), (seed, args[1:])
             kinds.add((syntactic, bool(body["failures"])))
-    assert kinds == {(False, False), (False, True), (True, True)}
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
