@@ -36,6 +36,7 @@ from .formula import (
     depth_of,
     enumerate_formulas,
     expand_defined,
+    fold,
     iff,
     implies,
     in_language,

@@ -11,17 +11,17 @@ import json
 import os
 import sys
 
-from .fh import FHModel, check_ka, check_pp, eval_L_fh, eval_LKA_fh, validate_fh
+from .fh import FHEvaluator, FHModel, check_ka, check_pp, validate_fh
 from .formula import (
     ExplicitKnow,
     Lang,
     enumerate_formulas,
-    expand_defined,
+    node_kinds,
     parse,
     require_signature,
     to_text,
 )
-from .hms import HMSModel, eval_L_hms, validate_model
+from .hms import DenotationEvaluator, HMSModel, validate_model
 from .klm import (
     Evaluator,
     KripkeLatticeModel,
@@ -32,7 +32,7 @@ from .klm import (
 from .kripke import KripkeModel, parse_world_id, relation_properties, validate_kripke
 from .modelio import fixture_path, load_model, store_model
 from .transforms import transform
-from .truth import Truth
+from .truth import truth_of
 from .verify import (
     SCHEMA_5,
     check_equiv_fh_klm,
@@ -67,16 +67,6 @@ def _load(path):
         return load_model(path)
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot load {path}: {_text(exc)}") from exc
-
-
-def _contains_explicit_know(f):
-    if isinstance(f, ExplicitKnow):
-        return True
-    for slot in ("child", "left", "right"):
-        child = getattr(f, slot, None)
-        if child is not None and _contains_explicit_know(child):
-            return True
-    return False
 
 
 def _emit(args, report, human_lines):
@@ -153,10 +143,8 @@ def _cmd_eval(args):
     model = _load(args.model)
     lang = Lang.L if args.lang == "L" else Lang.LKA
     f = parse(args.formula, Lang.LKA)
-    if lang is Lang.L:
-        if _contains_explicit_know(f):
-            raise UsageError("X{a} has no reading in the language L")
-        f = expand_defined(f, Lang.L)
+    if lang is Lang.L and ExplicitKnow in node_kinds(f):
+        raise UsageError("X{a} has no reading in the language L")
     if isinstance(model, KripkeLatticeModel):
         w = parse_world_id(args.at, model.base.atoms)
         if w.base not in model.base.worlds:
@@ -169,12 +157,15 @@ def _cmd_eval(args):
     elif isinstance(model, HMSModel):
         if lang is not Lang.L:
             raise UsageError("space-lattice models only interpret the language L")
-        value = eval_L_hms(model, args.at, f)
+        if args.at not in model.frame.state_space:
+            raise UsageError(f"unknown state {args.at!r}")
+        require_signature(f, model.atoms, model.frame.agents)
+        value = DenotationEvaluator(model).value(f, args.at)
     elif isinstance(model, FHModel):
         if args.at not in model.base.worlds:
             raise UsageError(f"no such world: {args.at}")
-        got = (eval_L_fh if lang is Lang.L else eval_LKA_fh)(model, args.at, f)
-        value = Truth.TRUE if got else Truth.FALSE
+        require_signature(f, model.base.atoms, model.base.agents)
+        value = truth_of(FHEvaluator(model, lang).value(f, args.at))
     else:
         raise UsageError("plain Kripke models carry no awareness; nothing to evaluate")
     print(value.value)

@@ -9,25 +9,21 @@ holds a literal finite formula list and exists for adversarial inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .formula import (
-    And,
-    Atom,
-    Aware,
-    ExplicitKnow,
     Formula,
-    Know,
     Lang,
-    Not,
-    Top,
     atoms_of,
     enumerate_formulas,
     expand_defined,
+    fold,
     in_language,
     require_signature,
+    terms,
 )
-from .kripke import KripkeModel, box, group_cells, members, validate_kripke
+from .kripke import Filled, KripkeModel, box, group_cells, members, validate_kripke
 
 
 @dataclass(frozen=True)
@@ -44,14 +40,23 @@ class AtomGenerated:
 
 @dataclass(frozen=True)
 class Explicit:
+    """A finite list of formulas. It is matched through the definition of X,
+    the one that LKA has: `X{a} g` is listed, or asked about, as
+    `A{a} g & K{a} g`."""
+
     formulas: tuple
+    listed: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "listed", frozenset(
+            expand_defined(f, Lang.LKA) for f in self.formulas))
 
     @classmethod
     def make(cls, formulas):
         return cls(tuple(formulas))
 
     def contains(self, f: Formula) -> bool:
-        return f in self.formulas
+        return expand_defined(f, Lang.LKA) in self.listed
 
 
 @dataclass(frozen=True)
@@ -135,7 +140,7 @@ def check_ka(s: FHModel):
         for (w, v) in sorted(s.base.relations.get(a, frozenset())):
             left, right = per[w], per[v]
             if isinstance(left, Explicit) and isinstance(right, Explicit):
-                same = set(left.formulas) == set(right.formulas)
+                same = left.listed == right.listed
             else:
                 same = left == right
             if not same:
@@ -145,8 +150,11 @@ def check_ka(s: FHModel):
 
 class FHEvaluator:
     """Bitmask evaluator for one model, two-valued: the set of worlds where
-    a formula is True, as an int over the sorted worlds, computed once per
-    distinct subformula."""
+    a formula is True, as an int over the sorted worlds, computed by
+    `formula.fold` once per distinct subformula. A signature pairs the true
+    mask with what awareness reads: the atom set, as an int over the sorted
+    atoms, or, where some awareness set is Explicit, the formula itself, with
+    the defined operators unfolded as fold unfolds them."""
 
     def __init__(self, s: FHModel, lang: Lang):
         self.s = s
@@ -162,18 +170,63 @@ class FHEvaluator:
                             for w in self.states])
             for a in s.base.agents
         }
+        syntactic = any(isinstance(aset, Explicit)
+                        for per in s.awareness.values() for aset in per.values())
+        if syntactic:
+            self._keys = terms(lang)
+        else:
+            bit = {p: 1 << i for i, p in enumerate(sorted(s.base.atoms))}
+            self._keys = SimpleNamespace(top=lambda: 0, atom=bit.__getitem__, neg=lambda k: k,
+                                        conj=int.__or__, know=lambda a, k: k,
+                                        aware=lambda a, k: k)
+
+        def awareness(agent):
+            """The worlds where the agent is aware of a signature's key."""
+            sets = [s.awareness[agent][w] for w in self.states]
+            if syntactic:  # a key is a term that fold has already expanded
+                held = [aset.listed.__contains__ if isinstance(aset, Explicit) else aset.contains
+                        for aset in sets]
+            else:
+                held = [lambda at, aw=sum(bit.get(p, 0) for p in aset.atoms): not at & ~aw
+                        for aset in sets]
+            return Filled(lambda key: sum(1 << i for i, has in enumerate(held) if has(key)))
+
+        self._aware = {a: awareness(a) for a in s.base.agents}
         self._memo = {}
+
+    # the algebra of (true mask, key) signatures
+    def top(self):
+        return self.full, self._keys.top()
+
+    def atom(self, p):
+        try:
+            return self.atom_true[p], self._keys.atom(p)
+        except KeyError:
+            raise KeyError(f"atom {p!r} is outside the model's language") from None
+
+    def neg(self, s):
+        return self.full & ~s[0], self._keys.neg(s[1])
+
+    def conj(self, s, t):
+        return s[0] & t[0], self._keys.conj(s[1], t[1])
+
+    def know(self, agent, s):
+        out = box(self.cells[agent], s[0])
+        if self.lang is Lang.L:
+            # explicit reading: awareness of the content plus truth
+            # throughout the cell
+            out &= self._aware[agent][s[1]]
+        return out, self._keys.know(agent, s[1])
+
+    def aware(self, agent, s):
+        return self._aware[agent][s[1]], self._keys.aware(agent, s[1])
 
     def defined_mask(self, atoms) -> int:
         """Every formula has a truth value at every world."""
         return self.full
 
     def true_mask(self, f: Formula) -> int:
-        got = self._memo.get(f)
-        if got is None:
-            got = self._true_mask(f)
-            self._memo[f] = got
-        return got
+        return fold(f, self, self._memo)[0]
 
     def value(self, f: Formula, w) -> bool:
         return bool((self.true_mask(f) >> self.index[w]) & 1)
@@ -184,39 +237,6 @@ class FHEvaluator:
         if not bad:
             return True, []
         return False, members(bad, self.states)
-
-    def _aware(self, agent, f):
-        return sum(1 << i for i, w in enumerate(self.states) if aware_of(self.s, agent, w, f))
-
-    def _true_mask(self, f):
-        kind = type(f)
-        if kind is Not:
-            return self.full & ~self.true_mask(f.child)
-        if kind is And:
-            return self.true_mask(f.left) & self.true_mask(f.right)
-        if kind is Atom:
-            try:
-                return self.atom_true[f.name]
-            except KeyError:
-                raise KeyError(f"atom {f.name!r} is outside the model's language") from None
-        if kind is Know:
-            out = box(self.cells[f.agent], self.true_mask(f.child))
-            if self.lang is Lang.L:
-                # explicit reading: awareness of the content plus truth
-                # throughout the cell
-                out &= self._aware(f.agent, f.child)
-            return out
-        if kind is Aware:
-            if self.lang is Lang.L:
-                raise ValueError("Aware is not a grammar node of L; expand it first")
-            return self._aware(f.agent, f.child)
-        if kind is ExplicitKnow:
-            if self.lang is Lang.L:
-                raise ValueError("ExplicitKnow is not a grammar node of L; expand it first")
-            return self.true_mask(expand_defined(f, Lang.LKA))
-        if kind is Top:
-            return self.full
-        raise TypeError(f"not a formula: {f!r}")
 
 
 def _check_world(s, w):

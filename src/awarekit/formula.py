@@ -12,6 +12,7 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 
 class Lang(enum.Enum):
@@ -143,33 +144,93 @@ def atoms_of(f: Formula) -> frozenset:
     return out
 
 
-def _fold(f, leaf, node):
-    """Fold f bottom-up, visiting each distinct node once: shared subterms
-    (as expand_defined makes them) would otherwise be walked once per path.
-    `node(f, child results)` combines; `leaf(f)` gives Top and Atom."""
-    memo = {}
+def fold(f: Formula, alg, memo=None):
+    """The value of f in an algebra: the one walk over formulas.
 
-    def walk(g):
-        got = memo.get(id(g))
-        if got is None:
-            if isinstance(g, And):
-                got = node(g, (walk(g.left), walk(g.right)))
-            elif isinstance(g, (Not, Know, Aware, ExplicitKnow)):
-                got = node(g, (walk(g.child),))
+    `alg` gives the grammar nodes their meaning on its signatures: `top()`,
+    `atom(p)`, `neg(s)`, `conj(s, t)`, `know(a, s)` and `aware(a, s)`. Its
+    `lang` names the language whose defined operators unfold here, on
+    signatures: `X{a} g` as conj(aware, know), and under L also `A{a} g` as
+    `K{a} g | K{a} ~K{a} g`. With lang None nothing unfolds and the algebra
+    gives `explicit(a, s)` as well. `memo` maps formulas to signatures and
+    may outlive the call; None walks without one, each path of a shared
+    subterm on its own.
+    """
+    if memo is not None:
+        got = memo.get(f)
+        if got is not None:
+            return got
+    kind = type(f)
+    if kind is Not:
+        got = alg.neg(fold(f.child, alg, memo))
+    elif kind is And:
+        got = alg.conj(fold(f.left, alg, memo), fold(f.right, alg, memo))
+    elif kind is Atom:
+        got = alg.atom(f.name)
+    elif kind is Know:
+        got = alg.know(f.agent, fold(f.child, alg, memo))
+    elif kind is Aware or kind is ExplicitKnow:
+        a, s, lang = f.agent, fold(f.child, alg, memo), alg.lang
+        if lang is None:
+            got = alg.aware(a, s) if kind is Aware else alg.explicit(a, s)
+        else:
+            if lang is Lang.L:
+                k = alg.know(a, s)
+                nk = alg.neg(k)
+                got = alg.neg(alg.conj(nk, alg.neg(alg.know(a, nk))))
             else:
-                got = leaf(g)
-            memo[id(g)] = got
-        return got
+                got = alg.aware(a, s)
+            if kind is ExplicitKnow:
+                got = alg.conj(got, k if lang is Lang.L else alg.know(a, s))
+    elif kind is Top:
+        got = alg.top()
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    if memo is not None:
+        memo[f] = got
+    return got
 
-    return walk(f)
+
+def terms(lang=None):
+    """The term algebra: fold rebuilds the formula, with the defined
+    operators of lang unfolded."""
+    return SimpleNamespace(lang=lang, top=lambda: TOP, atom=Atom, neg=Not, conj=And,
+                           know=Know, aware=Aware, explicit=ExplicitKnow)
+
+
+def _depths(lang):
+    """Tree depth, counting A and X as their unfolding in lang."""
+    def up(a, s):
+        return s + 1
+
+    return SimpleNamespace(lang=lang, top=lambda: 0, atom=lambda p: 0, neg=lambda s: s + 1,
+                           conj=lambda s, t: 1 + max(s, t), know=up, aware=up, explicit=up)
+
+
+def _with(kind):
+    return lambda a, s: s | {kind}
+
+
+_KINDS = SimpleNamespace(lang=None, top=lambda: frozenset(), atom=lambda p: frozenset(),
+                         neg=lambda s: s | {Not}, conj=lambda s, t: s | t | {And},
+                         know=_with(Know), aware=_with(Aware), explicit=_with(ExplicitKnow))
+
+_AGENTS = SimpleNamespace(lang=None, top=lambda: frozenset(), atom=lambda p: frozenset(),
+                          neg=lambda s: s, conj=frozenset.union, know=lambda a, s: s | {a},
+                          aware=lambda a, s: s | {a}, explicit=lambda a, s: s | {a})
+
+_TEXT = SimpleNamespace(lang=None, top=lambda: "T", atom=str, neg="~{}".format,
+                        conj="({} & {})".format, know="K{{{}}} {}".format,
+                        aware="A{{{}}} {}".format, explicit="X{{{}}} {}".format)
+
+
+def node_kinds(f: Formula) -> frozenset:
+    """The modal and connective node kinds occurring in f."""
+    return fold(f, _KINDS, {})
 
 
 def agents_of(f: Formula) -> frozenset:
-    def node(g, parts):
-        out = frozenset().union(*parts)
-        return out | {g.agent} if isinstance(g, (Know, Aware, ExplicitKnow)) else out
-
-    return _fold(f, lambda g: frozenset(), node)
+    return fold(f, _AGENTS, {})
 
 
 def require_signature(f: Formula, atoms, agents) -> None:
@@ -182,50 +243,20 @@ def require_signature(f: Formula, atoms, agents) -> None:
 
 
 def depth_of(f: Formula) -> int:
-    return _fold(f, lambda g: 0, lambda g, parts: 1 + max(parts))
+    return fold(f, _depths(None), {})
 
 
 def in_language(f: Formula, lang: Lang) -> bool:
     """True iff f uses only grammar nodes of lang."""
-    return _fold(f, lambda g: True, lambda g, parts: all(parts) and (
-        lang is Lang.LKA or not isinstance(g, (Aware, ExplicitKnow))))
-
-
-_EXPAND_MEMO = {}
+    return lang is Lang.LKA or not node_kinds(f) & {Aware, ExplicitKnow}
 
 
 def expand_defined(f: Formula, lang: Lang) -> Formula:
-    """Rewrite defined operators to grammar primitives of lang.
-
-    Under L, Aware(a, g) is the classical abbreviation
-    K_a g or K_a not K_a g, expressed through Not/And; ExplicitKnow is first
-    unfolded to Aware-and-Know and then the Aware part is unfolded too.
-    Under LKA only ExplicitKnow is defined, as Aware-and-Know.
-    Results are memoized so expansions share structure.
-    """
-    key = (f, lang)
-    got = _EXPAND_MEMO.get(key)
-    if got is None:
-        got = _expand_defined(f, lang)
-        _EXPAND_MEMO[key] = got
-    return got
-
-
-def _expand_defined(f, lang):
-    if isinstance(f, (Top, Atom)):
-        return f
-    if isinstance(f, Not):
-        return Not(expand_defined(f.child, lang))
-    if isinstance(f, And):
-        return And(expand_defined(f.left, lang), expand_defined(f.right, lang))
-    if isinstance(f, Know):
-        return Know(f.agent, expand_defined(f.child, lang))
-    if isinstance(f, (Aware, ExplicitKnow)):
-        g = expand_defined(f.child, lang)
-        k = Know(f.agent, g)
-        aware = Aware(f.agent, g) if lang is Lang.LKA else lor(k, Know(f.agent, Not(k)))
-        return And(aware, k) if isinstance(f, ExplicitKnow) else aware
-    raise TypeError(f"not a formula: {f!r}")
+    """Rewrite defined operators to grammar primitives of lang: X{a} g to
+    A{a} g & K{a} g, and under L also A{a} g to K{a} g | K{a} ~K{a} g. The
+    walk shares each subterm's rewrite, so the result is a DAG no larger
+    than a constant times f."""
+    return fold(f, terms(lang), {})
 
 
 # ---------------------------------------------------------------------------
@@ -233,34 +264,18 @@ def _expand_defined(f, lang):
 
 
 def to_text(f: Formula) -> str:
-    """Canonical text form; round-trips through parse()."""
-    if isinstance(f, Top):
-        return "T"
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):
-        return "~" + to_text(f.child)
-    if isinstance(f, And):
-        return f"({to_text(f.left)} & {to_text(f.right)})"
-    if isinstance(f, Know):
-        return f"K{{{f.agent}}} {to_text(f.child)}"
-    if isinstance(f, Aware):
-        return f"A{{{f.agent}}} {to_text(f.child)}"
-    if isinstance(f, ExplicitKnow):
-        return f"X{{{f.agent}}} {to_text(f.child)}"
-    raise TypeError(f"not a formula: {f!r}")
+    """Canonical text form; round-trips through parse(). The text is a tree,
+    so the walk keeps no memo."""
+    return fold(f, _TEXT)
 
 
 # The parser refuses a formula whose tree, as the evaluators walk it, is
 # deeper than this: a node is one level, except that A and X count as the six
-# and seven levels of their unfolding in L. It also refuses text whose
+# and seven levels of their unfolding by fold in L. It also refuses text whose
 # parentheses and prefix operators nest deeper, which bounds its own
 # recursion. At this bound parsing, to_text, expand_defined and every
 # evaluator stay under Python's default recursion limit of 1000.
 MAX_DEPTH = 128
-
-_UNFOLDED_DEPTH = {Aware: 6, ExplicitKnow: 7}
-
 
 class ParseError(ValueError):
     def __init__(self, message, pos):
@@ -314,7 +329,8 @@ class _Parser:
         self.lang = lang
         self.i = 0
         self.level = 0  # parser recursion: open parentheses, prefix operators, ->
-        self.depths = {}  # node -> depth of its tree as the evaluators walk it
+        self.unfolded = _depths(Lang.L)  # the depth of a tree as the evaluators walk it
+        self.depths = {}
 
     @staticmethod
     def bound(depth, pos):
@@ -329,20 +345,8 @@ class _Parser:
         self.level -= 1
         return out
 
-    def depth(self, f):
-        d = self.depths.get(f)
-        if d is None:
-            if isinstance(f, (Top, Atom)):
-                d = 0
-            elif isinstance(f, And):
-                d = 1 + max(self.depth(f.left), self.depth(f.right))
-            else:
-                d = _UNFOLDED_DEPTH.get(type(f), 1) + self.depth(f.child)
-            self.depths[f] = d
-        return d
-
     def bounded(self, f, pos):
-        self.bound(self.depth(f), pos)
+        self.bound(fold(f, self.unfolded, self.depths), pos)
         return f
 
     def peek(self):

@@ -12,18 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import (
-    And,
-    Atom,
-    Formula,
-    Know,
-    Lang,
-    Not,
-    Top,
-    atoms_of,
-    in_language,
-    require_signature,
-)
+from .formula import Atom, Formula, Lang, atoms_of, fold, in_language, require_signature
 from .klm import PropertyReport
 from .kripke import box, group_cells, members, relabel
 from .truth import Truth, truth_at
@@ -361,51 +350,50 @@ class DenotationEvaluator:
     """Compositional event-denotation evaluator with a per-instance memo.
     A denotation is a (base space, base mask, up-closure mask) triple over the
     frame's states: True where its up-closure holds the state, False where
-    its negation's does."""
+    its negation's does. `formula.fold` computes it from the event algebra
+    below; its language is L, so A and X unfold to knowledge."""
 
     def __init__(self, m: HMSModel):
         self.m = m
         self.states = m.frame.states
         self._den, self._masks = {}, {}
 
+    lang = Lang.L
+
     def denotation(self, f: Formula) -> Event:
-        space, base, _ = self._denote(f)
+        space, base, _ = fold(f, self, self._den)
         return Event(space, frozenset(members(base, self.states)))
 
-    def _denote(self, f):
-        got = self._den.get(f)
-        if got is not None:
-            return got
-        m, fr = self.m, self.m.frame
-        if isinstance(f, Top):
-            bottom = fr.bottom_space()
-            if bottom is None:
-                raise FrameDefect("frame has no bottom space")
-            got = _neg(fr, bottom, 0)  # the whole bottom space
-        elif isinstance(f, Atom):
-            try:
-                e = m.valuation[f.name]
-            except KeyError:
-                raise KeyError(f"atom {f.name!r} has no valuation") from None
-            up = fr.up_mask(e)
-            got = e.base_space, up & fr.space_mask[e.base_space], up
-        elif isinstance(f, Not):
-            got = _neg(fr, *self._denote(f.child)[:2])
-        elif isinstance(f, And):
-            got = _conj(fr, self._denote(f.left), self._denote(f.right))
-        elif isinstance(f, Know):
-            space, _, up = self._denote(f.child)
-            got = _based(fr, box(fr.cells[f.agent], up), space, "knowledge set")
-        else:
-            raise ValueError(f"{type(f).__name__} is not an explicit-knowledge grammar node")
-        self._den[f] = got
-        return got
+    # the event algebra on triples, for fold
+    def top(self):
+        bottom = self.m.frame.bottom_space()
+        if bottom is None:
+            raise FrameDefect("frame has no bottom space")
+        return _neg(self.m.frame, bottom, 0)  # the whole bottom space
+
+    def atom(self, p):
+        try:
+            e = self.m.valuation[p]
+        except KeyError:
+            raise KeyError(f"atom {p!r} has no valuation") from None
+        up = self.m.frame.up_mask(e)
+        return e.base_space, up & self.m.frame.space_mask[e.base_space], up
+
+    def neg(self, s):
+        return _neg(self.m.frame, s[0], s[1])
+
+    def conj(self, s, t):
+        return _conj(self.m.frame, s, t)
+
+    def know(self, agent, s):
+        fr = self.m.frame
+        return _based(fr, box(fr.cells[agent], s[2]), s[0], "knowledge set")
 
     def truth_masks(self, f: Formula):
         """(True mask, False mask) of f; the rest of the states are Undefined."""
         got = self._masks.get(f)
         if got is None:
-            space, base, up = self._denote(f)
+            space, base, up = fold(f, self, self._den)
             got = self._masks[f] = up, _neg(self.m.frame, space, base)[2] & ~up
         return got
 
@@ -446,6 +434,8 @@ def denotation(m: HMSModel, f: Formula) -> Event:
 def eval_L_hms(m: HMSModel, state, f: Formula, evaluator=None) -> Truth:
     """True iff the state is in the denotation's up-closure, False iff in the
     negation's, Undefined otherwise."""
+    if not in_language(f, Lang.L):
+        raise ValueError("formula is not in the explicit-knowledge language; expand it first")
     if state not in m.frame.state_space:
         raise KeyError(f"unknown state {state!r}")
     require_signature(f, m.atoms, m.frame.agents)

@@ -14,20 +14,9 @@ import os
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .formula import (
-    And,
-    Atom,
-    Aware,
-    ExplicitKnow,
-    Formula,
-    Know,
-    Lang,
-    Not,
-    Top,
-    in_language,
-    require_signature,
-)
-from .kripke import KripkeModel, WorldId, box, group_cells, members, validate_kripke
+from .formula import Formula, Lang, fold, in_language, require_signature
+from .kripke import (Filled, KripkeModel, WorldId, box, group_cells, meet, members,
+                     validate_kripke)
 from .truth import Truth, truth_at
 
 DEFAULT_LATTICE_CAP = 12
@@ -248,11 +237,12 @@ class Evaluator:
     """Bitmask evaluator for one model; safe to reuse across formulas.
 
     States are the world copies in omega order and a set of states is a
-    Python int. Each distinct subformula is evaluated once, to the mask of
-    states where it is True; a formula is Undefined at w_X exactly when it
-    mentions an atom outside X. With strict_two_valued the definedness guards
-    are dropped and atoms read from the top valuation, giving a fully
-    two-valued reading.
+    Python int. A formula's signature is its true mask and its atom set, an
+    int over the sorted atoms; `formula.fold` computes it once per distinct
+    subformula from the algebra below. A formula is Undefined at w_X exactly
+    when it mentions an atom outside X. With strict_two_valued the
+    definedness guards are dropped and atoms read from the top valuation,
+    giving a fully two-valued reading.
     """
 
     def __init__(self, k: KripkeLatticeModel, lang: Lang = Lang.L, strict_two_valued=False):
@@ -263,12 +253,13 @@ class Evaluator:
         self.index = {s: i for i, s in enumerate(self.states)}
         self.full = (1 << len(self.states)) - 1
         base = k.base
+        atoms = sorted(base.atoms)
+        self.bit = {p: 1 << i for i, p in enumerate(atoms)}
 
         def mask(holds):
             return sum(1 << i for i, s in enumerate(self.states) if holds(s))
 
-        # guard[p]: where p has a truth value; aware[a][p]: where p is in the
-        # vocabulary of agent a's awareness image X & Aw_a(w)
+        # guard[p]: where p has a truth value
         self.guard = {
             p: self.full if self.strict else mask(lambda s: p in s.vocabulary)
             for p in base.atoms
@@ -277,11 +268,16 @@ class Evaluator:
             p: self.guard[p] & mask(lambda s: s.base in base.valuation[p])
             for p in base.atoms
         }
-        self.aware = {
-            a: {p: mask(lambda s: p in s.vocabulary and p in k.awareness[a][s.base])
-                for p in base.atoms}
-            for a in base.agents
-        }
+        guards, full = [self.guard[p] for p in atoms], self.full
+        # the masks of an atom set (an int), filled on first use: where it is
+        # defined, and per agent where it is also in the vocabulary of the
+        # agent's awareness image X & Aw_a(w)
+        self._defined = defined = Filled(lambda at: meet(at, guards, full))
+        self._aware = {}
+        for a in base.agents:
+            per = [mask(lambda s: p in s.vocabulary and p in k.awareness[a][s.base])
+                   for p in atoms]
+            self._aware[a] = Filled(lambda at, per=per: meet(at, per, defined[at]))
         # K_a quantifies over the cell of w: explicitly at the awareness
         # image's vocabulary, implicitly at the top vocabulary
         top = frozenset(base.atoms)
@@ -295,27 +291,44 @@ class Evaluator:
             self.cells[a] = group_cells(cells)
         self._memo = {}
 
+    # the algebra of (true mask, atom set) signatures
+    def top(self):
+        return self.full, 0
+
+    def atom(self, p):
+        return self.atom_true[p], self.bit[p]
+
+    def neg(self, s):
+        return self._defined[s[1]] & ~s[0], s[1]
+
+    @staticmethod
+    def conj(s, t):
+        return s[0] & t[0], s[1] | t[1]
+
+    def know(self, agent, s):
+        return box(self.cells[agent], s[0]) & self._defined[s[1]], s[1]
+
+    def aware(self, agent, s):
+        return self._aware[agent][s[1]], s[1]
+
     def defined_mask(self, atoms) -> int:
         """States where every atom of the set has a truth value."""
-        m = self.full
-        for p in atoms:
-            m &= self.guard[p]
-        return m
+        return self._defined[sum(self.bit[p] for p in atoms)]
 
     def true_mask(self, f: Formula) -> int:
-        return self._eval(f, self._memo)[0]
+        return fold(f, self, self._memo)[0]
 
     def truth_masks(self, f: Formula):
         """(True mask, False mask) of f; the rest of the states are Undefined."""
-        t, at = self._eval(f, self._memo)
-        return t, self.defined_mask(at) & ~t
+        t, at = fold(f, self, self._memo)
+        return t, self._defined[at] & ~t
 
     def value(self, f: Formula, w: WorldId) -> Truth:
         i = self.index[w]
         return truth_at(*self.truth_masks(f), i)
 
     def check(self, g: Formula):
-        """Guarded validity of an expanded formula; witnesses in state order."""
+        """Guarded validity of g; witnesses in state order."""
         bad = self.truth_masks(g)[1]
         if not bad:
             return True, []
@@ -324,57 +337,8 @@ class Evaluator:
     def valid(self, f: Formula) -> bool:
         """Guarded validity of f, in one walk that memoizes nothing, so that
         a sweep over many instances keeps no memory."""
-        t, at = self._eval(f, None)
-        return not (self.defined_mask(at) & ~t)
-
-    def _eval(self, f, memo):
-        """(true mask, atom set) of f; memo is None for an unmemoized walk."""
-        if memo is not None:
-            got = memo.get(f)
-            if got is not None:
-                return got
-        kind = type(f)
-        if kind is Not:
-            t, at = self._eval(f.child, memo)
-            got = self.defined_mask(at) & ~t, at
-        elif kind is And:
-            tl, al = self._eval(f.left, memo)
-            tr, ar = self._eval(f.right, memo)
-            got = tl & tr, al | ar
-        elif kind is Atom:
-            got = self.atom_true[f.name], frozenset((f.name,))
-        elif kind is Know:
-            t, at = self._eval(f.child, memo)
-            got = self._know(f.agent, t, at), at
-        elif kind is Aware:
-            t, at = self._eval(f.child, memo)
-            got = self._aware(f.agent, t, at), at
-        elif kind is ExplicitKnow:
-            if self.lang is not Lang.LKA:
-                raise ValueError("ExplicitKnow is not a grammar node of L; expand it first")
-            t, at = self._eval(f.child, memo)
-            got = self._aware(f.agent, t, at) & self._know(f.agent, t, at), at
-        elif kind is Top:
-            got = self.full, frozenset()
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        if memo is not None:
-            memo[f] = got
-        return got
-
-    def _know(self, agent, t, at):
-        return box(self.cells[agent], t) & self.defined_mask(at)
-
-    def _aware(self, agent, t, at):
-        m = self.defined_mask(at)
-        if self.lang is Lang.LKA:
-            per = self.aware[agent]
-            for p in at:
-                m &= per[p]
-            return m
-        # under L, A_a f abbreviates K_a f or K_a not K_a f
-        k1 = self._know(agent, t, at)
-        return k1 | self._know(agent, m & ~k1, at)
+        t, at = fold(f, self)
+        return not (self._defined[at] & ~t)
 
 
 def _check_world(k, w):

@@ -126,6 +126,29 @@ def members(mask: int, states):
     return [states[i] for i in range(mask.bit_length()) if (mask >> i) & 1]
 
 
+def meet(bits: int, masks, full: int) -> int:
+    """The AND of full and of masks[i] over the set bits i."""
+    i = 0
+    while bits:
+        if bits & 1:
+            full &= masks[i]
+        bits >>= 1
+        i += 1
+    return full
+
+
+class Filled(dict):
+    """A table whose missing entries are filled by fill(key) on first use."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        got = self[key] = self.fill(key)
+        return got
+
+
 def validate_kripke(m: KripkeModel):
     """Report-style validation; the returned list is empty iff m is well formed."""
     problems = []

@@ -27,7 +27,6 @@ from .formula import (
     atoms_of,
     conj,
     enumerate_formulas,
-    expand_defined,
     formula_count,
     iff,
     implies,
@@ -297,9 +296,8 @@ class ValidityChecker:
     def verdict(self, f: Formula):
         """check(f) without the memo, for a sweep that asks about each
         formula once."""
-        g = expand_defined(f, self.lang)
         witnesses = [(idx, str(s)) for idx, ev in enumerate(self.evaluators)
-                     for s in ev.check(g)[1]]
+                     for s in ev.check(f)[1]]
         return not witnesses, witnesses
 
     def valid(self, f: Formula) -> bool:
@@ -451,7 +449,10 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     lattice = semantics in ("KLM_L", "KLM_LKA")
     capped = False
     for schema in list(suite.schemas) + list(extra_schemas):
-        entry = {"checked": 0, "failures": []}
+        entry = report["schemas"][schema.id] = {"checked": 0, "failures": []}
+        if capped:  # past the cap a schema is listed, not checked
+            entry.update(capped=True, passed=False)
+            continue
         n = schema.meta_arity
         for ags in product(agent_list, repeat=schema.agent_arity):
             verdicts = {}  # class tuple -> witnesses of its first instance
@@ -477,8 +478,7 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
                     break
             if capped:
                 break
-        entry["passed"] = not entry["failures"]
-        report["schemas"][schema.id] = entry
+        entry["passed"] = not entry["failures"] and not capped
     if check_rules:
         _check_rules(checker, suite, metas, agent_list, report)
     if capped:

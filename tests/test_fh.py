@@ -11,9 +11,12 @@ from awarekit.fh import (
     eval_LKA_fh,
     validate_fh,
 )
-from awarekit.formula import Lang, parse
+from awarekit.cli import main
+from awarekit.formula import Lang, parse, to_text
 from awarekit.kripke import KripkeModel
+from awarekit.modelio import store_model
 from awarekit.transforms import fh_transform
+from awarekit.verify import valid_over
 
 from conftest import make_trade, part
 
@@ -41,6 +44,26 @@ def test_explicit_awareness_set_is_structural():
     assert aset.contains(parse("p"))
     assert aset.contains(parse("K{a} p"))
     assert not aset.contains(parse("~p"))
+
+
+def test_explicit_sets_read_x_as_defined(tmp_path, capsys):
+    """A{a} X{b} p on formula-list awareness sets: evaluation, validity and
+    `awarekit eval` agree, whether a's set lists X{b} p or its definition."""
+    base = KripkeModel.make(
+        atoms=["p"], agents=["a", "b"], worlds=["u"],
+        relations={"a": [("u", "u")], "b": [("u", "u")]}, valuation={"p": ["u"]},
+    )
+    f = parse("A{a} X{b} p")
+    for listed in ("A{b} p & K{b} p", "X{b} p"):
+        s = FHModel.make(base, {"a": {"u": Explicit.make([parse(listed)])},
+                                "b": {"u": Explicit.make([parse("p")])}})
+        assert s.awareness["a"]["u"].contains(parse("X{b} p")), listed
+        assert eval_LKA_fh(s, "u", f) is True, listed
+        assert valid_over([s], f, "FH_LKA") == (True, []), listed
+        path = str(tmp_path / "explicit.fh.json")
+        store_model(s, path)
+        assert main(["eval", to_text(f), "--model", path, "--at", "u", "--lang", "LKA"]) == 0
+        assert capsys.readouterr().out.strip() == "True", listed
 
 
 def test_pp_and_ka(fh_trade):

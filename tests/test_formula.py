@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from awarekit.fh import FHEvaluator
+from awarekit.fh import FHEvaluator, eval_L_fh
 from awarekit.formula import (
     MAX_DEPTH,
     MAX_FORMULAS,
@@ -29,8 +29,8 @@ from awarekit.formula import (
     parse,
     to_text,
 )
-from awarekit.hms import DenotationEvaluator
-from awarekit.klm import Evaluator
+from awarekit.hms import DenotationEvaluator, denotation, eval_L_hms
+from awarekit.klm import Evaluator, eval_L
 from awarekit.kripke import WorldId
 from awarekit.transforms import fh_transform, h_transform
 from awarekit.truth import Truth, truth_of
@@ -109,6 +109,27 @@ def test_expand_defined_under_L():
     assert expand_defined(a, Lang.LKA) == a
     x = ExplicitKnow("a", Atom("p"))
     assert expand_defined(x, Lang.LKA) == And(a, k)
+
+
+def test_entry_points_of_L_refuse_what_the_evaluators_unfold():
+    """eval_L, eval_L_fh, eval_L_hms and denotation take formulas of L only.
+    The evaluators behind them read A and X under L by unfolding them, to
+    the values of the expanded formula."""
+    k = make_trade()
+    fh, hms = fh_transform(k), h_transform(k)
+    w = WorldId("w1", frozenset({"i", "l"}))
+    for text in ("A{b} l", "X{b} l", "K{o} ~A{b} (i & X{o} l)"):
+        f = parse(text)
+        for refused in (lambda: eval_L(k, w, f), lambda: eval_L_fh(fh, "w1", f),
+                        lambda: eval_L_hms(hms, "w1@{i,l}", f), lambda: denotation(hms, f)):
+            with pytest.raises(ValueError, match="language"):
+                refused()
+        g = expand_defined(f, Lang.L)
+        for v in Evaluator(k, Lang.L).states:
+            assert Evaluator(k, Lang.L).value(f, v) is eval_L(k, v, g), (text, v)
+        for v in sorted(fh.base.worlds):
+            assert FHEvaluator(fh, Lang.L).value(f, v) is eval_L_fh(fh, v, g), (text, v)
+        assert DenotationEvaluator(hms).denotation(f) == denotation(hms, g), text
 
 
 def test_iff_shape():
@@ -213,7 +234,8 @@ def test_flat_chains_and_parentheses_are_not_nesting():
 
 def test_nesting_bound_stays_under_the_recursion_limit():
     """At the bound, parsing, printing, expansion and every evaluator (also
-    on the L expansion of nested A and X) run under Python's default limit."""
+    on nested A and X under L, unexpanded as fold unfolds them and expanded)
+    run under Python's default limit."""
     k = make_trade()
     fh, hms = fh_transform(k), h_transform(k)
     w = WorldId("w1", frozenset({"i", "l"}))
@@ -227,9 +249,10 @@ def test_nesting_bound_stays_under_the_recursion_limit():
             expand_defined(f, Lang.LKA)
             Evaluator(k, Lang.LKA).value(f, w)
             FHEvaluator(fh, Lang.LKA).value(f, "w1")
-            Evaluator(k, Lang.L).value(g, w)
-            FHEvaluator(fh, Lang.L).value(g, "w1")
-            DenotationEvaluator(hms).value(g, "w1@{i,l}")
+            for h in (f, g):
+                Evaluator(k, Lang.L).value(h, w)
+                FHEvaluator(fh, Lang.L).value(h, "w1")
+                DenotationEvaluator(hms).value(h, "w1@{i,l}")
     finally:
         sys.setrecursionlimit(limit)
 
