@@ -32,9 +32,9 @@ from .klm import (
 from .kripke import KripkeModel, parse_world_id, relation_properties, validate_kripke
 from .modelio import fixture_path, load_model, store_model
 from .transforms import transform
-from .truth import truth_of
 from .verify import (
     SCHEMA_5,
+    _signature_of,
     check_equiv_fh_klm,
     check_L_equiv_hms_klm,
     check_L_equiv_klm_hms,
@@ -107,10 +107,12 @@ def _cmd_check(args):
         problems = list(validate_fh(model))
         pp = check_pp(model)
         ka_ok, ka_witnesses = check_ka(model)
-        properties = {f"pp ({pp['verdict']})": pp["passed"], "ka": ka_ok}
+        pp_name = f"pp ({pp['verdict']})"
+        properties = {pp_name: pp["passed"], "ka": ka_ok}
         witnesses = {}
         if pp["witnesses"]:
-            witnesses["pp"] = pp["witnesses"][0]
+            agent, world, formula = pp["witnesses"][0]
+            witnesses[pp_name] = (agent, world, to_text(formula))
         if ka_witnesses:
             witnesses["ka"] = ka_witnesses[0]
     elif isinstance(model, KripkeModel):
@@ -145,30 +147,20 @@ def _cmd_eval(args):
     f = parse(args.formula, Lang.LKA)
     if lang is Lang.L and ExplicitKnow in node_kinds(f):
         raise UsageError("X{a} has no reading in the language L")
+    at = args.at
     if isinstance(model, KripkeLatticeModel):
-        w = parse_world_id(args.at, model.base.atoms)
-        if w.base not in model.base.worlds:
-            raise UsageError(f"no such world: {w.base}")
-        if not w.vocabulary <= model.base.atoms:
-            raise UsageError(f"vocabulary of {args.at} is not a subset of the atoms")
-        require_signature(f, model.base.atoms, model.base.agents)
+        at = parse_world_id(at, model.base.atoms)
         ev = Evaluator(model, lang, strict_two_valued=args.strict_two_valued)
-        value = ev.value(f, w)
     elif isinstance(model, HMSModel):
         if lang is not Lang.L:
             raise UsageError("space-lattice models only interpret the language L")
-        if args.at not in model.frame.state_space:
-            raise UsageError(f"unknown state {args.at!r}")
-        require_signature(f, model.atoms, model.frame.agents)
-        value = DenotationEvaluator(model).value(f, args.at)
+        ev = DenotationEvaluator(model)
     elif isinstance(model, FHModel):
-        if args.at not in model.base.worlds:
-            raise UsageError(f"no such world: {args.at}")
-        require_signature(f, model.base.atoms, model.base.agents)
-        value = truth_of(FHEvaluator(model, lang).value(f, args.at))
+        ev = FHEvaluator(model, lang)
     else:
         raise UsageError("plain Kripke models carry no awareness; nothing to evaluate")
-    print(value.value)
+    require_signature(f, *_signature_of(model))
+    print(ev.value(f, at).value)
     return 0
 
 

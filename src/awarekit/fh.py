@@ -18,12 +18,12 @@ from .formula import (
     atoms_of,
     enumerate_formulas,
     expand_defined,
-    fold,
     in_language,
     require_signature,
     terms,
 )
-from .kripke import Filled, KripkeModel, box, group_cells, members, validate_kripke
+from .kripke import Filled, KripkeModel, box, group_cells, validate_kripke
+from .truth import MaskEvaluator, Truth
 
 
 @dataclass(frozen=True)
@@ -148,20 +148,19 @@ def check_ka(s: FHModel):
     return not witnesses, witnesses
 
 
-class FHEvaluator:
+class FHEvaluator(MaskEvaluator):
     """Bitmask evaluator for one model, two-valued: the set of worlds where
     a formula is True, as an int over the sorted worlds, computed by
-    `formula.fold` once per distinct subformula. A signature pairs the true
-    mask with what awareness reads: the atom set, as an int over the sorted
-    atoms, or, where some awareness set is Explicit, the formula itself, with
-    the defined operators unfolded as fold unfolds them."""
+    `formula.fold` once per distinct subformula; it is False elsewhere. A
+    signature pairs the true mask with what awareness reads: the atom set, as
+    an int over the sorted atoms, or, where some awareness set is Explicit,
+    the formula itself, with the defined operators unfolded as fold unfolds
+    them."""
 
     def __init__(self, s: FHModel, lang: Lang):
         self.s = s
         self.lang = lang
-        self.states = sorted(s.base.worlds)
-        self.index = {w: i for i, w in enumerate(self.states)}
-        self.full = (1 << len(self.states)) - 1
+        super().__init__(sorted(s.base.worlds))
         self.atom_true = {
             p: sum(1 << self.index[w] for w in holds) for p, holds in s.base.valuation.items()
         }
@@ -192,7 +191,6 @@ class FHEvaluator:
             return Filled(lambda key: sum(1 << i for i, has in enumerate(held) if has(key)))
 
         self._aware = {a: awareness(a) for a in s.base.agents}
-        self._memo = {}
 
     # the algebra of (true mask, key) signatures
     def top(self):
@@ -221,27 +219,8 @@ class FHEvaluator:
     def aware(self, agent, s):
         return self._aware[agent][s[1]], self._keys.aware(agent, s[1])
 
-    def defined_mask(self, atoms) -> int:
-        """Every formula has a truth value at every world."""
-        return self.full
-
-    def true_mask(self, f: Formula) -> int:
-        return fold(f, self, self._memo)[0]
-
-    def value(self, f: Formula, w) -> bool:
-        return bool((self.true_mask(f) >> self.index[w]) & 1)
-
-    def check(self, g: Formula):
-        """Validity of g; the worlds where it fails, in sorted order."""
-        bad = self.full & ~self.true_mask(g)
-        if not bad:
-            return True, []
-        return False, members(bad, self.states)
-
-
-def _check_world(s, w):
-    if w not in s.base.worlds:
-        raise KeyError(f"unknown world {w!r}")
+    def masks(self, s):
+        return s[0], self.full & ~s[0]
 
 
 def eval_L_fh(s: FHModel, w, f: Formula, evaluator=None) -> bool:
@@ -250,16 +229,14 @@ def eval_L_fh(s: FHModel, w, f: Formula, evaluator=None) -> bool:
     model's language are an error, not a third value."""
     if not in_language(f, Lang.L):
         raise ValueError("formula is not in the explicit-knowledge language; expand it first")
-    _check_world(s, w)
     require_signature(f, s.base.atoms, s.base.agents)
     ev = evaluator or FHEvaluator(s, Lang.L)
-    return ev.value(f, w)
+    return ev.value(f, w) is Truth.TRUE
 
 
 def eval_LKA_fh(s: FHModel, w, f: Formula, evaluator=None) -> bool:
     """Two-valued satisfaction with K implicit, A by awareness-set membership,
     and X as their conjunction."""
-    _check_world(s, w)
     require_signature(f, s.base.atoms, s.base.agents)
     ev = evaluator or FHEvaluator(s, Lang.LKA)
-    return ev.value(f, w)
+    return ev.value(f, w) is Truth.TRUE

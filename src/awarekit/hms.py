@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import Atom, Formula, Lang, atoms_of, fold, in_language, require_signature
+from .formula import Atom, Formula, Lang, fold, in_language, require_signature
 from .klm import PropertyReport
 from .kripke import box, group_cells, members, relabel
-from .truth import Truth, truth_at
+from .truth import MaskEvaluator, Truth
 
 MAX_FRAME_STATES = 10_000
 
@@ -341,12 +341,13 @@ def validate_model(m: HMSModel) -> PropertyReport:
 
 
 def defined_atoms(m: HMSModel, O, evaluator=None) -> frozenset:
-    """Atoms with a defined truth value throughout the state set O."""
+    """Atoms with a defined truth value throughout the state set O: in the
+    True or the False mask of the atom, which are disjoint."""
     ev, O = evaluator or DenotationEvaluator(m), m.frame.mask(O)
-    return frozenset(p for p in m.valuation if not O & ~ev.defined_mask((p,)))
+    return frozenset(p for p in m.valuation if not O & ~sum(ev.truth_masks(Atom(p))))
 
 
-class DenotationEvaluator:
+class DenotationEvaluator(MaskEvaluator):
     """Compositional event-denotation evaluator with a per-instance memo.
     A denotation is a (base space, base mask, up-closure mask) triple over the
     frame's states: True where its up-closure holds the state, False where
@@ -355,13 +356,12 @@ class DenotationEvaluator:
 
     def __init__(self, m: HMSModel):
         self.m = m
-        self.states = m.frame.states
-        self._den, self._masks = {}, {}
+        super().__init__(m.frame.states)
 
     lang = Lang.L
 
     def denotation(self, f: Formula) -> Event:
-        space, base, _ = fold(f, self, self._den)
+        space, base, _ = fold(f, self, self._memo)
         return Event(space, frozenset(members(base, self.states)))
 
     # the event algebra on triples, for fold
@@ -389,40 +389,8 @@ class DenotationEvaluator:
         fr = self.m.frame
         return _based(fr, box(fr.cells[agent], s[2]), s[0], "knowledge set")
 
-    def truth_masks(self, f: Formula):
-        """(True mask, False mask) of f; the rest of the states are Undefined."""
-        got = self._masks.get(f)
-        if got is None:
-            space, base, up = fold(f, self, self._den)
-            got = self._masks[f] = up, _neg(self.m.frame, space, base)[2] & ~up
-        return got
-
-    def true_mask(self, f: Formula) -> int:
-        return self.truth_masks(f)[0]
-
-    def defined_mask(self, atoms) -> int:
-        """States where every atom of the set has a truth value; an atom
-        without valuation has none anywhere."""
-        out = self.m.frame.full
-        for p in atoms:
-            if p not in self.m.valuation:
-                return 0
-            true, false = self.truth_masks(Atom(p))
-            out &= true | false
-        return out
-
-    def value(self, f: Formula, state) -> Truth:
-        i = self.m.frame.index[state]
-        return truth_at(*self.truth_masks(f), i)
-
-    def check(self, g: Formula):
-        """Guarded validity of g: True wherever its atoms are defined;
-        the failing states in sorted order."""
-        defined = self.defined_mask(atoms_of(g))
-        bad = defined & ~self.true_mask(g) if defined else 0
-        if not bad:
-            return True, []
-        return False, members(bad, self.states)
+    def masks(self, s):
+        return s[2], _neg(self.m.frame, s[0], s[1])[2] & ~s[2]
 
 
 def denotation(m: HMSModel, f: Formula) -> Event:
@@ -436,7 +404,5 @@ def eval_L_hms(m: HMSModel, state, f: Formula, evaluator=None) -> Truth:
     negation's, Undefined otherwise."""
     if not in_language(f, Lang.L):
         raise ValueError("formula is not in the explicit-knowledge language; expand it first")
-    if state not in m.frame.state_space:
-        raise KeyError(f"unknown state {state!r}")
     require_signature(f, m.atoms, m.frame.agents)
     return (evaluator or DenotationEvaluator(m)).value(f, state)

@@ -14,10 +14,9 @@ import os
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .formula import Formula, Lang, fold, in_language, require_signature
-from .kripke import (Filled, KripkeModel, WorldId, box, group_cells, meet, members,
-                     validate_kripke)
-from .truth import Truth, truth_at
+from .formula import Formula, Lang, in_language, require_signature
+from .kripke import Filled, KripkeModel, WorldId, box, group_cells, meet, validate_kripke
+from .truth import MaskEvaluator, Truth
 
 DEFAULT_LATTICE_CAP = 12
 
@@ -26,8 +25,8 @@ def lattice_cap() -> int:
     return int(os.environ.get("AWAREKIT_LATTICE_CAP", DEFAULT_LATTICE_CAP))
 
 
-def _check_cap(atoms, override=False):
-    if not override and len(atoms) > lattice_cap():
+def _check_cap(atoms):
+    if len(atoms) > lattice_cap():
         raise ValueError(
             f"refusing exhaustive scan over {len(atoms)} atoms "
             f"(cap {lattice_cap()}; set AWAREKIT_LATTICE_CAP to override)"
@@ -67,10 +66,10 @@ class KripkeLatticeModel:
             raise KeyError(f"unknown world {world!r}")
         return self.awareness[agent][world]
 
-    def omega(self, override_cap=False):
+    def omega(self):
         """All world copies w_X, ordered by world id, then by vocabulary from
         the full set downwards (so full-vocabulary copies come first)."""
-        _check_cap(self.base.atoms, override_cap)
+        _check_cap(self.base.atoms)
         vocabularies = sorted(
             subsets(self.base.atoms), key=lambda X: (-len(X), tuple(sorted(X)))
         )
@@ -141,9 +140,9 @@ class PropertyReport:
         return all(self.passed.get(n, False) for n in names)
 
 
-def induced_pointwise(base: KripkeModel, awareness, override_cap=False):
+def induced_pointwise(base: KripkeModel, awareness):
     """The total pointwise map agent -> {w_X: w_Y} induced by an assignment."""
-    _check_cap(base.atoms, override_cap)
+    _check_cap(base.atoms)
     out = {}
     for a in base.agents:
         per = {}
@@ -155,10 +154,10 @@ def induced_pointwise(base: KripkeModel, awareness, override_cap=False):
     return out
 
 
-def check_awareness_properties(base: KripkeModel, pointwise, override_cap=False):
+def check_awareness_properties(base: KripkeModel, pointwise):
     """Check Downwards, Introspective Idempotence and No Surprises on a total
     pointwise awareness map over the full restriction lattice."""
-    _check_cap(base.atoms, override_cap)
+    _check_cap(base.atoms)
     all_subsets = subsets(base.atoms)
     for a in sorted(base.agents):
         per = pointwise.get(a)
@@ -208,11 +207,11 @@ def check_awareness_properties(base: KripkeModel, pointwise, override_cap=False)
     return report
 
 
-def canonicalize(base: KripkeModel, pointwise, override_cap=False):
+def canonicalize(base: KripkeModel, pointwise):
     """Extract the awareness assignment Aw_a(w) = vocabulary of the image of
     w_At from a D- and NS-satisfying pointwise map; fails with a witness if
     the map violates either property."""
-    report = check_awareness_properties(base, pointwise, override_cap)
+    report = check_awareness_properties(base, pointwise)
     for prop in ("D", "NS"):
         if not report.passed.get(prop, False):
             raise ValueError(f"property {prop} fails: witness {report.witnesses[prop]}")
@@ -233,7 +232,7 @@ def canonicalize(base: KripkeModel, pointwise, override_cap=False):
 # three-valued satisfaction
 
 
-class Evaluator:
+class Evaluator(MaskEvaluator):
     """Bitmask evaluator for one model; safe to reuse across formulas.
 
     States are the world copies in omega order and a set of states is a
@@ -249,9 +248,7 @@ class Evaluator:
         self.k = k
         self.lang = lang
         self.strict = strict_two_valued
-        self.states = k.omega()
-        self.index = {s: i for i, s in enumerate(self.states)}
-        self.full = (1 << len(self.states)) - 1
+        super().__init__(k.omega())
         base = k.base
         atoms = sorted(base.atoms)
         self.bit = {p: 1 << i for i, p in enumerate(atoms)}
@@ -289,7 +286,6 @@ class Evaluator:
                 Y = s.vocabulary & k.awareness[a][s.base] if lang is Lang.L else top
                 cells.append(sum(1 << self.index[WorldId(v, Y)] for v in succ[s.base]))
             self.cells[a] = group_cells(cells)
-        self._memo = {}
 
     # the algebra of (true mask, atom set) signatures
     def top(self):
@@ -311,39 +307,8 @@ class Evaluator:
     def aware(self, agent, s):
         return self._aware[agent][s[1]], s[1]
 
-    def defined_mask(self, atoms) -> int:
-        """States where every atom of the set has a truth value."""
-        return self._defined[sum(self.bit[p] for p in atoms)]
-
-    def true_mask(self, f: Formula) -> int:
-        return fold(f, self, self._memo)[0]
-
-    def truth_masks(self, f: Formula):
-        """(True mask, False mask) of f; the rest of the states are Undefined."""
-        t, at = fold(f, self, self._memo)
-        return t, self._defined[at] & ~t
-
-    def value(self, f: Formula, w: WorldId) -> Truth:
-        i = self.index[w]
-        return truth_at(*self.truth_masks(f), i)
-
-    def check(self, g: Formula):
-        """Guarded validity of g; witnesses in state order."""
-        bad = self.truth_masks(g)[1]
-        if not bad:
-            return True, []
-        return False, members(bad, self.states)
-
-    def valid(self, f: Formula) -> bool:
-        """Guarded validity of f, in one walk that memoizes nothing, so that
-        a sweep over many instances keeps no memory."""
-        t, at = fold(f, self)
-        return not (self._defined[at] & ~t)
-
-
-def _check_world(k, w):
-    if w.base not in k.base.worlds or not w.vocabulary <= k.base.atoms:
-        raise KeyError(f"world {w} is not in the model")
+    def masks(self, s):
+        return s[0], self._defined[s[1]] & ~s[0]
 
 
 def eval_L(k: KripkeLatticeModel, w: WorldId, f: Formula, evaluator=None) -> Truth:
@@ -354,7 +319,6 @@ def eval_L(k: KripkeLatticeModel, w: WorldId, f: Formula, evaluator=None) -> Tru
     """
     if not in_language(f, Lang.L):
         raise ValueError("formula is not in the explicit-knowledge language; expand it first")
-    _check_world(k, w)
     require_signature(f, k.base.atoms, k.base.agents)
     ev = evaluator or Evaluator(k, Lang.L)
     return ev.value(f, w)
@@ -368,7 +332,6 @@ def eval_LKA(k: KripkeLatticeModel, w: WorldId, f: Formula, evaluator=None,
     With strict_two_valued the definedness guards are dropped and atoms read
     from the top valuation, giving a fully two-valued reading.
     """
-    _check_world(k, w)
     require_signature(f, k.base.atoms, k.base.agents)
     ev = evaluator or Evaluator(k, Lang.LKA, strict_two_valued)
     return ev.value(f, w)

@@ -30,6 +30,7 @@ from .formula import (
     formula_count,
     iff,
     implies,
+    require_signature,
     to_text,
 )
 from .hms import DenotationEvaluator, HMSModel
@@ -254,8 +255,8 @@ def check_equiv_fh_klm(x, lang: Lang, depth: int) -> EquivalenceReport:
 
     def masks(f):
         right = from_fh(ev_fh.true_mask(f))
-        left, covering = ev_klm.true_mask(f), ev_klm.defined_mask(atoms_of(f))
-        return (left, covering & ~left), (right, ev_klm.full & ~right), covering
+        left = ev_klm.truth_masks(f)
+        return left, (right, ev_klm.full & ~right), left[0] | left[1]
 
     pairs = [WorldId(w, X) for w in sorted(klm.base.worlds) for X in subsets(klm.base.atoms)]
     return _equivalence(language, (ev_fh, ev_klm),
@@ -270,8 +271,8 @@ SEMANTICS = ("HMS", "KLM_L", "KLM_LKA", "FH_L", "FH_LKA")
 
 
 class ValidityChecker:
-    """Guarded validity over a fixed corpus, with evaluators and verdicts
-    shared across queries so large instantiation sweeps stay cheap."""
+    """Guarded validity over a fixed corpus, with one evaluator per model
+    shared across queries."""
 
     def __init__(self, models, semantics: str):
         if semantics not in SEMANTICS:
@@ -285,30 +286,27 @@ class ValidityChecker:
             self.evaluators = [Evaluator(m, self.lang) for m in self.models]
         else:
             self.evaluators = [FHEvaluator(m, self.lang) for m in self.models]
-        self._verdicts = {}
 
     def check(self, f: Formula):
-        got = self._verdicts.get(f)
-        if got is None:
-            got = self._verdicts[f] = self.verdict(f)
-        return got
-
-    def verdict(self, f: Formula):
-        """check(f) without the memo, for a sweep that asks about each
-        formula once."""
+        """Validity of f and its witnesses: (model index, state) pairs."""
         witnesses = [(idx, str(s)) for idx, ev in enumerate(self.evaluators)
                      for s in ev.check(f)[1]]
         return not witnesses, witnesses
 
     def valid(self, f: Formula) -> bool:
-        return self.check(f)[0]
+        """check(f)[0], one walk per model that memoizes nothing."""
+        return all(ev.valid(f) for ev in self.evaluators)
 
 
 def valid_over(models, f: Formula, semantics: str):
     """Guarded validity: truth at every state where all the formula's atoms
     are defined. The two-valued awareness-structure semantics has no
-    undefined states, so there it is plain validity."""
-    return ValidityChecker(models, semantics).check(f)
+    undefined states, so there it is plain validity. Atoms or agents
+    outside a model's are refused."""
+    checker = ValidityChecker(models, semantics)
+    for m in checker.models:
+        require_signature(f, *_signature_of(m))
+    return checker.check(f)
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +407,15 @@ def _suite_semantics(suite, model):
     raise TypeError(f"unsupported model class {type(model).__name__}")
 
 
+def _signature_of(m):
+    """The atoms and agents of a model."""
+    return (m.atoms, m.frame.agents) if isinstance(m, HMSModel) else (m.base.atoms, m.base.agents)
+
+
 def _model_signature(models):
     """The atoms and agents of the corpus. Each evaluator knows only its own
     model's atoms and agents, so models that differ in them are refused."""
-    sigs = [(m.atoms, m.frame.agents) if isinstance(m, HMSModel) else
-            (m.base.atoms, m.base.agents) for m in models]
+    sigs = [_signature_of(m) for m in models]
     for sig in sigs[1:]:
         if sig != sigs[0]:
             raise ValueError("the models differ in signature: " + " vs ".join(
@@ -446,7 +448,6 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
 
     checker = ValidityChecker(models, semantics)
     ids = _signature_classes(checker, metas)
-    lattice = semantics in ("KLM_L", "KLM_LKA")
     capped = False
     for schema in list(suite.schemas) + list(extra_schemas):
         entry = report["schemas"][schema.id] = {"checked": 0, "failures": []}
@@ -458,11 +459,10 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
             verdicts = {}  # class tuple -> witnesses of its first instance
             for ms, key in zip(product(metas, repeat=n), product(ids, repeat=n)):
                 if key not in verdicts:
-                    # on lattice models one unmemoized walk per model decides,
-                    # and only a failing instance is checked for its witnesses
+                    # one unmemoized walk per model decides, and only a
+                    # failing instance is checked for its witnesses
                     f = schema.build(ms, ags)
-                    valid = lattice and all(ev.valid(f) for ev in checker.evaluators)
-                    verdicts[key] = [] if valid else checker.verdict(f)[1]
+                    verdicts[key] = [] if checker.valid(f) else checker.check(f)[1]
                 witnesses = verdicts[key]
                 entry["checked"] += 1
                 report["checked"] += 1
@@ -507,8 +507,9 @@ def _check_rules(checker, suite, metas, agent_list, report):
         entry = {"premise_valid": 0, "vacuous": 0, "violations": []}
         if rule == "MP":
             for f in small:
+                f_valid = valid(f)
                 for g in small:
-                    if valid(f) and valid(implies(f, g)):
+                    if f_valid and valid(implies(f, g)):
                         entry["premise_valid"] += 1
                         if not valid(g):
                             entry["violations"].append((to_text(f), to_text(g)))

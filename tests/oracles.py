@@ -278,7 +278,7 @@ def equiv_fh_klm(x, lang, depth):
         at = atoms_of(f)
         covering = [X for X in vocabularies if at <= X]
         for w in sorted(klm.base.worlds):
-            right = truth_of(ev_fh.value(f, w))
+            right = ev_fh.value(f, w)
             for X in covering:
                 left = ev_klm.value(f, WorldId(w, X))
                 report.checked += 1

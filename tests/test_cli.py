@@ -102,6 +102,32 @@ def test_eval_unknown_atoms_in_every_model_class(tmp_path, capsys):
     assert "'" not in message
 
 
+def test_eval_unknown_state_in_every_model_class(tmp_path, capsys):
+    hms_path = str(tmp_path / "trade.hms.json")
+    assert run(capsys, "transform", "--kind", "H", "--in", TRADE, "--out", hms_path)[0] == 0
+    errors = [run(capsys, "eval", "i", "--model", model, "--at", "w9")
+              for model in (TRADE, TRADE_FH, hms_path)]
+    assert errors == [(2, "", "awarekit: unknown state 'w9@{i,l}'\n"),
+                      (2, "", "awarekit: unknown state 'w9'\n"),
+                      (2, "", "awarekit: unknown state 'w9'\n")]
+
+
+def test_check_prints_the_pp_witness(tmp_path, capsys):
+    """An Explicit awareness set that fails PP: the witness is keyed by the
+    property's name and shows the formula as text."""
+    body = json.loads(fixture_path("trade.fh.json").read_text())
+    body["awareness_sets"]["b"] = dict.fromkeys(("w1", "w2", "w3"),
+                                                {"kind": "explicit", "formulas": ["i"]})
+    path = tmp_path / "pp.fh.json"
+    path.write_text(json.dumps(body))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1
+    assert "pp (bounded): FAIL\n  witness: ('b', 'w1', 'T')\n" in out
+    code, out, _ = run(capsys, "check", str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["witnesses"] == {"pp (bounded)": "('b', 'w1', 'T')"}
+
+
 def test_eval_fh_model(capsys):
     code, out, _ = run(capsys, "eval", "A{b} l", "--model", TRADE_FH,
                        "--at", "w2", "--lang", "LKA")

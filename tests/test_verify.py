@@ -84,6 +84,16 @@ def test_valid_over_semantics(trade_m):
         valid_over([trade_m], t_axiom, "nope")
 
 
+def test_valid_over_refuses_unknown_atoms_and_agents(trade_m):
+    models = [("KLM_L", trade_m), ("KLM_LKA", trade_m), ("HMS", h_transform(trade_m)),
+              ("FH_L", fh_transform(trade_m)), ("FH_LKA", fh_transform(trade_m))]
+    for text, message in (("zz | ~zz", "atoms outside the model: zz"),
+                          ("K{c} i -> i", "agents outside the model: c")):
+        for semantics, model in models:
+            with pytest.raises(KeyError, match=f"^'formula mentions {message}'$"):
+                valid_over([model], parse(text, Lang.L), semantics)
+
+
 def test_set_evaluator_matches_per_state(trade_m):
     from awarekit.formula import enumerate_formulas
     for lang, semantics in [(Lang.L, "KLM_L"), (Lang.LKA, "KLM_LKA")]:
