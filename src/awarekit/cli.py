@@ -227,7 +227,9 @@ def _cmd_axioms(args):
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
     lines = [f"suite: {suite.name}, instantiation depth {args.depth}, "
-             f"{report['checked']} instances"]
+             f"{report['checked']} instances",
+             f"{report['checked']} instances covered by {report['class_tuples']} class tuples "
+             f"over {report['classes']} classes"]
     for sid, entry in report["schemas"].items():
         verdict = "FAIL" if entry["failures"] else "pass"
         if entry.get("capped"):  # a pass cut short by the cap is no verdict
@@ -236,6 +238,9 @@ def _cmd_axioms(args):
         if entry["failures"]:
             first = entry["failures"][0]
             lines.append(f"  witness: {first['formula']} at {first['state']}")
+            if "instances" in first:  # listed per failing class tuple
+                lines.append(f"  failing: {sum(f['instances'] for f in entry['failures'])} "
+                             f"instances in {len(entry['failures'])} class tuples")
     for rule, entry in report["rules"].items():
         lines.append(f"rule {rule}: "
                      f"{'preserved' if entry['preserved'] else 'VIOLATED'} "

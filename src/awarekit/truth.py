@@ -4,6 +4,7 @@ that every evaluator reads them from."""
 from __future__ import annotations
 
 import enum
+from types import SimpleNamespace
 
 from .formula import Formula, fold
 from .kripke import members
@@ -47,6 +48,9 @@ class MaskEvaluator:
         self.full = (1 << len(states)) - 1
         self._memo, self._masks = {}, {}
 
+    def signature(self, f: Formula):
+        return fold(f, self, self._memo)
+
     def truth_masks(self, f: Formula):
         """(True mask, False mask) of f, computed once per signature."""
         sig = fold(f, self, self._memo)
@@ -77,3 +81,31 @@ class MaskEvaluator:
         """check(f)[0] in one walk that memoizes nothing, so that a sweep
         over many instances keeps no memory."""
         return not self.masks(fold(f, self))[1]
+
+
+def compile_program(f: Formula, holes, lang):
+    """f as a straight-line program of algebra ops, one step per slot after
+    the slots of the placeholder atoms `holes`, recorded by `fold` in lang (A
+    and X unfold as in fold; a shared subterm is one step). Gives run(alg,
+    sigs): the signature of f in alg, with the signatures sigs in the holes."""
+    steps = []
+
+    def emit(step):
+        steps.append(step)
+        return len(holes) + len(steps) - 1
+
+    out = fold(f, SimpleNamespace(
+        lang=lang, top=lambda: emit(lambda alg, s: alg.top()),
+        atom=lambda p: emit(lambda alg, s: alg.atom(p)),
+        neg=lambda i: emit(lambda alg, s: alg.neg(s[i])),
+        conj=lambda i, j: emit(lambda alg, s: alg.conj(s[i], s[j])),
+        know=lambda a, i: emit(lambda alg, s: alg.know(a, s[i])),
+        aware=lambda a, i: emit(lambda alg, s: alg.aware(a, s[i]))),
+        {h: i for i, h in enumerate(holes)})
+
+    def run(alg, sigs):
+        s = list(sigs)
+        for step in steps:
+            s.append(step(alg, s))
+        return s[out]
+    return run

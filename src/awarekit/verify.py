@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
+from math import prod
 
 from .fh import Explicit, FHEvaluator, FHModel, check_ka
 from .formula import (
@@ -38,7 +39,7 @@ from .klm import Evaluator, KripkeLatticeModel, subsets, validate_klm
 from .kripke import KripkeModel, WorldId, relabel
 from .transforms import (_require_partitional, fh_transform, h_transform, k_transform,
                          l_transform)
-from .truth import truth_at
+from .truth import compile_program, truth_at
 
 INSTANTIATION_CAP = 10 ** 6
 
@@ -428,7 +429,9 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     """Instantiate every schema with all metavariable fillings up to the given
     depth and all agent tuples, apply guarded validity over the model corpus,
     and report per schema. Rules are reported as validity preservation over
-    the same corpus (a necessary condition only)."""
+    the same corpus (a necessary condition only). Each schema runs once per
+    tuple of filling classes; past INSTANTIATION_CAP instances a failure is
+    listed per class tuple, with its first instance and instance count."""
     if not models:
         raise ValueError("empty model corpus")
     semantics = _suite_semantics(suite, models[0])
@@ -442,40 +445,59 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     lang = Lang.L if suite.name == "HMS" else Lang.LKA
     metas = enumerate_formulas(atoms, agents, inst_depth, lang)
     agent_list = sorted(agents)
+    checker = ValidityChecker(models, semantics)
+    ids, reps = _signature_classes(checker, metas)
+    sizes = Counter(ids)
+
+    def weight(key):  # the number of instances in a class tuple
+        return prod(sizes[c] for c in key)
+
+    fills = [[ev.signature(f) for f in reps] for ev in checker.evaluators]
     report = {"kind": "axioms", "suite": suite.name, "depth": inst_depth,
-              "checked": 0, "schemas": {}, "rules": {}, "failures": [],
+              "checked": 0, "classes": len(reps), "class_tuples": 0, "schemas": {},
+              "rules": {}, "failures": [],
               "rule_note": "rules checked as validity preservation over this corpus only"}
 
-    checker = ValidityChecker(models, semantics)
-    ids = _signature_classes(checker, metas)
+    schemas = list(suite.schemas) + list(extra_schemas)
+    per_instance = sum(len(agent_list) ** s.agent_arity * len(metas) ** s.meta_arity
+                       for s in schemas) <= INSTANTIATION_CAP
     capped = False
-    for schema in list(suite.schemas) + list(extra_schemas):
+    for schema in schemas:
         entry = report["schemas"][schema.id] = {"checked": 0, "failures": []}
         if capped:  # past the cap a schema is listed, not checked
             entry.update(capped=True, passed=False)
             continue
         n = schema.meta_arity
+        holes = [Atom(f"${i}") for i in range(n)]  # names the parser never gives
         for ags in product(agent_list, repeat=schema.agent_arity):
-            verdicts = {}  # class tuple -> witnesses of its first instance
-            for ms, key in zip(product(metas, repeat=n), product(ids, repeat=n)):
-                if key not in verdicts:
-                    # one unmemoized walk per model decides, and only a
-                    # failing instance is checked for its witnesses
-                    f = schema.build(ms, ags)
-                    verdicts[key] = [] if checker.valid(f) else checker.check(f)[1]
-                witnesses = verdicts[key]
-                entry["checked"] += 1
-                report["checked"] += 1
-                if witnesses:
-                    failure = {"formula": to_text(schema.build(ms, ags)),
-                               "state": str(witnesses[0][1]),
-                               "left": "Undefined" if semantics == "HMS" else "not True",
-                               "right": "True"}
-                    entry["failures"].append(failure)
-                    report["failures"].append({"schema": schema.id, **failure})
-                if report["checked"] > INSTANTIATION_CAP:
+            run = compile_program(schema.build(holes, ags), holes, checker.lang)
+            failing = {}  # class tuple -> witness state
+            for done, key in enumerate(product(range(len(reps)), repeat=n), 1):
+                for ev, sigs in zip(checker.evaluators, fills):  # every model, as check() does
+                    bad = ev.masks(run(ev, [sigs[c] for c in key]))[1]
+                    if bad and key not in failing:
+                        failing[key] = str(ev.states[(bad & -bad).bit_length() - 1])
+                report["class_tuples"] += 1
+                if report["class_tuples"] > INSTANTIATION_CAP:
                     entry["capped"] = capped = True
                     break
+            if capped:  # the instances of the class tuples evaluated
+                covered = sum(map(weight, islice(product(range(len(reps)), repeat=n), done)))
+            else:
+                covered = len(metas) ** n
+            entry["checked"] += covered
+            report["checked"] += covered
+            if per_instance and failing:
+                failures = [(ms, failing[key], {}) for ms, key in zip(
+                    product(metas, repeat=n), product(ids, repeat=n)) if key in failing]
+            else:
+                failures = [([reps[c] for c in key], state, {"instances": weight(key)})
+                            for key, state in failing.items()]
+            for ms, state, extra in failures:
+                failure = {"formula": to_text(schema.build(ms, ags)), "state": state,
+                           "left": "not True", "right": "True", **extra}
+                entry["failures"].append(failure)
+                report["failures"].append({"schema": schema.id, **failure})
             if capped:
                 break
         entry["passed"] = not entry["failures"] and not capped
@@ -490,13 +512,16 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
 
 
 def _signature_classes(checker, metas):
-    """The class id of each metavariable filling: an instance's verdict and
-    witnesses depend only on each filling's signature, unless awareness sets
-    read syntax, where each formula is its own class."""
+    """The class id of each metavariable filling, and each class's first
+    member: an instance's verdict and witnesses depend only on each filling's
+    signature, unless awareness sets read syntax, where each formula is its
+    own class."""
     if _reads_syntax(checker.models):
-        return list(range(len(metas)))
-    classes = {}
-    return [classes.setdefault(_signature(f, checker.evaluators), len(classes)) for f in metas]
+        return list(range(len(metas))), metas
+    classes = {}  # signature -> (class id, first member)
+    ids = [classes.setdefault(_signature(f, checker.evaluators), (len(classes), f))[0]
+           for f in metas]
+    return ids, [f for _, f in classes.values()]
 
 
 def _check_rules(checker, suite, metas, agent_list, report):

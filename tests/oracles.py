@@ -316,8 +316,7 @@ def axiom_sweep(models, suite, depth, extra_schemas=()):
                 report["checked"] += 1
                 if bad:
                     failure = {"formula": to_text(f), "state": str(bad[0]),
-                               "left": "Undefined" if semantics == "HMS" else "not True",
-                               "right": "True"}
+                               "left": "not True", "right": "True"}
                     entry["failures"].append(failure)
                     report["failures"].append({"schema": schema.id, **failure})
                 if report["checked"] > verify.INSTANTIATION_CAP:

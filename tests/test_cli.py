@@ -10,7 +10,7 @@ import awarekit
 from awarekit import verify
 from awarekit.cli import main
 from awarekit.modelio import fixture_path, load_model
-from awarekit.verify import SCHEMA_5, check_axiom_suite, hms_suite
+from awarekit.verify import check_axiom_suite, lga_suite
 
 TRADE = str(fixture_path("trade.klm.json"))
 TRADE_FH = str(fixture_path("trade.fh.json"))
@@ -162,11 +162,27 @@ def test_axioms_pass_and_include_5(capsys):
     code, out, _ = run(capsys, "axioms", "--suite", "hms", "--models", TRADE,
                        "--depth", "1", "--no-rules")
     assert code == 0 and "suite passes" in out
+    assert out.splitlines()[:2] == ["suite: HMS, instantiation depth 1, 7309 instances",
+                                    "7309 instances covered by 1501 class tuples over 10 classes"]
     code, out, _ = run(capsys, "axioms", "--suite", "hms", "--models", TRADE,
                        "--depth", "1", "--no-rules", "--include-5", "--json")
     assert code == 1
     body = json.loads(out)
     assert body["schemas"]["5"]["failures"][0]["state"] == "w2@{i,l}"
+
+
+def test_axioms_past_the_cap_lists_class_tuples(capsys):
+    """Trade at depth 2 passes the cap in instances but not in class tuples:
+    exhaustive, with schema 5's failures counted per class tuple."""
+    code, out, _ = run(capsys, "axioms", "--suite", "hms", "--models", TRADE,
+                       "--depth", "2", "--no-rules", "--include-5")
+    lines = out.splitlines()
+    assert code == 1 and "suite FAILED" in lines and not any("incomplete" in x for x in lines)
+    assert lines[:2] == ["suite: HMS, instantiation depth 2, 12063025 instances",
+                         "12063025 instances covered by 6274 class tuples over 17 classes"]
+    assert lines[lines.index("schema 5: FAIL (456 instances)") + 1:][:2] == [
+        "  witness: ~(~K{b} l & ~K{b} ~K{b} l) at w2@{i,l}",
+        "  failing: 127 instances in 11 class tuples"]
 
 
 def test_axioms_refuses_mixed_signatures(capsys):
@@ -291,10 +307,24 @@ def test_equiv_capped_is_incomplete(capsys, monkeypatch):
     assert code == 0 and "capped" not in json.loads(out)
 
 
-def test_axioms_capped_is_incomplete(capsys, monkeypatch):
+@pytest.fixture
+def explicit_fh(tmp_path):
+    """trade.fh.json with Explicit awareness sets, which read syntax, so that
+    every filling is its own class and the cap still bounds the sweep."""
+    body = json.loads(fixture_path("trade.fh.json").read_text())
+    listed = {"b": {"w1": ["i", "K{b} i"], "w2": ["l", "~i"], "w3": ["i"]},
+              "o": dict.fromkeys(("w1", "w2", "w3"), ["i", "l"])}
+    body["awareness_sets"] = {a: {w: {"kind": "explicit", "formulas": fs} for w, fs in per.items()}
+                              for a, per in listed.items()}
+    path = tmp_path / "explicit.fh.json"
+    path.write_text(json.dumps(body))
+    return str(path)
+
+
+def test_axioms_capped_is_incomplete(capsys, monkeypatch, explicit_fh):
     """An axiom suite stopped by the instantiation cap is flagged in the JSON
     and in the human report, never passes, and never exits 0."""
-    argv = ("axioms", "--suite", "hms", "--models", TRADE, "--depth", "1", "--no-rules")
+    argv = ("axioms", "--suite", "lga", "--models", explicit_fh, "--depth", "1", "--no-rules")
     monkeypatch.setattr(verify, "INSTANTIATION_CAP", 50)
     code, out, _ = run(capsys, *argv, "--json")
     body = json.loads(out)
@@ -314,11 +344,11 @@ def test_axioms_capped_is_incomplete(capsys, monkeypatch):
                                 "schema PL2: capped (0 instances)"]
     monkeypatch.undo()
     # a schema that failed before the cap says both
-    full = check_axiom_suite([load_model(TRADE)], hms_suite(), 1,
-                             extra_schemas=(SCHEMA_5,), check_rules=False)
+    full = check_axiom_suite([load_model(explicit_fh)], lga_suite(), 1, check_rules=False)
     monkeypatch.setattr(verify, "INSTANTIATION_CAP", full["checked"] - 2)
-    code, out, _ = run(capsys, *argv, "--include-5")
-    assert code == 1 and "schema 5: FAIL, capped (35 instances)" in out.splitlines()
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and "schema A12: FAIL, capped (47 instances)" in out.splitlines()
     monkeypatch.undo()
     code, out, _ = run(capsys, *argv, "--json")
-    assert code == 0 and "capped" not in json.loads(out)
+    body = json.loads(out)  # the whole sweep: it fails, as Explicit sets break A1-A12
+    assert code == 1 and "capped" not in body and body["failures"]

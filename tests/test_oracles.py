@@ -6,12 +6,14 @@ import random
 
 from awarekit import verify
 from awarekit.fh import Explicit, FHEvaluator, FHModel
-from awarekit.formula import Aware, ExplicitKnow, Lang, enumerate_formulas, expand_defined
+from awarekit.formula import (Aware, ExplicitKnow, Lang, enumerate_formulas, expand_defined,
+                              implies)
 from awarekit.klm import Evaluator
 from awarekit.transforms import fh_transform, h_transform
 from awarekit.truth import truth_of
 from awarekit.verify import (
     SCHEMA_5,
+    Schema,
     check_axiom_suite,
     hms_suite,
     lga_suite,
@@ -60,6 +62,13 @@ def test_cores_match_oracles():
                         assert core.value(f, w) is truth_of(oracle.value(g, w)), (lang, f, w)
 
 
+def _explicit_fh(rng, g):
+    pool = enumerate_formulas(g.base.atoms, g.base.agents, 1, Lang.LKA)
+    return FHModel.make(g.base, {
+        a: {w: Explicit.make(rng.sample(pool, 8)) for w in sorted(g.base.worlds)}
+        for a in sorted(g.base.agents)})
+
+
 def _sweep_cases(rng):
     """(models, suite) corpora of every model class."""
     hms, lga = hms_suite(), lga_suite()
@@ -69,10 +78,7 @@ def _sweep_cases(rng):
         yield [g], lga
         yield [h_transform(k)], hms
         yield [fh_transform(g)], lga
-        pool = enumerate_formulas(g.base.atoms, g.base.agents, 1, Lang.LKA)
-        yield [FHModel.make(g.base, {
-            a: {w: Explicit.make(rng.sample(pool, 8)) for w in sorted(g.base.worlds)}
-            for a in sorted(g.base.agents)})], lga
+        yield [_explicit_fh(rng, g)], lga
     # corpora of three one-atom models, which share their signature
     yield [random_klm_eq(rng, max_atoms=1) for _ in range(3)], hms
     yield [random_klm(rng, max_atoms=1) for _ in range(3)], lga
@@ -82,14 +88,53 @@ def _sweep_parts(report):
     return {key: report[key] for key in ("checked", "schemas", "failures")}
 
 
-def test_suite_matches_instance_sweep(monkeypatch, trade):
+def test_suite_matches_instance_sweep():
     """The per-class verdicts of check_axiom_suite give the same counts,
     failures and witnesses as checking every instance on its own."""
     rng = random.Random(2107)
     for models, suite in _sweep_cases(rng):
         got = check_axiom_suite(models, suite, 1, extra_schemas=(SCHEMA_5,), check_rules=False)
         assert _sweep_parts(got) == axiom_sweep(models, suite, 1, (SCHEMA_5,)), suite.name
+
+
+def _instance(failure):
+    """A failure listed per class tuple, without its instance count."""
+    return {k: v for k, v in failure.items() if k != "instances"}
+
+
+def test_suite_past_the_cap_lists_class_tuples(monkeypatch, trade):
+    """Past the cap the sweep stays exhaustive where the classes quotient,
+    and lists one failure per failing class tuple: the first is the first
+    failing instance, each is a failing instance, and their instance counts
+    add up to the failing instances of the uncapped per-instance sweep."""
+    # a failing schema of arity 2, whose class tuples weigh products of class sizes
+    extra = (SCHEMA_5, Schema("Implication", 2, 0, lambda ms, ags: implies(ms[0], ms[1])))
+    want = axiom_sweep([trade], hms_suite(), 1, extra)
     monkeypatch.setattr(verify, "INSTANTIATION_CAP", 3000)
-    got = check_axiom_suite([trade], hms_suite(), 1, extra_schemas=(SCHEMA_5,), check_rules=False)
-    assert got["capped"] and not got["passed"]
-    assert _sweep_parts(got) == axiom_sweep([trade], hms_suite(), 1, (SCHEMA_5,))
+    got = check_axiom_suite([trade], hms_suite(), 1, extra_schemas=extra, check_rules=False)
+    assert want["checked"] > 3000 >= got["class_tuples"]
+    assert "capped" not in got and not got["passed"] and got["checked"] == want["checked"]
+    for sid, entry in got["schemas"].items():
+        oracle = want["schemas"][sid]
+        assert (entry["checked"], entry["passed"]) == (oracle["checked"], oracle["passed"]), sid
+        failing = {(f["formula"], f["state"]) for f in oracle["failures"]}
+        assert all((f["formula"], f["state"]) in failing for f in entry["failures"]), sid
+        assert sum(f["instances"] for f in entry["failures"]) == len(oracle["failures"]), sid
+        assert [_instance(f) for f in entry["failures"][:1]] == oracle["failures"][:1], sid
+    assert len(got["failures"]) > 1 and _instance(got["failures"][0]) == want["failures"][0]
+
+
+def test_capped_suite_matches_capped_instance_sweep(monkeypatch):
+    """Where awareness sets read syntax each filling is its own class, so
+    the cap still cuts the sweep short: the capped report lists what the
+    capped per-instance sweep lists, each class tuple one instance."""
+    rng = random.Random(2108)
+    x = _explicit_fh(rng, random_klm(rng, max_atoms=2))
+    full = check_axiom_suite([x], lga_suite(), 1, check_rules=False)
+    assert full["class_tuples"] == full["checked"] and full["failures"]
+    monkeypatch.setattr(verify, "INSTANTIATION_CAP", full["checked"] - 40)
+    got = check_axiom_suite([x], lga_suite(), 1, check_rules=False)
+    assert got["capped"] and not got["passed"] and got["failures"]
+    for f in got["failures"] + [f for e in got["schemas"].values() for f in e["failures"]]:
+        assert f.pop("instances") == 1
+    assert _sweep_parts(got) == axiom_sweep([x], lga_suite(), 1)

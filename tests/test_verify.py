@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -15,6 +16,7 @@ from awarekit.formula import (
     atoms_of,
     conj,
     enumerate_formulas,
+    formula_count,
     iff,
     implies,
     lor,
@@ -127,6 +129,46 @@ def test_schema_5_fails_with_pinned_witness(trade_m):
     first = entry["failures"][0]
     assert first["state"] == "w2@{i,l}"
     assert first["formula"] == "~(~K{b} l & ~K{b} ~K{b} l)"
+
+
+def _no_walk(*args):
+    raise AssertionError("an instance was walked on its own")
+
+
+@pytest.mark.parametrize("depth, classes, failing", [(2, 17, 11), (3, 21, 15)])
+def test_suite_past_the_cap_is_exhaustive(monkeypatch, trade_m, depth, classes, failing):
+    """Trade's HMS suite plus schema 5, at 1.2e7 instances (depth 2) and
+    1.9e13 (depth 3): each schema covers all its instances, counted in closed
+    form, from one program run per class tuple and at most C^n instances
+    built per agent tuple; no instance is walked on its own."""
+    built = Counter()
+
+    def counted(schema):
+        def build(ms, ags):
+            built[schema.id] += 1
+            return schema.build(ms, ags)
+        return replace(schema, build=build)
+
+    suite = hms_suite()
+    schemas = [counted(s) for s in suite.schemas + (SCHEMA_5,)]
+    monkeypatch.setattr(ValidityChecker, "valid", _no_walk)
+    report = check_axiom_suite([trade_m], replace(suite, schemas=tuple(schemas[:-1])), depth,
+                               extra_schemas=schemas[-1:], check_rules=False)
+    metas = formula_count(trade_m.base.atoms, trade_m.base.agents, depth, Lang.L)
+    agents = len(trade_m.base.agents)
+    assert "capped" not in report and report["classes"] == classes
+    for s in schemas:
+        tuples = agents ** s.agent_arity
+        assert report["schemas"][s.id]["checked"] == tuples * metas ** s.meta_arity, s.id
+        assert built[s.id] <= tuples * classes ** s.meta_arity, s.id
+    assert report["class_tuples"] == sum(
+        agents ** s.agent_arity * classes ** s.meta_arity for s in schemas)
+    assert [sid for sid, e in report["schemas"].items() if not e["passed"]] == ["5"]
+    assert len(report["failures"]) == failing
+    first = dict(report["failures"][0])
+    assert first.pop("instances") > 0 and first == {
+        "schema": "5", "formula": "~(~K{b} l & ~K{b} ~K{b} l)", "state": "w2@{i,l}",
+        "left": "not True", "right": "True"}
 
 
 def test_lga_suite_on_trade(trade_m):
