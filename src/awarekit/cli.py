@@ -148,6 +148,8 @@ def _cmd_eval(args):
     if lang is Lang.L and ExplicitKnow in node_kinds(f):
         raise UsageError("X{a} has no reading in the language L")
     at = args.at
+    if args.strict_two_valued and not isinstance(model, KripkeLatticeModel):
+        raise UsageError("--strict-two-valued applies to Kripke lattice models only")
     if isinstance(model, KripkeLatticeModel):
         at = parse_world_id(at, model.base.atoms)
         ev = Evaluator(model, lang, strict_two_valued=args.strict_two_valued)
@@ -242,16 +244,23 @@ def _cmd_axioms(args):
                 lines.append(f"  failing: {sum(f['instances'] for f in entry['failures'])} "
                              f"instances in {len(entry['failures'])} class tuples")
     for rule, entry in report["rules"].items():
-        lines.append(f"rule {rule}: "
-                     f"{'preserved' if entry['preserved'] else 'VIOLATED'} "
-                     f"({entry['premise_valid']} premise-valid instances)")
+        verdict = "VIOLATED" if entry["violations"] else "preserved"
+        if entry.get("capped"):
+            verdict = "VIOLATED, capped" if entry["violations"] else "capped"
+        lines.append(f"rule {rule}: {verdict} ({entry['premise_valid']} premise-valid of "
+                     f"{entry['premise_valid'] + entry['vacuous']} instances, "
+                     f"every filling up to depth {args.depth})")
+        if entry["violations"]:
+            first = entry["violations"][0]
+            lines.append(f"  witness: from {'; '.join(first['premises'])} "
+                         f"infer {first['formula']} at {first['state']}")
     lines.append(report["rule_note"])
     if report.get("capped"):
         lines.append("incomplete: stopped at the instantiation cap; "
                      "later instances were not checked")
     if report["passed"]:
         lines.append("suite passes")
-    elif report["failures"] or not all(e["preserved"] for e in report["rules"].values()):
+    elif report["failures"] or any(e["violations"] for e in report["rules"].values()):
         lines.append("suite FAILED")
     _emit(args, report, lines)
     return 0 if report["passed"] else 1

@@ -40,7 +40,7 @@ class MaskEvaluator:
     and gives `masks(sig)`, the (True, False) masks of a signature over the
     states in `states`; the rest of the states are Undefined. Truth
     questions are memoized, the signature per formula and the masks per
-    signature; `valid` walks once and keeps nothing."""
+    signature."""
 
     def __init__(self, states):
         self.states = states
@@ -76,11 +76,6 @@ class MaskEvaluator:
         if not bad:
             return True, []
         return False, members(bad, self.states)
-
-    def valid(self, f: Formula) -> bool:
-        """check(f)[0] in one walk that memoizes nothing, so that a sweep
-        over many instances keeps no memory."""
-        return not self.masks(fold(f, self))[1]
 
 
 def compile_program(f: Formula, holes, lang):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import product
 from math import prod
 
 from .fh import Explicit, FHEvaluator, FHModel, check_ka
@@ -26,7 +26,6 @@ from .formula import (
     Not,
     TOP,
     atoms_of,
-    conj,
     enumerate_formulas,
     formula_count,
     iff,
@@ -294,10 +293,6 @@ class ValidityChecker:
                      for s in ev.check(f)[1]]
         return not witnesses, witnesses
 
-    def valid(self, f: Formula) -> bool:
-        """check(f)[0], one walk per model that memoizes nothing."""
-        return all(ev.valid(f) for ev in self.evaluators)
-
 
 def valid_over(models, f: Formula, semantics: str):
     """Guarded validity: truth at every state where all the formula's atoms
@@ -316,10 +311,15 @@ def valid_over(models, f: Formula, semantics: str):
 
 @dataclass(frozen=True)
 class Schema:
+    """An axiom schema, or with premises an inference rule: valid premises
+    give a valid conclusion, `build`. A rule's `side` condition keeps the
+    fillings whose atom sets make an instance of it."""
     id: str
     meta_arity: int
     agent_arity: int
     build: object  # (metas tuple, agents tuple) -> Formula
+    premises: object = None  # (metas tuple, agents tuple) -> tuple of Formulas
+    side: object = None  # atom sets of the metas -> bool
 
 
 def _pl_schemas():
@@ -379,19 +379,33 @@ SCHEMA_5 = Schema("5", 1, 1, lambda ms, ags: implies(
     Not(Know(ags[0], ms[0])), Know(ags[0], Not(Know(ags[0], ms[0])))))
 
 
+MP = Schema("MP", 2, 0, lambda ms, ags: ms[1],
+            premises=lambda ms, ags: (ms[0], implies(ms[0], ms[1])))
+K_INFERENCE = Schema("K-Inference", 1, 1, lambda ms, ags: Know(ags[0], ms[0]),
+                     premises=lambda ms, ags: (ms[0],))
+# One rule for groups of one and of two premises: the group of one f is the
+# diagonal f1 = f2, as f & f has f's signature on every model class the HMS
+# suite reads.
+RK_INFERENCE = Schema(
+    "RK-Inference", 3, 1,
+    lambda ms, ags: implies(And(Know(ags[0], ms[0]), Know(ags[0], ms[1])), Know(ags[0], ms[2])),
+    premises=lambda ms, ags: (implies(And(ms[0], ms[1]), ms[2]),),
+    side=lambda ats: ats[2] <= ats[0] | ats[1])
+
+
 @dataclass(frozen=True)
 class AxiomSuite:
     name: str
     schemas: tuple
-    rules: tuple
+    rules: tuple  # Schemas with premises
 
 
 def hms_suite() -> AxiomSuite:
-    return AxiomSuite("HMS", tuple(_hms_schemas()), ("MP", "RK-Inference"))
+    return AxiomSuite("HMS", tuple(_hms_schemas()), (MP, RK_INFERENCE))
 
 
 def lga_suite() -> AxiomSuite:
-    return AxiomSuite("LGA", tuple(_lga_schemas()), ("MP", "K-Inference"))
+    return AxiomSuite("LGA", tuple(_lga_schemas()), (MP, K_INFERENCE))
 
 
 def _suite_semantics(suite, model):
@@ -426,12 +440,13 @@ def _model_signature(models):
 
 def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
                       extra_schemas=(), check_rules=True):
-    """Instantiate every schema with all metavariable fillings up to the given
-    depth and all agent tuples, apply guarded validity over the model corpus,
-    and report per schema. Rules are reported as validity preservation over
-    the same corpus (a necessary condition only). Each schema runs once per
-    tuple of filling classes; past INSTANTIATION_CAP instances a failure is
-    listed per class tuple, with its first instance and instance count."""
+    """Instantiate every schema and rule with all metavariable fillings up to
+    the given depth and all agent tuples, apply guarded validity over the
+    model corpus, and report per schema and per rule. A rule is checked as
+    validity preservation over the same corpus (a necessary condition only).
+    Each schema and rule runs once per tuple of filling classes; past
+    INSTANTIATION_CAP instances a failure is listed per class tuple, with its
+    first instance and instance count."""
     if not models:
         raise ValueError("empty model corpus")
     semantics = _suite_semantics(suite, models[0])
@@ -446,63 +461,82 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     metas = enumerate_formulas(atoms, agents, inst_depth, lang)
     agent_list = sorted(agents)
     checker = ValidityChecker(models, semantics)
+    evaluators = checker.evaluators
     ids, reps = _signature_classes(checker, metas)
-    sizes = Counter(ids)
-
-    def weight(key):  # the number of instances in a class tuple
-        return prod(sizes[c] for c in key)
-
-    fills = [[ev.signature(f) for f in reps] for ev in checker.evaluators]
+    weights = list(Counter(ids).values())  # the fillings per class, as ids come in order
+    atom_sets = [atoms_of(f) for f in reps]  # part of the class key
+    fills = [[ev.signature(f) for f in reps] for ev in evaluators]
+    rules = list(suite.rules) if check_rules else []
     report = {"kind": "axioms", "suite": suite.name, "depth": inst_depth,
               "checked": 0, "classes": len(reps), "class_tuples": 0, "schemas": {},
               "rules": {}, "failures": [],
-              "rule_note": "rules checked as validity preservation over this corpus only"}
-
+              "rule_note": "rules checked as validity preservation over this corpus only"
+              + (f", on every filling up to depth {inst_depth}" if rules else "")}
     schemas = list(suite.schemas) + list(extra_schemas)
     per_instance = sum(len(agent_list) ** s.agent_arity * len(metas) ** s.meta_arity
-                       for s in schemas) <= INSTANTIATION_CAP
+                       for s in schemas + rules) <= INSTANTIATION_CAP
+    spent = 0  # class tuples evaluated, by schemas and rules alike
     capped = False
-    for schema in schemas:
-        entry = report["schemas"][schema.id] = {"checked": 0, "failures": []}
-        if capped:  # past the cap a schema is listed, not checked
-            entry.update(capped=True, passed=False)
+    for schema in schemas + rules:
+        rule = schema.premises is not None
+        held, listed, verdict = (("premise_valid", "violations", "preserved") if rule
+                                 else ("checked", "failures", "passed"))
+        entry = {held: 0, "vacuous": 0, listed: []} if rule else {held: 0, listed: []}
+        report["rules" if rule else "schemas"][schema.id] = entry
+        if capped:  # past the cap a schema or rule is listed, not checked
+            entry.update({"capped": True, verdict: False})
             continue
-        n = schema.meta_arity
+        n, side = schema.meta_arity, schema.side
         holes = [Atom(f"${i}") for i in range(n)]  # names the parser never gives
         for ags in product(agent_list, repeat=schema.agent_arity):
-            run = compile_program(schema.build(holes, ags), holes, checker.lang)
-            failing = {}  # class tuple -> witness state
-            for done, key in enumerate(product(range(len(reps)), repeat=n), 1):
-                for ev, sigs in zip(checker.evaluators, fills):  # every model, as check() does
-                    bad = ev.masks(run(ev, [sigs[c] for c in key]))[1]
-                    if bad and key not in failing:
-                        failing[key] = str(ev.states[(bad & -bad).bit_length() - 1])
-                report["class_tuples"] += 1
-                if report["class_tuples"] > INSTANTIATION_CAP:
+            premises = schema.premises(holes, ags) if rule else ()
+            *runs, conclusion = [compile_program(f, holes, checker.lang)
+                                 for f in (*premises, schema.build(holes, ags))]
+            failing = {}  # class tuple -> (witness state, instances)
+            valid_premises = vacuous = 0  # instances
+            for key, w in zip(product(range(len(reps)), repeat=n),
+                              map(prod, product(weights, repeat=n))):
+                if side and not side([atom_sets[c] for c in key]):
+                    continue  # not an instance of the rule
+                # the premises first, on every model, up to the first one not valid
+                if runs and any(ev.masks(run(ev, [fill[c] for c in key]))[1]
+                                for run in runs for ev, fill in zip(evaluators, fills)):
+                    vacuous += w
+                else:
+                    valid_premises += w
+                    for ev, fill in zip(evaluators, fills):
+                        bad = ev.masks(conclusion(ev, [fill[c] for c in key]))[1]
+                        if bad:
+                            failing[key] = str(ev.states[(bad & -bad).bit_length() - 1]), w
+                            break
+                spent += 1
+                if spent > INSTANTIATION_CAP:
                     entry["capped"] = capped = True
                     break
-            if capped:  # the instances of the class tuples evaluated
-                covered = sum(map(weight, islice(product(range(len(reps)), repeat=n), done)))
-            else:
-                covered = len(metas) ** n
-            entry["checked"] += covered
-            report["checked"] += covered
+            entry[held] += valid_premises
+            if rule:
+                entry["vacuous"] += vacuous
             if per_instance and failing:
-                failures = [(ms, failing[key], {}) for ms, key in zip(
+                failures = [(ms, failing[key][0], {}) for ms, key in zip(
                     product(metas, repeat=n), product(ids, repeat=n)) if key in failing]
             else:
-                failures = [([reps[c] for c in key], state, {"instances": weight(key)})
-                            for key, state in failing.items()]
+                failures = [([reps[c] for c in key], state, {"instances": w})
+                            for key, (state, w) in failing.items()]
             for ms, state, extra in failures:
                 failure = {"formula": to_text(schema.build(ms, ags)), "state": state,
                            "left": "not True", "right": "True", **extra}
-                entry["failures"].append(failure)
-                report["failures"].append({"schema": schema.id, **failure})
+                if rule:
+                    failure = {"premises": [to_text(f) for f in schema.premises(ms, ags)],
+                               **failure}
+                else:
+                    report["failures"].append({"schema": schema.id, **failure})
+                entry[listed].append(failure)
             if capped:
                 break
-        entry["passed"] = not entry["failures"] and not capped
-    if check_rules:
-        _check_rules(checker, suite, metas, agent_list, report)
+        if not rule:  # the rules come last, so class_tuples counts the schemas' only
+            report["checked"] += entry[held]
+            report["class_tuples"] = spent
+        entry[verdict] = not entry[listed] and not capped
     if capped:
         report["capped"] = True
     report["passed"] = not capped and not report["failures"] and all(
@@ -522,52 +556,6 @@ def _signature_classes(checker, metas):
     ids = [classes.setdefault(_signature(f, checker.evaluators), (len(classes), f))[0]
            for f in metas]
     return ids, [f for _, f in classes.values()]
-
-
-def _check_rules(checker, suite, metas, agent_list, report):
-    small = [f for f in metas if len(to_text(f)) <= 24][:40]
-    valid = checker.valid
-
-    for rule in suite.rules:
-        entry = {"premise_valid": 0, "vacuous": 0, "violations": []}
-        if rule == "MP":
-            for f in small:
-                f_valid = valid(f)
-                for g in small:
-                    if f_valid and valid(implies(f, g)):
-                        entry["premise_valid"] += 1
-                        if not valid(g):
-                            entry["violations"].append((to_text(f), to_text(g)))
-                    else:
-                        entry["vacuous"] += 1
-        elif rule == "K-Inference":
-            for f in small:
-                if valid(f):
-                    entry["premise_valid"] += 1
-                    for a in agent_list:
-                        if not valid(Know(a, f)):
-                            entry["violations"].append((to_text(f), a))
-                else:
-                    entry["vacuous"] += 1
-        elif rule == "RK-Inference":
-            groups = [(f,) for f in small] + \
-                     [(f, g) for f in small[:12] for g in small[:12]]
-            for fs in groups:
-                pooled = frozenset().union(*(atoms_of(f) for f in fs))
-                for g in small:
-                    if not atoms_of(g) <= pooled:
-                        continue
-                    if valid(implies(conj(fs), g)):
-                        entry["premise_valid"] += 1
-                        for a in agent_list:
-                            if not valid(implies(conj([Know(a, f) for f in fs]),
-                                                 Know(a, g))):
-                                entry["violations"].append(
-                                    ([to_text(f) for f in fs], to_text(g), a))
-                    else:
-                        entry["vacuous"] += 1
-        entry["preserved"] = not entry["violations"]
-        report["rules"][rule] = entry
 
 
 # ---------------------------------------------------------------------------

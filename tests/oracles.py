@@ -7,9 +7,9 @@ kept only as the oracle that the bitmask evaluators in `awarekit.klm` and
 direct recursive evaluator of acceptance criterion 8, and the event algebra
 here works on sets of states, as the definitions do. The checkers compare two
 models formula by formula and state by state, and are the oracle for the mask
-comparison of `awarekit.verify`. The axiom sweep builds and checks every
-schema instance on its own, and is the oracle for the per-class verdicts of
-`verify.check_axiom_suite`.
+comparison of `awarekit.verify`. The axiom and rule sweeps build and check
+every schema and rule instance on their own, and are the oracle for the
+per-class verdicts of `verify.check_axiom_suite`.
 """
 
 from itertools import product
@@ -329,3 +329,41 @@ def axiom_sweep(models, suite, depth, extra_schemas=()):
         entry["passed"] = not entry["failures"] and not entry.get("capped")
         report["schemas"][schema.id] = entry
     return report
+
+
+def rule_sweep(models, suite, depth):
+    """Every instance of every rule of the suite, all fillings and agent
+    tuples with the side condition read on the instance's own atoms, its
+    premises and conclusion expanded and checked on every model; the rule
+    entries of `verify.check_axiom_suite` within the cap."""
+    semantics = verify._suite_semantics(suite, models[0])
+    atoms, agents = verify._model_signature(models)
+    lang = Lang.L if suite.name == "HMS" else Lang.LKA
+    evaluators = verify.ValidityChecker(models, semantics).evaluators
+    metas = enumerate_formulas(atoms, agents, depth, lang)
+    expanded = {}
+
+    def false_at(f):
+        g = fold(f, terms(lang), expanded)
+        return [s for ev in evaluators for s in ev.check(g)[1]]
+
+    rules = {}
+    for rule in suite.rules:
+        entry = rules[rule.id] = {"premise_valid": 0, "vacuous": 0, "violations": []}
+        for ags in product(sorted(agents), repeat=rule.agent_arity):
+            for ms in product(metas, repeat=rule.meta_arity):
+                if rule.side and not rule.side([atoms_of(f) for f in ms]):
+                    continue
+                premises = rule.premises(ms, ags)
+                if any(false_at(p) for p in premises):
+                    entry["vacuous"] += 1
+                    continue
+                entry["premise_valid"] += 1
+                f = rule.build(ms, ags)
+                bad = false_at(f)
+                if bad:
+                    entry["violations"].append(
+                        {"premises": [to_text(p) for p in premises], "formula": to_text(f),
+                         "state": str(bad[0]), "left": "not True", "right": "True"})
+        entry["preserved"] = not entry["violations"]
+    return rules

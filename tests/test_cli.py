@@ -87,6 +87,16 @@ def test_eval_strict_two_valued(capsys):
         assert code == 0 and out.strip() == "True", lang
 
 
+def test_eval_strict_two_valued_refused_off_lattice_models(tmp_path, capsys):
+    hms_path = str(tmp_path / "trade.hms.json")
+    assert run(capsys, "transform", "--kind", "H", "--in", TRADE, "--out", hms_path)[0] == 0
+    for model, at in ((hms_path, "w1@{i}"), (TRADE_FH, "w1")):
+        code, out, err = run(capsys, "eval", "K{b} l", "--model", model, "--at", at,
+                             "--strict-two-valued")
+        assert code == 2 and not out, model
+        assert err == "awarekit: --strict-two-valued applies to Kripke lattice models only\n"
+
+
 def test_eval_unknown_atoms_in_every_model_class(tmp_path, capsys):
     hms_path = str(tmp_path / "trade.hms.json")
     assert run(capsys, "transform", "--kind", "H", "--in", TRADE, "--out", hms_path)[0] == 0
@@ -183,6 +193,39 @@ def test_axioms_past_the_cap_lists_class_tuples(capsys):
     assert lines[lines.index("schema 5: FAIL (456 instances)") + 1:][:2] == [
         "  witness: ~(~K{b} l & ~K{b} ~K{b} l) at w2@{i,l}",
         "  failing: 127 instances in 11 class tuples"]
+
+
+def test_axioms_rules_cover_every_filling(capsys):
+    """Each rule line counts the rule's premise-valid instances among all of
+    them, which grow with the depth, and says the scope."""
+    rule_lines = {}
+    for depth in ("1", "2"):
+        code, out, _ = run(capsys, "axioms", "--suite", "hms", "--models", TRADE,
+                           "--depth", depth)
+        lines = out.splitlines()
+        assert code == 0 and lines[-1] == "suite passes"
+        rule_lines[depth] = [line for line in lines if line.startswith("rule ")]
+        assert lines[-2] == ("rules checked as validity preservation over this corpus only, "
+                             f"on every filling up to depth {depth}")
+    assert rule_lines["1"] == [
+        "rule MP: preserved (16 premise-valid of 324 instances, every filling up to depth 1)",
+        "rule RK-Inference: preserved (6698 premise-valid of 8326 instances, "
+        "every filling up to depth 1)"]
+    assert rule_lines["2"][1].startswith("rule RK-Inference: preserved (15721672 ")
+
+
+def test_axioms_rules_share_the_cap(capsys, monkeypatch, explicit_fh):
+    """Rules evaluate class tuples under the cap the schemas use: past it a
+    rule is capped, never preserved, and the suite incomplete."""
+    schemas = check_axiom_suite([load_model(explicit_fh)], lga_suite(), 1, check_rules=False)
+    monkeypatch.setattr(verify, "INSTANTIATION_CAP", schemas["class_tuples"] + 10)
+    code, out, _ = run(capsys, "axioms", "--suite", "lga", "--models", explicit_fh,
+                       "--depth", "1")
+    lines = out.splitlines()
+    assert code == 1 and "incomplete: stopped at the instantiation cap; " \
+        "later instances were not checked" in lines
+    assert [line.split(" (")[0] for line in lines if line.startswith("rule ")] == [
+        "rule MP: capped", "rule K-Inference: capped"]
 
 
 def test_axioms_refuses_mixed_signatures(capsys):

@@ -41,7 +41,6 @@ def test_valid_check_and_value_read_the_same_masks(seed):
             true, false = ev.truth_masks(f)
             assert not true & false and ev.true_mask(f) == true
             assert ev.check(f) == (not false, members(false, ev.states)), (ev, f)
-            assert ev.valid(f) is (not false), (ev, f)
             for i, s in enumerate(ev.states):
                 expected = Truth.TRUE if true >> i & 1 else \
                     Truth.FALSE if false >> i & 1 else Truth.UNDEFINED

@@ -1,13 +1,14 @@
 """The bitmask evaluators against the definitional per-state oracles in
-oracles.py, and the axiom suite against the per-instance sweep there, on
+oracles.py, and the axiom suite against the per-instance sweeps there, on
 seeded random models."""
 
 import random
+from dataclasses import replace
 
 from awarekit import verify
 from awarekit.fh import Explicit, FHEvaluator, FHModel
-from awarekit.formula import (Aware, ExplicitKnow, Lang, enumerate_formulas, expand_defined,
-                              implies)
+from awarekit.formula import (Aware, ExplicitKnow, Know, Lang, enumerate_formulas,
+                              expand_defined, implies)
 from awarekit.klm import Evaluator
 from awarekit.transforms import fh_transform, h_transform
 from awarekit.truth import truth_of
@@ -21,7 +22,7 @@ from awarekit.verify import (
     random_klm_eq,
 )
 
-from oracles import FhOracle, KlmOracle, axiom_sweep
+from oracles import FhOracle, KlmOracle, axiom_sweep, rule_sweep
 
 MODELS = 40
 SAMPLE = 60
@@ -138,3 +139,51 @@ def test_capped_suite_matches_capped_instance_sweep(monkeypatch):
     for f in got["failures"] + [f for e in got["schemas"].values() for f in e["failures"]]:
         assert f.pop("instances") == 1
     assert _sweep_parts(got) == axiom_sweep([x], lga_suite(), 1)
+
+
+def test_rules_match_instance_sweep():
+    """The per-class rule verdicts of check_axiom_suite give the counts,
+    violations and witnesses of checking every rule instance on its own, on
+    every model class, formula-list awareness sets and three-model corpora."""
+    cases = list(_sweep_cases(random.Random(2107)))
+    for models, suite in cases[:5] + cases[-2:]:
+        got = check_axiom_suite(models, suite, 1)
+        assert got["rules"] == rule_sweep(models, suite, 1), suite.name
+
+
+# from K{a} f infer f: not sound where an agent has no successor
+K_ELIMINATION = Schema("K-Elimination", 1, 1, lambda ms, ags: ms[0],
+                       premises=lambda ms, ags: (Know(ags[0], ms[0]),))
+
+
+def test_unsound_rule_is_violated(monkeypatch):
+    """An unsound rule's violations are those of the per-instance sweep:
+    listed per instance within the cap, per class tuple past it, where they
+    add up to the sweep's; past the cap in class tuples the rule is capped
+    and the suite incomplete."""
+    m = random_klm(random.Random(5), max_atoms=2)
+    assert any(not m.base.successors(a, w) for a in m.base.agents for w in m.base.worlds)
+    suite = replace(lga_suite(), rules=(K_ELIMINATION,))
+    want = rule_sweep([m], suite, 1)["K-Elimination"]
+    got = check_axiom_suite([m], suite, 1)
+    assert got["rules"]["K-Elimination"] == want and want["violations"]
+    assert not got["passed"] and not got["failures"] and "capped" not in got
+
+    bare = replace(suite, schemas=())  # 2 agents times C classes, against 2 agents times 24
+    tuples = 2 * check_axiom_suite([m], bare, 1)["classes"]
+    assert tuples < want["premise_valid"] + want["vacuous"]
+    monkeypatch.setattr(verify, "INSTANTIATION_CAP", tuples)
+    entry = check_axiom_suite([m], bare, 1)["rules"]["K-Elimination"]
+    assert [entry[k] for k in ("premise_valid", "vacuous", "preserved")] == \
+        [want[k] for k in ("premise_valid", "vacuous", "preserved")]
+    failing = {(v["formula"], v["state"]) for v in want["violations"]}
+    assert all((v["formula"], v["state"]) in failing for v in entry["violations"])
+    assert sum(v["instances"] for v in entry["violations"]) == len(want["violations"])
+    assert _instance(entry["violations"][0]) == want["violations"][0]
+
+    monkeypatch.setattr(verify, "INSTANTIATION_CAP", tuples // 2)
+    report = check_axiom_suite([m], bare, 1)
+    entry = report["rules"]["K-Elimination"]
+    assert report["capped"] and not report["passed"]
+    assert entry["capped"] and not entry["preserved"]
+    assert entry["premise_valid"] + entry["vacuous"] < want["premise_valid"] + want["vacuous"]

@@ -8,6 +8,7 @@ from awarekit import verify
 from awarekit.fh import Explicit, FHModel
 from awarekit.formula import (
     TOP,
+    And,
     Atom,
     Aware,
     Know,
@@ -26,7 +27,7 @@ from awarekit.hms import DenotationEvaluator, Event, HMSModel
 from awarekit.klm import validate_klm
 from awarekit.kripke import relation_properties
 from awarekit.transforms import fh_transform, h_transform
-from awarekit.truth import Truth
+from awarekit.truth import MaskEvaluator, Truth
 from awarekit.verify import (
     SCHEMA_5,
     ValidityChecker,
@@ -135,12 +136,18 @@ def _no_walk(*args):
     raise AssertionError("an instance was walked on its own")
 
 
+def _without_rules(report):
+    return {key: value for key, value in report.items() if key not in ("rules", "rule_note")}
+
+
 @pytest.mark.parametrize("depth, classes, failing", [(2, 17, 11), (3, 21, 15)])
 def test_suite_past_the_cap_is_exhaustive(monkeypatch, trade_m, depth, classes, failing):
     """Trade's HMS suite plus schema 5, at 1.2e7 instances (depth 2) and
     1.9e13 (depth 3): each schema covers all its instances, counted in closed
     form, from one program run per class tuple and at most C^n instances
-    built per agent tuple; no instance is walked on its own."""
+    built per agent tuple; no instance is walked on its own, and at depth 2
+    the rules, run as well, walk none either and leave the schemas' keys as
+    they are."""
     built = Counter()
 
     def counted(schema):
@@ -151,9 +158,13 @@ def test_suite_past_the_cap_is_exhaustive(monkeypatch, trade_m, depth, classes, 
 
     suite = hms_suite()
     schemas = [counted(s) for s in suite.schemas + (SCHEMA_5,)]
-    monkeypatch.setattr(ValidityChecker, "valid", _no_walk)
+    monkeypatch.setattr(MaskEvaluator, "check", _no_walk)
     report = check_axiom_suite([trade_m], replace(suite, schemas=tuple(schemas[:-1])), depth,
                                extra_schemas=schemas[-1:], check_rules=False)
+    if depth == 2:
+        with_rules = check_axiom_suite([trade_m], suite, depth, extra_schemas=(SCHEMA_5,))
+        assert _without_rules(with_rules) == _without_rules(report)
+        assert all(e["preserved"] for e in with_rules["rules"].values())
     metas = formula_count(trade_m.base.atoms, trade_m.base.agents, depth, Lang.L)
     agents = len(trade_m.base.agents)
     assert "capped" not in report and report["classes"] == classes
@@ -169,6 +180,20 @@ def test_suite_past_the_cap_is_exhaustive(monkeypatch, trade_m, depth, classes, 
     assert first.pop("instances") > 0 and first == {
         "schema": "5", "formula": "~(~K{b} l & ~K{b} ~K{b} l)", "state": "w2@{i,l}",
         "left": "not True", "right": "True"}
+
+
+def test_rk_diagonal_is_the_group_of_one(trade_m):
+    """f & f has f's signature on every model class the RK rule is read on,
+    and on awareness structures without formula-list sets, so the
+    RK-Inference instances with f1 = f2 are its groups of one premise."""
+    fh = fh_transform(trade_m)
+    checkers = [ValidityChecker([trade_m], "KLM_L"), ValidityChecker([trade_m], "KLM_LKA"),
+                ValidityChecker([h_transform(trade_m)], "HMS"),
+                ValidityChecker([fh], "FH_L"), ValidityChecker([fh], "FH_LKA")]
+    for checker in checkers:
+        ev = checker.evaluators[0]
+        for f in enumerate_formulas(trade_m.base.atoms, trade_m.base.agents, 2, checker.lang):
+            assert ev.signature(And(f, f)) == ev.signature(f), (checker.semantics, f)
 
 
 def test_lga_suite_on_trade(trade_m):
@@ -212,7 +237,7 @@ def test_derived_theorems(trade_m):
     for name, build in DERIVED_THEOREMS.items():
         for a in sorted(trade_m.base.agents):
             for f in metas:
-                assert checker.valid(build(a, f)), (name, a, f)
+                assert checker.check(build(a, f))[0], (name, a, f)
 
 
 def test_random_klm_eq_is_partitional():
