@@ -13,8 +13,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from math import prod
+from operator import mul
 
-from .fh import Explicit, FHEvaluator, FHModel, check_ka
+from .fh import FHEvaluator, FHModel, check_ka
 from .formula import (
     And,
     Atom,
@@ -104,51 +105,37 @@ def _sweep(report, formulas, pairs, masks):
         if report.checked > INSTANTIATION_CAP:
             report.capped = n < len(formulas)
             break
-    return report
-
-
-def _reads_syntax(models):
-    """Whether some awareness set is a formula list (`Explicit`), which reads
-    syntax, so that formulas with one signature may still differ."""
-    return any(isinstance(aset, Explicit) for m in models if isinstance(m, FHModel)
-               for per in m.awareness.values() for aset in per.values())
-
-
-def _signature(f, evaluators):
-    """The atom set of f and its true mask on each evaluator's model, which
-    fix every mask of f and of each connective applied to it, unless
-    awareness sets read syntax. The lattice and awareness-structure
-    evaluators compute from these alone. A space-lattice denotation (base
-    space, base mask, up mask) has as base space the join of its atoms'
-    valuation spaces (bottom for none: Not and Know keep the space, And joins
-    it), and as base mask the up mask, its true mask, within that space."""
-    return (atoms_of(f), *(ev.true_mask(f) for ev in evaluators))
 
 
 class _Disagrees(Exception):
-    """Raised by the class pass at the first class whose two sides differ."""
+    """Raised by an equivalence check at the first class whose two sides differ."""
 
 
-def _by_class(report, language, evaluators, masks):
-    """Decide a bounded check per class of formulas with one signature (the
-    Lindenbaum-Tarski quotient on the two models), without enumerating them:
-    the classes are built depth by depth from one representative each, in
-    the enumerator's order, counting their formulas. Raises _Disagrees at
-    the first class that disagrees; gives False where the pair count passes
-    the cap (the checkers' formula_count keeps the formula count within it)."""
+def _classes(language, evaluators, found=lambda f: None):
+    """The signature classes of the formulas enumerate_formulas(*language)
+    lists (the Lindenbaum-Tarski quotient on the evaluators' models), built
+    depth by depth from one representative each, without enumerating them. A
+    formula's key is its atom set and its signature in each evaluator's
+    algebra; the algebras compute a connective's signature from its
+    children's, so a formula's key fixes the key of every formula built on it,
+    and so every verdict on it. On formula-list awareness sets the signature
+    carries the formula's term, so there each formula is a class of its own.
+    Gives each class's first formula in the enumerator's order, its number of
+    formulas, and the class of a formula. `found` sees each representative
+    as it is found, and may raise to stop the build."""
     atoms, agents, depth, lang = language
-    reps, ids, weights = [], {}, []  # per class: representative, compared positions
+    reps, ids = [], {}
+
+    def key(f):
+        return (atoms_of(f), *(ev.signature(f) for ev in evaluators))
 
     def cls(f):
-        key = _signature(f, evaluators)
-        c = ids.get(key)
+        k = key(f)
+        c = ids.get(k)
         if c is None:
-            (lt, lf), (rt, rf), within = masks(f)
-            if ((lt ^ rt) | (lf ^ rf)) & within:
-                raise _Disagrees
-            c = ids[key] = len(reps)
+            found(f)
+            c = ids[k] = len(reps)
             reps.append(f)
-            weights.append(within.bit_count())
         return c
 
     # class -> number of formulas of depth exactly d, at most d, at most d-1
@@ -172,22 +159,29 @@ def _by_class(report, language, evaluators, masks):
                 level[cls(op(a, reps[c]))] += exact[c]
         below, exact = upto.copy(), level
         upto.update(level)
-    checked = sum(n * weights[c] for c, n in upto.items())
-    if checked > INSTANTIATION_CAP:
-        return False
-    report.checked = checked
-    return True
+    return reps, [upto[c] for c in range(len(reps))], lambda f: ids[key(f)]
 
 
-def _equivalence(language, evaluators, pairs, masks, syntactic=False):
+def _equivalence(language, evaluators, pairs, masks):
     """The report of a check bounded by `language`, the enumerator's
-    arguments: by class where that decides it, else formula by formula."""
+    arguments: by class where every class agrees within the cap, else
+    formula by formula."""
     report = EquivalenceReport("equivalence", language[2])
+    weights = []  # per class: the positions compared
+
+    def agrees(f):
+        (lt, lf), (rt, rf), within = masks(f)
+        if ((lt ^ rt) | (lf ^ rf)) & within:
+            raise _Disagrees
+        weights.append(within.bit_count())
+
     try:
-        decided = not syntactic and _by_class(report, language, evaluators, masks)
+        checked = sum(map(mul, _classes(language, evaluators, agrees)[1], weights))
     except _Disagrees:
-        decided = False
-    if not decided:
+        checked = None
+    if checked is not None and checked <= INSTANTIATION_CAP:
+        report.checked = checked
+    else:
         _sweep(report, enumerate_formulas(*language), pairs, masks)
     return report
 
@@ -260,7 +254,7 @@ def check_equiv_fh_klm(x, lang: Lang, depth: int) -> EquivalenceReport:
 
     pairs = [WorldId(w, X) for w in sorted(klm.base.worlds) for X in subsets(klm.base.atoms)]
     return _equivalence(language, (ev_fh, ev_klm),
-                        [(v, ev_klm.index[v]) for v in pairs], masks, _reads_syntax([fh]))
+                        [(v, ev_klm.index[v]) for v in pairs], masks)
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +451,12 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
         for m in models:
             _require_partitional(m)
     atoms, agents = _model_signature(models)
-    lang = Lang.L if suite.name == "HMS" else Lang.LKA
-    metas = enumerate_formulas(atoms, agents, inst_depth, lang)
+    language = atoms, agents, inst_depth, Lang.L if suite.name == "HMS" else Lang.LKA
+    fillings = formula_count(*language)
     agent_list = sorted(agents)
     checker = ValidityChecker(models, semantics)
     evaluators = checker.evaluators
-    ids, reps = _signature_classes(checker, metas)
-    weights = list(Counter(ids).values())  # the fillings per class, as ids come in order
+    reps, weights, class_of = _classes(language, evaluators)
     atom_sets = [atoms_of(f) for f in reps]  # part of the class key
     fills = [[ev.signature(f) for f in reps] for ev in evaluators]
     rules = list(suite.rules) if check_rules else []
@@ -473,7 +466,7 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
               "rule_note": "rules checked as validity preservation over this corpus only"
               + (f", on every filling up to depth {inst_depth}" if rules else "")}
     schemas = list(suite.schemas) + list(extra_schemas)
-    per_instance = sum(len(agent_list) ** s.agent_arity * len(metas) ** s.meta_arity
+    per_instance = sum(len(agent_list) ** s.agent_arity * fillings ** s.meta_arity
                        for s in schemas + rules) <= INSTANTIATION_CAP
     spent = 0  # class tuples evaluated, by schemas and rules alike
     capped = False
@@ -483,9 +476,6 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
                                  else ("checked", "failures", "passed"))
         entry = {held: 0, "vacuous": 0, listed: []} if rule else {held: 0, listed: []}
         report["rules" if rule else "schemas"][schema.id] = entry
-        if capped:  # past the cap a schema or rule is listed, not checked
-            entry.update({"capped": True, verdict: False})
-            continue
         n, side = schema.meta_arity, schema.side
         holes = [Atom(f"${i}") for i in range(n)]  # names the parser never gives
         for ags in product(agent_list, repeat=schema.agent_arity):
@@ -498,6 +488,10 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
                               map(prod, product(weights, repeat=n))):
                 if side and not side([atom_sets[c] for c in key]):
                     continue  # not an instance of the rule
+                if spent > INSTANTIATION_CAP:  # this tuple and the rest are left
+                    entry["capped"] = capped = True
+                    break
+                spent += 1
                 # the premises first, on every model, up to the first one not valid
                 if runs and any(ev.masks(run(ev, [fill[c] for c in key]))[1]
                                 for run in runs for ev, fill in zip(evaluators, fills)):
@@ -509,16 +503,14 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
                         if bad:
                             failing[key] = str(ev.states[(bad & -bad).bit_length() - 1]), w
                             break
-                spent += 1
-                if spent > INSTANTIATION_CAP:
-                    entry["capped"] = capped = True
-                    break
             entry[held] += valid_premises
             if rule:
                 entry["vacuous"] += vacuous
             if per_instance and failing:
+                metas = enumerate_formulas(*language)
                 failures = [(ms, failing[key][0], {}) for ms, key in zip(
-                    product(metas, repeat=n), product(ids, repeat=n)) if key in failing]
+                    product(metas, repeat=n), product(map(class_of, metas), repeat=n))
+                    if key in failing]
             else:
                 failures = [([reps[c] for c in key], state, {"instances": w})
                             for key, (state, w) in failing.items()]
@@ -543,19 +535,6 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
         r["preserved"] for r in report["rules"].values()
     )
     return report
-
-
-def _signature_classes(checker, metas):
-    """The class id of each metavariable filling, and each class's first
-    member: an instance's verdict and witnesses depend only on each filling's
-    signature, unless awareness sets read syntax, where each formula is its
-    own class."""
-    if _reads_syntax(checker.models):
-        return list(range(len(metas))), metas
-    classes = {}  # signature -> (class id, first member)
-    ids = [classes.setdefault(_signature(f, checker.evaluators), (len(classes), f))[0]
-           for f in metas]
-    return ids, [f for _, f in classes.values()]
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,17 @@ here works on sets of states, as the definitions do. The checkers compare two
 models formula by formula and state by state, and are the oracle for the mask
 comparison of `awarekit.verify`. The axiom and rule sweeps build and check
 every schema and rule instance on their own, and are the oracle for the
-per-class verdicts of `verify.check_axiom_suite`.
+per-class verdicts of `verify.check_axiom_suite`. The signature classes
+group the enumerated formulas, and are the oracle for the class builder of
+`awarekit.verify`.
 """
 
+import gc
+from collections import Counter
 from itertools import product
 
 from awarekit import verify
-from awarekit.fh import FHEvaluator, FHModel, aware_of, check_ka
+from awarekit.fh import Explicit, FHEvaluator, FHModel, aware_of, check_ka
 from awarekit.formula import (
     And,
     Atom,
@@ -290,13 +294,40 @@ def equiv_fh_klm(x, lang, depth):
 
 
 # ---------------------------------------------------------------------------
+# signature classes by enumeration
+
+
+def explicit_sets(models):
+    """Whether some awareness set of the models is a formula list."""
+    return any(isinstance(aset, Explicit) for m in models if isinstance(m, FHModel)
+               for per in m.awareness.values() for aset in per.values())
+
+
+def signature_classes(language, evaluators):
+    """Every formula enumerate_formulas(*language) lists, grouped by its atom
+    set and its true mask on each evaluator's model, or each formula its own
+    class where some awareness set is a formula list: each class's first
+    member, its number of formulas, and the class id of each formula, in
+    enumeration order."""
+    formulas = enumerate_formulas(*language)
+    if explicit_sets([ev.s for ev in evaluators if isinstance(ev, FHEvaluator)]):
+        return formulas, [1] * len(formulas), list(range(len(formulas)))
+    classes = {}  # key -> (class id, first member)
+    ids = [classes.setdefault((atoms_of(f), *(ev.true_mask(f) for ev in evaluators)),
+                              (len(classes), f))[0] for f in formulas]
+    return [f for _, f in classes.values()], list(Counter(ids).values()), ids
+
+
+# ---------------------------------------------------------------------------
 # per-instance axiom sweep
 
 
 def axiom_sweep(models, suite, depth, extra_schemas=()):
     """Every instance of every schema, expanded and checked on every model,
-    counted and capped as `verify.check_axiom_suite` does (a schema past the
-    cap is listed with no instance); its checked, schemas and failures."""
+    counted and capped as `verify.check_axiom_suite` does (past the cap an
+    instance is left, and its schema is capped); its checked, schemas and
+    failures. The sweep allocates many long-lived terms, so the cyclic
+    garbage collector, which they would set off again and again, is paused."""
     semantics = verify._suite_semantics(suite, models[0])
     atoms, agents = verify._model_signature(models)
     lang = Lang.L if suite.name == "HMS" else Lang.LKA
@@ -304,30 +335,33 @@ def axiom_sweep(models, suite, depth, extra_schemas=()):
     metas = enumerate_formulas(atoms, agents, depth, lang)
     report = {"checked": 0, "schemas": {}, "failures": []}
     expanded = {}  # shared across instances, so that their expansions share subterms
-    for schema in list(suite.schemas) + list(extra_schemas):
-        entry = {"checked": 0, "failures": []}
-        past = report["checked"] > verify.INSTANTIATION_CAP  # listed, not checked
-        for ags in () if past else product(sorted(agents), repeat=schema.agent_arity):
-            for ms in product(metas, repeat=schema.meta_arity):
-                f = schema.build(ms, ags)
-                g = fold(f, terms(lang), expanded)
-                bad = [s for ev in evaluators for s in ev.check(g)[1]]
-                entry["checked"] += 1
-                report["checked"] += 1
-                if bad:
-                    failure = {"formula": to_text(f), "state": str(bad[0]),
-                               "left": "not True", "right": "True"}
-                    entry["failures"].append(failure)
-                    report["failures"].append({"schema": schema.id, **failure})
-                if report["checked"] > verify.INSTANTIATION_CAP:
-                    entry["capped"] = True
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for schema in list(suite.schemas) + list(extra_schemas):
+            entry = {"checked": 0, "failures": []}
+            for ags in product(sorted(agents), repeat=schema.agent_arity):
+                for ms in product(metas, repeat=schema.meta_arity):
+                    if report["checked"] > verify.INSTANTIATION_CAP:
+                        entry["capped"] = True
+                        break
+                    f = schema.build(ms, ags)
+                    g = fold(f, terms(lang), expanded)
+                    bad = [s for ev in evaluators for s in ev.check(g)[1]]
+                    entry["checked"] += 1
+                    report["checked"] += 1
+                    if bad:
+                        failure = {"formula": to_text(f), "state": str(bad[0]),
+                                   "left": "not True", "right": "True"}
+                        entry["failures"].append(failure)
+                        report["failures"].append({"schema": schema.id, **failure})
+                if entry.get("capped"):
                     break
-            if entry.get("capped"):
-                break
-        if past:
-            entry["capped"] = True
-        entry["passed"] = not entry["failures"] and not entry.get("capped")
-        report["schemas"][schema.id] = entry
+            entry["passed"] = not entry["failures"] and not entry.get("capped")
+            report["schemas"][schema.id] = entry
+    finally:
+        if collecting:
+            gc.enable()
     return report
 
 

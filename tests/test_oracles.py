@@ -9,6 +9,7 @@ from awarekit import verify
 from awarekit.fh import Explicit, FHEvaluator, FHModel
 from awarekit.formula import (Aware, ExplicitKnow, Know, Lang, enumerate_formulas,
                               expand_defined, implies)
+from awarekit.hms import Event, HMSModel
 from awarekit.klm import Evaluator
 from awarekit.transforms import fh_transform, h_transform
 from awarekit.truth import truth_of
@@ -16,13 +17,17 @@ from awarekit.verify import (
     SCHEMA_5,
     Schema,
     check_axiom_suite,
+    check_equiv_fh_klm,
+    check_L_equiv_hms_klm,
     hms_suite,
     lga_suite,
     random_klm,
     random_klm_eq,
 )
 
-from oracles import FhOracle, KlmOracle, axiom_sweep, rule_sweep
+from conftest import make_trade
+from oracles import FhOracle, KlmOracle, axiom_sweep, rule_sweep, signature_classes
+from test_verify import _class_cases
 
 MODELS = 40
 SAMPLE = 60
@@ -159,8 +164,9 @@ K_ELIMINATION = Schema("K-Elimination", 1, 1, lambda ms, ags: ms[0],
 def test_unsound_rule_is_violated(monkeypatch):
     """An unsound rule's violations are those of the per-instance sweep:
     listed per instance within the cap, per class tuple past it, where they
-    add up to the sweep's; past the cap in class tuples the rule is capped
-    and the suite incomplete."""
+    add up to the sweep's; a cap passed at the last class tuple caps
+    nothing, and one passed before it caps the rule and leaves the suite
+    incomplete."""
     m = random_klm(random.Random(5), max_atoms=2)
     assert any(not m.base.successors(a, w) for a in m.base.agents for w in m.base.worlds)
     suite = replace(lga_suite(), rules=(K_ELIMINATION,))
@@ -181,9 +187,61 @@ def test_unsound_rule_is_violated(monkeypatch):
     assert sum(v["instances"] for v in entry["violations"]) == len(want["violations"])
     assert _instance(entry["violations"][0]) == want["violations"][0]
 
+    # the cap passed at the last class tuple leaves nothing unchecked
+    monkeypatch.setattr(verify, "INSTANTIATION_CAP", tuples - 1)
+    report = check_axiom_suite([m], bare, 1)
+    entry = report["rules"]["K-Elimination"]
+    assert "capped" not in report and "capped" not in entry and not report["passed"]
+    assert {k: entry[k] for k in want if k != "violations"} == \
+        {k: want[k] for k in want if k != "violations"}
+    sound = check_axiom_suite([m], replace(bare, rules=(verify.K_INFERENCE,)), 1)
+    assert sound["passed"] and sound["rules"]["K-Inference"]["preserved"]
+    assert "capped" not in sound and "capped" not in sound["rules"]["K-Inference"]
+
     monkeypatch.setattr(verify, "INSTANTIATION_CAP", tuples // 2)
     report = check_axiom_suite([m], bare, 1)
     entry = report["rules"]["K-Elimination"]
     assert report["capped"] and not report["passed"]
     assert entry["capped"] and not entry["preserved"]
     assert entry["premise_valid"] + entry["vacuous"] < want["premise_valid"] + want["vacuous"]
+
+
+def _builder_cases(monkeypatch):
+    """(language, evaluators) of the suites of _sweep_cases at depths 0 to 2
+    and of a space lattice whose two atoms are based at one space, where only
+    the atom set tells some classes apart; and of the three equivalence
+    checkers on the models of test_verify._class_cases at depths 0 to 3 and
+    on trade (L and LKA) at depth 3."""
+    trade = make_trade()
+    h = h_transform(trade)
+    shared = HMSModel(h.frame, {**h.valuation, "l": Event.make(
+        h.valuation["i"].base_space, ["w1@{i}", "w2@{i}"])})
+    for models, suite in [*_sweep_cases(random.Random(2107)), ([shared], hms_suite())]:
+        checker = verify.ValidityChecker(models, verify._suite_semantics(suite, models[0]))
+        for depth in (0, 1, 2):
+            yield (*verify._model_signature(models), depth, checker.lang), checker.evaluators
+    calls = [(check, args) for check, _, args in _class_cases(0)]
+    calls += [(check_L_equiv_hms_klm, (h, 3)),
+              (check_equiv_fh_klm, (trade, Lang.LKA, 3))]
+    checked = []
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_equivalence", lambda language, evaluators, *_: checked.append(
+            (language, evaluators)))
+        for check, args in calls:
+            check(*args)
+    yield from checked
+
+
+def test_class_builder_matches_grouping(monkeypatch):
+    """The class builder gives the classes of grouping every enumerated
+    formula by atom set and true masks (each formula its own class on
+    formula-list awareness sets): the same first members in enumeration
+    order, the same formula counts, and the same class for each formula."""
+    cases = 0
+    for language, evaluators in _builder_cases(monkeypatch):
+        reps, counts, class_of = verify._classes(language, evaluators)
+        want_reps, want_counts, want_ids = signature_classes(language, evaluators)
+        assert reps == want_reps and counts == want_counts, language
+        assert [class_of(f) for f in enumerate_formulas(*language)] == want_ids, language
+        cases += 1
+    assert cases == 13 * 3 + 4 * 8 + 2

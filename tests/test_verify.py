@@ -26,6 +26,7 @@ from awarekit.formula import (
 from awarekit.hms import DenotationEvaluator, Event, HMSModel
 from awarekit.klm import validate_klm
 from awarekit.kripke import relation_properties
+from awarekit.modelio import load_fixture
 from awarekit.transforms import fh_transform, h_transform
 from awarekit.truth import MaskEvaluator, Truth
 from awarekit.verify import (
@@ -332,8 +333,9 @@ def test_injected_disagreements_match_oracle(monkeypatch):
     depth 0 as at depth 2. The class pass gives up at that atom, having
     keyed no formula beyond Top and the atoms, and the formula sweep reports."""
     keyed = []
-    signature = verify._signature
-    monkeypatch.setattr(verify, "_signature", lambda f, evs: keyed.append(f) or signature(f, evs))
+    signature = MaskEvaluator.signature
+    monkeypatch.setattr(MaskEvaluator, "signature",
+                        lambda ev, f: keyed.append(f) or signature(ev, f))
     for seed in range(12):
         injectors = _injectors(seed)
         for check, oracle, args in _checker_cases(seed):
@@ -407,17 +409,51 @@ def test_trade_depth_3_is_decided_by_class(monkeypatch, trade_m):
         for n in (321_516, 321_516, 114_885, 114_885, 405_525, 405_525)]
 
 
+def _rule_counts(report):
+    return {rid: (e["premise_valid"], e["vacuous"], e["preserved"])
+            for rid, e in report["rules"].items()}
+
+
+def test_suites_are_decided_without_enumeration(monkeypatch, trade_m):
+    """Suites with rules on, exhaustive and failing past the cap alike, take
+    their classes and counts from the class builder and enumerate no
+    formula."""
+    monkeypatch.setattr(verify, "enumerate_formulas", _no_enumeration)
+    hms = check_axiom_suite([trade_m], hms_suite(), 3)
+    assert hms["passed"] and not hms["failures"] and "capped" not in hms
+    assert (hms["checked"], hms["classes"], hms["class_tuples"]) == (19_236_624_626_584, 21, 11_236)
+    assert _rule_counts(hms) == {"MP": (148_225, 717_716_624, True),
+                                 "RK-Inference": (33_993_980_769_418, 1_944_358_337_568, True)}
+
+    with_5 = check_axiom_suite([trade_m], hms_suite(), 3, extra_schemas=(SCHEMA_5,))
+    assert not with_5["passed"] and "capped" not in with_5
+    assert (with_5["checked"], with_5["class_tuples"]) == (19_236_624_680_170, 11_278)
+    assert _rule_counts(with_5) == _rule_counts(hms)
+    assert {k: e for k, e in with_5["schemas"].items() if k != "5"} == hms["schemas"]
+    assert with_5["schemas"]["5"]["checked"] == 53_586
+    assert len(with_5["failures"]) == 15 and with_5["failures"][:2] == [
+        {"schema": "5", "formula": f"~(~K{{b}} {p} & ~K{{b}} ~K{{b}} {p})", "state": "w2@{i,l}",
+         "left": "not True", "right": "True", "instances": n}
+        for p, n in (("l", 639), ("~l", 232))]
+
+    lga = check_axiom_suite([load_fixture("trade.fh.json")], lga_suite(), 2)
+    assert lga["passed"] and "capped" not in lga
+    assert (lga["checked"], lga["classes"], lga["class_tuples"]) == (76_769_002, 19, 9_406)
+    assert _rule_counts(lga) == {"MP": (11_236, 167_693, True), "K-Inference": (212, 634, True)}
+
+
 def test_space_lattice_signature_fixes_the_denotation():
     """On space-lattice transforms, formulas with one atom set and one true
-    mask have one denotation, base space and base set alike, which is what
-    lets the class pass key space-lattice formulas by their signature."""
+    mask have one denotation, base space and base set alike, so keying them
+    by the whole denotation, as the class builder does, splits no class of
+    atom set and true mask."""
     rng = random.Random(2108)
     for _ in range(12):
         ev = DenotationEvaluator(h_transform(random_klm_eq(rng)))
         seen = {}
         for f in enumerate_formulas(ev.m.atoms, ev.m.frame.agents, 2, Lang.L):
             e = ev.denotation(f)
-            assert seen.setdefault(verify._signature(f, [ev]), e) == e, f
+            assert seen.setdefault((atoms_of(f), ev.true_mask(f)), e) == e, f
 
 
 def _explicit(r, seed):
@@ -448,9 +484,9 @@ def _class_cases(seed):
 
 def test_class_verdicts_match_per_state_oracle(monkeypatch):
     """Every report equals the per-state loops'. A report with no failure is
-    decided by class without enumerating, except on formula-list awareness
-    sets, which read syntax; a report with failures falls back to the
-    formula sweep for them."""
+    decided by class without enumerating, on formula-list awareness sets too,
+    where each formula is a class of its own; a report with failures falls
+    back to the formula sweep for them."""
     enumerated = []
     enumerate_formulas_ = verify.enumerate_formulas
     monkeypatch.setattr(verify, "enumerate_formulas",
@@ -461,7 +497,6 @@ def test_class_verdicts_match_per_state_oracle(monkeypatch):
             enumerated.clear()
             body = check(*args).to_json()
             assert body == oracle(*args).to_json(), (seed, check.__name__, args[1:])
-            syntactic = isinstance(args[0], FHModel) and verify._reads_syntax([args[0]])
-            assert bool(enumerated) == (syntactic or bool(body["failures"])), (seed, args[1:])
-            kinds.add((syntactic, bool(body["failures"])))
+            assert bool(enumerated) == bool(body["failures"]), (seed, args[1:])
+            kinds.add((oracles.explicit_sets(args[:1]), bool(body["failures"])))
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
