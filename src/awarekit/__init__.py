@@ -12,11 +12,8 @@ from .fh import (
     Explicit,
     FHEvaluator,
     FHModel,
-    aware_of,
     check_ka,
     check_pp,
-    eval_L_fh,
-    eval_LKA_fh,
     validate_fh,
 )
 from .formula import (
@@ -52,7 +49,6 @@ from .hms import (
     UnawarenessFrame,
     defined_atoms,
     denotation,
-    eval_L_hms,
     validate_frame,
     validate_model,
 )

@@ -13,17 +13,22 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from .formula import (
+    And,
+    Atom,
+    Aware,
     Formula,
+    Know,
     Lang,
+    Not,
+    TOP,
+    Top,
+    _formulas,
     atoms_of,
-    enumerate_formulas,
     expand_defined,
-    in_language,
-    require_signature,
-    terms,
+    fold,
 )
 from .kripke import Filled, KripkeModel, box, group_cells, validate_kripke
-from .truth import MaskEvaluator, Truth
+from .truth import MaskEvaluator
 
 
 @dataclass(frozen=True)
@@ -42,14 +47,16 @@ class AtomGenerated:
 class Explicit:
     """A finite list of formulas. It is matched through the definition of X,
     the one that LKA has: `X{a} g` is listed, or asked about, as
-    `A{a} g & K{a} g`."""
+    `A{a} g & K{a} g`. `atoms` are the atoms the listed formulas mention."""
 
     formulas: tuple
     listed: frozenset = field(init=False, repr=False, compare=False)
+    atoms: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "listed", frozenset(
             expand_defined(f, Lang.LKA) for f in self.formulas))
+        object.__setattr__(self, "atoms", frozenset().union(*map(atoms_of, self.formulas)))
 
     @classmethod
     def make(cls, formulas):
@@ -90,46 +97,26 @@ def validate_fh(s: FHModel):
     return problems
 
 
-def aware_of(s: FHModel, agent, world, f: Formula) -> bool:
-    if agent not in s.base.agents:
-        raise KeyError(f"unknown agent {agent!r}")
-    if world not in s.base.worlds:
-        raise KeyError(f"unknown world {world!r}")
-    return s.awareness[agent][world].contains(f)
-
-
-PP_SURROGATE_DEPTH = 2
-
-
 def check_pp(s: FHModel):
-    """Whether every awareness set is generated by primitive propositions.
+    """Whether every awareness set is generated by primitive propositions:
+    it holds exactly the formulas whose atoms are in its atom set G.
 
-    AtomGenerated sets satisfy this by construction. Explicit sets are checked
-    against all formulas of depth <= 2 over the model's atoms, a finite
-    surrogate for the biconditional, so their verdict is bounded: a pass means
-    no counterexample up to that depth. The report marks this.
+    AtomGenerated sets are so by construction. An Explicit set never is, as
+    it is finite and the formulas over G are not (T, ~T, ~~T, ...). Its
+    witness is the first formula over G, in the enumerator's order over
+    depths 0, 1, 2, ..., that it does not list. The formulas over G come in
+    the same order in the enumeration over G as in the one over all the
+    atoms, so only they are made, at most one more than the list is long.
     """
     witnesses = []
-    bounded = False
-    probes = None
     for a in sorted(s.base.agents):
         for w in sorted(s.base.worlds):
             aset = s.awareness[a][w]
-            if isinstance(aset, AtomGenerated):
-                continue
-            bounded = True
-            if probes is None:
-                probes = enumerate_formulas(
-                    s.base.atoms or {"p"}, s.base.agents, PP_SURROGATE_DEPTH, Lang.LKA
-                )
-            generated = frozenset().union(*(atoms_of(f) for f in aset.formulas)) \
-                if aset.formulas else frozenset()
-            for f in probes:
-                if aset.contains(f) != (atoms_of(f) <= generated):
-                    witnesses.append((a, w, f))
-                    break
-    return {"passed": not witnesses, "witnesses": witnesses,
-            "verdict": "bounded" if bounded else "exact"}
+            if isinstance(aset, Explicit):
+                witnesses.append((a, w, next(
+                    f for f in _formulas(s.base.atoms & aset.atoms, s.base.agents, Lang.LKA)
+                    if not aset.contains(f))))
+    return {"passed": not witnesses, "witnesses": witnesses, "verdict": "exact"}
 
 
 def check_ka(s: FHModel):
@@ -151,11 +138,15 @@ def check_ka(s: FHModel):
 class FHEvaluator(MaskEvaluator):
     """Bitmask evaluator for one model, two-valued: the set of worlds where
     a formula is True, as an int over the sorted worlds, computed by
-    `formula.fold` once per distinct subformula; it is False elsewhere. A
-    signature pairs the true mask with what awareness reads: the atom set, as
-    an int over the sorted atoms, or, where some awareness set is Explicit,
-    the formula itself, with the defined operators unfolded as fold unfolds
-    them."""
+    `formula.fold` once per distinct subformula; it is False elsewhere.
+
+    A signature is the true mask and the key that awareness reads: the atom
+    set, as an int over the sorted atoms, and the formula's term (with the
+    defined operators unfolded as fold unfolds them) while it is a subterm of
+    some listed formula, else None. A formula with a subterm outside that
+    finite set is outside it too, so None absorbs every constructor, and on
+    a model with no Explicit set the term is always None. An Explicit set
+    reads the term, an AtomGenerated set the atom set."""
 
     def __init__(self, s: FHModel, lang: Lang):
         self.s = s
@@ -164,79 +155,68 @@ class FHEvaluator(MaskEvaluator):
         self.atom_true = {
             p: sum(1 << self.index[w] for w in holds) for p, holds in s.base.valuation.items()
         }
+        self._bit = {p: 1 << i for i, p in enumerate(sorted(s.base.atoms))}
         self.cells = {
             a: group_cells([sum(1 << self.index[v] for v in s.base.successors(a, w))
                             for w in self.states])
             for a in s.base.agents
         }
-        syntactic = any(isinstance(aset, Explicit)
-                        for per in s.awareness.values() for aset in per.values())
-        if syntactic:
-            self._keys = terms(lang)
-        else:
-            bit = {p: 1 << i for i, p in enumerate(sorted(s.base.atoms))}
-            self._keys = SimpleNamespace(top=lambda: 0, atom=bit.__getitem__, neg=lambda k: k,
-                                        conj=int.__or__, know=lambda a, k: k,
-                                        aware=lambda a, k: k)
+        # each subterm of a listed formula, under its constructor and children
+        self._up = up = {}
+        recorder = SimpleNamespace(
+            lang=None, top=lambda: up.setdefault((Top,), TOP),
+            atom=lambda p: up.setdefault((Atom, p), Atom(p)),
+            neg=lambda t: up.setdefault((Not, t), Not(t)),
+            conj=lambda t, u: up.setdefault((And, t, u), And(t, u)),
+            know=lambda a, t: up.setdefault((Know, a, t), Know(a, t)),
+            aware=lambda a, t: up.setdefault((Aware, a, t), Aware(a, t)))
+        memo = {}
+        for per in s.awareness.values():
+            for aset in per.values():
+                if isinstance(aset, Explicit):
+                    for f in aset.listed:
+                        fold(f, recorder, memo)
 
         def awareness(agent):
-            """The worlds where the agent is aware of a signature's key."""
-            sets = [s.awareness[agent][w] for w in self.states]
-            if syntactic:  # a key is a term that fold has already expanded
-                held = [aset.listed.__contains__ if isinstance(aset, Explicit) else aset.contains
-                        for aset in sets]
-            else:
-                held = [lambda at, aw=sum(bit.get(p, 0) for p in aset.atoms): not at & ~aw
-                        for aset in sets]
-            return Filled(lambda key: sum(1 << i for i, has in enumerate(held) if has(key)))
+            """The worlds where the agent is aware of a key."""
+            held = []
+            for w in self.states:
+                aset = s.awareness[agent][w]
+                if isinstance(aset, Explicit):
+                    held.append(lambda at, term, listed=aset.listed: term in listed)
+                else:
+                    aw = sum(self._bit.get(p, 0) for p in aset.atoms)
+                    held.append(lambda at, term, aw=aw: not at & ~aw)
+            return Filled(lambda key: sum(1 << i for i, has in enumerate(held) if has(*key)))
 
         self._aware = {a: awareness(a) for a in s.base.agents}
 
-    # the algebra of (true mask, key) signatures
+    # the algebra of (true mask, atom set, term) signatures
     def top(self):
-        return self.full, self._keys.top()
+        return self.full, 0, self._up.get((Top,))
 
     def atom(self, p):
         try:
-            return self.atom_true[p], self._keys.atom(p)
+            return self.atom_true[p], self._bit[p], self._up.get((Atom, p))
         except KeyError:
             raise KeyError(f"atom {p!r} is outside the model's language") from None
 
     def neg(self, s):
-        return self.full & ~s[0], self._keys.neg(s[1])
+        return self.full & ~s[0], s[1], self._up.get((Not, s[2]))
 
     def conj(self, s, t):
-        return s[0] & t[0], self._keys.conj(s[1], t[1])
+        return s[0] & t[0], s[1] | t[1], self._up.get((And, s[2], t[2]))
 
     def know(self, agent, s):
         out = box(self.cells[agent], s[0])
         if self.lang is Lang.L:
             # explicit reading: awareness of the content plus truth
             # throughout the cell
-            out &= self._aware[agent][s[1]]
-        return out, self._keys.know(agent, s[1])
+            out &= self._aware[agent][s[1:]]
+        return out, s[1], self._up.get((Know, agent, s[2]))
 
     def aware(self, agent, s):
-        return self._aware[agent][s[1]], self._keys.aware(agent, s[1])
+        return self._aware[agent][s[1:]], s[1], self._up.get((Aware, agent, s[2]))
 
     def masks(self, s):
         return s[0], self.full & ~s[0]
-
-
-def eval_L_fh(s: FHModel, w, f: Formula, evaluator=None) -> bool:
-    """Two-valued satisfaction with K read as explicit knowledge: awareness of
-    the content plus truth at every accessible world. Atoms outside the
-    model's language are an error, not a third value."""
-    if not in_language(f, Lang.L):
-        raise ValueError("formula is not in the explicit-knowledge language; expand it first")
-    require_signature(f, s.base.atoms, s.base.agents)
-    ev = evaluator or FHEvaluator(s, Lang.L)
-    return ev.value(f, w) is Truth.TRUE
-
-
-def eval_LKA_fh(s: FHModel, w, f: Formula, evaluator=None) -> bool:
-    """Two-valued satisfaction with K implicit, A by awareness-set membership,
-    and X as their conjunction."""
-    require_signature(f, s.base.atoms, s.base.agents)
-    ev = evaluator or FHEvaluator(s, Lang.LKA)
-    return ev.value(f, w) is Truth.TRUE

@@ -11,7 +11,8 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain, count
 from types import SimpleNamespace
 
 
@@ -456,31 +457,32 @@ def formula_count(atoms, agents, depth: int, lang: Lang = Lang.L) -> int:
     return upto
 
 
+def _formulas(atoms, agents, lang, depth=None):
+    """The formulas of depth at most `depth` (of every depth where None) over
+    the atoms and agents, in enumerate_formulas' order, each made only when it
+    is asked for."""
+    agents = sorted(agents)
+    out = [TOP, *map(Atom, sorted(atoms))]
+    yield from out
+    below = 0  # out[below:] are the formulas of the depth below
+    for _ in count() if depth is None else range(depth):
+        n, prev = len(out), out[below:]
+        level = chain(
+            map(Not, prev),
+            # ordered left <= right by enumeration index, at least one child
+            # of the depth below, so each pair appears at exactly one depth
+            (And(out[i], out[j]) for i in range(n) for j in range(max(i, below), n)),
+            *(map(partial(Know, a), prev) for a in agents),
+            *(map(partial(Aware, a), prev) for a in agents if lang is Lang.LKA))
+        for f in level:
+            out.append(f)
+            yield f
+        below = n
+
+
 @lru_cache(maxsize=256)
 def _enumerate_cached(atoms, agents, depth, lang):
-    atoms = sorted(atoms)
-    agents = sorted(agents)
-    out = [TOP] + [Atom(p) for p in atoms]
-    exact = {0: list(out)}  # formulas of AST depth exactly d
-    for d in range(1, depth + 1):
-        prev = exact[d - 1]
-        level = [Not(f) for f in prev]
-        n = len(out)
-        # ordered left <= right by enumeration index, at least one child of
-        # depth exactly d-1, so each pair appears at exactly one level
-        prev_ids = {id(f) for f in prev}
-        for i in range(n):
-            for j in range(i, n):
-                if id(out[i]) in prev_ids or id(out[j]) in prev_ids:
-                    level.append(And(out[i], out[j]))
-        for a in agents:
-            level.extend(Know(a, f) for f in prev)
-        if lang is Lang.LKA:
-            for a in agents:
-                level.extend(Aware(a, f) for f in prev)
-        exact[d] = level
-        out = out + level
-    return tuple(out)
+    return tuple(_formulas(atoms, agents, lang, depth))
 
 
 def enumerate_formulas(atoms, agents, depth: int, lang: Lang = Lang.L):

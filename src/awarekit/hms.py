@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import Atom, Formula, Lang, fold, in_language, require_signature
+from .formula import Atom, Formula, Lang, fold, in_language
 from .klm import PropertyReport
 from .kripke import box, group_cells, members, relabel
-from .truth import MaskEvaluator, Truth
+from .truth import MaskEvaluator
 
 MAX_FRAME_STATES = 10_000
 
@@ -398,11 +398,3 @@ def denotation(m: HMSModel, f: Formula) -> Event:
         raise ValueError("HMS denotation is defined for the explicit-knowledge language")
     return DenotationEvaluator(m).denotation(f)
 
-
-def eval_L_hms(m: HMSModel, state, f: Formula, evaluator=None) -> Truth:
-    """True iff the state is in the denotation's up-closure, False iff in the
-    negation's, Undefined otherwise."""
-    if not in_language(f, Lang.L):
-        raise ValueError("formula is not in the explicit-knowledge language; expand it first")
-    require_signature(f, m.atoms, m.frame.agents)
-    return (evaluator or DenotationEvaluator(m)).value(f, state)

@@ -7,8 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fh import AtomGenerated, Explicit, FHModel, check_ka
-from .formula import atoms_of
+from .fh import AtomGenerated, FHModel, check_ka
 from .hms import (DenotationEvaluator, Event, HMSModel, UnawarenessFrame, defined_atoms,
                   validate_model)
 from .klm import KripkeLatticeModel, _check_cap, awareness_image, subsets, validate_klm
@@ -211,17 +210,6 @@ def _h_transform(k):
 # K-transform and FH-transform: between awareness structures and the lattice
 
 
-def awareness_atoms_of_set(aset) -> frozenset:
-    if isinstance(aset, AtomGenerated):
-        return aset.atoms
-    if isinstance(aset, Explicit):
-        out = frozenset()
-        for f in aset.formulas:
-            out |= atoms_of(f)
-        return out
-    raise TypeError(f"not an awareness set: {aset!r}")
-
-
 def k_transform(s: FHModel) -> KripkeLatticeModel:
     """Read off an awareness assignment from the atoms mentioned across each
     awareness set; requires awareness constant along the relations."""
@@ -229,7 +217,7 @@ def k_transform(s: FHModel) -> KripkeLatticeModel:
     if not ok:
         raise ValueError(f"awareness is not constant along the relations: witness {witnesses[0]}")
     awareness = {
-        a: {w: awareness_atoms_of_set(s.awareness[a][w]) & s.base.atoms
+        a: {w: s.awareness[a][w].atoms & s.base.atoms
             for w in s.base.worlds}
         for a in s.base.agents
     }

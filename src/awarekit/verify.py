@@ -15,7 +15,7 @@ from itertools import product
 from math import prod
 from operator import mul
 
-from .fh import FHEvaluator, FHModel, check_ka
+from .fh import FHEvaluator, FHModel
 from .formula import (
     And,
     Atom,
@@ -119,7 +119,8 @@ def _classes(language, evaluators, found=lambda f: None):
     algebra; the algebras compute a connective's signature from its
     children's, so a formula's key fixes the key of every formula built on it,
     and so every verdict on it. On formula-list awareness sets the signature
-    carries the formula's term, so there each formula is a class of its own.
+    carries the formula's term only while it is a subterm of a listed formula,
+    so there too the classes are finitely many.
     Gives each class's first formula in the enumerator's order, its number of
     formulas, and the class of a formula. `found` sees each representative
     as it is found, and may raise to stop the build."""
@@ -232,9 +233,6 @@ def check_equiv_fh_klm(x, lang: Lang, depth: int) -> EquivalenceReport:
     (either direction), at world copies w_X with X covering the formula's
     atoms. Both semantics are two-valued there."""
     if isinstance(x, FHModel):
-        ok, witnesses = check_ka(x)
-        if not ok:
-            raise ValueError(f"awareness is not constant along the relations: {witnesses[0]}")
         fh, klm = x, k_transform(x)
     elif isinstance(x, KripkeLatticeModel):
         fh, klm = fh_transform(x), x

@@ -19,7 +19,7 @@ from collections import Counter
 from itertools import product
 
 from awarekit import verify
-from awarekit.fh import Explicit, FHEvaluator, FHModel, aware_of, check_ka
+from awarekit.fh import Explicit, FHEvaluator, FHModel, check_ka
 from awarekit.formula import (
     And,
     Atom,
@@ -159,13 +159,13 @@ class FhOracle:
             if self.lang is Lang.L:
                 # explicit reading: awareness of the content plus truth
                 # throughout the cell
-                if not aware_of(s, f.agent, w, f.child):
+                if not s.awareness[f.agent][w].contains(f.child):
                     return False
             return all(self.value(f.child, v) for v in s.base.successors(f.agent, w))
         if isinstance(f, Aware):
             if self.lang is Lang.L:
                 raise ValueError("Aware is not a grammar node of L; expand it first")
-            return aware_of(s, f.agent, w, f.child)
+            return s.awareness[f.agent][w].contains(f.child)
         if isinstance(f, ExplicitKnow):
             if self.lang is Lang.L:
                 raise ValueError("ExplicitKnow is not a grammar node of L; expand it first")
@@ -303,17 +303,38 @@ def explicit_sets(models):
                for per in m.awareness.values() for aset in per.values())
 
 
+def subterms(formulas):
+    """Every subterm of the formulas, each formula included."""
+    out, todo = set(), list(formulas)
+    while todo:
+        f = todo.pop()
+        if f not in out:
+            out.add(f)
+            if isinstance(f, And):
+                todo += [f.left, f.right]
+            elif not isinstance(f, (Top, Atom)):
+                todo.append(f.child)
+    return out
+
+
 def signature_classes(language, evaluators):
     """Every formula enumerate_formulas(*language) lists, grouped by its atom
-    set and its true mask on each evaluator's model, or each formula its own
-    class where some awareness set is a formula list: each class's first
-    member, its number of formulas, and the class id of each formula, in
-    enumeration order."""
+    set, its true mask on each evaluator's model, and its expansion in LKA
+    where that is a subterm of a formula that some awareness set lists (its
+    expansion too), else None: each class's first member, its number of
+    formulas, and the class id of each formula, in enumeration order."""
     formulas = enumerate_formulas(*language)
-    if explicit_sets([ev.s for ev in evaluators if isinstance(ev, FHEvaluator)]):
-        return formulas, [1] * len(formulas), list(range(len(formulas)))
+    within = subterms(expand_defined(f, Lang.LKA) for ev in evaluators
+                      if isinstance(ev, FHEvaluator) for per in ev.s.awareness.values()
+                      for aset in per.values() if isinstance(aset, Explicit)
+                      for f in aset.formulas)
+
+    def term(f):
+        g = expand_defined(f, Lang.LKA)
+        return g if g in within else None
+
     classes = {}  # key -> (class id, first member)
-    ids = [classes.setdefault((atoms_of(f), *(ev.true_mask(f) for ev in evaluators)),
+    ids = [classes.setdefault((atoms_of(f), *(ev.true_mask(f) for ev in evaluators), term(f)),
                               (len(classes), f))[0] for f in formulas]
     return [f for _, f in classes.values()], list(Counter(ids).values()), ids
 

@@ -123,8 +123,8 @@ def test_eval_unknown_state_in_every_model_class(tmp_path, capsys):
 
 
 def test_check_prints_the_pp_witness(tmp_path, capsys):
-    """An Explicit awareness set that fails PP: the witness is keyed by the
-    property's name and shows the formula as text."""
+    """An Explicit awareness set, which fails PP exactly: the witness is
+    keyed by the property's name and shows the formula as text."""
     body = json.loads(fixture_path("trade.fh.json").read_text())
     body["awareness_sets"]["b"] = dict.fromkeys(("w1", "w2", "w3"),
                                                 {"kind": "explicit", "formulas": ["i"]})
@@ -132,10 +132,10 @@ def test_check_prints_the_pp_witness(tmp_path, capsys):
     path.write_text(json.dumps(body))
     code, out, _ = run(capsys, "check", str(path))
     assert code == 1
-    assert "pp (bounded): FAIL\n  witness: ('b', 'w1', 'T')\n" in out
+    assert "pp (exact): FAIL\n  witness: ('b', 'w1', 'T')\n" in out
     code, out, _ = run(capsys, "check", str(path), "--json")
     assert code == 1
-    assert json.loads(out)["witnesses"] == {"pp (bounded)": "('b', 'w1', 'T')"}
+    assert json.loads(out)["witnesses"] == {"pp (exact)": "('b', 'w1', 'T')"}
 
 
 def test_eval_fh_model(capsys):
@@ -352,8 +352,8 @@ def test_equiv_capped_is_incomplete(capsys, monkeypatch):
 
 @pytest.fixture
 def explicit_fh(tmp_path):
-    """trade.fh.json with Explicit awareness sets, which read syntax, so that
-    every filling is its own class and the cap still bounds the sweep."""
+    """trade.fh.json with Explicit awareness sets, which read syntax. Awareness
+    varies along b's relation, so the structure is not KA."""
     body = json.loads(fixture_path("trade.fh.json").read_text())
     listed = {"b": {"w1": ["i", "K{b} i"], "w2": ["l", "~i"], "w3": ["i"]},
               "o": dict.fromkeys(("w1", "w2", "w3"), ["i", "l"])}
@@ -364,10 +364,21 @@ def explicit_fh(tmp_path):
     return str(path)
 
 
+def test_equiv_refuses_awareness_that_varies_along_a_relation(capsys, explicit_fh):
+    """The lattice counterpart needs awareness constant along the relations:
+    one refusal, with its witness, and exit code 2."""
+    assert run(capsys, "equiv", explicit_fh, "--depth", "1") == (
+        2, "", "awarekit: awareness is not constant along the relations: "
+               "witness ('b', 'w2', 'w3')\n")
+
+
 def test_axioms_capped_is_incomplete(capsys, monkeypatch, explicit_fh):
-    """An axiom suite stopped by the instantiation cap is flagged in the JSON
-    and in the human report, never passes, and never exits 0."""
+    """An axiom suite stopped by the instantiation cap, patched below its
+    class-tuple count, is flagged in the JSON and in the human report, never
+    passes, and never exits 0."""
     argv = ("axioms", "--suite", "lga", "--models", explicit_fh, "--depth", "1", "--no-rules")
+    full = check_axiom_suite([load_model(explicit_fh)], lga_suite(), 1, check_rules=False)
+    assert (full["classes"], full["class_tuples"], full["checked"]) == (17, 6988, 17761)
     monkeypatch.setattr(verify, "INSTANTIATION_CAP", 50)
     code, out, _ = run(capsys, *argv, "--json")
     body = json.loads(out)
@@ -383,12 +394,11 @@ def test_axioms_capped_is_incomplete(capsys, monkeypatch, explicit_fh):
         f"schema {sid}: {'capped' if entry.get('capped') else 'pass'} "
         f"({entry['checked']} instances)" for sid, entry in body["schemas"].items()]
     assert schema_lines[:3] == ["schema PL-Top: pass (1 instances)",
-                                "schema PL1: capped (50 instances)",
+                                "schema PL1: capped (143 instances)",
                                 "schema PL2: capped (0 instances)"]
-    monkeypatch.undo()
+    assert "144 instances covered by 51 class tuples over 17 classes" in out.splitlines()
     # a schema that failed before the cap says both
-    full = check_axiom_suite([load_model(explicit_fh)], lga_suite(), 1, check_rules=False)
-    monkeypatch.setattr(verify, "INSTANTIATION_CAP", full["checked"] - 2)
+    monkeypatch.setattr(verify, "INSTANTIATION_CAP", full["class_tuples"] - 2)
     code, out, _ = run(capsys, *argv)
     assert code == 1 and "schema A12: FAIL, capped (47 instances)" in out.splitlines()
     monkeypatch.undo()

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from awarekit.fh import FHEvaluator, eval_L_fh
+from awarekit.fh import FHEvaluator
 from awarekit.formula import (
     MAX_DEPTH,
     MAX_FORMULAS,
@@ -29,7 +29,7 @@ from awarekit.formula import (
     parse,
     to_text,
 )
-from awarekit.hms import DenotationEvaluator, denotation, eval_L_hms
+from awarekit.hms import DenotationEvaluator, denotation
 from awarekit.klm import Evaluator, eval_L
 from awarekit.kripke import WorldId
 from awarekit.transforms import fh_transform, h_transform
@@ -112,23 +112,23 @@ def test_expand_defined_under_L():
 
 
 def test_entry_points_of_L_refuse_what_the_evaluators_unfold():
-    """eval_L, eval_L_fh, eval_L_hms and denotation take formulas of L only.
-    The evaluators behind them read A and X under L by unfolding them, to
-    the values of the expanded formula."""
+    """eval_L and denotation take formulas of L only. The evaluators behind
+    them, and the awareness-structure evaluator, read A and X under L by
+    unfolding them, to the values of the expanded formula."""
     k = make_trade()
     fh, hms = fh_transform(k), h_transform(k)
     w = WorldId("w1", frozenset({"i", "l"}))
     for text in ("A{b} l", "X{b} l", "K{o} ~A{b} (i & X{o} l)"):
         f = parse(text)
-        for refused in (lambda: eval_L(k, w, f), lambda: eval_L_fh(fh, "w1", f),
-                        lambda: eval_L_hms(hms, "w1@{i,l}", f), lambda: denotation(hms, f)):
+        for refused in (lambda: eval_L(k, w, f), lambda: denotation(hms, f)):
             with pytest.raises(ValueError, match="language"):
                 refused()
         g = expand_defined(f, Lang.L)
         for v in Evaluator(k, Lang.L).states:
             assert Evaluator(k, Lang.L).value(f, v) is eval_L(k, v, g), (text, v)
-        for v in sorted(fh.base.worlds):
-            assert FHEvaluator(fh, Lang.L).value(f, v) is truth_of(eval_L_fh(fh, v, g)), (text, v)
+        ev = FHEvaluator(fh, Lang.L)
+        for v in ev.states:
+            assert ev.value(f, v) is FHEvaluator(fh, Lang.L).value(g, v), (text, v)
         assert DenotationEvaluator(hms).denotation(f) == denotation(hms, g), text
 
 

@@ -2,13 +2,13 @@ import pytest
 
 from awarekit.formula import Lang, parse
 from awarekit.hms import (
+    DenotationEvaluator,
     Event,
     FrameDefect,
     HMSModel,
     UnawarenessFrame,
     defined_atoms,
     denotation,
-    eval_L_hms,
     validate_frame,
     validate_model,
 )
@@ -86,12 +86,13 @@ def test_defined_atoms(hms_trade):
 
 def test_eval_three_valued(hms_trade):
     f = parse("K{b} l", Lang.L)
-    assert eval_L_hms(hms_trade, "w1@{i,l}", f) is Truth.TRUE
-    assert eval_L_hms(hms_trade, "w2@{i,l}", f) is Truth.FALSE
+    ev = DenotationEvaluator(hms_trade)
+    assert ev.value(f, "w1@{i,l}") is Truth.TRUE
+    assert ev.value(f, "w2@{i,l}") is Truth.FALSE
     # below the vocabulary of l the formula is undefined
-    assert eval_L_hms(hms_trade, "w1@{i}", f) is Truth.UNDEFINED
+    assert ev.value(f, "w1@{i}") is Truth.UNDEFINED
     with pytest.raises(KeyError):
-        eval_L_hms(hms_trade, "nope", f)
+        ev.value(f, "nope")
 
 
 def test_denotation_is_an_event(hms_trade):

@@ -8,9 +8,10 @@ from dataclasses import replace
 from awarekit import verify
 from awarekit.fh import Explicit, FHEvaluator, FHModel
 from awarekit.formula import (Aware, ExplicitKnow, Know, Lang, enumerate_formulas,
-                              expand_defined, implies)
+                              expand_defined, implies, parse)
 from awarekit.hms import Event, HMSModel
 from awarekit.klm import Evaluator
+from awarekit.kripke import KripkeModel
 from awarekit.transforms import fh_transform, h_transform
 from awarekit.truth import truth_of
 from awarekit.verify import (
@@ -25,8 +26,9 @@ from awarekit.verify import (
     random_klm_eq,
 )
 
-from conftest import make_trade
-from oracles import FhOracle, KlmOracle, axiom_sweep, rule_sweep, signature_classes
+from conftest import make_trade, part
+from oracles import (FhOracle, KlmOracle, axiom_sweep, explicit_sets, rule_sweep,
+                     signature_classes)
 from test_verify import _class_cases
 
 MODELS = 40
@@ -97,8 +99,9 @@ def _sweep_parts(report):
 def test_suite_matches_instance_sweep():
     """The per-class verdicts of check_axiom_suite give the same counts,
     failures and witnesses as checking every instance on its own."""
-    rng = random.Random(2107)
-    for models, suite in _sweep_cases(rng):
+    cases = list(_sweep_cases(random.Random(2107)))
+    assert any(explicit_sets(models) for models, _ in cases)
+    for models, suite in cases:
         got = check_axiom_suite(models, suite, 1, extra_schemas=(SCHEMA_5,), check_rules=False)
         assert _sweep_parts(got) == axiom_sweep(models, suite, 1, (SCHEMA_5,)), suite.name
 
@@ -131,11 +134,15 @@ def test_suite_past_the_cap_lists_class_tuples(monkeypatch, trade):
 
 
 def test_capped_suite_matches_capped_instance_sweep(monkeypatch):
-    """Where awareness sets read syntax each filling is its own class, so
-    the cap still cuts the sweep short: the capped report lists what the
-    capped per-instance sweep lists, each class tuple one instance."""
+    """An awareness set that lists every filling makes each filling a
+    subterm of a listed formula, and so a class of its own: each class tuple
+    is one instance, and the capped report lists what the capped
+    per-instance sweep lists."""
     rng = random.Random(2108)
     x = _explicit_fh(rng, random_klm(rng, max_atoms=2))
+    a, w = min(x.base.agents), min(x.base.worlds)
+    every = Explicit.make(enumerate_formulas(x.base.atoms, x.base.agents, 1, Lang.LKA))
+    x = FHModel.make(x.base, {**x.awareness, a: {**x.awareness[a], w: every}})
     full = check_axiom_suite([x], lga_suite(), 1, check_rules=False)
     assert full["class_tuples"] == full["checked"] and full["failures"]
     monkeypatch.setattr(verify, "INSTANTIATION_CAP", full["checked"] - 40)
@@ -151,7 +158,9 @@ def test_rules_match_instance_sweep():
     violations and witnesses of checking every rule instance on its own, on
     every model class, formula-list awareness sets and three-model corpora."""
     cases = list(_sweep_cases(random.Random(2107)))
-    for models, suite in cases[:5] + cases[-2:]:
+    cases = cases[:5] + cases[-2:]
+    assert any(explicit_sets(models) for models, _ in cases)
+    for models, suite in cases:
         got = check_axiom_suite(models, suite, 1)
         assert got["rules"] == rule_sweep(models, suite, 1), suite.name
 
@@ -234,9 +243,10 @@ def _builder_cases(monkeypatch):
 
 def test_class_builder_matches_grouping(monkeypatch):
     """The class builder gives the classes of grouping every enumerated
-    formula by atom set and true masks (each formula its own class on
-    formula-list awareness sets): the same first members in enumeration
-    order, the same formula counts, and the same class for each formula."""
+    formula by atom set and true masks, and on formula-list awareness sets
+    also by its term where that is a subterm of a listed formula: the same
+    first members in enumeration order, the same formula counts, and the
+    same class for each formula."""
     cases = 0
     for language, evaluators in _builder_cases(monkeypatch):
         reps, counts, class_of = verify._classes(language, evaluators)
@@ -245,3 +255,30 @@ def test_class_builder_matches_grouping(monkeypatch):
         assert [class_of(f) for f in enumerate_formulas(*language)] == want_ids, language
         cases += 1
     assert cases == 13 * 3 + 4 * 8 + 2
+
+
+def _workflow_explicit():
+    """The formula-list awareness structure of the exhaustive LGA step in
+    .github/workflows/tests.yml."""
+    base = KripkeModel.make(
+        atoms=["i", "l"], agents=["b", "o"], worlds=["w1", "w2", "w3"],
+        relations={"b": part([["w1"], ["w2", "w3"]]), "o": part([["w1"], ["w2"], ["w3"]])},
+        valuation={"i": ["w1"], "l": ["w1", "w2"]})
+    listed = {"b": {"w1": ["i", "K{b} i"], "w2": ["l", "~i"], "w3": ["i"]},
+              "o": dict.fromkeys(("w1", "w2", "w3"), ["i", "l"])}
+    return FHModel.make(base, {a: {w: Explicit.make(map(parse, fs)) for w, fs in per.items()}
+                               for a, per in listed.items()})
+
+
+def test_formula_lists_have_finitely_many_classes():
+    """A term outside the subterms of the listed formulas is dropped from
+    the key, so the classes of a formula-list structure stop growing: on the
+    workflow's structure, 3, 15, 29 and 30 classes at depths 0 to 3, those of
+    grouping every formula."""
+    x = _workflow_explicit()
+    evaluators = [FHEvaluator(x, Lang.LKA)]
+    for depth, n in enumerate((3, 15, 29, 30)):
+        language = x.base.atoms, x.base.agents, depth, Lang.LKA
+        reps, counts, _ = verify._classes(language, evaluators)
+        assert len(reps) == n, depth
+        assert (reps, counts) == signature_classes(language, evaluators)[:2], depth

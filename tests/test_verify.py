@@ -485,8 +485,9 @@ def _class_cases(seed):
 def test_class_verdicts_match_per_state_oracle(monkeypatch):
     """Every report equals the per-state loops'. A report with no failure is
     decided by class without enumerating, on formula-list awareness sets too,
-    where each formula is a class of its own; a report with failures falls
-    back to the formula sweep for them."""
+    where a formula's term is in its key only while it is a subterm of a
+    listed formula; a report with failures falls back to the formula sweep
+    for them."""
     enumerated = []
     enumerate_formulas_ = verify.enumerate_formulas
     monkeypatch.setattr(verify, "enumerate_formulas",
