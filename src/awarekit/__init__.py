@@ -62,6 +62,8 @@ from .klm import (
     eval_LKA,
     induced_pointwise,
     lattice_cap,
+    random_klm,
+    random_klm_eq,
     subsets,
     validate_klm,
 )
@@ -97,8 +99,6 @@ from .verify import (
     check_L_equiv_klm_hms,
     hms_suite,
     lga_suite,
-    random_klm,
-    random_klm_eq,
     valid_over,
 )
 

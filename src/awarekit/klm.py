@@ -11,11 +11,14 @@ exist only as checker input.
 from __future__ import annotations
 
 import os
+import random
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import and_, or_
 
 from .formula import Formula, Lang, in_language, require_signature
-from .kripke import Filled, KripkeModel, WorldId, box, group_cells, meet, validate_kripke
+from .kripke import (Filled, KripkeModel, WorldId, box, group_cells, meet, members,
+                     relabel, validate_kripke)
 from .truth import MaskEvaluator, Truth
 
 DEFAULT_LATTICE_CAP = 12
@@ -311,6 +314,109 @@ class Evaluator(MaskEvaluator):
         return s[0], self._defined[s[1]] & ~s[0]
 
 
+class Sliced:
+    """The algebra of an Evaluator's signatures over `width` class tuples at
+    once (bit-slicing). A value is a tuple of ints: one per state, whose bit
+    t says whether tuple t is true there, then one per atom (sorted), whose
+    bit t says whether tuple t's formula mentions the atom; no int has a
+    bit past `full`. A tuple is defined at w_X exactly when it mentions no
+    atom outside X; ¬ and K_a read that from the atom ints, as the scalar
+    algebra reads its atom-set int, and K_a ANDs the rows of each cell."""
+
+    def __init__(self, ev: Evaluator, width: int):
+        self.n = n = len(ev.states)
+        self.full = (1 << width) - 1
+        self.atoms = sorted(ev.bit)
+        self.atom_true = ev.atom_true
+
+        def outside(masks):
+            """The states grouped by the value slots of the atoms whose mask
+            lacks them."""
+            groups = {}
+            for s in range(n):
+                key = tuple(n + i for i, m in enumerate(masks) if not m >> s & 1)
+                groups.setdefault(key, []).append(s)
+            return list(groups.items())
+
+        self._defined = outside([ev.guard[p] for p in self.atoms])
+        self._aware = {a: outside([aw[1 << i] for i in range(len(self.atoms))])
+                       for a, aw in ev._aware.items()}
+        self._cells = {a: [(members(cell, range(n)), members(ms, range(n)))
+                           for cell, ms in groups] for a, groups in ev.cells.items()}
+
+    def classes(self, sigs):
+        """The value over one tuple per class: bit c for signature sigs[c]."""
+        def column(xs, i):
+            return sum((x >> i & 1) << c for c, x in enumerate(xs))
+        trues, atom_sets = [t for t, _ in sigs], [at for _, at in sigs]
+        return (*(column(trues, s) for s in range(self.n)),
+                *(column(atom_sets, i) for i in range(len(self.atoms))))
+
+    @staticmethod
+    def slots(by_class, C, m):
+        """The inputs of m slots over the C ** m tuples of C classes in
+        product order (slot 0 the most significant), from the value
+        `by_class` of `classes`: slot j holds class c at the tuples whose
+        j-th class is c, a column repeated over the slots before it."""
+        inputs = []
+        for j in range(m):
+            s = C ** (m - 1 - j)  # the tuples of one run of a class in slot j
+            column = {1 << c: int(("0" * (C - 1 - c) * s + "1" * s + "0" * c * s) * C ** j, 2)
+                      for c in range(C)}
+            inputs.append(tuple(relabel(x, column) for x in by_class))
+        return inputs
+
+    def _escapes(self, v, groups):
+        """Per state, the tuples that mention an atom of its group."""
+        out = [0] * self.n
+        for where, states in groups:
+            u = 0
+            for i in where:
+                u |= v[i]
+            for s in states:
+                out[s] = u
+        return out
+
+    def top(self):
+        return (self.full,) * self.n + (0,) * len(self.atoms)
+
+    def atom(self, p):
+        full = self.full
+        return (*(full * (self.atom_true[p] >> s & 1) for s in range(self.n)),
+                *(full * (q == p) for q in self.atoms))
+
+    def neg(self, v):
+        full, n = self.full, self.n
+        return (*[full ^ (r | u) for r, u in zip(v, self._escapes(v, self._defined))],
+                *v[n:])
+
+    def conj(self, v, w):
+        n = self.n
+        return (*map(and_, v[:n], w[:n]), *map(or_, v[n:], w[n:]))
+
+    def know(self, agent, v):
+        rows = [0] * self.n
+        for cell, states in self._cells[agent]:
+            box = self.full
+            for s in cell:
+                box &= v[s]
+            for s in states:
+                rows[s] = box
+        return (*[r & ~u for r, u in zip(rows, self._escapes(v, self._defined))],
+                *v[self.n:])
+
+    def aware(self, agent, v):
+        return (*[self.full ^ u for u in self._escapes(v, self._aware[agent])],
+                *v[self.n:])
+
+    def false(self, v):
+        """The tuples False at some state."""
+        true_or_undefined = self.full
+        for r, u in zip(v, self._escapes(v, self._defined)):
+            true_or_undefined &= r | u
+        return self.full ^ true_or_undefined
+
+
 def eval_L(k: KripkeLatticeModel, w: WorldId, f: Formula, evaluator=None) -> Truth:
     """Three-valued satisfaction of an explicit-knowledge formula at w_X.
 
@@ -335,3 +441,75 @@ def eval_LKA(k: KripkeLatticeModel, w: WorldId, f: Formula, evaluator=None,
     require_signature(f, k.base.atoms, k.base.agents)
     ev = evaluator or Evaluator(k, Lang.LKA, strict_two_valued)
     return ev.value(f, w)
+
+
+# ---------------------------------------------------------------------------
+# random model generation
+
+
+def _random_partition(rng, worlds):
+    cells = []
+    for w in worlds:
+        if cells and rng.random() < 0.6:
+            rng.choice(cells).append(w)
+        else:
+            cells.append([w])
+    return frozenset((w, v) for c in cells for w in c for v in c)
+
+
+def random_klm_eq(rng: random.Random, max_worlds=4, max_atoms=3, agents=("a", "b")):
+    """A random lattice model whose relations are equivalence relations and
+    whose awareness is constant on information cells."""
+    n = rng.randint(1, max_worlds)
+    worlds = [f"w{i}" for i in range(1, n + 1)]
+    k = rng.randint(1, max_atoms)
+    atoms = [f"p{i}" for i in range(1, k + 1)]
+    relations = {a: _random_partition(rng, worlds) for a in agents}
+    valuation = {p: frozenset(w for w in worlds if rng.random() < 0.5) for p in atoms}
+    awareness = {}
+    for a in agents:
+        per = {}
+        for w in worlds:
+            if w not in per:
+                aw = frozenset(p for p in atoms if rng.random() < 0.6)
+                cell = {v for (u, v) in relations[a] if u == w}
+                for v in cell:
+                    per[v] = aw
+        awareness[a] = per
+    base = KripkeModel.make(atoms, agents, worlds, relations, valuation)
+    out = KripkeLatticeModel.make(base, awareness)
+    assert not validate_klm(out)
+    return out
+
+
+def random_klm(rng: random.Random, max_worlds=4, max_atoms=3, agents=("a", "b")):
+    """A random lattice model with arbitrary relations. Awareness is made
+    constant on each relation-connected component, so agents know what they
+    are aware of; this is the class the general-awareness axioms describe."""
+    n = rng.randint(1, max_worlds)
+    worlds = [f"w{i}" for i in range(1, n + 1)]
+    k = rng.randint(1, max_atoms)
+    atoms = [f"p{i}" for i in range(1, k + 1)]
+    relations = {
+        a: frozenset(
+            (w, v) for w in worlds for v in worlds if rng.random() < 0.4
+        )
+        for a in agents
+    }
+    valuation = {p: frozenset(w for w in worlds if rng.random() < 0.5) for p in atoms}
+    awareness = {}
+    for a in agents:
+        per = {w: set(p for p in atoms if rng.random() < 0.6) for w in worlds}
+        changed = True
+        while changed:
+            changed = False
+            for (w, v) in relations[a]:
+                joint = per[w] | per[v]
+                if per[w] != joint or per[v] != joint:
+                    per[w] = per[v] = joint
+                    changed = True
+        awareness[a] = {w: frozenset(s) for w, s in per.items()}
+    base = KripkeModel.make(atoms, agents, worlds, relations, valuation)
+    out = KripkeLatticeModel.make(base, awareness)
+    assert not validate_klm(out)
+    return out

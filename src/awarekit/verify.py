@@ -1,5 +1,6 @@
 """Proposition-level harness: satisfaction preservation across the transforms,
-guarded validity, axiom suites, and random model generation.
+guarded validity and axiom suites. The random lattice models of `klm` are
+re-exported here, where the acceptance tests import them.
 
 Inference rules are checked as validity preservation over the supplied finite
 model corpus. That is a necessary condition for soundness, not a proof, and
@@ -8,10 +9,9 @@ the reports label it as such.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from math import prod
 from operator import mul
 
@@ -35,13 +35,16 @@ from .formula import (
     to_text,
 )
 from .hms import DenotationEvaluator, HMSModel
-from .klm import Evaluator, KripkeLatticeModel, subsets, validate_klm
-from .kripke import KripkeModel, WorldId, relabel
+from .klm import Evaluator, KripkeLatticeModel, Sliced, random_klm, random_klm_eq, subsets
+from .kripke import WorldId, relabel
 from .transforms import (_require_partitional, fh_transform, h_transform, k_transform,
                          l_transform)
 from .truth import compile_program, truth_at
 
 INSTANTIATION_CAP = 10 ** 6
+# bits of one bit-sliced value in an axiom-suite sweep: class tuples of a
+# chunk times (states + atoms) of the largest model
+SLICE_BITS = 1 << 16
 
 
 @dataclass
@@ -57,10 +60,6 @@ class EquivalenceReport:
             {"formula": to_text(formula), "state": str(state),
              "left": str(left), "right": str(right)}
         )
-
-    @property
-    def agreements(self):
-        return self.checked - len(self.failures)
 
     @property
     def first_disagreement(self):
@@ -430,13 +429,33 @@ def _model_signature(models):
     return sigs[0] if sigs else (frozenset(), frozenset())
 
 
+def _members(mask, C, m):
+    """The set bits t of mask, each with its class tuple over m slots of C
+    classes, in product order."""
+    return ((t, key) for t, (key, f) in enumerate(zip(product(range(C), repeat=m),
+                                                      bin(mask)[:1:-1])) if f == "1")
+
+
+def _weighted(mask, weights, m):
+    """The instances of the class tuples in mask, over m slots: per tuple the
+    product of its classes' weights."""
+    C = len(weights)
+    if not mask or mask == (1 << C ** m) - 1:
+        return sum(weights) ** m if mask else 0
+    stride = C ** (m - 1)
+    return sum(w * _weighted(mask >> c * stride & (1 << stride) - 1, weights, m - 1)
+               for c, w in enumerate(weights))
+
+
 def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
                       extra_schemas=(), check_rules=True):
     """Instantiate every schema and rule with all metavariable fillings up to
     the given depth and all agent tuples, apply guarded validity over the
     model corpus, and report per schema and per rule. A rule is checked as
     validity preservation over the same corpus (a necessary condition only).
-    Each schema and rule runs once per tuple of filling classes; past
+    Each schema and rule is decided per tuple of filling classes: on lattice
+    models its program runs once over all the tuples (bit-sliced, in chunks
+    of at most SLICE_BITS bits), elsewhere once per tuple. Past
     INSTANTIATION_CAP instances a failure is listed per class tuple, with its
     first instance and instance count."""
     if not models:
@@ -466,6 +485,36 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     schemas = list(suite.schemas) + list(extra_schemas)
     per_instance = sum(len(agent_list) ** s.agent_arity * fillings ** s.meta_arity
                        for s in schemas + rules) <= INSTANTIATION_CAP
+    C = len(reps)
+    size = max(len(ev.states) for ev in evaluators) + len(atoms)  # ints per sliced value
+    sliced = isinstance(evaluators[0], Evaluator)
+    slices = {}  # arity -> its leading slots, and per model its algebra and slot inputs
+
+    def chunked(n):
+        """The tuples of arity n are cut into chunks, one per filling of the
+        leading k slots, small enough that a sliced value over the trailing
+        slots fits in SLICE_BITS."""
+        if n not in slices:
+            k = 0
+            while k < n and C ** (n - k) * size > SLICE_BITS:
+                k += 1
+            per_model = []
+            for ev, fill in zip(evaluators if sliced else (), fills):
+                alg = Sliced(ev, C ** (n - k))
+                by_class = alg.classes(fill)
+                per_model.append((alg, by_class, alg.slots(by_class, C, n - k)))
+            slices[n] = k, per_model
+        return slices[n]
+
+    def false_at(program, key):
+        """The first state of the first model where the program's instance at
+        the class tuple key is False, or None."""
+        for ev, fill in zip(evaluators, fills):
+            bad = ev.masks(program(ev, [fill[c] for c in key]))[1]
+            if bad:
+                return str(ev.states[(bad & -bad).bit_length() - 1])
+        return None
+
     spent = 0  # class tuples evaluated, by schemas and rules alike
     capped = False
     for schema in schemas + rules:
@@ -476,31 +525,58 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
         report["rules" if rule else "schemas"][schema.id] = entry
         n, side = schema.meta_arity, schema.side
         holes = [Atom(f"${i}") for i in range(n)]  # names the parser never gives
+        k, per_model = chunked(n)
+        m = n - k
+        full = (1 << C ** m) - 1
+        sides = {}  # chunk -> its tuples that are instances of the rule
         for ags in product(agent_list, repeat=schema.agent_arity):
             premises = schema.premises(holes, ags) if rule else ()
             *runs, conclusion = [compile_program(f, holes, checker.lang)
                                  for f in (*premises, schema.build(holes, ags))]
             failing = {}  # class tuple -> (witness state, instances)
             valid_premises = vacuous = 0  # instances
-            for key, w in zip(product(range(len(reps)), repeat=n),
-                              map(prod, product(weights, repeat=n))):
-                if side and not side([atom_sets[c] for c in key]):
-                    continue  # not an instance of the rule
-                if spent > INSTANTIATION_CAP:  # this tuple and the rest are left
+            for prefix in product(range(C), repeat=k):
+                allowed = full
+                if side:
+                    if prefix not in sides:
+                        sides[prefix] = int("".join(
+                            "1" if side([atom_sets[c] for c in (*prefix, *rest)]) else "0"
+                            for rest in product(range(C), repeat=m))[::-1], 2)
+                    allowed = sides[prefix]
+                evaluated, left = allowed, INSTANTIATION_CAP + 1 - spent
+                if allowed.bit_count() > left:  # the cap falls here: the tuples past it are left
+                    t, _ = next(islice(_members(allowed, C, m), left, None))
+                    evaluated &= (1 << t) - 1
+                spent += evaluated.bit_count()
+                # the premises on every model, the conclusion where they all hold
+                vac = 0
+                if sliced and evaluated:
+                    inputs = [(alg, [*(tuple(alg.full * (x >> c & 1) for x in by_class)
+                                       for c in prefix), *trailing])
+                              for alg, by_class, trailing in per_model]
+                    for run in runs:
+                        for alg, slots in inputs:
+                            vac |= alg.false(run(alg, slots))
+                    vac &= evaluated
+                    bad = 0
+                    for alg, slots in inputs if evaluated ^ vac else ():
+                        bad |= alg.false(conclusion(alg, slots))
+                    for _, rest in _members(bad & (evaluated ^ vac), C, m):
+                        key = (*prefix, *rest)  # its witness from its own run
+                        failing[key] = false_at(conclusion, key), prod(weights[c] for c in key)
+                else:  # one tuple at a time
+                    for t, rest in _members(evaluated, C, m):
+                        key = (*prefix, *rest)
+                        if runs and any(false_at(run, key) for run in runs):
+                            vac |= 1 << t
+                        elif state := false_at(conclusion, key):
+                            failing[key] = state, prod(weights[c] for c in key)
+                w = prod(weights[c] for c in prefix)
+                vacuous += w * _weighted(vac, weights, m)
+                valid_premises += w * _weighted(evaluated ^ vac, weights, m)
+                if evaluated != allowed:  # a tuple of this chunk was left
                     entry["capped"] = capped = True
                     break
-                spent += 1
-                # the premises first, on every model, up to the first one not valid
-                if runs and any(ev.masks(run(ev, [fill[c] for c in key]))[1]
-                                for run in runs for ev, fill in zip(evaluators, fills)):
-                    vacuous += w
-                else:
-                    valid_premises += w
-                    for ev, fill in zip(evaluators, fills):
-                        bad = ev.masks(conclusion(ev, [fill[c] for c in key]))[1]
-                        if bad:
-                            failing[key] = str(ev.states[(bad & -bad).bit_length() - 1]), w
-                            break
             entry[held] += valid_premises
             if rule:
                 entry["vacuous"] += vacuous
@@ -533,75 +609,3 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
         r["preserved"] for r in report["rules"].values()
     )
     return report
-
-
-# ---------------------------------------------------------------------------
-# random model generation
-
-
-def _random_partition(rng, worlds):
-    cells = []
-    for w in worlds:
-        if cells and rng.random() < 0.6:
-            rng.choice(cells).append(w)
-        else:
-            cells.append([w])
-    return frozenset((w, v) for c in cells for w in c for v in c)
-
-
-def random_klm_eq(rng: random.Random, max_worlds=4, max_atoms=3, agents=("a", "b")):
-    """A random lattice model whose relations are equivalence relations and
-    whose awareness is constant on information cells."""
-    n = rng.randint(1, max_worlds)
-    worlds = [f"w{i}" for i in range(1, n + 1)]
-    k = rng.randint(1, max_atoms)
-    atoms = [f"p{i}" for i in range(1, k + 1)]
-    relations = {a: _random_partition(rng, worlds) for a in agents}
-    valuation = {p: frozenset(w for w in worlds if rng.random() < 0.5) for p in atoms}
-    awareness = {}
-    for a in agents:
-        per = {}
-        for w in worlds:
-            if w not in per:
-                aw = frozenset(p for p in atoms if rng.random() < 0.6)
-                cell = {v for (u, v) in relations[a] if u == w}
-                for v in cell:
-                    per[v] = aw
-        awareness[a] = per
-    base = KripkeModel.make(atoms, agents, worlds, relations, valuation)
-    out = KripkeLatticeModel.make(base, awareness)
-    assert not validate_klm(out)
-    return out
-
-
-def random_klm(rng: random.Random, max_worlds=4, max_atoms=3, agents=("a", "b")):
-    """A random lattice model with arbitrary relations. Awareness is made
-    constant on each relation-connected component, so agents know what they
-    are aware of; this is the class the general-awareness axioms describe."""
-    n = rng.randint(1, max_worlds)
-    worlds = [f"w{i}" for i in range(1, n + 1)]
-    k = rng.randint(1, max_atoms)
-    atoms = [f"p{i}" for i in range(1, k + 1)]
-    relations = {
-        a: frozenset(
-            (w, v) for w in worlds for v in worlds if rng.random() < 0.4
-        )
-        for a in agents
-    }
-    valuation = {p: frozenset(w for w in worlds if rng.random() < 0.5) for p in atoms}
-    awareness = {}
-    for a in agents:
-        per = {w: set(p for p in atoms if rng.random() < 0.6) for w in worlds}
-        changed = True
-        while changed:
-            changed = False
-            for (w, v) in relations[a]:
-                joint = per[w] | per[v]
-                if per[w] != joint or per[v] != joint:
-                    per[w] = per[v] = joint
-                    changed = True
-        awareness[a] = {w: frozenset(s) for w, s in per.items()}
-    base = KripkeModel.make(atoms, agents, worlds, relations, valuation)
-    out = KripkeLatticeModel.make(base, awareness)
-    assert not validate_klm(out)
-    return out

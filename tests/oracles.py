@@ -390,7 +390,9 @@ def rule_sweep(models, suite, depth):
     """Every instance of every rule of the suite, all fillings and agent
     tuples with the side condition read on the instance's own atoms, its
     premises and conclusion expanded and checked on every model; the rule
-    entries of `verify.check_axiom_suite` within the cap."""
+    entries of `verify.check_axiom_suite` of a suite without schemas, capped
+    as there (past the cap an instance of the rule is left, and its rule and
+    every later one are capped)."""
     semantics = verify._suite_semantics(suite, models[0])
     atoms, agents = verify._model_signature(models)
     lang = Lang.L if suite.name == "HMS" else Lang.LKA
@@ -402,13 +404,17 @@ def rule_sweep(models, suite, depth):
         g = fold(f, terms(lang), expanded)
         return [s for ev in evaluators for s in ev.check(g)[1]]
 
-    rules = {}
+    rules, spent, capped = {}, 0, False
     for rule in suite.rules:
         entry = rules[rule.id] = {"premise_valid": 0, "vacuous": 0, "violations": []}
         for ags in product(sorted(agents), repeat=rule.agent_arity):
             for ms in product(metas, repeat=rule.meta_arity):
                 if rule.side and not rule.side([atoms_of(f) for f in ms]):
                     continue
+                if spent > verify.INSTANTIATION_CAP:
+                    entry["capped"] = capped = True
+                    break
+                spent += 1
                 premises = rule.premises(ms, ags)
                 if any(false_at(p) for p in premises):
                     entry["vacuous"] += 1
@@ -420,5 +426,7 @@ def rule_sweep(models, suite, depth):
                     entry["violations"].append(
                         {"premises": [to_text(p) for p in premises], "formula": to_text(f),
                          "state": str(bad[0]), "left": "not True", "right": "True"})
-        entry["preserved"] = not entry["violations"]
+            if capped:
+                break
+        entry["preserved"] = not entry["violations"] and not capped
     return rules

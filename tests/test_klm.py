@@ -1,9 +1,14 @@
+import random
+from itertools import product
+
 import pytest
 
-from awarekit.formula import Lang, parse
+from awarekit import verify
+from awarekit.formula import TOP, And, Atom, Aware, Know, Lang, Not, atoms_of, implies, parse
 from awarekit.klm import (
     Evaluator,
     KripkeLatticeModel,
+    Sliced,
     awareness_image,
     canonicalize,
     check_awareness_properties,
@@ -14,7 +19,7 @@ from awarekit.klm import (
     validate_klm,
 )
 from awarekit.kripke import KripkeModel, WorldId, members
-from awarekit.truth import Truth
+from awarekit.truth import Truth, compile_program
 
 from conftest import make_trade, part
 
@@ -130,3 +135,36 @@ def test_evaluator_memo_is_consistent(trade):
     first = [ev.value(f, w) for w in trade.omega()]
     second = [ev.value(f, w) for w in trade.omega()]
     assert first == second
+
+
+def test_sliced_algebra_matches_scalar():
+    """Every op of the bit-sliced algebra gives, at each class tuple, the
+    Evaluator's signature of that tuple's instance: true at the same states,
+    with the same atoms; and `false` marks the tuples False at some state.
+    On partitional models and on models where an agent has no successor,
+    under L and LKA."""
+    a, b, c = holes = [Atom(f"${i}") for i in range(3)]
+    programs = [Not(a), And(a, TOP), Know("a", Not(a)), Aware("b", a),
+                Know("b", Know("a", implies(a, Atom("p1")))),
+                implies(And(Know("a", a), Know("b", b)), Aware("a", And(a, b))),
+                implies(implies(a, b), implies(Not(c), Know("b", c)))]
+    rng = random.Random(2111)
+    models = [verify.random_klm_eq(rng, max_worlds=3, max_atoms=2),
+              verify.random_klm(rng, max_worlds=3, max_atoms=2)]
+    g = models[1].base
+    assert any(not g.successors(x, w) for x in "ab" for w in g.worlds)
+    for m, lang in product(models, (Lang.L, Lang.LKA)):
+        ev = Evaluator(m, lang)
+        reps = verify._classes((m.base.atoms, m.base.agents, 1, lang), [ev])[0]
+        fill = [ev.signature(f) for f in reps]
+        for f in programs:
+            n = max(i + 1 for i, h in enumerate(holes) if h.name in atoms_of(f))
+            run = compile_program(f, holes[:n], lang)
+            alg = Sliced(ev, len(reps) ** n)
+            value = run(alg, alg.slots(alg.classes(fill), len(reps), n))
+            false = alg.false(value)
+            for t, key in enumerate(product(range(len(reps)), repeat=n)):
+                true, atoms = run(ev, [fill[k] for k in key])
+                assert sum((row >> t & 1) << s for s, row in enumerate(value[:alg.n])) == true
+                assert sum((x >> t & 1) << i for i, x in enumerate(value[alg.n:])) == atoms
+                assert (false >> t & 1) == (ev.masks((true, atoms))[1] != 0), (f, key)

@@ -2,6 +2,7 @@
 oracles.py, and the axiom suite against the per-instance sweeps there, on
 seeded random models."""
 
+import json
 import random
 from dataclasses import replace
 
@@ -106,6 +107,10 @@ def test_suite_matches_instance_sweep():
         assert _sweep_parts(got) == axiom_sweep(models, suite, 1, (SCHEMA_5,)), suite.name
 
 
+# fails wherever the first filling holds and the second does not
+IMPLICATION = Schema("Implication", 2, 0, lambda ms, ags: implies(ms[0], ms[1]))
+
+
 def _instance(failure):
     """A failure listed per class tuple, without its instance count."""
     return {k: v for k, v in failure.items() if k != "instances"}
@@ -117,7 +122,7 @@ def test_suite_past_the_cap_lists_class_tuples(monkeypatch, trade):
     failing instance, each is a failing instance, and their instance counts
     add up to the failing instances of the uncapped per-instance sweep."""
     # a failing schema of arity 2, whose class tuples weigh products of class sizes
-    extra = (SCHEMA_5, Schema("Implication", 2, 0, lambda ms, ags: implies(ms[0], ms[1])))
+    extra = (SCHEMA_5, IMPLICATION)
     want = axiom_sweep([trade], hms_suite(), 1, extra)
     monkeypatch.setattr(verify, "INSTANTIATION_CAP", 3000)
     got = check_axiom_suite([trade], hms_suite(), 1, extra_schemas=extra, check_rules=False)
@@ -213,6 +218,63 @@ def test_unsound_rule_is_violated(monkeypatch):
     assert report["capped"] and not report["passed"]
     assert entry["capped"] and not entry["preserved"]
     assert entry["premise_valid"] + entry["vacuous"] < want["premise_valid"] + want["vacuous"]
+
+
+def _lattice_cases(rng):
+    """Lattice corpora of both suites: partitional models (HMS) and models
+    with arbitrary relations (LGA)."""
+    for _ in range(2):
+        yield [random_klm_eq(rng, max_atoms=2)], hms_suite()
+        yield [random_klm(rng, max_atoms=2)], lga_suite()
+
+
+def test_sliced_suite_matches_instance_sweeps(monkeypatch):
+    """On lattice models each schema and rule program runs once over all its
+    class tuples, bit-sliced: the counts, failures, violations and witnesses
+    are those of checking every instance on its own, with schema 5 and the
+    rules on, and a bit budget that cuts the sweep into chunks (one per
+    class of the leading slots) gives the same report as one chunk."""
+    for models, suite in _lattice_cases(random.Random(2109)):
+        got = check_axiom_suite(models, suite, 1, extra_schemas=(SCHEMA_5,))
+        assert _sweep_parts(got) == axiom_sweep(models, suite, 1, (SCHEMA_5,)), suite.name
+        assert got["rules"] == rule_sweep(models, suite, 1), suite.name
+        # arity 1 in one chunk, arity 2 in C chunks, arity 3 in C * C
+        size = len(models[0].omega()) + len(models[0].base.atoms)
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "SLICE_BITS", got["classes"] * size)
+            chunked = check_axiom_suite(models, suite, 1, extra_schemas=(SCHEMA_5,))
+        assert json.dumps(chunked) == json.dumps(got), suite.name
+
+
+def test_sliced_suite_under_the_cap(monkeypatch):
+    """At depth 0 each filling (T or an atom) is a class of its own, so a
+    class tuple is one instance: a cap inside PL2, or inside RK-Inference
+    where its side condition leaves tuples out, leaves the instances the
+    capped per-instance sweeps leave, in one chunk or in many."""
+    rng = random.Random(2110)
+    m = next(k for k in (random_klm_eq(rng) for _ in range(50)) if len(k.base.atoms) == 3)
+    hms = hms_suite()
+    failing_first = replace(hms, schemas=(IMPLICATION, *hms.schemas))  # 16 tuples, some fail
+    bare = replace(hms, schemas=())
+    rk_total = rule_sweep([m], bare, 0)["RK-Inference"]
+    rk_tuples = rk_total["premise_valid"] + rk_total["vacuous"]
+    assert rk_tuples < 2 * 4 ** 3  # the side condition leaves some out
+    for budget in (verify.SLICE_BITS, 1):  # one chunk, or one per tuple
+        monkeypatch.setattr(verify, "SLICE_BITS", budget)
+        # Implication, PL-Top and PL1 take 16 + 1 + 16 tuples; PL2 has 64
+        monkeypatch.setattr(verify, "INSTANTIATION_CAP", 33 + 20)
+        want = axiom_sweep([m], failing_first, 0)
+        got = check_axiom_suite([m], failing_first, 0, check_rules=False)
+        assert got["capped"] and got["schemas"]["PL2"]["capped"]
+        assert got["class_tuples"] == got["checked"] == 33 + 21 == want["checked"]
+        for f in got["failures"] + [f for e in got["schemas"].values() for f in e["failures"]]:
+            assert f.pop("instances") == 1
+        assert got["failures"] and _sweep_parts(got) == want
+        # MP takes 16 tuples, RK-Inference is cut within its first agent
+        monkeypatch.setattr(verify, "INSTANTIATION_CAP", 16 + rk_tuples // 4)
+        got = check_axiom_suite([m], bare, 0)
+        assert got["capped"] and got["rules"]["RK-Inference"]["capped"]
+        assert got["rules"] == rule_sweep([m], bare, 0)
 
 
 def _builder_cases(monkeypatch):
