@@ -18,6 +18,7 @@ from .formula import (
     enumerate_formulas,
     node_kinds,
     parse,
+    require_names,
     require_signature,
     to_text,
 )
@@ -271,6 +272,7 @@ def _cmd_enumerate(args):
     agents = [a.strip() for a in args.agents.split(",") if a.strip()]
     lang = Lang.L if args.lang == "L" else Lang.LKA
     try:
+        require_names(atoms, agents)
         formulas = enumerate_formulas(atoms, agents, args.depth, lang)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -171,18 +171,13 @@ def fold(f: Formula, alg, memo=None):
     elif kind is Know:
         got = alg.know(f.agent, fold(f.child, alg, memo))
     elif kind is Aware or kind is ExplicitKnow:
-        a, s, lang = f.agent, fold(f.child, alg, memo), alg.lang
-        if lang is None:
+        a, s = f.agent, fold(f.child, alg, memo)
+        if alg.lang is None:
             got = alg.aware(a, s) if kind is Aware else alg.explicit(a, s)
         else:
-            if lang is Lang.L:
-                k = alg.know(a, s)
-                nk = alg.neg(k)
-                got = alg.neg(alg.conj(nk, alg.neg(alg.know(a, nk))))
-            else:
-                got = alg.aware(a, s)
+            got = aware_in(alg, a, s)
             if kind is ExplicitKnow:
-                got = alg.conj(got, k if lang is Lang.L else alg.know(a, s))
+                got = alg.conj(got, alg.know(a, s))
     elif kind is Top:
         got = alg.top()
     else:
@@ -190,6 +185,15 @@ def fold(f: Formula, alg, memo=None):
     if memo is not None:
         memo[f] = got
     return got
+
+
+def aware_in(alg, a, s):
+    """fold's value of `A{a} g` in alg, from the value s of g: under L it
+    unfolds as `K{a} g | K{a} ~K{a} g`."""
+    if alg.lang is not Lang.L:
+        return alg.aware(a, s)
+    nk = alg.neg(alg.know(a, s))
+    return alg.neg(alg.conj(nk, alg.neg(alg.know(a, nk))))
 
 
 def terms(lang=None):
@@ -232,6 +236,18 @@ def node_kinds(f: Formula) -> frozenset:
 
 def agents_of(f: Formula) -> frozenset:
     return fold(f, _AGENTS, {})
+
+
+def require_names(atoms, agents) -> None:
+    """Refuse atom and agent names that formulas cannot carry: parse() would
+    not read them back (an atom T would read as the constant)."""
+    for kind, names, pattern, rule in (
+            ("atom", atoms, _ATOM_NAME, "start with a lowercase letter, then letters, digits or _"),
+            ("agent", agents, _AGENT_NAME, "be non-empty, without braces or whitespace")):
+        for name in sorted(names):
+            if not re.fullmatch(pattern, name):
+                raise ValueError(f"{kind} name {name!r} cannot be written in formulas: "
+                                 f"an {kind} name must {rule}")
 
 
 def require_signature(f: Formula, atoms, agents) -> None:
@@ -284,15 +300,16 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+_ATOM_NAME, _AGENT_NAME = r"[a-z][a-zA-Z0-9_]*", r"[^{}\s]+"  # the names the parser reads
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<modal>[KAX]\{(?P<agent>[^{}\s]+)\})
+  | (?P<modal>[KAX]\{(?P<agent>%s)\})
   | (?P<top>T\b)
-  | (?P<atom>[a-z][a-zA-Z0-9_]*)
+  | (?P<atom>%s)
   | (?P<arrow>->)
   | (?P<op>[~&|()])
-    """,
+    """ % (_AGENT_NAME, _ATOM_NAME),
     re.VERBOSE,
 )
 

@@ -10,7 +10,7 @@ import json
 from importlib import resources
 
 from .fh import AtomGenerated, Explicit, FHModel
-from .formula import Lang, parse, to_text
+from .formula import Lang, parse, require_names, to_text
 from .hms import Event, HMSModel, UnawarenessFrame
 from .klm import KripkeLatticeModel
 from .kripke import KripkeModel
@@ -200,6 +200,10 @@ def load_model(path_or_body, kind=None):
     if kind not in KINDS:
         raise ValueError(f"cannot determine model kind (got {kind!r})")
     _check_shape(body, _SHAPES[kind])
+    if kind == "hms":
+        require_names(body["valuation"], body["pi"])
+    else:
+        require_names(body["atoms"], body["agents"])
     return _LOADERS[kind](body)
 
 

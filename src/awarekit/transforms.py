@@ -241,12 +241,21 @@ def fh_transform(k: KripkeLatticeModel) -> FHModel:
     return FHModel.make(k.base, awareness)
 
 
+_NAMED = {HMSModel: "a space-lattice model", KripkeLatticeModel: "a Kripke lattice model",
+          FHModel: "an awareness structure", KripkeModel: "a plain Kripke model"}
+_TAKES = {"L": HMSModel, "H": KripkeLatticeModel, "K": FHModel, "FH": KripkeLatticeModel}
+
+
 def transform(kind: str, model) -> TransformReport:
     """Dispatch on the transform kind and bundle the output with the property
     report of its class."""
     from .fh import check_pp
     from .klm import check_awareness_properties, induced_pointwise
 
+    takes = _TAKES.get(kind)
+    if takes and not isinstance(model, takes):
+        raise TypeError(f"transform {kind} takes {_NAMED[takes]}, "
+                        f"not {_NAMED.get(type(model), type(model).__name__)}")
     if kind == "L":
         out, corr = l_transform(model)
         report = check_awareness_properties(

@@ -16,24 +16,9 @@ from math import prod
 from operator import mul
 
 from .fh import FHEvaluator, FHModel
-from .formula import (
-    And,
-    Atom,
-    Aware,
-    ExplicitKnow,
-    Formula,
-    Know,
-    Lang,
-    Not,
-    TOP,
-    atoms_of,
-    enumerate_formulas,
-    formula_count,
-    iff,
-    implies,
-    require_signature,
-    to_text,
-)
+from .formula import (TOP, And, Atom, Aware, ExplicitKnow, Formula, Know, Lang, Not, atoms_of,
+                      aware_in, enumerate_formulas, formula_count, iff, implies,
+                      require_signature, to_text)
 from .hms import DenotationEvaluator, HMSModel
 from .klm import Evaluator, KripkeLatticeModel, Sliced, random_klm, random_klm_eq, subsets
 from .kripke import WorldId, relabel
@@ -113,53 +98,58 @@ class _Disagrees(Exception):
 def _classes(language, evaluators, found=lambda f: None):
     """The signature classes of the formulas enumerate_formulas(*language)
     lists (the Lindenbaum-Tarski quotient on the evaluators' models), built
-    depth by depth from one representative each, without enumerating them. A
-    formula's key is its atom set and its signature in each evaluator's
-    algebra; the algebras compute a connective's signature from its
-    children's, so a formula's key fixes the key of every formula built on it,
-    and so every verdict on it. On formula-list awareness sets the signature
-    carries the formula's term only while it is a subterm of a listed formula,
-    so there too the classes are finitely many.
-    Gives each class's first formula in the enumerator's order, its number of
-    formulas, and the class of a formula. `found` sees each representative
-    as it is found, and may raise to stop the build."""
+    depth by depth without enumerating them. A formula's key is its atom set
+    and its signature in each evaluator's algebra. A candidate's key comes
+    from its operands' keys: the union of their atom sets, and per evaluator
+    the algebra op that fold applies at that node. So a key fixes the key of
+    every formula built on it, and a formula is built only for a new key. On
+    formula-list awareness sets a signature carries the formula's term only
+    while it is a subterm of a listed formula, so the classes stay finitely
+    many. Gives each class's first formula in the enumerator's order, its
+    number of formulas, the class of a formula, and its key. `found` sees
+    each representative as it is found, and may raise to stop the build."""
     atoms, agents, depth, lang = language
-    reps, ids = [], {}
+    reps, keys, ids = [], [], {}
 
-    def key(f):
-        return (atoms_of(f), *(ev.signature(f) for ev in evaluators))
-
-    def cls(f):
-        k = key(f)
-        c = ids.get(k)
-        if c is None:
-            found(f)
-            c = ids[k] = len(reps)
+    def cls(key, make, *args):
+        c = ids.setdefault(key, len(reps))
+        if c == len(reps):
+            found(f := make(*args))
             reps.append(f)
+            keys.append(key)
         return c
 
+    def unary(op, c, *a):  # the key of a connective over class c
+        at, *sigs = keys[c]
+        return (at, *map(lambda ev, s: op(ev, *a, s), evaluators, sigs))
+
     # class -> number of formulas of depth exactly d, at most d, at most d-1
-    exact = Counter(cls(f) for f in [TOP, *(Atom(p) for p in sorted(atoms))])
+    exact = Counter([cls((frozenset(), *(ev.top() for ev in evaluators)), lambda: TOP)] + [
+        cls((frozenset((p,)), *(ev.atom(p) for ev in evaluators)), Atom, p) for p in sorted(atoms)])
     upto, below = exact.copy(), Counter()
-    modal = [Know] + ([Aware] if lang is Lang.LKA else [])
+    modal = [(Know, lambda ev, a, s: ev.know(a, s)), (Aware, aware_in)][:1 + (lang is Lang.LKA)]
     for _ in range(depth):
         level = Counter()
         for c in sorted(exact):
-            level[cls(Not(reps[c]))] += exact[c]
+            level[cls(unary(lambda ev, s: ev.neg(s), c), Not, reps[c])] += exact[c]
         known = sorted(upto)
         for i, c1 in enumerate(known):
+            at1, *sigs1 = keys[c1]
             for c2 in known[i:]:
                 # pairs with at least one formula of the last level
                 u1, u2, b1, b2 = upto[c1], upto[c2], below[c1], below[c2]
                 n = u1 * u2 - b1 * b2 if c1 != c2 else (u1 * (u1 + 1) - b1 * (b1 + 1)) // 2
                 if n:
-                    level[cls(And(reps[c1], reps[c2]))] += n
-        for op, a in product(modal, sorted(agents)):
+                    at2, *sigs2 = keys[c2]
+                    key = at1 | at2, *map(lambda ev, s, t: ev.conj(s, t), evaluators, sigs1, sigs2)
+                    level[cls(key, And, reps[c1], reps[c2])] += n
+        for (make, op), a in product(modal, sorted(agents)):
             for c in sorted(exact):
-                level[cls(op(a, reps[c]))] += exact[c]
+                level[cls(unary(op, c, a), make, a, reps[c])] += exact[c]
         below, exact = upto.copy(), level
         upto.update(level)
-    return reps, [upto[c] for c in range(len(reps))], lambda f: ids[key(f)]
+    return (reps, [upto[c] for c in range(len(reps))],
+            lambda f: ids[(atoms_of(f), *(ev.signature(f) for ev in evaluators))], keys)
 
 
 def _equivalence(language, evaluators, pairs, masks):
@@ -473,9 +463,8 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     agent_list = sorted(agents)
     checker = ValidityChecker(models, semantics)
     evaluators = checker.evaluators
-    reps, weights, class_of = _classes(language, evaluators)
-    atom_sets = [atoms_of(f) for f in reps]  # part of the class key
-    fills = [[ev.signature(f) for f in reps] for ev in evaluators]
+    reps, weights, class_of, keys = _classes(language, evaluators)
+    atom_sets, *fills = zip(*keys)  # per class its atom set, per model its signatures
     rules = list(suite.rules) if check_rules else []
     report = {"kind": "axioms", "suite": suite.name, "depth": inst_depth,
               "checked": 0, "classes": len(reps), "class_tuples": 0, "schemas": {},

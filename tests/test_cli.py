@@ -159,6 +159,29 @@ def test_transform_and_check(tmp_path, capsys):
     assert load_model(back).awareness["b"]["w2@{i,l}"] == frozenset({"i"})
 
 
+@pytest.mark.parametrize("kind, given, message", [
+    ("L", "klm", "transform L takes a space-lattice model, not a Kripke lattice model"),
+    ("L", "fh", "transform L takes a space-lattice model, not an awareness structure"),
+    ("H", "hms", "transform H takes a Kripke lattice model, not a space-lattice model"),
+    ("H", "fh", "transform H takes a Kripke lattice model, not an awareness structure"),
+    ("K", "klm", "transform K takes an awareness structure, not a Kripke lattice model"),
+    ("K", "hms", "transform K takes an awareness structure, not a space-lattice model"),
+    ("FH", "hms", "transform FH takes a Kripke lattice model, not a space-lattice model"),
+    ("FH", "fh", "transform FH takes a Kripke lattice model, not an awareness structure"),
+])
+def test_transform_refuses_a_model_of_the_wrong_class(tmp_path, capsys, kind, given, message):
+    """Each transform names the model class it takes, with exit 2, and
+    writes nothing."""
+    hms_path = str(tmp_path / "trade.hms.json")
+    assert run(capsys, "transform", "--kind", "H", "--in", TRADE, "--out", hms_path)[0] == 0
+    model = {"klm": TRADE, "fh": TRADE_FH, "hms": hms_path}[given]
+    out_path = tmp_path / "out.json"
+    code, out, err = run(capsys, "transform", "--kind", kind, "--in", model,
+                         "--out", str(out_path))
+    assert (code, out, err) == (2, "", f"awarekit: {message}\n")
+    assert not out_path.exists()
+
+
 def test_equiv(capsys):
     code, out, _ = run(capsys, "equiv", TRADE, "--lang", "L",
                        "--depth", "1", "--json")
@@ -243,6 +266,22 @@ def test_enumerate(capsys):
     assert code == 0
     assert lines[0] == "T" and "K{a} p" in lines
     assert len(lines) == len(set(lines))
+
+
+@pytest.mark.parametrize("atoms, agents, message", [
+    ("K{", "a", "atom name 'K{' cannot be written in formulas: an atom name must start "
+                "with a lowercase letter, then letters, digits or _"),
+    ("p,T", "a", "atom name 'T' cannot be written in formulas: an atom name must start "
+                 "with a lowercase letter, then letters, digits or _"),
+    ("p", "a b", "agent name 'a b' cannot be written in formulas: an agent name must be "
+                 "non-empty, without braces or whitespace"),
+    ("p", "a}", "agent name 'a}' cannot be written in formulas: an agent name must be "
+                "non-empty, without braces or whitespace"),
+])
+def test_enumerate_refuses_names_the_parser_cannot_read(capsys, atoms, agents, message):
+    code, out, err = run(capsys, "enumerate", "--atoms", atoms, "--agents", agents,
+                         "--depth", "1")
+    assert (code, out, err) == (2, "", f"awarekit: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -155,8 +155,8 @@ def test_sliced_algebra_matches_scalar():
     assert any(not g.successors(x, w) for x in "ab" for w in g.worlds)
     for m, lang in product(models, (Lang.L, Lang.LKA)):
         ev = Evaluator(m, lang)
-        reps = verify._classes((m.base.atoms, m.base.agents, 1, lang), [ev])[0]
-        fill = [ev.signature(f) for f in reps]
+        reps, _, _, keys = verify._classes((m.base.atoms, m.base.agents, 1, lang), [ev])
+        fill = [sig for _, sig in keys]
         for f in programs:
             n = max(i + 1 for i, h in enumerate(holes) if h.name in atoms_of(f))
             run = compile_program(f, holes[:n], lang)

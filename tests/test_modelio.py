@@ -134,3 +134,32 @@ def test_loader_refuses_bad_shapes(tmp_path, name, make, message):
     with pytest.raises(ValueError) as info:
         load_model(path)
     assert str(info.value) == message
+
+
+def _renamed(body, old, new):
+    """The body with every string equal to old replaced by new."""
+    return json.loads(json.dumps(body).replace(json.dumps(old), json.dumps(new)))
+
+
+@pytest.mark.parametrize("kind", ["klm", "fh", "hms", "kripke"])
+@pytest.mark.parametrize("old, new, message", [
+    ("i", "T", "atom name 'T' cannot be written in formulas: an atom name must start "
+               "with a lowercase letter, then letters, digits or _"),
+    ("l", "K{", "atom name 'K{' cannot be written in formulas: an atom name must start "
+                "with a lowercase letter, then letters, digits or _"),
+    ("b", "b b", "agent name 'b b' cannot be written in formulas: an agent name must be "
+                 "non-empty, without braces or whitespace"),
+    ("o", "{o}", "agent name '{o}' cannot be written in formulas: an agent name must be "
+                 "non-empty, without braces or whitespace"),
+])
+def test_loader_refuses_names_the_parser_cannot_read(kind, old, new, message):
+    """An atom T would load, pass every check and print witnesses that read
+    back as the constant; such names are refused in every model kind."""
+    trade = make_trade()
+    model = {"klm": trade, "fh": fh_transform(trade), "hms": h_transform(trade),
+             "kripke": trade.base}[kind]
+    body = store_model(model)
+    assert store_model(load_model(body)) == body
+    with pytest.raises(ValueError) as info:
+        load_model(_renamed(body, old, new))
+    assert str(info.value) == message

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 from awarekit import verify
 from awarekit.fh import Explicit, FHEvaluator, FHModel
-from awarekit.formula import (Aware, ExplicitKnow, Know, Lang, enumerate_formulas,
+from awarekit.formula import (Aware, ExplicitKnow, Know, Lang, atoms_of, enumerate_formulas,
                               expand_defined, implies, parse)
 from awarekit.hms import Event, HMSModel
 from awarekit.klm import Evaluator
@@ -29,7 +29,7 @@ from awarekit.verify import (
 
 from conftest import make_trade, part
 from oracles import (FhOracle, KlmOracle, axiom_sweep, explicit_sets, rule_sweep,
-                     signature_classes)
+                     signature_classes, subterms)
 from test_verify import _class_cases
 
 MODELS = 40
@@ -311,12 +311,28 @@ def test_class_builder_matches_grouping(monkeypatch):
     same class for each formula."""
     cases = 0
     for language, evaluators in _builder_cases(monkeypatch):
-        reps, counts, class_of = verify._classes(language, evaluators)
+        reps, counts, class_of, _ = verify._classes(language, evaluators)
         want_reps, want_counts, want_ids = signature_classes(language, evaluators)
         assert reps == want_reps and counts == want_counts, language
         assert [class_of(f) for f in enumerate_formulas(*language)] == want_ids, language
         cases += 1
     assert cases == 13 * 3 + 4 * 8 + 2
+
+
+def test_class_keys_come_from_operand_keys(monkeypatch):
+    """The builder keys each class from its operands' keys: every key is its
+    representative's atom set and signature in each evaluator, on every
+    model class, in L and LKA, on formula-list awareness sets and at depths
+    0 to 3. It folds no candidate: with `found` folding each representative,
+    every formula the evaluators' memos gain is a subterm of one."""
+    for language, evaluators in _builder_cases(monkeypatch):
+        before = [set(ev._memo) for ev in evaluators]
+        reps, _, _, keys = verify._classes(
+            language, evaluators, lambda f: [ev.signature(f) for ev in evaluators])
+        within = subterms(reps)
+        assert all(set(ev._memo) - seen <= within for ev, seen in zip(evaluators, before))
+        assert keys == [(atoms_of(f), *(ev.signature(f) for ev in evaluators))
+                        for f in reps], language
 
 
 def _workflow_explicit():
@@ -341,6 +357,6 @@ def test_formula_lists_have_finitely_many_classes():
     evaluators = [FHEvaluator(x, Lang.LKA)]
     for depth, n in enumerate((3, 15, 29, 30)):
         language = x.base.atoms, x.base.agents, depth, Lang.LKA
-        reps, counts, _ = verify._classes(language, evaluators)
+        reps, counts, *_ = verify._classes(language, evaluators)
         assert len(reps) == n, depth
         assert (reps, counts) == signature_classes(language, evaluators)[:2], depth

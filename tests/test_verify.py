@@ -331,11 +331,11 @@ def test_injected_disagreements_match_oracle(monkeypatch):
     """With one transform's output flipped at one atom, each checker reports
     the same disagreements as the per-state loops, in the same order, at
     depth 0 as at depth 2. The class pass gives up at that atom, having
-    keyed no formula beyond Top and the atoms, and the formula sweep reports."""
+    found no class beyond Top and the atoms, and the formula sweep reports."""
     keyed = []
-    signature = MaskEvaluator.signature
-    monkeypatch.setattr(MaskEvaluator, "signature",
-                        lambda ev, f: keyed.append(f) or signature(ev, f))
+    classes = verify._classes
+    monkeypatch.setattr(verify, "_classes", lambda language, evaluators, found: classes(
+        language, evaluators, lambda f: keyed.append(f) or found(f)))
     for seed in range(12):
         injectors = _injectors(seed)
         for check, oracle, args in _checker_cases(seed):
