@@ -70,6 +70,26 @@ def _load(path):
         raise UsageError(f"cannot load {path}: {_text(exc)}") from exc
 
 
+VALIDATORS = {KripkeLatticeModel: validate_klm, FHModel: validate_fh, KripkeModel: validate_kripke}
+
+
+def _problems(model):
+    """What keeps a lattice model, awareness structure or Kripke model from
+    being well formed. A space-lattice model is checked by its frame report."""
+    validate = VALIDATORS.get(type(model))
+    return list(validate(model)) if validate else []
+
+
+def _evaluable(path):
+    """A model file to evaluate or transform, refused with its first problem
+    unless it is well formed."""
+    model = _load(path)
+    problems = _problems(model)
+    if problems:
+        raise UsageError(f"{path} is not well formed: {problems[0]}")
+    return model
+
+
 def _emit(args, report, human_lines):
     if getattr(args, "json", False):
         print(json.dumps(report, indent=2, default=str))
@@ -84,20 +104,20 @@ def _emit(args, report, human_lines):
 
 def _cmd_check(args):
     model = _load(args.model)
-    problems = []
-    properties = {}
+    problems = _problems(model)  # the properties below need a well-formed model
+    properties, witnesses = {}, {}
     if isinstance(model, KripkeLatticeModel):
         kind = "klm"
-        problems = list(validate_klm(model))
-        report = check_awareness_properties(
-            model.base, induced_pointwise(model.base, model.awareness)
-        )
-        properties = dict(report.passed)
-        witnesses = report.witnesses
-        properties.update(
-            {f"equivalence[{a}]": flags["equivalence"]
-             for a, flags in relation_properties(model.base).items()}
-        )
+        if not problems:
+            report = check_awareness_properties(
+                model.base, induced_pointwise(model.base, model.awareness)
+            )
+            properties = dict(report.passed)
+            witnesses = report.witnesses
+            properties.update(
+                {f"equivalence[{a}]": flags["equivalence"]
+                 for a, flags in relation_properties(model.base).items()}
+            )
     elif isinstance(model, HMSModel):
         kind = "hms"
         report = validate_model(model)
@@ -105,25 +125,23 @@ def _cmd_check(args):
         witnesses = report.witnesses
     elif isinstance(model, FHModel):
         kind = "fh"
-        problems = list(validate_fh(model))
-        pp = check_pp(model)
-        ka_ok, ka_witnesses = check_ka(model)
-        pp_name = f"pp ({pp['verdict']})"
-        properties = {pp_name: pp["passed"], "ka": ka_ok}
-        witnesses = {}
-        if pp["witnesses"]:
-            agent, world, formula = pp["witnesses"][0]
-            witnesses[pp_name] = (agent, world, to_text(formula))
-        if ka_witnesses:
-            witnesses["ka"] = ka_witnesses[0]
+        if not problems:
+            pp = check_pp(model)
+            ka_ok, ka_witnesses = check_ka(model)
+            pp_name = f"pp ({pp['verdict']})"
+            properties = {pp_name: pp["passed"], "ka": ka_ok}
+            if pp["witnesses"]:
+                agent, world, formula = pp["witnesses"][0]
+                witnesses[pp_name] = (agent, world, to_text(formula))
+            if ka_witnesses:
+                witnesses["ka"] = ka_witnesses[0]
     elif isinstance(model, KripkeModel):
         kind = "kripke"
-        problems = list(validate_kripke(model))
-        properties = {
-            f"equivalence[{a}]": flags["equivalence"]
-            for a, flags in relation_properties(model).items()
-        }
-        witnesses = {}
+        if not problems:
+            properties = {
+                f"equivalence[{a}]": flags["equivalence"]
+                for a, flags in relation_properties(model).items()
+            }
     else:
         raise UsageError(f"unsupported model class {type(model).__name__}")
     passed = not problems and all(properties.values())
@@ -143,7 +161,7 @@ def _cmd_check(args):
 
 
 def _cmd_eval(args):
-    model = _load(args.model)
+    model = _evaluable(args.model)
     lang = Lang.L if args.lang == "L" else Lang.LKA
     f = parse(args.formula, Lang.LKA)
     if lang is Lang.L and ExplicitKnow in node_kinds(f):
@@ -168,7 +186,7 @@ def _cmd_eval(args):
 
 
 def _cmd_transform(args):
-    model = _load(args.input)
+    model = _evaluable(args.input)
     try:
         report = transform(args.kind, model)
     except (ValueError, TypeError) as exc:
@@ -190,7 +208,7 @@ def _cmd_transform(args):
 
 
 def _cmd_equiv(args):
-    model = _load(args.model)
+    model = _evaluable(args.model)
     lang = Lang.L if args.lang == "L" else Lang.LKA
     if isinstance(model, HMSModel):
         if lang is not Lang.L:
@@ -220,7 +238,7 @@ def _cmd_equiv(args):
 
 
 def _cmd_axioms(args):
-    models = [_load(p) for p in args.models]
+    models = [_evaluable(p) for p in args.models]
     suite = hms_suite() if args.suite == "hms" else lga_suite()
     extra = (SCHEMA_5,) if args.include_5 else ()
     try:

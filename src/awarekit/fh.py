@@ -88,9 +88,12 @@ def validate_fh(s: FHModel):
         for w in s.base.worlds:
             if w not in per:
                 problems.append(f"no awareness set for agent {a!r} at world {w!r}")
-        for key in per:
+        for key, aset in per.items():
             if key not in s.base.worlds:
                 problems.append(f"awareness of agent {a!r} keyed by unknown world {key!r}")
+            elif not aset.atoms <= s.base.atoms:
+                problems.append(f"awareness of agent {a!r} at {key!r} mentions unknown "
+                                f"atoms {sorted(aset.atoms - s.base.atoms)}")
     for a in s.awareness:
         if a not in s.base.agents:
             problems.append(f"awareness sets for unknown agent {a!r}")

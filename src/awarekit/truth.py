@@ -59,9 +59,6 @@ class MaskEvaluator:
             got = self._masks[sig] = self.masks(sig)
         return got
 
-    def true_mask(self, f: Formula) -> int:
-        return self.truth_masks(f)[0]
-
     def value(self, f: Formula, state) -> Truth:
         try:
             i = self.index[state]

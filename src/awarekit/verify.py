@@ -13,7 +13,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice, product
 from math import prod
-from operator import mul
 
 from .fh import FHEvaluator, FHModel
 from .formula import (TOP, And, Atom, Aware, ExplicitKnow, Formula, Know, Lang, Not, atoms_of,
@@ -41,10 +40,8 @@ class EquivalenceReport:
     capped: bool = False  # stopped at INSTANTIATION_CAP before the last formula
 
     def record(self, formula, state, left, right):
-        self.failures.append(
-            {"formula": to_text(formula), "state": str(state),
-             "left": str(left), "right": str(right)}
-        )
+        self.failures.append({"formula": to_text(formula), "state": str(state),
+                              "left": str(left), "right": str(right)})
 
     @property
     def first_disagreement(self):
@@ -62,40 +59,7 @@ class EquivalenceReport:
 # satisfaction-preservation checks
 
 
-def _lifter(states, images):
-    """The relabelling that carries a mask over `states` to the mask over the
-    positions i whose images[i] is in it."""
-    bit = {s: 1 << j for j, s in enumerate(states)}
-    table = {}
-    for i, s in enumerate(images):
-        table[bit[s]] = table.get(bit[s], 0) | 1 << i
-    return lambda mask: relabel(mask, table)
-
-
-def _sweep(report, formulas, pairs, masks):
-    """Check each formula with one mask comparison. `masks(f)` gives the
-    (True, False) masks of the left and of the right values and the mask of
-    the positions compared, all over one bit space; `pairs` lists the state
-    label and position of each pair in report order. Only a formula whose
-    masks differ is gone through pair by pair, to record its disagreements."""
-    for n, f in enumerate(formulas, 1):
-        (lt, lf), (rt, rf), within = masks(f)
-        report.checked += within.bit_count()
-        differ = ((lt ^ rt) | (lf ^ rf)) & within
-        if differ:
-            for label, i in pairs:
-                if differ >> i & 1:
-                    report.record(f, label, truth_at(lt, lf, i), truth_at(rt, rf, i))
-        if report.checked > INSTANTIATION_CAP:
-            report.capped = n < len(formulas)
-            break
-
-
-class _Disagrees(Exception):
-    """Raised by an equivalence check at the first class whose two sides differ."""
-
-
-def _classes(language, evaluators, found=lambda f: None):
+def _classes(language, evaluators):
     """The signature classes of the formulas enumerate_formulas(*language)
     lists (the Lindenbaum-Tarski quotient on the evaluators' models), built
     depth by depth without enumerating them. A formula's key is its atom set
@@ -106,16 +70,14 @@ def _classes(language, evaluators, found=lambda f: None):
     formula-list awareness sets a signature carries the formula's term only
     while it is a subterm of a listed formula, so the classes stay finitely
     many. Gives each class's first formula in the enumerator's order, its
-    number of formulas, the class of a formula, and its key. `found` sees
-    each representative as it is found, and may raise to stop the build."""
+    number of formulas, the class of a formula, and its key."""
     atoms, agents, depth, lang = language
     reps, keys, ids = [], [], {}
 
     def cls(key, make, *args):
         c = ids.setdefault(key, len(reps))
         if c == len(reps):
-            found(f := make(*args))
-            reps.append(f)
+            reps.append(make(*args))
             keys.append(key)
         return c
 
@@ -152,27 +114,51 @@ def _classes(language, evaluators, found=lambda f: None):
             lambda f: ids[(atoms_of(f), *(ev.signature(f) for ev in evaluators))], keys)
 
 
-def _equivalence(language, evaluators, pairs, masks):
+def _equivalence(language, left, right, pairs, left_defined_only=False):
     """The report of a check bounded by `language`, the enumerator's
-    arguments: by class where every class agrees within the cap, else
-    formula by formula."""
+    arguments, comparing two evaluators at the positions `pairs` lists as
+    (label, left state, right state), in report order, or only where the left
+    side is defined. A comparison depends on the signature pair alone, so each
+    class is decided from its key; formulas are enumerated only to list
+    disagreements, up to the cap."""
     report = EquivalenceReport("equivalence", language[2])
-    weights = []  # per class: the positions compared
+    labels, lefts, rights = zip(*pairs)
+    # the masks meet over the states of a side that has one of its own per position
+    base, own = (left, lefts) if len(set(lefts)) == len(pairs) else (right, rights)
+    bits = [base.index[s] for s in own]  # per position
+    everywhere = sum(1 << b for b in bits)
 
-    def agrees(f):
-        (lt, lf), (rt, rf), within = masks(f)
-        if ((lt ^ rt) | (lf ^ rf)) & within:
-            raise _Disagrees
-        weights.append(within.bit_count())
+    def lift(ev, images):  # carries a mask over ev's states onto the positions' bits
+        table = {}
+        for s, b in zip(images, bits):
+            table[1 << ev.index[s]] = table.get(1 << ev.index[s], 0) | 1 << b
+        return (lambda mask: mask) if ev is base else (lambda mask: relabel(mask, table))
 
-    try:
-        checked = sum(map(mul, _classes(language, evaluators, agrees)[1], weights))
-    except _Disagrees:
-        checked = None
-    if checked is not None and checked <= INSTANTIATION_CAP:
+    from_left, from_right = lift(left, lefts), lift(right, rights)
+
+    def compare(ls, rs):  # both sides' masks, positions compared, positions differing
+        lt, lf = map(from_left, left.masks(ls))
+        rt, rf = map(from_right, right.masks(rs))
+        within = lt | lf if left_defined_only else everywhere
+        return lt, lf, rt, rf, within.bit_count(), ((lt ^ rt) | (lf ^ rf)) & within
+
+    _, weights, _, keys = _classes(language, (left, right))
+    verdicts = {(ls, rs): compare(ls, rs) for _, ls, rs in keys}
+    checked = sum(w * verdicts[ls, rs][4] for w, (_, ls, rs) in zip(weights, keys))
+    if checked <= INSTANTIATION_CAP and not any(v[5] for v in verdicts.values()):
         report.checked = checked
-    else:
-        _sweep(report, enumerate_formulas(*language), pairs, masks)
+        return report
+    formulas = enumerate_formulas(*language)
+    for n, f in enumerate(formulas, 1):
+        lt, lf, rt, rf, within, differ = verdicts[left.signature(f), right.signature(f)]
+        report.checked += within
+        if differ:
+            for label, b in zip(labels, bits):
+                if differ >> b & 1:
+                    report.record(f, label, truth_at(lt, lf, b), truth_at(rt, rf, b))
+        if report.checked > INSTANTIATION_CAP:
+            report.capped = n < len(formulas)
+            break
     return report
 
 
@@ -183,20 +169,9 @@ def check_L_equiv_hms_klm(m: HMSModel, depth: int) -> EquivalenceReport:
     language = m.atoms, m.frame.agents, depth, Lang.L
     formula_count(*language)  # refuses what the enumerator refuses, before set-up
     ev_hms = DenotationEvaluator(m)
-    ev_klm = Evaluator(klm, Lang.L)
-    pairs = [(s, v) for s in ev_hms.states for v in sorted(corr[s], key=WorldId.sort_key)]
-    from_hms = _lifter(ev_hms.states, [s for s, _ in pairs])
-    from_klm = _lifter(ev_klm.states, [v for _, v in pairs])
-    everywhere = (1 << len(pairs)) - 1
-
-    def masks(f):
-        left_true, left_false = ev_hms.truth_masks(f)
-        right_true, right_false = ev_klm.truth_masks(f)
-        return ((from_hms(left_true), from_hms(left_false)),
-                (from_klm(right_true), from_klm(right_false)), everywhere)
-
-    return _equivalence(language, (ev_hms, ev_klm),
-                        [(f"{s}/{v}", i) for i, (s, v) in enumerate(pairs)], masks)
+    pairs = [(f"{s}/{v}", s, v)
+             for s in ev_hms.states for v in sorted(corr[s], key=WorldId.sort_key)]
+    return _equivalence(language, ev_hms, Evaluator(klm, Lang.L), pairs)
 
 
 def check_L_equiv_klm_hms(k: KripkeLatticeModel, depth: int) -> EquivalenceReport:
@@ -205,16 +180,8 @@ def check_L_equiv_klm_hms(k: KripkeLatticeModel, depth: int) -> EquivalenceRepor
     language = k.base.atoms, k.base.agents, depth, Lang.L
     formula_count(*language)
     ev_klm = Evaluator(k, Lang.L)
-    ev_hms = DenotationEvaluator(hms)
-    from_hms = _lifter(ev_hms.states, [str(w) for w in ev_klm.states])
-
-    def masks(f):
-        left = ev_klm.truth_masks(f)
-        true, false = ev_hms.truth_masks(f)
-        return left, (from_hms(true), from_hms(false)), ev_klm.full
-
-    return _equivalence(language, (ev_klm, ev_hms),
-                        [(w, i) for i, w in enumerate(ev_klm.states)], masks)
+    return _equivalence(language, ev_klm, DenotationEvaluator(hms),
+                        [(w, w, str(w)) for w in ev_klm.states])
 
 
 def check_equiv_fh_klm(x, lang: Lang, depth: int) -> EquivalenceReport:
@@ -229,26 +196,20 @@ def check_equiv_fh_klm(x, lang: Lang, depth: int) -> EquivalenceReport:
         raise TypeError(f"expected an FH or Kripke lattice model, got {type(x).__name__}")
     language = klm.base.atoms, klm.base.agents, depth, lang
     formula_count(*language)
-    ev_fh = FHEvaluator(fh, lang)
-    ev_klm = Evaluator(klm, lang)
     # world w of the awareness structure stands for every copy w_X
-    from_fh = _lifter(ev_fh.states, [v.base for v in ev_klm.states])
-
-    def masks(f):
-        right = from_fh(ev_fh.true_mask(f))
-        left = ev_klm.truth_masks(f)
-        return left, (right, ev_klm.full & ~right), left[0] | left[1]
-
-    pairs = [WorldId(w, X) for w in sorted(klm.base.worlds) for X in subsets(klm.base.atoms)]
-    return _equivalence(language, (ev_fh, ev_klm),
-                        [(v, ev_klm.index[v]) for v in pairs], masks)
+    pairs = [(v, v, w) for w in sorted(klm.base.worlds)
+             for v in (WorldId(w, X) for X in subsets(klm.base.atoms))]
+    return _equivalence(language, Evaluator(klm, lang), FHEvaluator(fh, lang), pairs,
+                        left_defined_only=True)
 
 
 # ---------------------------------------------------------------------------
 # validity
 
 
-SEMANTICS = ("HMS", "KLM_L", "KLM_LKA", "FH_L", "FH_LKA")
+# each semantics and the model class it reads; its language ends its name
+SEMANTICS = {"HMS": HMSModel, "KLM_L": KripkeLatticeModel, "KLM_LKA": KripkeLatticeModel,
+             "FH_L": FHModel, "FH_LKA": FHModel}
 
 
 class ValidityChecker:
@@ -258,15 +219,21 @@ class ValidityChecker:
     def __init__(self, models, semantics: str):
         if semantics not in SEMANTICS:
             raise ValueError(f"unknown semantics {semantics!r}")
+        takes = SEMANTICS[semantics]
+        self.lang = Lang.LKA if semantics.endswith("LKA") else Lang.L
         self.models = list(models)
+        if not self.models:
+            raise ValueError("empty model corpus")
+        for m in self.models:
+            if not isinstance(m, takes):
+                raise ValueError(f"semantics {semantics} takes {takes.__name__} models, "
+                                 f"not {type(m).__name__}")
         self.semantics = semantics
-        self.lang = Lang.L if semantics in ("HMS", "KLM_L", "FH_L") else Lang.LKA
-        if semantics == "HMS":
+        if takes is HMSModel:
             self.evaluators = [DenotationEvaluator(m) for m in self.models]
-        elif semantics in ("KLM_L", "KLM_LKA"):
-            self.evaluators = [Evaluator(m, self.lang) for m in self.models]
         else:
-            self.evaluators = [FHEvaluator(m, self.lang) for m in self.models]
+            make = Evaluator if takes is KripkeLatticeModel else FHEvaluator
+            self.evaluators = [make(m, self.lang) for m in self.models]
 
     def check(self, f: Formula):
         """Validity of f and its witnesses: (model index, state) pairs."""
@@ -448,12 +415,10 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     of at most SLICE_BITS bits), elsewhere once per tuple. Past
     INSTANTIATION_CAP instances a failure is listed per class tuple, with its
     first instance and instance count."""
-    if not models:
-        raise ValueError("empty model corpus")
-    semantics = _suite_semantics(suite, models[0])
-    for m in models[1:]:
-        if _suite_semantics(suite, m) != semantics:
-            raise ValueError("mixed model classes in one corpus")
+    kinds = {_suite_semantics(suite, m) for m in models}
+    if len(kinds) != 1:
+        raise ValueError("mixed model classes in one corpus" if kinds else "empty model corpus")
+    semantics, = kinds
     if suite.name == "HMS" and semantics == "KLM_L":
         for m in models:
             _require_partitional(m)

@@ -334,8 +334,9 @@ def signature_classes(language, evaluators):
         return g if g in within else None
 
     classes = {}  # key -> (class id, first member)
-    ids = [classes.setdefault((atoms_of(f), *(ev.true_mask(f) for ev in evaluators), term(f)),
-                              (len(classes), f))[0] for f in formulas]
+    ids = [classes.setdefault(
+        (atoms_of(f), *(ev.truth_masks(f)[0] for ev in evaluators), term(f)),
+        (len(classes), f))[0] for f in formulas]
     return [f for _, f in classes.values()], list(Counter(ids).values()), ids
 
 

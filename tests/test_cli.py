@@ -45,6 +45,62 @@ def test_check_failing_model(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def _one_world(kind):
+    """A well-formed one-world lattice model or awareness structure."""
+    aware = ["p"] if kind == "klm" else {"kind": "atom-generated", "atoms": ["p"]}
+    return {"kind": kind, "atoms": ["p"], "agents": ["a"], "worlds": ["w"],
+            "relations": {"a": [["w", "w"]]}, "valuation": {"p": ["w"]},
+            "awareness" if kind == "klm" else "awareness_sets": {"a": {"w": aware}}}
+
+
+def _awareness(body):
+    return body["awareness" if body["kind"] == "klm" else "awareness_sets"]
+
+
+def _aware_of(body):
+    """The atoms agent a is aware of at w."""
+    aware = _awareness(body)["a"]["w"]
+    return aware if body["kind"] == "klm" else aware["atoms"]
+
+
+# each fault of a model file, by the problem it is refused with
+FAULTS = {
+    "valuation of 'p' contains unknown world 'zz'": lambda m: m["valuation"]["p"].append("zz"),
+    "relation pair ('w','v') of agent 'a' mentions unknown world 'v'":
+        lambda m: m["relations"]["a"].append(["w", "v"]),
+    "no awareness": lambda m: _awareness(m).clear(),
+    "no valuation for atom 'p'": lambda m: m["valuation"].clear(),
+    "awareness of agent 'a' at 'w' mentions unknown atoms ['q']":
+        lambda m: _aware_of(m).append("q"),
+}
+
+
+@pytest.mark.parametrize("kind", ["klm", "fh"])
+@pytest.mark.parametrize("problem", list(FAULTS))
+def test_malformed_models_are_refused_or_reported(tmp_path, capsys, kind, problem):
+    """A lattice model or awareness structure that is not well formed is
+    listed by check, with exit 1 and none of the properties that need a
+    well-formed model, and refused by eval, equiv, axioms and transform with
+    exit 2."""
+    body = _one_world(kind)
+    path = tmp_path / f"model.{kind}.json"
+    path.write_text(json.dumps(body))
+    assert run(capsys, "eval", "p", "--model", str(path), "--at", "w")[:2] == (0, "True\n")
+    FAULTS[problem](body)
+    path.write_text(json.dumps(body))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1 and f"\nproblem: {problem}" in out, out
+    assert out.splitlines()[-1] == "checks FAILED"
+    assert not [line for line in out.splitlines() if line.endswith((": pass", ": FAIL"))]
+    for argv in (["eval", "p", "--model", str(path), "--at", "w"], ["equiv", str(path)],
+                 ["axioms", "--suite", "lga", "--models", str(path)],
+                 ["transform", "--kind", {"klm": "FH", "fh": "K"}[kind], "--in", str(path),
+                  "--out", str(tmp_path / "out.json")]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"awarekit: {path} is not well formed: {problem}"), (argv, err)
+
+
 def test_eval_fixture_truths(capsys):
     cases = [
         (("w1@{i,l}", "L", "K{b} i"), "True"),

@@ -119,7 +119,7 @@ def test_strict_two_valued_toggle(trade):
 
 def test_satisfying_states(trade):
     ev = Evaluator(trade, Lang.L)
-    got = members(ev.true_mask(parse("K{b} l", Lang.L)), ev.states)
+    got = members(ev.truth_masks(parse("K{b} l", Lang.L))[0], ev.states)
     assert at("w1", I_L) in got
     assert at("w2", I_L) not in got
 

@@ -4,10 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from awarekit import verify
+from awarekit import truth, verify
 from awarekit.fh import Explicit, FHModel
 from awarekit.formula import (
-    TOP,
     And,
     Atom,
     Aware,
@@ -98,6 +97,25 @@ def test_valid_over_refuses_unknown_atoms_and_agents(trade_m):
                 valid_over([model], parse(text, Lang.L), semantics)
 
 
+def test_validity_refuses_what_it_cannot_check(trade_m):
+    """An empty corpus, and a model of a class the semantics does not read,
+    are refused, naming the class the semantics takes."""
+    f = parse("K{b} i -> i", Lang.L)
+    with pytest.raises(ValueError, match="^empty model corpus$"):
+        valid_over([], f, "KLM_L")
+    with pytest.raises(ValueError, match="^empty model corpus$"):
+        ValidityChecker([], "FH_LKA")
+    for semantics, model, takes in [("HMS", trade_m, "HMSModel"),
+                                    ("KLM_L", fh_transform(trade_m), "KripkeLatticeModel"),
+                                    ("KLM_LKA", h_transform(trade_m), "KripkeLatticeModel"),
+                                    ("FH_L", trade_m, "FHModel"),
+                                    ("FH_LKA", h_transform(trade_m), "FHModel")]:
+        with pytest.raises(ValueError, match=f"^semantics {semantics} takes {takes} models, "
+                                             f"not {type(model).__name__}$"):
+            valid_over([trade_m, model] if semantics.startswith("KLM") else [model],
+                       f, semantics)
+
+
 def test_set_evaluator_matches_per_state(trade_m):
     from awarekit.formula import enumerate_formulas
     for lang, semantics in [(Lang.L, "KLM_L"), (Lang.LKA, "KLM_LKA")]:
@@ -105,7 +123,7 @@ def test_set_evaluator_matches_per_state(trade_m):
         ev = checker.evaluators[0]
         per_state = KlmOracle(trade_m, lang)
         for f in enumerate_formulas(["i", "l"], ["b", "o"], 2, lang):
-            mask = ev.true_mask(f)
+            mask = ev.truth_masks(f)[0]
             for i, s in enumerate(ev.states):
                 assert ((mask >> i) & 1 == 1) == \
                     (per_state.value(f, s) is Truth.TRUE), (lang, f, s)
@@ -330,24 +348,42 @@ def _injectors(seed):
 def test_injected_disagreements_match_oracle(monkeypatch):
     """With one transform's output flipped at one atom, each checker reports
     the same disagreements as the per-state loops, in the same order, at
-    depth 0 as at depth 2. The class pass gives up at that atom, having
-    found no class beyond Top and the atoms, and the formula sweep reports."""
-    keyed = []
-    classes = verify._classes
-    monkeypatch.setattr(verify, "_classes", lambda language, evaluators, found: classes(
-        language, evaluators, lambda f: keyed.append(f) or found(f)))
+    depth 0 as at depth 2."""
     for seed in range(12):
         injectors = _injectors(seed)
         for check, oracle, args in _checker_cases(seed):
             for args in (args, (*args[:-1], 0)):
-                keyed.clear()
                 with monkeypatch.context() as patch:
                     for name, flipped in injectors.items():
                         patch.setattr(verify, name, flipped)
                     body = check(*args).to_json()
                     assert body == oracle(*args).to_json(), (seed, check.__name__, args[-1])
                 assert body["failures"], (seed, check.__name__, args[-1])
-                assert keyed and all(f == TOP or isinstance(f, Atom) for f in keyed)
+
+
+def _no_fold(*args):
+    raise AssertionError("a formula was folded")
+
+
+def test_agreeing_checks_fold_no_formula(monkeypatch, trade_m):
+    """Each class is decided from its key: with folding refused once the
+    transforms and evaluators are built, the six depth-3 checks on trade
+    (acceptance criteria 3 and 4) report as before."""
+    calls = [(check_L_equiv_klm_hms, (trade_m, 3)),
+             (check_L_equiv_hms_klm, (h_transform(trade_m), 3))]
+    calls += [(check_equiv_fh_klm, (x, lang, 3))
+              for lang in (Lang.L, Lang.LKA) for x in (load_fixture("trade.fh.json"), trade_m)]
+    want = [check(*args).to_json() for check, args in calls]
+    assert all(body["checked"] and not body["failures"] for body in want)
+    equivalence = verify._equivalence
+
+    def unfolded(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(truth, "fold", _no_fold)
+            return equivalence(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_equivalence", unfolded)
+    assert [check(*args).to_json() for check, args in calls] == want
 
 
 def _no_set_up(*args):
@@ -453,7 +489,7 @@ def test_space_lattice_signature_fixes_the_denotation():
         seen = {}
         for f in enumerate_formulas(ev.m.atoms, ev.m.frame.agents, 2, Lang.L):
             e = ev.denotation(f)
-            assert seen.setdefault((atoms_of(f), ev.true_mask(f)), e) == e, f
+            assert seen.setdefault((atoms_of(f), ev.truth_masks(f)[0]), e) == e, f
 
 
 def _explicit(r, seed):
