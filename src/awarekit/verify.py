@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import islice, product
 from math import prod
+from operator import or_
 
 from .fh import FHEvaluator, FHModel
 from .formula import (TOP, And, Atom, Aware, ExplicitKnow, Formula, Know, Lang, Not, atoms_of,
@@ -40,8 +42,10 @@ class EquivalenceReport:
     capped: bool = False  # stopped at INSTANTIATION_CAP before the last formula
 
     def record(self, formula, state, left, right):
-        self.failures.append({"formula": to_text(formula), "state": str(state),
-                              "left": str(left), "right": str(right)})
+        self.failures.append(
+            {"formula": to_text(formula), "state": str(state),
+             "left": str(left), "right": str(right)}
+        )
 
     @property
     def first_disagreement(self):
@@ -123,10 +127,13 @@ def _equivalence(language, left, right, pairs, left_defined_only=False):
     disagreements, up to the cap."""
     report = EquivalenceReport("equivalence", language[2])
     labels, lefts, rights = zip(*pairs)
-    # the masks meet over the states of a side that has one of its own per position
-    base, own = (left, lefts) if len(set(lefts)) == len(pairs) else (right, rights)
-    bits = [base.index[s] for s in own]  # per position
-    everywhere = sum(1 << b for b in bits)
+    for base, own in (left, lefts), (right, rights):
+        if len(set(own)) == len(pairs):  # the masks meet over base's states, not relabelled
+            bits = [base.index[s] for s in own]  # per position
+            break
+    else:  # neither side has one state per position: over the positions themselves
+        base, bits = None, range(len(pairs))
+    everywhere = reduce(or_, (1 << b for b in bits))
 
     def lift(ev, images):  # carries a mask over ev's states onto the positions' bits
         table = {}
@@ -139,7 +146,7 @@ def _equivalence(language, left, right, pairs, left_defined_only=False):
     def compare(ls, rs):  # both sides' masks, positions compared, positions differing
         lt, lf = map(from_left, left.masks(ls))
         rt, rf = map(from_right, right.masks(rs))
-        within = lt | lf if left_defined_only else everywhere
+        within = (lt | lf) & everywhere if left_defined_only else everywhere
         return lt, lf, rt, rf, within.bit_count(), ((lt ^ rt) | (lf ^ rf)) & within
 
     _, weights, _, keys = _classes(language, (left, right))
@@ -415,10 +422,12 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     of at most SLICE_BITS bits), elsewhere once per tuple. Past
     INSTANTIATION_CAP instances a failure is listed per class tuple, with its
     first instance and instance count."""
-    kinds = {_suite_semantics(suite, m) for m in models}
-    if len(kinds) != 1:
-        raise ValueError("mixed model classes in one corpus" if kinds else "empty model corpus")
-    semantics, = kinds
+    if not models:
+        raise ValueError("empty model corpus")
+    semantics = _suite_semantics(suite, models[0])
+    for m in models[1:]:
+        if _suite_semantics(suite, m) != semantics:
+            raise ValueError("mixed model classes in one corpus")
     if suite.name == "HMS" and semantics == "KLM_L":
         for m in models:
             _require_partitional(m)

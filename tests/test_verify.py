@@ -22,7 +22,7 @@ from awarekit.formula import (
     lor,
     parse,
 )
-from awarekit.hms import DenotationEvaluator, Event, HMSModel
+from awarekit.hms import DenotationEvaluator, Event, HMSModel, UnawarenessFrame
 from awarekit.klm import validate_klm
 from awarekit.kripke import relation_properties
 from awarekit.modelio import load_fixture
@@ -288,13 +288,27 @@ def test_random_models_are_deterministic():
 # the mask comparison of the equivalence checkers against the per-state loops
 
 
+def _shared_vocabulary_hms():
+    """A space-lattice model whose two spaces define the same atoms: the world
+    copies of each lower state are those of the upper states above it, so
+    neither side of the HMS-to-lattice check has one state per compared pair."""
+    fr = UnawarenessFrame(
+        {"D": {"d1", "d2"}, "U": {"u1", "u2", "u3", "u4"}}, [("D", "U")],
+        {("U", "D"): {"u1": "d1", "u2": "d1", "u3": "d2", "u4": "d2"}},
+        {"a": {"d1": {"d1"}, "d2": {"d2"}, "u1": {"d1"}, "u2": {"d1"},
+               "u3": {"u3", "u4"}, "u4": {"u3", "u4"}}})
+    return HMSModel(fr, {"p": Event.make("D", {"d1"}), "q": Event.make("D", {"d2"})})
+
+
 def _checker_cases(seed):
     """The six checker calls on one seeded partitional model and one seeded
-    model with arbitrary relations, each with its per-state oracle."""
+    model with arbitrary relations, and the HMS check on the shared-copies
+    model, each with its per-state oracle."""
     k = random_klm_eq(random.Random(seed))
     hms = h_transform(k)
     cases = [(check_L_equiv_klm_hms, oracles.equiv_klm_hms, (k, 2)),
-             (check_L_equiv_hms_klm, oracles.equiv_hms_klm, (hms, 2))]
+             (check_L_equiv_hms_klm, oracles.equiv_hms_klm, (hms, 2)),
+             (check_L_equiv_hms_klm, oracles.equiv_hms_klm, (_shared_vocabulary_hms(), 2))]
     r = random_klm(random.Random(seed))
     for x in (r, fh_transform(r)):
         for lang in (Lang.L, Lang.LKA):
