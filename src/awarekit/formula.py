@@ -455,42 +455,44 @@ MAX_FORMULAS = 10 ** 6
 
 def formula_count(atoms, agents, depth: int, lang: Lang = Lang.L) -> int:
     """The length of enumerate_formulas(atoms, agents, depth, lang), refusing
-    more than MAX_FORMULAS as the enumerator does. Level d holds a Not and per
-    agent a K (and under LKA an A) of each level d-1 formula, and an And of
-    each unordered pair below d with one at d-1."""
+    more than MAX_FORMULAS at the first level past it, as the enumerator does.
+    Level d holds a Not and per agent a K (and under LKA an A) of each level
+    d-1 formula, and an And of each unordered pair below d with one at d-1."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if not atoms or not agents:
         raise ValueError("atoms and agents must be nonempty")
     unary = 1 + len(frozenset(agents)) * (2 if lang is Lang.LKA else 1)
     exact = upto = 1 + len(frozenset(atoms))
-    below = 0
-    for _ in range(depth):
+    below = reached = 0
+    while reached < depth and upto <= MAX_FORMULAS:
         exact = exact * unary + (upto * (upto + 1) - below * (below + 1)) // 2
-        below, upto = upto, upto + exact
+        below, upto, reached = upto, upto + exact, reached + 1
     if upto > MAX_FORMULAS:
-        raise ValueError(f"refusing to enumerate {upto:,} formulas of depth up to {depth} "
+        more = "more than " if reached < depth else ""
+        raise ValueError(f"refusing to enumerate {more}{upto:,} formulas of depth up to {depth} "
                          f"(limit {MAX_FORMULAS:,}); lower the depth")
     return upto
 
 
-def _formulas(atoms, agents, lang, depth=None):
+def _formulas(atoms, agents, lang, depth=None, alg=None):
     """The formulas of depth at most `depth` (of every depth where None) over
-    the atoms and agents, in enumerate_formulas' order, each made only when it
-    is asked for."""
+    the atoms and agents in enumerate_formulas' order, each made when it is
+    asked for from its operands, as fold makes it in `alg` (terms() if None)."""
+    alg = alg or terms()
     agents = sorted(agents)
-    out = [TOP, *map(Atom, sorted(atoms))]
+    out = [alg.top(), *map(alg.atom, sorted(atoms))]
     yield from out
-    below = 0  # out[below:] are the formulas of the depth below
+    below = 0  # out[below:] are the values of the formulas of the depth below
     for _ in count() if depth is None else range(depth):
         n, prev = len(out), out[below:]
         level = chain(
-            map(Not, prev),
+            map(alg.neg, prev),
             # ordered left <= right by enumeration index, at least one child
             # of the depth below, so each pair appears at exactly one depth
-            (And(out[i], out[j]) for i in range(n) for j in range(max(i, below), n)),
-            *(map(partial(Know, a), prev) for a in agents),
-            *(map(partial(Aware, a), prev) for a in agents if lang is Lang.LKA))
+            (alg.conj(out[i], out[j]) for i in range(n) for j in range(max(i, below), n)),
+            *(map(partial(alg.know, a), prev) for a in agents),
+            *(map(partial(alg.aware, a), prev) for a in agents if lang is Lang.LKA))
         for f in level:
             out.append(f)
             yield f

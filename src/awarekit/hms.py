@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import Atom, Formula, Lang, fold, in_language
+from .formula import Formula, Lang, fold, in_language
 from .klm import PropertyReport
 from .kripke import box, group_cells, members, relabel
 from .truth import MaskEvaluator
@@ -344,7 +344,7 @@ def defined_atoms(m: HMSModel, O, evaluator=None) -> frozenset:
     """Atoms with a defined truth value throughout the state set O: in the
     True or the False mask of the atom, which are disjoint."""
     ev, O = evaluator or DenotationEvaluator(m), m.frame.mask(O)
-    return frozenset(p for p in m.valuation if not O & ~sum(ev.truth_masks(Atom(p))))
+    return frozenset(p for p in m.valuation if not O & ~sum(ev.masks(ev.atom(p))))
 
 
 class DenotationEvaluator(MaskEvaluator):

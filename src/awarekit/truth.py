@@ -48,9 +48,6 @@ class MaskEvaluator:
         self.full = (1 << len(states)) - 1
         self._memo, self._masks = {}, {}
 
-    def signature(self, f: Formula):
-        return fold(f, self, self._memo)
-
     def truth_masks(self, f: Formula):
         """(True mask, False mask) of f, computed once per signature."""
         sig = fold(f, self, self._memo)

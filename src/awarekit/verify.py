@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from itertools import islice, product
 from math import prod
 from operator import or_
+from types import SimpleNamespace
 
 from .fh import FHEvaluator, FHModel
-from .formula import (TOP, And, Atom, Aware, ExplicitKnow, Formula, Know, Lang, Not, atoms_of,
+from .formula import (TOP, And, Atom, Aware, ExplicitKnow, Formula, Know, Lang, Not, _formulas,
                       aware_in, enumerate_formulas, formula_count, iff, implies,
                       require_signature, to_text)
 from .hms import DenotationEvaluator, HMSModel
@@ -74,7 +75,8 @@ def _classes(language, evaluators):
     formula-list awareness sets a signature carries the formula's term only
     while it is a subterm of a listed formula, so the classes stay finitely
     many. Gives each class's first formula in the enumerator's order, its
-    number of formulas, the class of a formula, and its key."""
+    number of formulas, a walk of the class automaton that gives each
+    formula's class in that order from its operands' classes, and its key."""
     atoms, agents, depth, lang = language
     reps, keys, ids = [], [], {}
 
@@ -89,15 +91,17 @@ def _classes(language, evaluators):
         at, *sigs = keys[c]
         return (at, *map(lambda ev, s: op(ev, *a, s), evaluators, sigs))
 
+    neg, know = (lambda ev, s: ev.neg(s)), (lambda ev, a, s: ev.know(a, s))
+    start = [cls((frozenset(), *(ev.top() for ev in evaluators)), lambda: TOP)] + [
+        cls((frozenset((p,)), *(ev.atom(p) for ev in evaluators)), Atom, p) for p in sorted(atoms)]
     # class -> number of formulas of depth exactly d, at most d, at most d-1
-    exact = Counter([cls((frozenset(), *(ev.top() for ev in evaluators)), lambda: TOP)] + [
-        cls((frozenset((p,)), *(ev.atom(p) for ev in evaluators)), Atom, p) for p in sorted(atoms)])
+    exact = Counter(start)
     upto, below = exact.copy(), Counter()
-    modal = [(Know, lambda ev, a, s: ev.know(a, s)), (Aware, aware_in)][:1 + (lang is Lang.LKA)]
+    modal = [(Know, know), (Aware, aware_in)][:1 + (lang is Lang.LKA)]
     for _ in range(depth):
         level = Counter()
         for c in sorted(exact):
-            level[cls(unary(lambda ev, s: ev.neg(s), c), Not, reps[c])] += exact[c]
+            level[cls(unary(neg, c), Not, reps[c])] += exact[c]
         known = sorted(upto)
         for i, c1 in enumerate(known):
             at1, *sigs1 = keys[c1]
@@ -114,8 +118,17 @@ def _classes(language, evaluators):
                 level[cls(unary(op, c, a), make, a, reps[c])] += exact[c]
         below, exact = upto.copy(), level
         upto.update(level)
+
+    def conj(c1, c2):  # in the formula's operand order: a term in a key does not commute
+        (at1, *sigs1), (at2, *sigs2) = keys[c1], keys[c2]
+        return ids[(at1 | at2, *map(lambda ev, s, t: ev.conj(s, t), evaluators, sigs1, sigs2))]
+
+    step = SimpleNamespace(top=lambda: start[0], atom=dict(zip(sorted(atoms), start[1:])).get,
+                           neg=cache(lambda c: ids[unary(neg, c)]), conj=cache(conj),
+                           know=cache(lambda a, c: ids[unary(know, c, a)]),
+                           aware=cache(lambda a, c: ids[unary(aware_in, c, a)]))
     return (reps, [upto[c] for c in range(len(reps))],
-            lambda f: ids[(atoms_of(f), *(ev.signature(f) for ev in evaluators))], keys)
+            lambda: _formulas(atoms, agents, lang, depth, step), keys)
 
 
 def _equivalence(language, left, right, pairs, left_defined_only=False):
@@ -149,15 +162,15 @@ def _equivalence(language, left, right, pairs, left_defined_only=False):
         within = (lt | lf) & everywhere if left_defined_only else everywhere
         return lt, lf, rt, rf, within.bit_count(), ((lt ^ rt) | (lf ^ rf)) & within
 
-    _, weights, _, keys = _classes(language, (left, right))
-    verdicts = {(ls, rs): compare(ls, rs) for _, ls, rs in keys}
-    checked = sum(w * verdicts[ls, rs][4] for w, (_, ls, rs) in zip(weights, keys))
-    if checked <= INSTANTIATION_CAP and not any(v[5] for v in verdicts.values()):
+    _, weights, walk, keys = _classes(language, (left, right))
+    verdicts = [compare(ls, rs) for _, ls, rs in keys]  # per class
+    checked = sum(w * v[4] for w, v in zip(weights, verdicts))
+    if checked <= INSTANTIATION_CAP and not any(v[5] for v in verdicts):
         report.checked = checked
         return report
     formulas = enumerate_formulas(*language)
-    for n, f in enumerate(formulas, 1):
-        lt, lf, rt, rf, within, differ = verdicts[left.signature(f), right.signature(f)]
+    for n, (f, c) in enumerate(zip(formulas, walk()), 1):
+        lt, lf, rt, rf, within, differ = verdicts[c]
         report.checked += within
         if differ:
             for label, b in zip(labels, bits):
@@ -437,7 +450,8 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     agent_list = sorted(agents)
     checker = ValidityChecker(models, semantics)
     evaluators = checker.evaluators
-    reps, weights, class_of, keys = _classes(language, evaluators)
+    reps, weights, walk, keys = _classes(language, evaluators)
+    ids = cache(lambda: list(walk()))  # each filling's class, once a failure is listed by them
     atom_sets, *fills = zip(*keys)  # per class its atom set, per model its signatures
     rules = list(suite.rules) if check_rules else []
     report = {"kind": "axioms", "suite": suite.name, "depth": inst_depth,
@@ -546,8 +560,7 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
             if per_instance and failing:
                 metas = enumerate_formulas(*language)
                 failures = [(ms, failing[key][0], {}) for ms, key in zip(
-                    product(metas, repeat=n), product(map(class_of, metas), repeat=n))
-                    if key in failing]
+                    product(metas, repeat=n), product(ids(), repeat=n)) if key in failing]
             else:
                 failures = [([reps[c] for c in key], state, {"instances": w})
                             for key, (state, w) in failing.items()]

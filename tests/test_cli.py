@@ -340,19 +340,23 @@ def test_enumerate_refuses_names_the_parser_cannot_read(capsys, atoms, agents, m
     assert (code, out, err) == (2, "", f"awarekit: {message}\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ("enumerate", "--atoms", "p,q", "--agents", "a,b", "--depth", "4"),
-    ("equiv", TRADE, "--depth", "4"),
-    ("axioms", "--suite", "hms", "--models", TRADE, "--depth", "4", "--no-rules"),
-], ids=["enumerate", "equiv", "axioms"])
-def test_enumeration_budget_refuses_depth_4(capsys, argv):
-    """Past the formula budget the commands refuse, before they allocate."""
+_BUDGETED = [("enumerate", "--atoms", "p,q", "--agents", "a,b"), ("equiv", TRADE),
+             ("axioms", "--suite", "hms", "--models", TRADE, "--no-rules")]
+
+
+@pytest.mark.parametrize("argv, depth", [(argv, 4) for argv in _BUDGETED] + [
+    (argv, 10 ** 6) for argv in _BUDGETED], ids=["enumerate", "equiv", "axioms", "enumerate-deep",
+                                                "equiv-deep", "axioms-deep"])
+def test_enumeration_budget_refuses_depth_4(capsys, argv, depth):
+    """Past the formula budget the commands refuse, before they allocate; a
+    deeper depth at the first level past it."""
     start = time.perf_counter()
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--depth", str(depth))
     assert time.perf_counter() - start < 1
     assert code == 2 and not out
-    assert err == ("awarekit: refusing to enumerate 359,026,203 formulas of depth up to 4 "
-                   "(limit 1,000,000); lower the depth\n")
+    more = "more than " if depth > 4 else ""
+    assert err == (f"awarekit: refusing to enumerate {more}359,026,203 formulas of depth up to "
+                   f"{depth} (limit 1,000,000); lower the depth\n")
 
 
 def test_fixture_name_resolution(capsys):

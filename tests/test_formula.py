@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 
 import pytest
 
@@ -166,13 +167,18 @@ def test_formula_count_is_the_enumeration_length():
             assert formula_count(atoms, agents, depth, lang) == \
                 len(enumerate_formulas(atoms, agents, depth, lang)), (atoms, depth, lang)
     # the figures of the budget's comment, and the largest refused case: past
-    # MAX_FORMULAS the count and the enumerator refuse, giving the count
+    # MAX_FORMULAS the count and the enumerator refuse, giving the count; a
+    # deeper depth is refused at the first level past it, at once
     assert formula_count(["i", "l"], ["b", "o"], 3, Lang.LKA) == 91_794
     for args, n in [((["p"], ["a", "b"], 4), "14,903,066"), ((["p"], ["a"], 4), "2,598,059"),
-                    ((list("pqrstu"), ["a", "b"], 3, Lang.LKA), "4,054,120")]:
+                    ((list("pqrstu"), ["a", "b"], 3, Lang.LKA), "4,054,120"),
+                    ((["p"], ["a"], 10 ** 6), "more than 2,598,059")]:
         for refuses in (formula_count, enumerate_formulas):
-            with pytest.raises(ValueError, match=f"refusing to enumerate {n} formulas"):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"refusing to enumerate {n} formulas of depth "
+                                                 f"up to {args[2]} "):
                 refuses(*args)
+            assert time.perf_counter() - start < 1e-3, args
     with pytest.raises(ValueError, match="depth must be >= 0"):
         formula_count(["p"], ["a"], -1)
     assert MAX_FORMULAS == 10 ** 6

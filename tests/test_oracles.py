@@ -9,7 +9,7 @@ from dataclasses import replace
 from awarekit import verify
 from awarekit.fh import Explicit, FHEvaluator, FHModel
 from awarekit.formula import (Aware, ExplicitKnow, Know, Lang, atoms_of, enumerate_formulas,
-                              expand_defined, implies, parse)
+                              expand_defined, fold, implies, parse)
 from awarekit.hms import Event, HMSModel
 from awarekit.klm import Evaluator
 from awarekit.kripke import KripkeModel
@@ -30,7 +30,7 @@ from awarekit.verify import (
 from conftest import make_trade, part
 from oracles import (FhOracle, KlmOracle, axiom_sweep, explicit_sets, rule_sweep,
                      signature_classes)
-from test_verify import _class_cases
+from test_verify import _class_cases, _refuse_evaluator_folds
 
 MODELS = 40
 SAMPLE = 60
@@ -97,14 +97,22 @@ def _sweep_parts(report):
     return {key: report[key] for key in ("checked", "schemas", "failures")}
 
 
-def test_suite_matches_instance_sweep():
+def test_suite_matches_instance_sweep(monkeypatch):
     """The per-class verdicts of check_axiom_suite give the same counts,
-    failures and witnesses as checking every instance on its own."""
+    failures and witnesses as checking every instance on its own. The
+    failures are listed per instance, each filling's class found from its
+    operands' classes, and no filling is folded into an evaluator."""
     cases = list(_sweep_cases(random.Random(2107)))
     assert any(explicit_sets(models) for models, _ in cases)
+    listed = 0
     for models, suite in cases:
-        got = check_axiom_suite(models, suite, 1, extra_schemas=(SCHEMA_5,), check_rules=False)
+        with monkeypatch.context() as patch:
+            _refuse_evaluator_folds(patch)
+            got = check_axiom_suite(models, suite, 1, extra_schemas=(SCHEMA_5,),
+                                    check_rules=False)
         assert _sweep_parts(got) == axiom_sweep(models, suite, 1, (SCHEMA_5,)), suite.name
+        listed += bool(got["failures"])
+    assert listed
 
 
 # fails wherever the first filling holds and the second does not
@@ -277,12 +285,25 @@ def test_sliced_suite_under_the_cap(monkeypatch):
         assert got["rules"] == rule_sweep([m], bare, 0)
 
 
+def _reversed_conjunctions(trade):
+    """An awareness structure on trade's frame whose formula lists hold
+    conjunctions with their operands in the reverse of the enumerator's
+    order, so that a term in a key does not commute; constant along the
+    relations, as the lattice transform needs."""
+    listed = {"b": {"w1": ["(K{b} i & i)", "(l & i)"],
+                    **dict.fromkeys(("w2", "w3"), ["(~i & ~T)"])},
+              "o": dict.fromkeys(("w1", "w2", "w3"), ["(K{o} l & ~l)", "(l & i)"])}
+    return FHModel.make(trade.base, {a: {w: Explicit.make(map(parse, fs)) for w, fs in per.items()}
+                                     for a, per in listed.items()})
+
+
 def _builder_cases(monkeypatch):
     """(language, evaluators) of the suites of _sweep_cases at depths 0 to 2
     and of a space lattice whose two atoms are based at one space, where only
     the atom set tells some classes apart; and of the three equivalence
-    checkers on the models of test_verify._class_cases at depths 0 to 3 and
-    on trade (L and LKA) at depth 3."""
+    checkers on the models of test_verify._class_cases at depths 0 to 3, on
+    trade (L and LKA) at depth 3, and on trade's frame with reversed
+    conjunctions listed (L and LKA) at depth 3."""
     trade = make_trade()
     h = h_transform(trade)
     shared = HMSModel(h.frame, {**h.valuation, "l": Event.make(
@@ -294,6 +315,8 @@ def _builder_cases(monkeypatch):
     calls = [(check, args) for check, _, args in _class_cases(0)]
     calls += [(check_L_equiv_hms_klm, (h, 3)),
               (check_equiv_fh_klm, (trade, Lang.LKA, 3))]
+    calls += [(check_equiv_fh_klm, (_reversed_conjunctions(trade), lang, 3))
+              for lang in (Lang.L, Lang.LKA)]
     checked = []
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_equivalence", lambda language, left, right, *_, **__:
@@ -307,16 +330,16 @@ def test_class_builder_matches_grouping(monkeypatch):
     """The class builder gives the classes of grouping every enumerated
     formula by atom set and true masks, and on formula-list awareness sets
     also by its term where that is a subterm of a listed formula: the same
-    first members in enumeration order, the same formula counts, and the
-    same class for each formula."""
+    first members in enumeration order, the same formula counts, and, by the
+    walk of the class automaton, the same class for each formula."""
     cases = 0
     for language, evaluators in _builder_cases(monkeypatch):
-        reps, counts, class_of, _ = verify._classes(language, evaluators)
+        reps, counts, walk, _ = verify._classes(language, evaluators)
         want_reps, want_counts, want_ids = signature_classes(language, evaluators)
         assert reps == want_reps and counts == want_counts, language
-        assert [class_of(f) for f in enumerate_formulas(*language)] == want_ids, language
+        assert list(walk()) == want_ids, language
         cases += 1
-    assert cases == 13 * 3 + 4 * 8 + 2
+    assert cases == 13 * 3 + 4 * 8 + 2 + 2
 
 
 def test_class_keys_come_from_operand_keys(monkeypatch):
@@ -329,7 +352,7 @@ def test_class_keys_come_from_operand_keys(monkeypatch):
         before = [set(ev._memo) for ev in evaluators]
         reps, _, _, keys = verify._classes(language, evaluators)
         assert [set(ev._memo) for ev in evaluators] == before, language
-        assert keys == [(atoms_of(f), *(ev.signature(f) for ev in evaluators))
+        assert keys == [(atoms_of(f), *(fold(f, ev) for ev in evaluators))
                         for f in reps], language
 
 

@@ -16,6 +16,7 @@ from awarekit.formula import (
     atoms_of,
     conj,
     enumerate_formulas,
+    fold,
     formula_count,
     iff,
     implies,
@@ -212,7 +213,7 @@ def test_rk_diagonal_is_the_group_of_one(trade_m):
     for checker in checkers:
         ev = checker.evaluators[0]
         for f in enumerate_formulas(trade_m.base.atoms, trade_m.base.agents, 2, checker.lang):
-            assert ev.signature(And(f, f)) == ev.signature(f), (checker.semantics, f)
+            assert fold(And(f, f), ev) == fold(f, ev), (checker.semantics, f)
 
 
 def test_lga_suite_on_trade(trade_m):
@@ -359,10 +360,23 @@ def _injectors(seed):
     }
 
 
+def _refuse_evaluator_folds(patch):
+    """Patch fold where the evaluators call it to refuse folding a formula
+    into an evaluator's algebra; other algebras fold as before."""
+    def guarded(f, alg, memo=None):
+        if isinstance(alg, MaskEvaluator):
+            raise AssertionError(f"{f} was folded into {type(alg).__name__}")
+        return fold(f, alg, memo)
+
+    for target in ("awarekit.truth.fold", "awarekit.hms.fold"):
+        patch.setattr(target, guarded)
+
+
 def test_injected_disagreements_match_oracle(monkeypatch):
     """With one transform's output flipped at one atom, each checker reports
     the same disagreements as the per-state loops, in the same order, at
-    depth 0 as at depth 2."""
+    depth 0 as at depth 2. The checkers find each formula's class from its
+    operands' classes and fold no formula into an evaluator."""
     for seed in range(12):
         injectors = _injectors(seed)
         for check, oracle, args in _checker_cases(seed):
@@ -370,7 +384,9 @@ def test_injected_disagreements_match_oracle(monkeypatch):
                 with monkeypatch.context() as patch:
                     for name, flipped in injectors.items():
                         patch.setattr(verify, name, flipped)
-                    body = check(*args).to_json()
+                    with monkeypatch.context() as unfolded:
+                        _refuse_evaluator_folds(unfolded)
+                        body = check(*args).to_json()
                     assert body == oracle(*args).to_json(), (seed, check.__name__, args[-1])
                 assert body["failures"], (seed, check.__name__, args[-1])
 
@@ -443,13 +459,14 @@ def test_capped_report(monkeypatch, trade_m):
 
 
 def _no_enumeration(*args):
-    raise AssertionError("the formulas were enumerated")
+    raise AssertionError("the formulas were enumerated or walked")
 
 
 def test_trade_depth_3_is_decided_by_class(monkeypatch, trade_m):
     """The six depth-3 trade checks agree on every class, so none of them
-    enumerates a formula; the counts are the formula sweep's."""
+    enumerates or walks a formula; the counts are the formula sweep's."""
     monkeypatch.setattr(verify, "enumerate_formulas", _no_enumeration)
+    monkeypatch.setattr(verify, "_formulas", _no_enumeration)
     fh = fh_transform(trade_m)
     reports = [check_L_equiv_klm_hms(trade_m, 3), check_L_equiv_hms_klm(h_transform(trade_m), 3)]
     reports += [check_equiv_fh_klm(x, lang, 3)
@@ -466,9 +483,10 @@ def _rule_counts(report):
 
 def test_suites_are_decided_without_enumeration(monkeypatch, trade_m):
     """Suites with rules on, exhaustive and failing past the cap alike, take
-    their classes and counts from the class builder and enumerate no
-    formula."""
+    their classes and counts from the class builder and enumerate or walk
+    no formula."""
     monkeypatch.setattr(verify, "enumerate_formulas", _no_enumeration)
+    monkeypatch.setattr(verify, "_formulas", _no_enumeration)
     hms = check_axiom_suite([trade_m], hms_suite(), 3)
     assert hms["passed"] and not hms["failures"] and "capped" not in hms
     assert (hms["checked"], hms["classes"], hms["class_tuples"]) == (19_236_624_626_584, 21, 11_236)
