@@ -33,16 +33,6 @@ from .klm import (
 from .kripke import KripkeModel, parse_world_id, relation_properties, validate_kripke
 from .modelio import fixture_path, load_model, store_model
 from .transforms import transform
-from .verify import (
-    SCHEMA_5,
-    _signature_of,
-    check_equiv_fh_klm,
-    check_L_equiv_hms_klm,
-    check_L_equiv_klm_hms,
-    check_axiom_suite,
-    hms_suite,
-    lga_suite,
-)
 
 FIXTURES = ("trade.klm.json", "trade.fh.json", "triv1.klm.json")
 
@@ -161,6 +151,8 @@ def _cmd_check(args):
 
 
 def _cmd_eval(args):
+    from .verify import _signature_of  # eval, equiv and axioms alone load the harness
+
     model = _evaluable(args.model)
     lang = Lang.L if args.lang == "L" else Lang.LKA
     f = parse(args.formula, Lang.LKA)
@@ -208,6 +200,8 @@ def _cmd_transform(args):
 
 
 def _cmd_equiv(args):
+    from .verify import check_equiv_fh_klm, check_L_equiv_hms_klm, check_L_equiv_klm_hms
+
     model = _evaluable(args.model)
     lang = Lang.L if args.lang == "L" else Lang.LKA
     if isinstance(model, HMSModel):
@@ -238,6 +232,8 @@ def _cmd_equiv(args):
 
 
 def _cmd_axioms(args):
+    from .verify import SCHEMA_5, check_axiom_suite, hms_suite, lga_suite
+
     models = [_evaluable(p) for p in args.models]
     suite = hms_suite() if args.suite == "hms" else lga_suite()
     extra = (SCHEMA_5,) if args.include_5 else ()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .formula import Formula, Lang, fold, in_language
 from .klm import PropertyReport
-from .kripke import box, group_cells, members, relabel
+from .kripke import Filled, box, group_cells, members, relabel
 from .truth import MaskEvaluator
 
 MAX_FRAME_STATES = 10_000
@@ -45,9 +45,13 @@ class UnawarenessFrame:
         composition where possible. Indexed here: a bit per state, the spaces
         above and below each space as masks and lists, and each state's lift."""
         self.spaces = {S: frozenset(states) for S, states in spaces.items()}
+        self.state_space = {s: S for S, states in self.spaces.items() for s in states}
+        # refused before the order is closed, which takes time quadratic in the spaces
+        for what, n in ("states", len(self.state_space)), ("spaces", len(self.spaces)):
+            if n > MAX_FRAME_STATES:
+                raise ValueError(f"frame has {n} {what} (limit {MAX_FRAME_STATES})")
         self.pi = {a: {s: frozenset(ts) for s, ts in per.items()} for a, per in pi.items()}
         self.agents = frozenset(self.pi)
-        self.state_space = {s: S for S, states in self.spaces.items() for s in states}
         order = [(lo, hi) for lo, hi in order]
         names = list(self.spaces)
         unknown = {S for pair in [*order, *projections] for S in pair} - self.spaces.keys()
@@ -60,7 +64,8 @@ class UnawarenessFrame:
         self.full = (1 << len(self.states)) - 1
         self.space_mask = {S: self.mask(states) for S, states in self.spaces.items()}
         # possibility sets grouped for kripke.box, for each agent with total pi
-        self.cells = {a: group_cells([self.mask(per[s]) for s in self.states])
+        masks = Filled(self.mask)
+        self.cells = {a: group_cells([masks[per[s]] for s in self.states])
                       for a, per in self.pi.items() if per.keys() >= self.state_space.keys()}
 
         # the order: bit rows over the spaces, closed by Warshall
@@ -73,12 +78,12 @@ class UnawarenessFrame:
                 if up[S] & bit[k]:
                     up[S] |= up[k]
         self.up_set = up
-        self.down_set = {T: sum(bit[S] for S in names if up[S] & bit[T]) for T in names}
         self.spaces_above = {S: members(up[S], names) for S in names}
+        self.leq = {(S, T) for S in names for T in self.spaces_above[S]}
+        self.down_set = dict.fromkeys(names, 0)
+        for S, T in self.leq:
+            self.down_set[T] |= bit[S]
         self.spaces_below = {S: members(self.down_set[S], names) for S in names}
-        self.leq = {(S, S) for S in names}
-        self.leq.update(order)
-        self.leq.update((S, T) for S in names for T in self.spaces_above[S])
         self._by_up, self._by_down = {}, {}
         for S in names:
             self._by_up.setdefault(up[S], []).append(S)
@@ -164,9 +169,8 @@ class UnawarenessFrame:
 
 def validate_frame(f: UnawarenessFrame) -> PropertyReport:
     """Exhaustive well-formedness report: lattice laws, projection laws, and
-    the five possibility-correspondence properties, each with a witness."""
-    if len(f.state_space) > MAX_FRAME_STATES:
-        raise ValueError(f"frame has {len(f.state_space)} states (limit {MAX_FRAME_STATES})")
+    the five possibility-correspondence properties, each with a witness, the
+    first failing instance in a fixed order."""
     report = PropertyReport()
     _check_lattice(f, report)
     _check_projections(f, report)
@@ -179,19 +183,25 @@ def _check_lattice(f, report):
     for S, states in f.spaces.items():
         if not states:
             report.record("lattice", ("empty space", S))
-        for s in states:
+        for s in sorted(states):
             if s in seen and seen[s] != S:
                 report.record("lattice", ("states shared by spaces", s, seen[s], S))
             seen[s] = S
+    # S <= S2 where S's up row holds S2's bit; a join (meet) is the one space
+    # whose up (down) row is the AND of the two rows
+    up, down, by_up, by_down = f.up_set, f.down_set, f._by_up, f._by_down
+    bit = {S: 1 << i for i, S in enumerate(f.spaces)}
+    size = {S: len(states) for S, states in f.spaces.items()}
     for S in f.spaces:
         for S2 in f.spaces:
-            if S != S2 and f.below(S, S2) and f.below(S2, S):
-                report.record("lattice", ("antisymmetry", S, S2))
-            if f.below(S, S2) and len(f.spaces[S]) > len(f.spaces[S2]):
-                report.record("lattice", ("cardinality not monotone", S, S2))
-            if f.join(S, S2) is None:
+            if up[S] & bit[S2]:
+                if S != S2 and up[S2] & bit[S]:
+                    report.record("lattice", ("antisymmetry", S, S2))
+                if size[S] > size[S2]:
+                    report.record("lattice", ("cardinality not monotone", S, S2))
+            if len(by_up.get(up[S] & up[S2], ())) != 1:
                 report.record("lattice", ("no unique join", S, S2))
-            if f.meet(S, S2) is None:
+            if len(by_down.get(down[S] & down[S2], ())) != 1:
                 report.record("lattice", ("no unique meet", S, S2))
     if f.top_space() is None:
         report.record("lattice", ("no top space",))
@@ -207,27 +217,51 @@ def _check_projections(f, report):
         if m is None:
             report.record("projections", ("missing projection", up, lo))
             continue
-        if set(m) != set(f.spaces[up]):
+        if m.keys() != f.spaces[up]:
             report.record("projections", ("not total", up, lo))
             continue
-        if not set(m.values()) <= set(f.spaces[lo]):
+        image = set(m.values())
+        if not image <= f.spaces[lo]:
             report.record("projections", ("image outside target space", up, lo))
             continue
         total[(up, lo)] = m
-        if set(m.values()) != set(f.spaces[lo]):
+        if image != f.spaces[lo]:
             report.record("projections", ("not surjective", up, lo))
         if lo == up and any(m[s] != s for s in f.spaces[up]):
             report.record("projections", ("identity projection is not identity", up))
+    # S < S1 < S2: a chain through an identity map commutes unless that map is
+    # no identity, which is reported above
     for S in f.spaces:
         for S1 in f.spaces_above[S]:
+            low = total.get((S1, S))
+            if S1 == S or low is None:
+                continue
             for S2 in f.spaces_above[S1]:
-                direct, via, low = total.get((S2, S)), total.get((S2, S1)), total.get((S1, S))
-                if direct is None or via is None or low is None:
+                direct, via = total.get((S2, S)), total.get((S2, S1))
+                if S2 == S1 or direct is None or via is None:
                     continue
-                s = next((s for s in f.spaces[S2] if direct[s] != low[via[s]]), None)
-                if s is not None:
+                if {s: low[t] for s, t in via.items()} != direct:
+                    s = min(s for s in f.spaces[S2] if direct[s] != low[via[s]])
                     report.record("projections", ("non-commuting", S2, S1, S, s))
     report.record("projections")
+
+
+def _cells(f, per):
+    """One agent's possibility sets by state, each distinct cell read once as
+    (cell, its spaces, its up-closure or 0 unless it lies in one space,
+    whether every state in it has it as possibility set, its projection to
+    a space on first use, holding None where a map is missing)."""
+    seen, out = {}, {}
+    for w, cell in per.items():
+        got = seen.get(cell)
+        if got is None:
+            spaces = f.cell_spaces(cell)
+            got = seen[cell] = (
+                cell, spaces, f.lift(f.mask(cell), spaces[0]) if len(spaces) == 1 else 0,
+                all(per.get(t) == cell for t in cell),
+                Filled(lambda S, cell=cell: frozenset(_projection(f, t, S) for t in cell)))
+        out[w] = got
+    return out
 
 
 def _projection(f, state, lower):
@@ -239,13 +273,17 @@ def _projection(f, state, lower):
 def _check_pi(f, report):
     for a in sorted(f.agents):
         per = f.pi[a]
-        for s in f.state_space:
+        for s in f.states:
             if s not in per:
                 report.record("Conf", ("pi not total", a, s))
+    recorded = report.passed  # a passing instance of a recorded check adds nothing
+    # each space's maps to the spaces below it
+    down = {Sw: [(S, f.maps.get((Sw, S), {})) for S in f.spaces_below[Sw]] for Sw in f.spaces}
     for a in sorted(f.agents):
         per = f.pi[a]
+        cells = _cells(f, per)
         for w, cell in sorted(per.items()):
-            Sw, targets = f.state_space[w], f.cell_spaces(cell)
+            Sw, (_, targets, up, stat, _) = f.state_space[w], cells[w]
             if len(targets) != 1:
                 report.record("Conf", (a, w, "cell straddles spaces", targets))
                 continue
@@ -255,35 +293,35 @@ def _check_pi(f, report):
                 continue
             report.record("Conf")
             # Gref: w is in the upward closure of its own cell
-            report.record("Gref", None if f.lift(f.mask(cell), S) >> f.index[w] & 1 else (a, w))
+            report.record("Gref", None if up >> f.index[w] & 1 else (a, w))
             # Stat: every considered state shares the cell
-            t = next((t for t in cell if per.get(t) != cell), None)
-            report.record("Stat", None if t is None else (a, w, t))
+            report.record("Stat", None if stat else
+                          (a, w, min(t for t in cell if per.get(t) != cell)))
         # PPI and PPK quantify over projections of states
         for w in f.states:
-            cell = per.get(w)
-            if cell is None:
+            got = cells.get(w)
+            if got is None:
                 continue
-            Scell = f.cell_spaces(cell)
-            up_w = f.lift(f.mask(cell), Scell[0]) if len(Scell) == 1 else 0
-            for S in f.spaces_below[f.state_space[w]]:
-                cell_down = per.get(_projection(f, w, S))
-                if cell_down is None:
-                    continue
-                Sdown = f.cell_spaces(cell_down)
-                if len(Scell) != 1 or len(Sdown) != 1:
-                    continue  # Conf already failed
-                outside = up_w & ~f.lift(f.mask(cell_down), Sdown[0])
-                report.record("PPI", (a, w, S) if outside else None)
-            # PPK: S <= S' <= S'', w in S'', cell in S'
+            _, Scell, up, _, projected = got
             if len(Scell) != 1:
-                continue
+                continue  # Conf already failed
+            for S, m in down[f.state_space[w]]:
+                below = cells.get(m.get(w))
+                if below is None or len(below[1]) != 1:
+                    continue
+                if up & ~below[2]:
+                    report.record("PPI", (a, w, S))
+                elif "PPI" not in recorded:
+                    report.record("PPI")
+            # PPK: S <= S' <= S'', w in S'', cell in S'
             for S in f.spaces_below[Scell[0]]:
-                projected_cell = frozenset(_projection(f, t, S) for t in cell)
-                down_cell = per.get(_projection(f, w, S))
-                if down_cell is not None and None not in projected_cell:
-                    report.record("PPK", None if projected_cell == down_cell
-                                  else (a, w, Scell[0], S))
+                cell_down = per.get(_projection(f, w, S))
+                if cell_down is None or None in projected[S]:
+                    continue
+                if projected[S] != cell_down:
+                    report.record("PPK", (a, w, Scell[0], S))
+                elif "PPK" not in recorded:
+                    report.record("PPK")
     for name in ("Conf", "Gref", "Stat", "PPI", "PPK"):
         report.record(name)
 

@@ -46,12 +46,17 @@ def _check_shape(value, shape, path=""):
     if not ok:
         got = f"a list of {len(value)}" if isinstance(value, list) else type(value).__name__
         raise ValueError(f"{path or 'model'}: expected {expected}, got {got}")
+    # a string leaf where a string belongs needs no visit; most leaves are such
     if isinstance(shape, list):
         for i, x in enumerate(value):
-            _check_shape(x, shape[min(i, len(shape) - 1)], f"{path}[{i}]")
+            sub = shape[min(i, len(shape) - 1)]
+            if sub is not str or not isinstance(x, str):
+                _check_shape(x, sub, f"{path}[{i}]")
     elif isinstance(shape, dict) and "*" in shape:
+        sub = shape["*"]
         for k, v in value.items():
-            _check_shape(v, shape["*"], f"{path}.{k}".lstrip("."))
+            if sub is not str or not isinstance(v, str):
+                _check_shape(v, sub, f"{path}.{k}".lstrip("."))
     elif isinstance(shape, dict):
         for key, sub in shape.items():
             name = key.rstrip("?")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .fh import AtomGenerated, FHModel, check_ka
 from .hms import (DenotationEvaluator, Event, HMSModel, UnawarenessFrame, defined_atoms,
                   validate_model)
-from .klm import KripkeLatticeModel, _check_cap, awareness_image, subsets, validate_klm
+from .klm import KripkeLatticeModel, _check_cap, subsets, validate_klm
 from .kripke import KripkeModel, WorldId, relation_properties
 
 
@@ -164,40 +164,28 @@ def _h_transform(k):
     _require_partitional(k)
     _check_cap(k.base.atoms)
 
-    atoms = k.base.atoms
+    atoms, worlds = k.base.atoms, sorted(k.base.worlds)
     vocabularies = subsets(atoms)
-    spaces = {
-        space_id(X): [str(WorldId(w, X)) for w in sorted(k.base.worlds)]
-        for X in vocabularies
-    }
-    order = [
-        (space_id(X), space_id(Y))
-        for X in vocabularies for Y in vocabularies if X < Y
-    ]
-    projections = {}
-    for X in vocabularies:
-        for Y in vocabularies:
-            if X < Y:
-                projections[(space_id(Y), space_id(X))] = {
-                    str(WorldId(w, Y)): str(WorldId(w, X)) for w in k.base.worlds
-                }
+    # every state name w@{X} and space name formatted once
+    space = {X: space_id(X) for X in vocabularies}
+    name = {X: {w: str(WorldId(w, X)) for w in worlds} for X in vocabularies}
+    spaces = {space[X]: list(name[X].values()) for X in vocabularies}
+    below = [(X, Y) for X in vocabularies for Y in vocabularies if X < Y]
+    order = [(space[X], space[Y]) for X, Y in below]
+    projections = {(space[Y], space[X]): {name[Y][w]: name[X][w] for w in worlds}
+                   for X, Y in below}
     pi = {}
     for a in sorted(k.base.agents):
-        per = {}
-        for w in k.base.worlds:
+        per = pi[a] = {}
+        for w in worlds:
+            aware, cell = k.awareness_atoms(a, w), k.base.successors(a, w)
             for X in vocabularies:
-                img = awareness_image(k, a, WorldId(w, X))
-                cell = k.base.successors(a, w)
-                per[str(WorldId(w, X))] = {str(WorldId(v, img.vocabulary)) for v in cell}
-        pi[a] = per
+                per[name[X][w]] = [name[X & aware][v] for v in cell]
     frame = UnawarenessFrame(spaces, order, projections, pi)
-    valuation = {
-        p: Event.make(
-            space_id(frozenset((p,))),
-            {str(WorldId(w, frozenset((p,)))) for w in k.base.valuation[p]},
-        )
-        for p in atoms
-    }
+    valuation = {}
+    for p in atoms:
+        X = frozenset((p,))
+        valuation[p] = Event.make(space[X], (name[X][w] for w in k.base.valuation[p]))
     out = HMSModel(frame, valuation)
     report = validate_model(out)
     if not report.all_pass():

@@ -41,10 +41,15 @@ class EquivalenceReport:
     checked: int = 0
     failures: list = field(default_factory=list)
     capped: bool = False  # stopped at INSTANTIATION_CAP before the last formula
+    _text: tuple = field(default=(None, ""), init=False, repr=False, compare=False)
 
     def record(self, formula, state, left, right):
+        """One disagreement; a formula's text is printed once for its run of
+        disagreements."""
+        if self._text[0] is not formula:
+            self._text = formula, to_text(formula)
         self.failures.append(
-            {"formula": to_text(formula), "state": str(state),
+            {"formula": self._text[1], "state": str(state),
              "left": str(left), "right": str(right)}
         )
 

@@ -38,7 +38,7 @@ from awarekit.formula import (
     to_text,
 )
 from awarekit.hms import DenotationEvaluator, Event, FrameDefect
-from awarekit.klm import Evaluator, KripkeLatticeModel, awareness_image, subsets
+from awarekit.klm import Evaluator, KripkeLatticeModel, PropertyReport, awareness_image, subsets
 from awarekit.kripke import WorldId
 from awarekit.truth import Truth, truth_of
 
@@ -431,3 +431,133 @@ def rule_sweep(models, suite, depth):
                 break
         entry["preserved"] = not entry["violations"] and not capped
     return rules
+
+
+# ---------------------------------------------------------------------------
+# frame well-formedness, one pair, triple and state at a time
+
+
+def frame_report(f, report=None):
+    """The reference for `hms.validate_frame`: each law checked instance by
+    instance through the frame's order, projection and lift API, in the
+    order whose first failure is each check's witness. Where one instance
+    fails at several states, the witness names the first in index order."""
+    report = PropertyReport() if report is None else report
+    _lattice(f, report)
+    _projections(f, report)
+    _pi(f, report)
+    return report
+
+
+def _lattice(f, report):
+    seen = {}
+    for S, states in f.spaces.items():
+        if not states:
+            report.record("lattice", ("empty space", S))
+        for s in sorted(states):
+            if s in seen and seen[s] != S:
+                report.record("lattice", ("states shared by spaces", s, seen[s], S))
+            seen[s] = S
+    for S in f.spaces:
+        for S2 in f.spaces:
+            if S != S2 and f.below(S, S2) and f.below(S2, S):
+                report.record("lattice", ("antisymmetry", S, S2))
+            if f.below(S, S2) and len(f.spaces[S]) > len(f.spaces[S2]):
+                report.record("lattice", ("cardinality not monotone", S, S2))
+            if f.join(S, S2) is None:
+                report.record("lattice", ("no unique join", S, S2))
+            if f.meet(S, S2) is None:
+                report.record("lattice", ("no unique meet", S, S2))
+    if f.top_space() is None:
+        report.record("lattice", ("no top space",))
+    if f.bottom_space() is None:
+        report.record("lattice", ("no bottom space",))
+    report.record("lattice")
+
+
+def _projections(f, report):
+    total = {}  # the maps that are total into their target space
+    for (lo, up) in sorted(f.leq):
+        m = f.maps.get((up, lo))
+        if m is None:
+            report.record("projections", ("missing projection", up, lo))
+            continue
+        if set(m) != set(f.spaces[up]):
+            report.record("projections", ("not total", up, lo))
+            continue
+        if not set(m.values()) <= set(f.spaces[lo]):
+            report.record("projections", ("image outside target space", up, lo))
+            continue
+        total[(up, lo)] = m
+        if set(m.values()) != set(f.spaces[lo]):
+            report.record("projections", ("not surjective", up, lo))
+        if lo == up and any(m[s] != s for s in f.spaces[up]):
+            report.record("projections", ("identity projection is not identity", up))
+    for S in f.spaces:
+        for S1 in f.spaces_above[S]:
+            for S2 in f.spaces_above[S1]:
+                direct, via, low = total.get((S2, S)), total.get((S2, S1)), total.get((S1, S))
+                if direct is None or via is None or low is None:
+                    continue
+                s = min((s for s in f.spaces[S2] if direct[s] != low[via[s]]), default=None)
+                if s is not None:
+                    report.record("projections", ("non-commuting", S2, S1, S, s))
+    report.record("projections")
+
+
+def _projection(f, state, lower):
+    """The state's projection to `lower`; None where the map is missing or not
+    total, which the projections check reports."""
+    return f.maps.get((f.state_space[state], lower), {}).get(state)
+
+
+def _pi(f, report):
+    for a in sorted(f.agents):
+        per = f.pi[a]
+        for s in f.states:
+            if s not in per:
+                report.record("Conf", ("pi not total", a, s))
+    for a in sorted(f.agents):
+        per = f.pi[a]
+        for w, cell in sorted(per.items()):
+            Sw, targets = f.state_space[w], f.cell_spaces(cell)
+            if len(targets) != 1:
+                report.record("Conf", (a, w, "cell straddles spaces", targets))
+                continue
+            S = targets[0]
+            if not f.below(S, Sw):
+                report.record("Conf", (a, w, "cell not weakly below", S, Sw))
+                continue
+            report.record("Conf")
+            # Gref: w is in the upward closure of its own cell
+            report.record("Gref", None if f.lift(f.mask(cell), S) >> f.index[w] & 1 else (a, w))
+            # Stat: every considered state shares the cell
+            t = min((t for t in cell if per.get(t) != cell), default=None)
+            report.record("Stat", None if t is None else (a, w, t))
+        # PPI and PPK quantify over projections of states
+        for w in f.states:
+            cell = per.get(w)
+            if cell is None:
+                continue
+            Scell = f.cell_spaces(cell)
+            up_w = f.lift(f.mask(cell), Scell[0]) if len(Scell) == 1 else 0
+            for S in f.spaces_below[f.state_space[w]]:
+                cell_down = per.get(_projection(f, w, S))
+                if cell_down is None:
+                    continue
+                Sdown = f.cell_spaces(cell_down)
+                if len(Scell) != 1 or len(Sdown) != 1:
+                    continue  # Conf already failed
+                outside = up_w & ~f.lift(f.mask(cell_down), Sdown[0])
+                report.record("PPI", (a, w, S) if outside else None)
+            # PPK: S <= S' <= S'', w in S'', cell in S'
+            if len(Scell) != 1:
+                continue
+            for S in f.spaces_below[Scell[0]]:
+                projected_cell = frozenset(_projection(f, t, S) for t in cell)
+                down_cell = per.get(_projection(f, w, S))
+                if down_cell is not None and None not in projected_cell:
+                    report.record("PPK", None if projected_cell == down_cell
+                                  else (a, w, Scell[0], S))
+    for name in ("Conf", "Gref", "Stat", "PPI", "PPK"):
+        report.record(name)

@@ -394,6 +394,20 @@ def test_check_reports_missing_projection(capsys, tmp_path):
     assert body["witnesses"]["projections"] == "('missing projection', 'T', 'B')"
 
 
+@pytest.mark.parametrize("spaces, message", [
+    ({f"S{i}": [f"s{i}"] for i in range(12_000)}, "frame has 12000 states (limit 10000)"),
+    (dict.fromkeys((f"S{i}" for i in range(12_000)), []), "frame has 12000 spaces (limit 10000)"),
+], ids=["states", "spaces"])
+def test_check_refuses_an_oversized_frame_before_indexing_it(capsys, tmp_path, spaces, message):
+    """A frame past the state limit, or with more spaces than it, is refused
+    while loading, before its order is closed: exit 2 at once."""
+    path = _frame_file(tmp_path, spaces, [], {})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", path)
+    assert time.perf_counter() - start < 5
+    assert (code, out, err) == (2, "", f"awarekit: cannot load {path}: {message}\n")
+
+
 def test_check_witness_does_not_depend_on_hash_seed(tmp_path):
     """The first projections witness is the same under every hash seed."""
     path = _frame_file(tmp_path, {"T": ["t"], "A": ["a"], "B": ["b"], "C": ["c"]},
@@ -406,13 +420,19 @@ def test_check_witness_does_not_depend_on_hash_seed(tmp_path):
     assert witnesses == {"('missing projection', 'T', 'A')"}
 
 
-def _run_seeded(seed, *argv):
-    """The CLI in a fresh process under the given hash seed."""
+def _python(*args, seed=0):
+    """A fresh interpreter, under the given hash seed, that imports this
+    source tree."""
     src = os.path.dirname(os.path.dirname(awarekit.__file__))
     env = {**os.environ, "PYTHONHASHSEED": str(seed),
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-m", "awarekit.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def _run_seeded(seed, *argv):
+    """The CLI in a fresh process under the given hash seed."""
+    return _python("-m", "awarekit.cli", *argv, seed=seed)
 
 
 def test_l_transform_error_does_not_depend_on_hash_seed(capsys, tmp_path):
@@ -504,3 +524,48 @@ def test_axioms_capped_is_incomplete(capsys, monkeypatch, explicit_fh):
     code, out, _ = run(capsys, *argv, "--json")
     body = json.loads(out)  # the whole sweep: it fails, as Explicit sets break A1-A12
     assert code == 1 and "capped" not in body and body["failures"]
+
+
+# every name the package exported when it imported all of its modules at once
+EXPORTS = """
+AtomGenerated Explicit FHEvaluator FHModel check_ka check_pp validate_fh
+And Atom Aware ExplicitKnow Formula Know Lang Not ParseError TOP Top atoms_of agents_of
+depth_of enumerate_formulas expand_defined fold iff implies in_language lor parse to_text
+DenotationEvaluator Event FrameDefect HMSModel UnawarenessFrame defined_atoms denotation
+validate_frame validate_model
+Evaluator KripkeLatticeModel PropertyReport canonicalize check_awareness_properties eval_L
+eval_LKA induced_pointwise lattice_cap random_klm random_klm_eq subsets validate_klm
+KripkeModel RestrictedModel WorldId parse_world_id relation_properties restrict validate_kripke
+fixture_path load_fixture load_model store_model
+StateCorrespondence TransformReport fh_transform h_transform k_transform l_transform transform
+Truth truth_of
+AxiomSuite EquivalenceReport SCHEMA_5 Schema ValidityChecker check_axiom_suite
+check_equiv_fh_klm check_L_equiv_hms_klm check_L_equiv_klm_hms hms_suite lga_suite valid_over
+""".split()
+
+
+def test_package_import_loads_no_module():
+    """`import awarekit` loads none of its modules; each exported name, and
+    each module as an attribute, is loaded on first use."""
+    done = _python("-c", "import sys, awarekit; "
+                         "print(sorted(m for m in sys.modules if m.startswith('awarekit.')))")
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+    done = _python("-c", f"from awarekit import {', '.join(EXPORTS)}, __version__; "
+                         "import awarekit; print(__version__, awarekit.verify.__name__, "
+                         "awarekit.hms.validate_frame is validate_frame)")
+    assert (done.returncode, done.stdout) == (0, "0.1.0 awarekit.verify True\n"), done.stderr
+    assert sorted(awarekit.__all__) == sorted(EXPORTS)
+
+
+def test_frame_commands_do_not_load_the_harness(tmp_path):
+    """A cold transform or check never imports awarekit.verify; equiv does."""
+    out = str(tmp_path / "trade.hms.json")
+    loaded = {}
+    for name, argv in (("transform", ("transform", "--kind", "H", "--in", TRADE, "--out", out)),
+                       ("check", ("check", out)), ("equiv", ("equiv", out, "--depth", "1"))):
+        done = _python("-X", "importtime", "-m", "awarekit.cli", *argv)
+        assert done.returncode == 0, done.stderr
+        loaded[name] = {line.split("|")[-1].strip() for line in done.stderr.splitlines()}
+    assert "awarekit.hms" in loaded["transform"] and "awarekit.hms" in loaded["check"]
+    assert "awarekit.verify" not in loaded["transform"] | loaded["check"]
+    assert "awarekit.verify" in loaded["equiv"]

@@ -203,6 +203,30 @@ def test_malformed_frame_witnesses(check, witness, fr):
     assert report.witnesses[check] == witness
 
 
+def test_witness_is_the_first_failing_state_in_index_order():
+    """Where one instance fails at several states, its witness names the
+    first of them in index order, not in a set's iteration order, which
+    varies with the hash seed."""
+    states = [f"s{i}" for i in range(8)]
+    fr = frame({"U": states}, [], {}, {"a": {s: [s] if s != "s0" else states
+                                               for s in states[:6]}})
+    report = validate_frame(fr)
+    assert report.witnesses["Stat"] == ("a", "s0", "s1")
+    assert report.witnesses["Conf"] == ("pi not total", "a", "s6")
+    fr = frame({"B": ["b1", "b2"], "M": ["m1", "m2"], "T": [f"t{i}" for i in range(1, 7)]},
+               [("B", "M"), ("M", "T")],
+               {("T", "M"): {"t1": "m1", "t2": "m1", "t3": "m1", "t4": "m2", "t5": "m2",
+                             "t6": "m2"},
+                ("M", "B"): {"m1": "b1", "m2": "b2"},
+                ("T", "B"): {"t1": "b2", "t2": "b2", "t3": "b1", "t4": "b1", "t5": "b2",
+                             "t6": "b2"}})
+    report = validate_frame(fr)
+    assert report.witnesses["projections"] == ("non-commuting", "T", "M", "B", "t1")
+    fr = frame({"X": ["x1", "x2", "x3", "x4"], "Y": ["x4", "x3", "x2", "x1"]}, [], {})
+    report = validate_frame(fr)
+    assert report.witnesses["lattice"] == ("states shared by spaces", "x1", "X", "Y")
+
+
 def test_knowledge_event_must_be_an_up_set():
     """On the PPI-failing frame, the states that know {d1} are not the
     up-closure of any event at D: the event algebra and the denotation say so."""

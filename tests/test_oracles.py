@@ -4,14 +4,15 @@ seeded random models."""
 
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 from awarekit import verify
 from awarekit.fh import Explicit, FHEvaluator, FHModel
 from awarekit.formula import (Aware, ExplicitKnow, Know, Lang, atoms_of, enumerate_formulas,
                               expand_defined, fold, implies, parse)
-from awarekit.hms import Event, HMSModel
-from awarekit.klm import Evaluator
+from awarekit.hms import Event, HMSModel, UnawarenessFrame, validate_frame
+from awarekit.klm import Evaluator, PropertyReport
 from awarekit.kripke import KripkeModel
 from awarekit.transforms import fh_transform, h_transform
 from awarekit.truth import truth_of
@@ -28,8 +29,9 @@ from awarekit.verify import (
 )
 
 from conftest import make_trade, part
-from oracles import (FhOracle, KlmOracle, axiom_sweep, explicit_sets, rule_sweep,
+from oracles import (FhOracle, KlmOracle, axiom_sweep, explicit_sets, frame_report, rule_sweep,
                      signature_classes)
+from test_hms import MALFORMED
 from test_verify import _class_cases, _refuse_evaluator_folds
 
 MODELS = 40
@@ -381,3 +383,133 @@ def test_formula_lists_have_finitely_many_classes():
         reps, counts, *_ = verify._classes(language, evaluators)
         assert len(reps) == n, depth
         assert (reps, counts) == signature_classes(language, evaluators)[:2], depth
+
+
+# ---------------------------------------------------------------------------
+# frame validation against the per-instance frame checks
+
+
+def _seeded_klm(rng, atoms, worlds):
+    """A partitional lattice model with exactly this many atoms and worlds."""
+    return next(k for k in iter(lambda: random_klm_eq(rng, worlds, atoms), None)
+                if (len(k.base.atoms), len(k.base.worlds)) == (atoms, worlds))
+
+
+def _same_report(fr, oracle=None):
+    """validate_frame agrees with the oracle: the same verdicts and first
+    witnesses, recorded in the same order."""
+    got, want = validate_frame(fr), frame_report(fr, oracle)
+    assert list(got.passed.items()) == list(want.passed.items())
+    assert list(got.witnesses.items()) == list(want.witnesses.items())
+    return want
+
+
+def test_frame_checks_match_oracle_on_transforms_and_malformed_frames():
+    rng = random.Random(1806)
+    for atoms in range(1, 7):
+        assert _same_report(h_transform(_seeded_klm(rng, atoms, 4)).frame).all_pass()
+    for check, _, fr in MALFORMED:
+        assert not _same_report(fr).passed[check]
+
+
+class _Counted(PropertyReport):
+    """A report that also counts each check's failing instances."""
+
+    def __init__(self):
+        super().__init__()
+        self.failures = Counter()
+
+    def record(self, name, witness=None):
+        self.failures[name] += witness is not None
+        super().record(name, witness)
+
+
+def _states_of(spaces, pi, rng, n, keep=lambda a, w, S: True):
+    """n random (agent, state, space) triples that satisfy keep."""
+    pool = [(a, w, S) for a in sorted(pi) for S in sorted(spaces) for w in spaces[S]
+            if w in pi[a] and keep(a, w, S)]
+    return rng.sample(pool, min(n, len(pool)))
+
+
+def _cell_space(spaces, cell):
+    return next(S for S, states in spaces.items() if cell[0] in states)
+
+
+def _break_lattice(spaces, order, projections, pi, rng):
+    """An extra state in the bottom space breaks cardinality monotonicity
+    against every space above; a loose space has no join or meet with any."""
+    spaces[min(spaces, key=len)].append("extra")
+    spaces["loose"] = ["x"]
+    for per in pi.values():
+        per["extra"], per["x"] = ["extra"], ["x"]
+
+
+def _break_commuting(spaces, order, projections, pi, rng):
+    """Swapped values break commuting wherever the map is composed."""
+    for key in rng.sample(sorted(k for k, m in projections.items() if len(m) > 1), 3):
+        m = projections[key]
+        s, t = sorted(m)[:2]
+        m[s], m[t] = m[t], m[s]
+
+
+def _break_projections(spaces, order, projections, pi, rng):
+    keys = rng.sample(sorted(projections), 3)
+    del projections[keys[0]][sorted(projections[keys[0]])[0]]
+    m = projections[keys[1]]
+    m[sorted(m)[0]] = next(s for S in spaces for s in spaces[S] if S != keys[1][1])
+    del projections[keys[2]]
+
+
+def _break_conf(spaces, order, projections, pi, rng):
+    top = max(spaces, key=lambda S: S.count(","))
+    for a, w, S in _states_of(spaces, pi, rng, 3, lambda a, w, S: S != top):
+        pi[a][w] = pi[a][w] + [spaces[top][0]]  # straddles two spaces
+    for a, w, S in _states_of(spaces, pi, rng, 3, lambda a, w, S: S != top):
+        pi[a][w] = [spaces[top][0]]  # not weakly below the state's space
+    for a, w, S in _states_of(spaces, pi, rng, 2):
+        del pi[a][w]
+
+
+def _break_gref(spaces, order, projections, pi, rng):
+    for a, w, S in _states_of(spaces, pi, rng, 4):
+        pi[a][w] = [next(s for s in spaces[S] if s != w)]
+
+
+def _break_stat(spaces, order, projections, pi, rng):
+    def partial(a, w, S):  # the cell is not its whole space
+        return len(pi[a][w]) < len(spaces[_cell_space(spaces, pi[a][w])])
+
+    for a, w, S in _states_of(spaces, pi, rng, 4, partial):
+        pi[a][w] = list(spaces[_cell_space(spaces, pi[a][w])])
+
+
+def _break_ppi(spaces, order, projections, pi, rng):
+    for a, w, S in _states_of(spaces, pi, rng, 6, lambda a, w, S: pi[a][w] != [w]):
+        pi[a][w] = [w]  # finer below than above
+
+
+def _break_ppk(spaces, order, projections, pi, rng):
+    for a, w, S in _states_of(spaces, pi, rng, 6, lambda a, w, S: S.count(",") < 2):
+        pi[a][w] = list(spaces[S])  # coarser below than above
+
+
+BREAKS = [("lattice", _break_lattice), ("projections", _break_commuting),
+          ("projections", _break_projections), ("Conf", _break_conf), ("Gref", _break_gref),
+          ("Stat", _break_stat), ("PPI", _break_ppi), ("PPK", _break_ppk)]
+
+
+def test_frame_checks_match_oracle_on_several_failures():
+    """Frames doctored so that each check fails at several instances: the
+    first witness is the first failing instance in the oracle's order."""
+    rng = random.Random(1807)
+    for seed in range(4):
+        fr = h_transform(_seeded_klm(random.Random(seed), 3, 3)).frame
+        for check, doctor in BREAKS:
+            spaces = {S: sorted(states) for S, states in fr.spaces.items()}
+            order = sorted(p for p in fr.leq if p[0] != p[1])
+            projections = {key: dict(m) for key, m in fr.maps.items() if key[0] != key[1]}
+            pi = {a: {s: sorted(cell) for s, cell in per.items()} for a, per in fr.pi.items()}
+            doctor(spaces, order, projections, pi, rng)
+            counted = _Counted()
+            _same_report(UnawarenessFrame(spaces, order, projections, pi), counted)
+            assert counted.failures[check] >= 2, (seed, check, counted.failures)
