@@ -21,11 +21,11 @@ _EXPORTS = {
                 "in_language", "lor", "parse", "to_text"),
     "hms": ("DenotationEvaluator", "Event", "FrameDefect", "HMSModel", "UnawarenessFrame",
             "defined_atoms", "denotation", "validate_frame", "validate_model"),
-    "klm": ("Evaluator", "KripkeLatticeModel", "PropertyReport", "canonicalize",
-            "check_awareness_properties", "eval_L", "eval_LKA", "induced_pointwise",
-            "lattice_cap", "random_klm", "random_klm_eq", "subsets", "validate_klm"),
-    "kripke": ("KripkeModel", "RestrictedModel", "WorldId", "parse_world_id",
-               "relation_properties", "restrict", "validate_kripke"),
+    "klm": ("Evaluator", "KripkeLatticeModel", "canonicalize", "check_awareness_properties",
+            "eval_L", "eval_LKA", "induced_pointwise", "lattice_cap", "random_klm",
+            "random_klm_eq", "subsets", "validate_klm"),
+    "kripke": ("KripkeModel", "PropertyReport", "RestrictedModel", "WorldId",
+               "parse_world_id", "relation_properties", "restrict", "validate_kripke"),
     "modelio": ("fixture_path", "load_fixture", "load_model", "store_model"),
     "transforms": ("StateCorrespondence", "TransformReport", "fh_transform", "h_transform",
                    "k_transform", "l_transform", "transform"),

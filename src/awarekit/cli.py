@@ -10,8 +10,8 @@ import argparse
 import json
 import os
 import sys
+from importlib import import_module
 
-from .fh import FHEvaluator, FHModel, check_ka, check_pp, validate_fh
 from .formula import (
     ExplicitKnow,
     Lang,
@@ -22,17 +22,8 @@ from .formula import (
     require_signature,
     to_text,
 )
-from .hms import DenotationEvaluator, HMSModel, validate_model
-from .klm import (
-    Evaluator,
-    KripkeLatticeModel,
-    check_awareness_properties,
-    induced_pointwise,
-    validate_klm,
-)
-from .kripke import KripkeModel, parse_world_id, relation_properties, validate_kripke
+from .kripke import parse_world_id, relation_properties
 from .modelio import fixture_path, load_model, store_model
-from .transforms import transform
 
 FIXTURES = ("trade.klm.json", "trade.fh.json", "triv1.klm.json")
 
@@ -60,14 +51,19 @@ def _load(path):
         raise UsageError(f"cannot load {path}: {_text(exc)}") from exc
 
 
-VALIDATORS = {KripkeLatticeModel: validate_klm, FHModel: validate_fh, KripkeModel: validate_kripke}
+# The validator of each model kind, by module and name. Commands import the
+# model modules only for the kind they load (see modelio.KINDS).
+VALIDATORS = {"klm": ("klm", "validate_klm"), "fh": ("fh", "validate_fh"),
+              "kripke": ("kripke", "validate_kripke")}
 
 
 def _problems(model):
     """What keeps a lattice model, awareness structure or Kripke model from
     being well formed. A space-lattice model is checked by its frame report."""
-    validate = VALIDATORS.get(type(model))
-    return list(validate(model)) if validate else []
+    if model.kind not in VALIDATORS:
+        return []
+    module, name = VALIDATORS[model.kind]
+    return list(getattr(import_module(f".{module}", __package__), name)(model))
 
 
 def _evaluable(path):
@@ -96,9 +92,11 @@ def _cmd_check(args):
     model = _load(args.model)
     problems = _problems(model)  # the properties below need a well-formed model
     properties, witnesses = {}, {}
-    if isinstance(model, KripkeLatticeModel):
-        kind = "klm"
+    kind = model.kind
+    if kind == "klm":
         if not problems:
+            from .klm import check_awareness_properties, induced_pointwise
+
             report = check_awareness_properties(
                 model.base, induced_pointwise(model.base, model.awareness)
             )
@@ -108,14 +106,16 @@ def _cmd_check(args):
                 {f"equivalence[{a}]": flags["equivalence"]
                  for a, flags in relation_properties(model.base).items()}
             )
-    elif isinstance(model, HMSModel):
-        kind = "hms"
+    elif kind == "hms":
+        from .hms import validate_model
+
         report = validate_model(model)
         properties = dict(report.passed)
         witnesses = report.witnesses
-    elif isinstance(model, FHModel):
-        kind = "fh"
+    elif kind == "fh":
         if not problems:
+            from .fh import check_ka, check_pp
+
             pp = check_pp(model)
             ka_ok, ka_witnesses = check_ka(model)
             pp_name = f"pp ({pp['verdict']})"
@@ -125,15 +125,11 @@ def _cmd_check(args):
                 witnesses[pp_name] = (agent, world, to_text(formula))
             if ka_witnesses:
                 witnesses["ka"] = ka_witnesses[0]
-    elif isinstance(model, KripkeModel):
-        kind = "kripke"
-        if not problems:
-            properties = {
-                f"equivalence[{a}]": flags["equivalence"]
-                for a, flags in relation_properties(model).items()
-            }
-    else:
-        raise UsageError(f"unsupported model class {type(model).__name__}")
+    elif not problems:  # a plain Kripke model
+        properties = {
+            f"equivalence[{a}]": flags["equivalence"]
+            for a, flags in relation_properties(model).items()
+        }
     passed = not problems and all(properties.values())
     report = {"kind": "check", "model": kind, "passed": passed,
               "problems": problems,
@@ -159,16 +155,22 @@ def _cmd_eval(args):
     if lang is Lang.L and ExplicitKnow in node_kinds(f):
         raise UsageError("X{a} has no reading in the language L")
     at = args.at
-    if args.strict_two_valued and not isinstance(model, KripkeLatticeModel):
+    if args.strict_two_valued and model.kind != "klm":
         raise UsageError("--strict-two-valued applies to Kripke lattice models only")
-    if isinstance(model, KripkeLatticeModel):
+    if model.kind == "klm":
+        from .klm import Evaluator
+
         at = parse_world_id(at, model.base.atoms)
         ev = Evaluator(model, lang, strict_two_valued=args.strict_two_valued)
-    elif isinstance(model, HMSModel):
+    elif model.kind == "hms":
+        from .hms import DenotationEvaluator
+
         if lang is not Lang.L:
             raise UsageError("space-lattice models only interpret the language L")
         ev = DenotationEvaluator(model)
-    elif isinstance(model, FHModel):
+    elif model.kind == "fh":
+        from .fh import FHEvaluator
+
         ev = FHEvaluator(model, lang)
     else:
         raise UsageError("plain Kripke models carry no awareness; nothing to evaluate")
@@ -178,6 +180,8 @@ def _cmd_eval(args):
 
 
 def _cmd_transform(args):
+    from .transforms import transform
+
     model = _evaluable(args.input)
     try:
         report = transform(args.kind, model)
@@ -204,13 +208,13 @@ def _cmd_equiv(args):
 
     model = _evaluable(args.model)
     lang = Lang.L if args.lang == "L" else Lang.LKA
-    if isinstance(model, HMSModel):
+    if model.kind == "hms":
         if lang is not Lang.L:
             raise UsageError("space-lattice models only interpret the language L")
         report = check_L_equiv_hms_klm(model, args.depth)
-    elif isinstance(model, FHModel):
+    elif model.kind == "fh":
         report = check_equiv_fh_klm(model, lang, args.depth)
-    elif isinstance(model, KripkeLatticeModel):
+    elif model.kind == "klm":
         if lang is Lang.L:
             report = check_L_equiv_klm_hms(model, args.depth)
         else:

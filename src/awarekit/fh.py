@@ -9,7 +9,6 @@ holds a literal finite formula list and exists for adversarial inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from .formula import (
@@ -29,11 +28,22 @@ from .formula import (
 )
 from .kripke import Filled, KripkeModel, box, group_cells, validate_kripke
 from .truth import MaskEvaluator
+from .values import Frozen
 
 
-@dataclass(frozen=True)
-class AtomGenerated:
-    atoms: frozenset
+class AtomGenerated(Frozen):
+    _fields = ("atoms",)
+
+    def __init__(self, atoms: frozenset):
+        object.__setattr__(self, "atoms", atoms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.atoms,) == (other.atoms,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.atoms,))
 
     @classmethod
     def make(cls, atoms):
@@ -43,20 +53,27 @@ class AtomGenerated:
         return atoms_of(f) <= self.atoms
 
 
-@dataclass(frozen=True)
-class Explicit:
+class Explicit(Frozen):
     """A finite list of formulas. It is matched through the definition of X,
     the one that LKA has: `X{a} g` is listed, or asked about, as
-    `A{a} g & K{a} g`. `atoms` are the atoms the listed formulas mention."""
+    `A{a} g & K{a} g`. `atoms` are the atoms the listed formulas mention.
+    Only `formulas` is compared and shown."""
 
-    formulas: tuple
-    listed: frozenset = field(init=False, repr=False, compare=False)
-    atoms: frozenset = field(init=False, repr=False, compare=False)
+    _fields = ("formulas",)
 
-    def __post_init__(self):
+    def __init__(self, formulas: tuple):
+        object.__setattr__(self, "formulas", formulas)
         object.__setattr__(self, "listed", frozenset(
-            expand_defined(f, Lang.LKA) for f in self.formulas))
-        object.__setattr__(self, "atoms", frozenset().union(*map(atoms_of, self.formulas)))
+            expand_defined(f, Lang.LKA) for f in formulas))
+        object.__setattr__(self, "atoms", frozenset().union(*map(atoms_of, formulas)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.formulas,) == (other.formulas,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.formulas,))
 
     @classmethod
     def make(cls, formulas):
@@ -66,12 +83,15 @@ class Explicit:
         return expand_defined(f, Lang.LKA) in self.listed
 
 
-@dataclass(frozen=True)
-class FHModel:
+class FHModel(Frozen):
     """A Kripke model over a sublanguage's atoms plus an awareness function."""
 
-    base: KripkeModel
-    awareness: dict  # agent -> world -> AwarenessSet
+    kind = "fh"  # the model file kind, on which modelio, cli and transforms dispatch
+    _fields = ("base", "awareness")
+
+    def __init__(self, base: KripkeModel, awareness: dict):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "awareness", awareness)  # agent -> world -> AwarenessSet
 
     @classmethod
     def make(cls, base, awareness):

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, count
 from types import SimpleNamespace
+
+from .values import Frozen
 
 
 class Lang(enum.Enum):
@@ -25,53 +26,91 @@ class Lang(enum.Enum):
     LKA = "LKA"
 
 
-class Formula:
+class Formula(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+# Each node writes out its constructor and `__eq__` field by field, with no
+# loop over `_fields`: evaluators build and compare nodes in their inner loops.
+# `__eq__` compares tuples, which skip a field that is the same object in both.
+
+
 class Top(Formula):
     __slots__ = ("_h", "_at")
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
 
-@dataclass(frozen=True)
+
 class Atom(Formula):
     __slots__ = ("name", "_h", "_at")
-    name: str
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name,) == (other.name,)
+        return NotImplemented
 
 
-@dataclass(frozen=True)
 class Not(Formula):
     __slots__ = ("child", "_h", "_at")
-    child: Formula
+    _fields = ("child",)
+
+    def __init__(self, child: Formula):
+        object.__setattr__(self, "child", child)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.child,) == (other.child,)
+        return NotImplemented
 
 
-@dataclass(frozen=True)
 class And(Formula):
     __slots__ = ("left", "right", "_h", "_at")
-    left: Formula
-    right: Formula
+    _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
 
 
-@dataclass(frozen=True)
-class Know(Formula):
+class _Modal(Formula):
+    """The agent-indexed nodes Know, Aware and ExplicitKnow; an instance
+    equals only an instance of its own node kind."""
+
+    __slots__ = ()
+    _fields = ("agent", "child")
+
+    def __init__(self, agent: str, child: Formula):
+        object.__setattr__(self, "agent", agent)
+        object.__setattr__(self, "child", child)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.agent, self.child) == (other.agent, other.child)
+        return NotImplemented
+
+
+class Know(_Modal):
     __slots__ = ("agent", "child", "_h", "_at")
-    agent: str
-    child: Formula
 
 
-@dataclass(frozen=True)
-class Aware(Formula):
+class Aware(_Modal):
     __slots__ = ("agent", "child", "_h", "_at")
-    agent: str
-    child: Formula
 
 
-@dataclass(frozen=True)
-class ExplicitKnow(Formula):
+class ExplicitKnow(_Modal):
     __slots__ = ("agent", "child", "_h", "_at")
-    agent: str
-    child: Formula
 
 
 # Evaluator memo tables hash the same subterms many millions of times, so

@@ -10,12 +10,10 @@ and knowledge is `kripke.box`, as in the other model classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .formula import Formula, Lang, fold, in_language
-from .klm import PropertyReport
-from .kripke import Filled, box, group_cells, members, relabel
+from .kripke import Filled, PropertyReport, box, group_cells, members, relabel
 from .truth import MaskEvaluator
+from .values import Frozen
 
 MAX_FRAME_STATES = 10_000
 
@@ -24,13 +22,23 @@ class FrameDefect(ValueError):
     """An event-algebra assertion failed; the frame is not well formed."""
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Frozen):
     """An event (D, S): base set D inside its base space S. The empty event is
     legal and keeps its space tag."""
 
-    base_space: str
-    base_set: frozenset
+    _fields = ("base_space", "base_set")
+
+    def __init__(self, base_space: str, base_set: frozenset):
+        object.__setattr__(self, "base_space", base_space)
+        object.__setattr__(self, "base_set", base_set)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base_space, self.base_set) == (other.base_space, other.base_set)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base_space, self.base_set))
 
     @classmethod
     def make(cls, base_space, base_set):
@@ -357,10 +365,13 @@ def _conj(f, left, right):
 # models and satisfaction
 
 
-@dataclass(frozen=True)
-class HMSModel:
-    frame: UnawarenessFrame
-    valuation: dict  # atom -> Event
+class HMSModel(Frozen):
+    kind = "hms"  # the model file kind, on which modelio, cli and transforms dispatch
+    _fields = ("frame", "valuation")
+
+    def __init__(self, frame: UnawarenessFrame, valuation: dict):
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "valuation", valuation)  # atom -> Event
 
     @property
     def atoms(self):

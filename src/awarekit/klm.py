@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
 from operator import and_, or_
 
 from .formula import Formula, Lang, in_language, require_signature
-from .kripke import (Filled, KripkeModel, WorldId, box, group_cells, meet, members,
-                     relabel, validate_kripke)
+from .kripke import (Filled, KripkeModel, PropertyReport, WorldId, box, group_cells, meet,
+                     members, relabel, validate_kripke)
+from .values import Frozen
 from .truth import MaskEvaluator, Truth
 
 DEFAULT_LATTICE_CAP = 12
@@ -44,13 +44,16 @@ def subsets(atoms):
     ]
 
 
-@dataclass(frozen=True)
-class KripkeLatticeModel:
+class KripkeLatticeModel(Frozen):
     """A base Kripke model for the full atom set plus an awareness assignment
     agent -> world -> atom subset."""
 
-    base: KripkeModel
-    awareness: dict
+    kind = "klm"  # the model file kind, on which modelio, cli and transforms dispatch
+    _fields = ("base", "awareness")
+
+    def __init__(self, base: KripkeModel, awareness: dict):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "awareness", awareness)
 
     @classmethod
     def make(cls, base, awareness):
@@ -122,25 +125,6 @@ def validate_klm(k: KripkeLatticeModel):
 
 # ---------------------------------------------------------------------------
 # pointwise maps and the D / II / NS checker
-
-
-@dataclass
-class PropertyReport:
-    """Per-property verdicts with a concrete witness for each failure."""
-
-    passed: dict = field(default_factory=dict)
-    witnesses: dict = field(default_factory=dict)
-
-    def record(self, name, witness=None):
-        if witness is None:
-            self.passed.setdefault(name, True)
-        else:
-            self.passed[name] = False
-            self.witnesses.setdefault(name, witness)
-
-    def all_pass(self, *names):
-        names = names or tuple(self.passed)
-        return all(self.passed.get(n, False) for n in names)
 
 
 def induced_pointwise(base: KripkeModel, awareness):

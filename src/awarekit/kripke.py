@@ -1,4 +1,5 @@
-"""Plain Kripke models, the bitmask modal box, and restrictions to atom subsets.
+"""Plain Kripke models, the bitmask modal box, restrictions to atom subsets,
+and the property report that the checks of every model class fill.
 
 A restriction is a lazy view: the restricted worlds w_X are (world, X) pairs,
 the relation mirrors the source relation exactly, and the valuation covers
@@ -9,15 +10,25 @@ source model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .values import Frozen, Value
 
 
-@dataclass(frozen=True)
-class WorldId:
+class WorldId(Frozen):
     """A world copy w_X: a base world id paired with a vocabulary X."""
 
-    base: str
-    vocabulary: frozenset
+    _fields = ("base", "vocabulary")
+
+    def __init__(self, base: str, vocabulary: frozenset):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "vocabulary", vocabulary)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.vocabulary) == (other.base, other.vocabulary)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.vocabulary))
 
     def __str__(self):
         return f"{self.base}@{{{','.join(sorted(self.vocabulary))}}}"
@@ -39,15 +50,19 @@ def parse_world_id(text: str, full_vocabulary) -> WorldId:
     return WorldId(base, atoms)
 
 
-@dataclass(frozen=True)
-class KripkeModel:
+class KripkeModel(Frozen):
     """Finite Kripke model: worlds, per-agent relations, valuation over `atoms`."""
 
-    atoms: frozenset
-    agents: frozenset
-    worlds: frozenset
-    relations: dict  # agent -> frozenset of (w, v) pairs
-    valuation: dict  # atom -> frozenset of worlds
+    kind = "kripke"  # the model file kind, on which modelio, cli and transforms dispatch
+    _fields = ("atoms", "agents", "worlds", "relations", "valuation")
+
+    def __init__(self, atoms: frozenset, agents: frozenset, worlds: frozenset,
+                 relations: dict, valuation: dict):
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "agents", agents)
+        object.__setattr__(self, "worlds", worlds)
+        object.__setattr__(self, "relations", relations)  # agent -> frozenset of (w, v) pairs
+        object.__setattr__(self, "valuation", valuation)  # atom -> frozenset of worlds
 
     @classmethod
     def make(cls, atoms, agents, worlds, relations, valuation):
@@ -68,12 +83,14 @@ class KripkeModel:
         return frozenset(v for (w, v) in rel if w == world)
 
 
-@dataclass(frozen=True)
-class RestrictedModel:
+class RestrictedModel(Frozen):
     """Lazy view of a KripkeModel restricted to vocabulary X."""
 
-    source: KripkeModel
-    vocabulary: frozenset
+    _fields = ("source", "vocabulary")
+
+    def __init__(self, source: KripkeModel, vocabulary: frozenset):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "vocabulary", vocabulary)
 
     def worlds(self):
         return frozenset(WorldId(w, self.vocabulary) for w in self.source.worlds)
@@ -147,6 +164,27 @@ class Filled(dict):
     def __missing__(self, key):
         got = self[key] = self.fill(key)
         return got
+
+
+class PropertyReport(Value):
+    """Per-property verdicts with a concrete witness for each failure."""
+
+    _fields = ("passed", "witnesses")
+
+    def __init__(self, passed: dict = None, witnesses: dict = None):
+        self.passed = {} if passed is None else passed
+        self.witnesses = {} if witnesses is None else witnesses
+
+    def record(self, name, witness=None):
+        if witness is None:
+            self.passed.setdefault(name, True)
+        else:
+            self.passed[name] = False
+            self.witnesses.setdefault(name, witness)
+
+    def all_pass(self, *names):
+        names = names or tuple(self.passed)
+        return all(self.passed.get(n, False) for n in names)
 
 
 def validate_kripke(m: KripkeModel):

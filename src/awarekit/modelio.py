@@ -7,14 +7,13 @@ store/load round trip is byte-stable.
 from __future__ import annotations
 
 import json
-from importlib import resources
 
-from .fh import AtomGenerated, Explicit, FHModel
 from .formula import Lang, parse, require_names, to_text
-from .hms import Event, HMSModel, UnawarenessFrame
-from .klm import KripkeLatticeModel
 from .kripke import KripkeModel
 
+# The model file kinds, each the `kind` of a model class. The loaders import
+# the module of the class they build, so that a command loads only the model
+# modules of the files it reads.
 KINDS = ("kripke", "klm", "hms", "fh")
 
 
@@ -87,12 +86,14 @@ def store_kripke(m: KripkeModel) -> dict:
     }
 
 
-def load_klm(body) -> KripkeLatticeModel:
+def load_klm(body):
+    from .klm import KripkeLatticeModel
+
     base = load_kripke(body)
     return KripkeLatticeModel.make(base, body["awareness"])
 
 
-def store_klm(k: KripkeLatticeModel) -> dict:
+def store_klm(k) -> dict:
     out = store_kripke(k.base)
     out["awareness"] = {
         a: {w: sorted(k.awareness[a][w]) for w in sorted(k.base.worlds)}
@@ -101,7 +102,9 @@ def store_klm(k: KripkeLatticeModel) -> dict:
     return out
 
 
-def load_hms(body) -> HMSModel:
+def load_hms(body):
+    from .hms import Event, HMSModel, UnawarenessFrame
+
     projections = {}
     for key, m in body.get("projections", {}).items():
         upper, _, lower = key.partition("->")
@@ -121,7 +124,7 @@ def load_hms(body) -> HMSModel:
     return HMSModel(frame, valuation)
 
 
-def store_hms(m: HMSModel) -> dict:
+def store_hms(m) -> dict:
     fr = m.frame
     order = sorted(
         [lo, up] for (lo, up) in fr.leq if lo != up
@@ -142,6 +145,8 @@ def store_hms(m: HMSModel) -> dict:
 
 
 def _load_awareness_set(body):
+    from .fh import AtomGenerated, Explicit
+
     if body["kind"] == "atom-generated":
         return AtomGenerated.make(body["atoms"])
     if body["kind"] == "explicit":
@@ -149,7 +154,9 @@ def _load_awareness_set(body):
     raise ValueError(f"unknown awareness set kind {body['kind']!r}")
 
 
-def load_fh(body) -> FHModel:
+def load_fh(body):
+    from .fh import FHModel
+
     base = load_kripke(body)
     awareness = {
         a: {w: _load_awareness_set(s) for w, s in per.items()}
@@ -158,7 +165,9 @@ def load_fh(body) -> FHModel:
     return FHModel.make(base, awareness)
 
 
-def store_fh(s: FHModel) -> dict:
+def store_fh(s) -> dict:
+    from .fh import AtomGenerated
+
     out = store_kripke(s.base)
     sets = {}
     for a in sorted(s.base.agents):
@@ -176,12 +185,7 @@ def store_fh(s: FHModel) -> dict:
 
 
 _LOADERS = {"kripke": load_kripke, "klm": load_klm, "hms": load_hms, "fh": load_fh}
-_STORERS = {
-    KripkeModel: ("kripke", store_kripke),
-    KripkeLatticeModel: ("klm", store_klm),
-    HMSModel: ("hms", store_hms),
-    FHModel: ("fh", store_fh),
-}
+_STORERS = {"kripke": store_kripke, "klm": store_klm, "hms": store_hms, "fh": store_fh}
 
 
 def load_model(path_or_body, kind=None):
@@ -213,15 +217,13 @@ def load_model(path_or_body, kind=None):
 
 
 def store_model(model, path=None, comment=None) -> dict:
-    for cls, (kind, storer) in _STORERS.items():
-        if isinstance(model, cls):
-            body = {"kind": kind}
-            if comment:
-                body["comment"] = comment
-            body.update(storer(model))
-            break
-    else:
+    kind = getattr(type(model), "kind", None)
+    if kind not in _STORERS:
         raise TypeError(f"cannot store a {type(model).__name__}")
+    body = {"kind": kind}
+    if comment:
+        body["comment"] = comment
+    body.update(_STORERS[kind](model))
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(body, fh, indent=2, sort_keys=False)
@@ -230,9 +232,14 @@ def store_model(model, path=None, comment=None) -> dict:
 
 
 def fixture_path(name: str):
+    # imported here: from Python 3.12 on, importlib.resources imports inspect
+    from importlib import resources
+
     return resources.files("awarekit") / "fixtures" / name
 
 
 def load_fixture(name: str):
+    from importlib import resources
+
     with resources.as_file(fixture_path(name)) as p:
         return load_model(p)

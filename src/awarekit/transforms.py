@@ -5,31 +5,33 @@ copies of its lattice-of-restrictions counterpart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .fh import AtomGenerated, FHModel, check_ka
 from .hms import (DenotationEvaluator, Event, HMSModel, UnawarenessFrame, defined_atoms,
                   validate_model)
 from .klm import KripkeLatticeModel, _check_cap, subsets, validate_klm
 from .kripke import KripkeModel, WorldId, relation_properties
+from .values import Frozen
 
 
-@dataclass(frozen=True)
-class StateCorrespondence:
+class StateCorrespondence(Frozen):
     """For each state s, the world copies w_X with w any top-space state
     projecting to s and X the atoms defined throughout s's space."""
 
-    mapping: dict  # state -> frozenset of WorldId
+    _fields = ("mapping",)
+
+    def __init__(self, mapping: dict):
+        object.__setattr__(self, "mapping", mapping)  # state -> frozenset of WorldId
 
     def __getitem__(self, state):
         return self.mapping[state]
 
 
-@dataclass(frozen=True)
-class TransformReport:
-    output: object
-    properties: object
-    correspondence: StateCorrespondence | None = None
+class TransformReport(Frozen):
+    _fields = ("output", "properties", "correspondence")
+
+    def __init__(self, output, properties, correspondence: StateCorrespondence | None = None):
+        object.__setattr__(self, "output", output)
+        object.__setattr__(self, "properties", properties)
+        object.__setattr__(self, "correspondence", correspondence)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +200,12 @@ def _h_transform(k):
 # K-transform and FH-transform: between awareness structures and the lattice
 
 
-def k_transform(s: FHModel) -> KripkeLatticeModel:
+def k_transform(s) -> KripkeLatticeModel:
     """Read off an awareness assignment from the atoms mentioned across each
-    awareness set; requires awareness constant along the relations."""
+    awareness set of an awareness structure; requires awareness constant
+    along the relations."""
+    from .fh import check_ka
+
     ok, witnesses = check_ka(s)
     if not ok:
         raise ValueError(f"awareness is not constant along the relations: witness {witnesses[0]}")
@@ -216,8 +221,11 @@ def k_transform(s: FHModel) -> KripkeLatticeModel:
     return out
 
 
-def fh_transform(k: KripkeLatticeModel) -> FHModel:
-    """Emit atom-generated awareness sets from the top-level awareness atoms."""
+def fh_transform(k: KripkeLatticeModel):
+    """The awareness structure with atom-generated awareness sets from the
+    top-level awareness atoms."""
+    from .fh import AtomGenerated, FHModel
+
     problems = validate_klm(k)
     if problems:
         raise ValueError(f"input is not well formed: {problems[0]}")
@@ -229,21 +237,20 @@ def fh_transform(k: KripkeLatticeModel) -> FHModel:
     return FHModel.make(k.base, awareness)
 
 
-_NAMED = {HMSModel: "a space-lattice model", KripkeLatticeModel: "a Kripke lattice model",
-          FHModel: "an awareness structure", KripkeModel: "a plain Kripke model"}
-_TAKES = {"L": HMSModel, "H": KripkeLatticeModel, "K": FHModel, "FH": KripkeLatticeModel}
+_NAMED = {"hms": "a space-lattice model", "klm": "a Kripke lattice model",
+          "fh": "an awareness structure", "kripke": "a plain Kripke model"}
+_TAKES = {"L": "hms", "H": "klm", "K": "fh", "FH": "klm"}
 
 
 def transform(kind: str, model) -> TransformReport:
     """Dispatch on the transform kind and bundle the output with the property
     report of its class."""
-    from .fh import check_pp
     from .klm import check_awareness_properties, induced_pointwise
 
-    takes = _TAKES.get(kind)
-    if takes and not isinstance(model, takes):
+    takes, given = _TAKES.get(kind), getattr(type(model), "kind", None)
+    if takes and given != takes:
         raise TypeError(f"transform {kind} takes {_NAMED[takes]}, "
-                        f"not {_NAMED.get(type(model), type(model).__name__)}")
+                        f"not {_NAMED.get(given, type(model).__name__)}")
     if kind == "L":
         out, corr = l_transform(model)
         report = check_awareness_properties(
@@ -259,6 +266,8 @@ def transform(kind: str, model) -> TransformReport:
         )
         return TransformReport(out, report)
     if kind == "FH":
+        from .fh import check_ka, check_pp
+
         out = fh_transform(model)
         return TransformReport(out, {"pp": check_pp(out), "ka": check_ka(out)})
     raise ValueError(f"unknown transform kind {kind!r}")

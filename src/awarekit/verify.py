@@ -10,7 +10,6 @@ the reports label it as such.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import islice, product
 from math import prod
@@ -27,6 +26,7 @@ from .kripke import WorldId, relabel
 from .transforms import (_require_partitional, fh_transform, h_transform, k_transform,
                          l_transform)
 from .truth import compile_program, truth_at
+from .values import Frozen, Value
 
 INSTANTIATION_CAP = 10 ** 6
 # bits of one bit-sliced value in an axiom-suite sweep: class tuples of a
@@ -34,14 +34,17 @@ INSTANTIATION_CAP = 10 ** 6
 SLICE_BITS = 1 << 16
 
 
-@dataclass
-class EquivalenceReport:
-    kind: str
-    depth: int
-    checked: int = 0
-    failures: list = field(default_factory=list)
-    capped: bool = False  # stopped at INSTANTIATION_CAP before the last formula
-    _text: tuple = field(default=(None, ""), init=False, repr=False, compare=False)
+class EquivalenceReport(Value):
+    _fields = ("kind", "depth", "checked", "failures", "capped")
+
+    def __init__(self, kind: str, depth: int, checked: int = 0, failures: list = None,
+                 capped: bool = False):
+        self.kind = kind
+        self.depth = depth
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+        self.capped = capped  # stopped at INSTANTIATION_CAP before the last formula
+        self._text = (None, "")  # the last recorded formula and its text
 
     def record(self, formula, state, left, right):
         """One disagreement; a formula's text is printed once for its run of
@@ -282,17 +285,22 @@ def valid_over(models, f: Formula, semantics: str):
 # axiom suites
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(Frozen):
     """An axiom schema, or with premises an inference rule: valid premises
     give a valid conclusion, `build`. A rule's `side` condition keeps the
     fillings whose atom sets make an instance of it."""
-    id: str
-    meta_arity: int
-    agent_arity: int
-    build: object  # (metas tuple, agents tuple) -> Formula
-    premises: object = None  # (metas tuple, agents tuple) -> tuple of Formulas
-    side: object = None  # atom sets of the metas -> bool
+
+    _fields = ("id", "meta_arity", "agent_arity", "build", "premises", "side")
+
+    def __init__(self, id: str, meta_arity: int, agent_arity: int, build, premises=None,
+                 side=None):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "meta_arity", meta_arity)
+        object.__setattr__(self, "agent_arity", agent_arity)
+        object.__setattr__(self, "build", build)  # (metas tuple, agents tuple) -> Formula
+        # (metas tuple, agents tuple) -> tuple of Formulas
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "side", side)  # atom sets of the metas -> bool
 
 
 def _pl_schemas():
@@ -366,11 +374,13 @@ RK_INFERENCE = Schema(
     side=lambda ats: ats[2] <= ats[0] | ats[1])
 
 
-@dataclass(frozen=True)
-class AxiomSuite:
-    name: str
-    schemas: tuple
-    rules: tuple  # Schemas with premises
+class AxiomSuite(Frozen):
+    _fields = ("name", "schemas", "rules")
+
+    def __init__(self, name: str, schemas: tuple, rules: tuple):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "schemas", schemas)
+        object.__setattr__(self, "rules", rules)  # Schemas with premises
 
 
 def hms_suite() -> AxiomSuite:

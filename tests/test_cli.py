@@ -557,15 +557,31 @@ def test_package_import_loads_no_module():
     assert sorted(awarekit.__all__) == sorted(EXPORTS)
 
 
+# the awarekit modules that a cold command loads, besides the package and
+# the command line itself
+COLD_MODULES = {
+    "transform": {"formula", "hms", "klm", "kripke", "modelio", "transforms", "truth", "values"},
+    "check": {"formula", "hms", "kripke", "modelio", "truth", "values"},
+}
+
+
 def test_frame_commands_do_not_load_the_harness(tmp_path):
-    """A cold transform or check never imports awarekit.verify; equiv does."""
+    """A cold `import awarekit.cli`, transform --kind H, check and equiv never
+    load `dataclasses` or `inspect`. transform loads no awareness-structure
+    module and no harness; check of a space-lattice model loads neither the
+    lattice models nor the transforms; equiv loads the harness."""
     out = str(tmp_path / "trade.hms.json")
     loaded = {}
-    for name, argv in (("transform", ("transform", "--kind", "H", "--in", TRADE, "--out", out)),
-                       ("check", ("check", out)), ("equiv", ("equiv", out, "--depth", "1"))):
-        done = _python("-X", "importtime", "-m", "awarekit.cli", *argv)
+    for name, argv in (("import", ("-c", "import awarekit.cli")),
+                       ("transform", ("-m", "awarekit.cli", "transform", "--kind", "H",
+                                      "--in", TRADE, "--out", out)),
+                       ("check", ("-m", "awarekit.cli", "check", out)),
+                       ("equiv", ("-m", "awarekit.cli", "equiv", out, "--depth", "1"))):
+        done = _python("-X", "importtime", *argv)
         assert done.returncode == 0, done.stderr
         loaded[name] = {line.split("|")[-1].strip() for line in done.stderr.splitlines()}
-    assert "awarekit.hms" in loaded["transform"] and "awarekit.hms" in loaded["check"]
-    assert "awarekit.verify" not in loaded["transform"] | loaded["check"]
+        assert not loaded[name] & {"dataclasses", "inspect"}, name
+    for name, modules in COLD_MODULES.items():
+        assert {m for m in loaded[name] if m.startswith("awarekit.")} == \
+            {f"awarekit.{m}" for m in modules}, name
     assert "awarekit.verify" in loaded["equiv"]

@@ -5,7 +5,6 @@ seeded random models."""
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 
 from awarekit import verify
 from awarekit.fh import Explicit, FHEvaluator, FHModel
@@ -18,6 +17,7 @@ from awarekit.transforms import fh_transform, h_transform
 from awarekit.truth import truth_of
 from awarekit.verify import (
     SCHEMA_5,
+    AxiomSuite,
     Schema,
     check_axiom_suite,
     check_equiv_fh_klm,
@@ -193,13 +193,15 @@ def test_unsound_rule_is_violated(monkeypatch):
     incomplete."""
     m = random_klm(random.Random(5), max_atoms=2)
     assert any(not m.base.successors(a, w) for a in m.base.agents for w in m.base.worlds)
-    suite = replace(lga_suite(), rules=(K_ELIMINATION,))
+    lga = lga_suite()
+    suite = AxiomSuite(lga.name, lga.schemas, (K_ELIMINATION,))
     want = rule_sweep([m], suite, 1)["K-Elimination"]
     got = check_axiom_suite([m], suite, 1)
     assert got["rules"]["K-Elimination"] == want and want["violations"]
     assert not got["passed"] and not got["failures"] and "capped" not in got
 
-    bare = replace(suite, schemas=())  # 2 agents times C classes, against 2 agents times 24
+    # 2 agents times C classes, against 2 agents times 24
+    bare = AxiomSuite(suite.name, (), suite.rules)
     tuples = 2 * check_axiom_suite([m], bare, 1)["classes"]
     assert tuples < want["premise_valid"] + want["vacuous"]
     monkeypatch.setattr(verify, "INSTANTIATION_CAP", tuples)
@@ -218,7 +220,7 @@ def test_unsound_rule_is_violated(monkeypatch):
     assert "capped" not in report and "capped" not in entry and not report["passed"]
     assert {k: entry[k] for k in want if k != "violations"} == \
         {k: want[k] for k in want if k != "violations"}
-    sound = check_axiom_suite([m], replace(bare, rules=(verify.K_INFERENCE,)), 1)
+    sound = check_axiom_suite([m], AxiomSuite(bare.name, bare.schemas, (verify.K_INFERENCE,)), 1)
     assert sound["passed"] and sound["rules"]["K-Inference"]["preserved"]
     assert "capped" not in sound and "capped" not in sound["rules"]["K-Inference"]
 
@@ -264,8 +266,9 @@ def test_sliced_suite_under_the_cap(monkeypatch):
     rng = random.Random(2110)
     m = next(k for k in (random_klm_eq(rng) for _ in range(50)) if len(k.base.atoms) == 3)
     hms = hms_suite()
-    failing_first = replace(hms, schemas=(IMPLICATION, *hms.schemas))  # 16 tuples, some fail
-    bare = replace(hms, schemas=())
+    # 16 tuples, some fail
+    failing_first = AxiomSuite(hms.name, (IMPLICATION, *hms.schemas), hms.rules)
+    bare = AxiomSuite(hms.name, (), hms.rules)
     rk_total = rule_sweep([m], bare, 0)["RK-Inference"]
     rk_tuples = rk_total["premise_valid"] + rk_total["vacuous"]
     assert rk_tuples < 2 * 4 ** 3  # the side condition leaves some out

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -25,12 +24,14 @@ from awarekit.formula import (
 )
 from awarekit.hms import DenotationEvaluator, Event, HMSModel, UnawarenessFrame
 from awarekit.klm import validate_klm
-from awarekit.kripke import relation_properties
+from awarekit.kripke import KripkeModel, relation_properties
 from awarekit.modelio import load_fixture
 from awarekit.transforms import fh_transform, h_transform
 from awarekit.truth import MaskEvaluator, Truth
 from awarekit.verify import (
     SCHEMA_5,
+    AxiomSuite,
+    Schema,
     ValidityChecker,
     check_axiom_suite,
     check_equiv_fh_klm,
@@ -174,13 +175,15 @@ def test_suite_past_the_cap_is_exhaustive(monkeypatch, trade_m, depth, classes, 
         def build(ms, ags):
             built[schema.id] += 1
             return schema.build(ms, ags)
-        return replace(schema, build=build)
+        return Schema(schema.id, schema.meta_arity, schema.agent_arity, build,
+                      schema.premises, schema.side)
 
     suite = hms_suite()
     schemas = [counted(s) for s in suite.schemas + (SCHEMA_5,)]
     monkeypatch.setattr(MaskEvaluator, "check", _no_walk)
-    report = check_axiom_suite([trade_m], replace(suite, schemas=tuple(schemas[:-1])), depth,
-                               extra_schemas=schemas[-1:], check_rules=False)
+    without_5 = AxiomSuite(suite.name, tuple(schemas[:-1]), suite.rules)
+    report = check_axiom_suite([trade_m], without_5, depth, extra_schemas=schemas[-1:],
+                               check_rules=False)
     if depth == 2:
         with_rules = check_axiom_suite([trade_m], suite, depth, extra_schemas=(SCHEMA_5,))
         assert _without_rules(with_rules) == _without_rules(report)
@@ -329,7 +332,13 @@ def _flip_base(base, seed):
     """The base model with one atom's truth flipped at one world."""
     p = sorted(base.atoms)[seed % len(base.atoms)]
     w = sorted(base.worlds)[seed % len(base.worlds)]
-    return replace(base, valuation={**base.valuation, p: base.valuation[p] ^ {w}})
+    return KripkeModel(base.atoms, base.agents, base.worlds, base.relations,
+                       {**base.valuation, p: base.valuation[p] ^ {w}})
+
+
+def _with_base(model, base):
+    """A lattice model or awareness structure with another base model."""
+    return type(model)(base, model.awareness)
 
 
 def _flip_hms(m, seed):
@@ -350,13 +359,13 @@ def _injectors(seed):
 
     def l_flipped(m):
         klm, corr = l_transform(m)
-        return replace(klm, base=_flip_base(klm.base, seed)), corr
+        return _with_base(klm, _flip_base(klm.base, seed)), corr
 
     return {
         "l_transform": l_flipped,
         "h_transform": lambda k: _flip_hms(h_transform_(k), seed),
-        "fh_transform": lambda k: replace(fh_transform_(k), base=_flip_base(k.base, seed)),
-        "k_transform": lambda s: replace(k_transform(s), base=_flip_base(s.base, seed)),
+        "fh_transform": lambda k: _with_base(fh_transform_(k), _flip_base(k.base, seed)),
+        "k_transform": lambda s: _with_base(k_transform(s), _flip_base(s.base, seed)),
     }
 
 
