@@ -149,11 +149,8 @@ def check_ka(s: FHModel):
         per = s.awareness[a]
         for (w, v) in sorted(s.base.relations.get(a, frozenset())):
             left, right = per[w], per[v]
-            if isinstance(left, Explicit) and isinstance(right, Explicit):
-                same = left.listed == right.listed
-            else:
-                same = left == right
-            if not same:
+            explicit = isinstance(left, Explicit) and isinstance(right, Explicit)
+            if (left.listed != right.listed) if explicit else left != right:
                 witnesses.append((a, w, v))
     return not witnesses, witnesses
 

@@ -362,17 +362,11 @@ def _tokenize(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            if m.group("modal"):
-                tokens.append(("modal", (m.group("modal")[0], m.group("agent")), pos))
-            elif m.group("top"):
-                tokens.append(("top", "T", pos))
-            elif m.group("atom"):
-                tokens.append(("atom", m.group("atom"), pos))
-            elif m.group("arrow"):
-                tokens.append(("arrow", "->", pos))
-            else:
-                tokens.append((m.group("op"), m.group("op"), pos))
+        kind, text_ = m.lastgroup, m.group()
+        if kind == "modal":
+            tokens.append((kind, (text_[0], m.group("agent")), pos))
+        elif kind != "ws":  # an operator is its own kind
+            tokens.append((text_ if kind == "op" else kind, text_, pos))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens

@@ -57,13 +57,8 @@ class KripkeLatticeModel(Frozen):
 
     @classmethod
     def make(cls, base, awareness):
-        return cls(
-            base=base,
-            awareness={
-                a: {w: frozenset(s) for w, s in per_world.items()}
-                for a, per_world in awareness.items()
-            },
-        )
+        return cls(base, {a: {w: frozenset(s) for w, s in per_world.items()}
+                          for a, per_world in awareness.items()})
 
     def awareness_atoms(self, agent, world) -> frozenset:
         if agent not in self.base.agents:
@@ -305,11 +300,14 @@ class Sliced:
     bit t says whether tuple t's formula mentions the atom; no int has a
     bit past `full`. A tuple is defined at w_X exactly when it mentions no
     atom outside X; ¬ and K_a read that from the atom ints, as the scalar
-    algebra reads its atom-set int, and K_a ANDs the rows of each cell."""
+    algebra reads its atom-set int, and K_a ANDs the rows of each cell.
 
-    def __init__(self, ev: Evaluator, width: int):
+    `Sliced(ev)` builds the tables that no width changes, once per
+    evaluator; `over(width)` gives the algebra over width tuples, sharing
+    them."""
+
+    def __init__(self, ev: Evaluator):
         self.n = n = len(ev.states)
-        self.full = (1 << width) - 1
         self.atoms = sorted(ev.bit)
         self.atom_true = ev.atom_true
 
@@ -327,6 +325,11 @@ class Sliced:
                        for a, aw in ev._aware.items()}
         self._cells = {a: [(members(cell, range(n)), members(ms, range(n)))
                            for cell, ms in groups] for a, groups in ev.cells.items()}
+
+    def over(self, width):
+        alg = object.__new__(Sliced)
+        alg.__dict__.update(self.__dict__, full=(1 << width) - 1)
+        return alg
 
     def classes(self, sigs):
         """The value over one tuple per class: bit c for signature sigs[c]."""

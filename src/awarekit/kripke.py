@@ -66,13 +66,9 @@ class KripkeModel(Frozen):
 
     @classmethod
     def make(cls, atoms, agents, worlds, relations, valuation):
-        return cls(
-            atoms=frozenset(atoms),
-            agents=frozenset(agents),
-            worlds=frozenset(worlds),
-            relations={a: frozenset(tuple(p) for p in pairs) for a, pairs in relations.items()},
-            valuation={p: frozenset(ws) for p, ws in valuation.items()},
-        )
+        return cls(frozenset(atoms), frozenset(agents), frozenset(worlds),
+                   {a: frozenset(tuple(p) for p in pairs) for a, pairs in relations.items()},
+                   {p: frozenset(ws) for p, ws in valuation.items()})
 
     def successors(self, agent, world):
         if agent not in self.agents:
@@ -227,13 +223,7 @@ def relation_properties(m: KripkeModel):
         rel = m.relations.get(a, frozenset())
         reflexive = all((w, w) in rel for w in worlds)
         symmetric = all((v, w) in rel for (w, v) in rel)
-        transitive = all(
-            (w, u) in rel for (w, v) in rel for (v2, u) in rel if v2 == v
-        )
-        out[a] = {
-            "reflexive": reflexive,
-            "symmetric": symmetric,
-            "transitive": transitive,
-            "equivalence": reflexive and symmetric and transitive,
-        }
+        transitive = all((w, u) in rel for (w, v) in rel for (v2, u) in rel if v2 == v)
+        out[a] = {"reflexive": reflexive, "symmetric": symmetric, "transitive": transitive,
+                  "equivalence": reflexive and symmetric and transitive}
     return out

@@ -33,8 +33,10 @@ _SHAPES = {
 }
 
 
-def _check_shape(value, shape, path=""):
-    """Refuse a body whose JSON shape differs, naming the path of the fault."""
+def _check_shape(value, shape, path=()):
+    """Refuse a body whose JSON shape differs, naming the path of the fault.
+    `path` holds the steps down to value, a list index as an int and a key
+    as a str, and is spelt out only to refuse."""
     if shape is str:
         expected, ok = "a string", isinstance(value, str)
     elif isinstance(shape, list):
@@ -44,25 +46,29 @@ def _check_shape(value, shape, path=""):
         expected, ok = "an object", isinstance(value, dict)
     if not ok:
         got = f"a list of {len(value)}" if isinstance(value, list) else type(value).__name__
-        raise ValueError(f"{path or 'model'}: expected {expected}, got {got}")
+        raise ValueError(f"{_spelt(path) or 'model'}: expected {expected}, got {got}")
     # a string leaf where a string belongs needs no visit; most leaves are such
     if isinstance(shape, list):
         for i, x in enumerate(value):
             sub = shape[min(i, len(shape) - 1)]
             if sub is not str or not isinstance(x, str):
-                _check_shape(x, sub, f"{path}[{i}]")
+                _check_shape(x, sub, (*path, i))
     elif isinstance(shape, dict) and "*" in shape:
         sub = shape["*"]
         for k, v in value.items():
             if sub is not str or not isinstance(v, str):
-                _check_shape(v, sub, f"{path}.{k}".lstrip("."))
+                _check_shape(v, sub, (*path, str(k)))
     elif isinstance(shape, dict):
         for key, sub in shape.items():
             name = key.rstrip("?")
             if name in value:
-                _check_shape(value[name], sub, f"{path}.{name}".lstrip("."))
+                _check_shape(value[name], sub, (*path, name))
             elif name == key:
-                raise ValueError(f"{path}.{name}: missing".lstrip("."))
+                raise ValueError(f"{_spelt((*path, name))}: missing")
+
+
+def _spelt(path):
+    return "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path).lstrip(".")
 
 
 def load_kripke(body) -> KripkeModel:

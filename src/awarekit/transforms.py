@@ -44,15 +44,11 @@ def _min_space_for(m, at_of, X):
     candidates = [S for S, ats in at_of.items() if ats == X]
     if not candidates:
         return None
-    minimal = [
-        S for S in candidates
-        if not any(T != S and m.frame.below(T, S) for T in candidates)
-    ]
+    minimal = [S for S in candidates
+               if not any(T != S and m.frame.below(T, S) for T in candidates)]
     if len(minimal) > 1:
-        raise ValueError(
-            f"ambiguous minimal space for atom set {sorted(X)}: "
-            f"candidates {sorted(minimal)}"
-        )
+        raise ValueError(f"ambiguous minimal space for atom set {sorted(X)}: "
+                         f"candidates {sorted(minimal)}")
     return minimal[0]
 
 

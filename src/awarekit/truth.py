@@ -4,7 +4,6 @@ that every evaluator reads them from."""
 from __future__ import annotations
 
 import enum
-from types import SimpleNamespace
 
 from .formula import Formula, fold
 from .kripke import members
@@ -71,30 +70,3 @@ class MaskEvaluator:
             return True, []
         return False, members(bad, self.states)
 
-
-def compile_program(f: Formula, holes, lang):
-    """f as a straight-line program of algebra ops, one step per slot after
-    the slots of the placeholder atoms `holes`, recorded by `fold` in lang (A
-    and X unfold as in fold; a shared subterm is one step). Gives run(alg,
-    sigs): the signature of f in alg, with the signatures sigs in the holes."""
-    steps = []
-
-    def emit(step):
-        steps.append(step)
-        return len(holes) + len(steps) - 1
-
-    out = fold(f, SimpleNamespace(
-        lang=lang, top=lambda: emit(lambda alg, s: alg.top()),
-        atom=lambda p: emit(lambda alg, s: alg.atom(p)),
-        neg=lambda i: emit(lambda alg, s: alg.neg(s[i])),
-        conj=lambda i, j: emit(lambda alg, s: alg.conj(s[i], s[j])),
-        know=lambda a, i: emit(lambda alg, s: alg.know(a, s[i])),
-        aware=lambda a, i: emit(lambda alg, s: alg.aware(a, s[i]))),
-        {h: i for i, h in enumerate(holes)})
-
-    def run(alg, sigs):
-        s = list(sigs)
-        for step in steps:
-            s.append(step(alg, s))
-        return s[out]
-    return run

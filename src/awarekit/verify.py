@@ -16,16 +16,15 @@ from math import prod
 from operator import or_
 from types import SimpleNamespace
 
-from .fh import FHEvaluator, FHModel
 from .formula import (TOP, And, Atom, Aware, ExplicitKnow, Formula, Know, Lang, Not, _formulas,
-                      aware_in, enumerate_formulas, formula_count, iff, implies,
+                      aware_in, enumerate_formulas, fold, formula_count, iff, implies,
                       require_signature, to_text)
 from .hms import DenotationEvaluator, HMSModel
 from .klm import Evaluator, KripkeLatticeModel, Sliced, random_klm, random_klm_eq, subsets
 from .kripke import WorldId, relabel
 from .transforms import (_require_partitional, fh_transform, h_transform, k_transform,
                          l_transform)
-from .truth import compile_program, truth_at
+from .truth import truth_at
 from .values import Frozen, Value
 
 INSTANTIATION_CAP = 10 ** 6
@@ -216,6 +215,8 @@ def check_equiv_fh_klm(x, lang: Lang, depth: int) -> EquivalenceReport:
     """Agreement between an awareness structure and its lattice counterpart
     (either direction), at world copies w_X with X covering the formula's
     atoms. Both semantics are two-valued there."""
+    from .fh import FHEvaluator, FHModel
+
     if isinstance(x, FHModel):
         fh, klm = x, k_transform(x)
     elif isinstance(x, KripkeLatticeModel):
@@ -235,9 +236,9 @@ def check_equiv_fh_klm(x, lang: Lang, depth: int) -> EquivalenceReport:
 # validity
 
 
-# each semantics and the model class it reads; its language ends its name
-SEMANTICS = {"HMS": HMSModel, "KLM_L": KripkeLatticeModel, "KLM_LKA": KripkeLatticeModel,
-             "FH_L": FHModel, "FH_LKA": FHModel}
+# each semantics and the kind of model it reads; its language ends its name
+SEMANTICS = {"HMS": "hms", "KLM_L": "klm", "KLM_LKA": "klm", "FH_L": "fh", "FH_LKA": "fh"}
+_MODEL_CLASSES = {"hms": "HMSModel", "klm": "KripkeLatticeModel", "fh": "FHModel"}
 
 
 class ValidityChecker:
@@ -253,15 +254,18 @@ class ValidityChecker:
         if not self.models:
             raise ValueError("empty model corpus")
         for m in self.models:
-            if not isinstance(m, takes):
-                raise ValueError(f"semantics {semantics} takes {takes.__name__} models, "
+            if getattr(type(m), "kind", None) != takes:
+                raise ValueError(f"semantics {semantics} takes {_MODEL_CLASSES[takes]} models, "
                                  f"not {type(m).__name__}")
         self.semantics = semantics
-        if takes is HMSModel:
+        if takes == "hms":
             self.evaluators = [DenotationEvaluator(m) for m in self.models]
+        elif takes == "klm":
+            self.evaluators = [Evaluator(m, self.lang) for m in self.models]
         else:
-            make = Evaluator if takes is KripkeLatticeModel else FHEvaluator
-            self.evaluators = [make(m, self.lang) for m in self.models]
+            from .fh import FHEvaluator
+
+            self.evaluators = [FHEvaluator(m, self.lang) for m in self.models]
 
     def check(self, f: Formula):
         """Validity of f and its witnesses: (model index, state) pairs."""
@@ -285,10 +289,42 @@ def valid_over(models, f: Formula, semantics: str):
 # axiom suites
 
 
+def compile_program(f: Formula, holes, lang):
+    """f as a straight-line program of algebra ops, one step per slot after
+    the slots of the placeholder atoms `holes`, recorded by `fold` in lang (A
+    and X unfold as in fold; a shared subterm is one step). f's agents are
+    agent slots, the ints 0, 1, ..., which no parsed formula names. Gives
+    run(alg, sigs, agents): the signature of f in alg, with the signatures
+    sigs in the holes and agents[j] in agent slot j."""
+    steps = []
+
+    def emit(step):
+        steps.append(step)
+        return len(holes) + len(steps) - 1
+
+    out = fold(f, SimpleNamespace(
+        lang=lang, top=lambda: emit(lambda alg, s, g: alg.top()),
+        atom=lambda p: emit(lambda alg, s, g: alg.atom(p)),
+        neg=lambda i: emit(lambda alg, s, g: alg.neg(s[i])),
+        conj=lambda i, j: emit(lambda alg, s, g: alg.conj(s[i], s[j])),
+        know=lambda a, i: emit(lambda alg, s, g: alg.know(g[a], s[i])),
+        aware=lambda a, i: emit(lambda alg, s, g: alg.aware(g[a], s[i]))),
+        {h: i for i, h in enumerate(holes)})
+
+    def run(alg, sigs, agents):
+        s = list(sigs)
+        for step in steps:
+            s.append(step(alg, s, agents))
+        return s[out]
+    return run
+
+
 class Schema(Frozen):
     """An axiom schema, or with premises an inference rule: valid premises
     give a valid conclusion, `build`. A rule's `side` condition keeps the
-    fillings whose atom sets make an instance of it."""
+    fillings whose atom sets make an instance of it. Its programs are kept
+    per language once compiled, outside the fields that are compared and
+    shown."""
 
     _fields = ("id", "meta_arity", "agent_arity", "build", "premises", "side")
 
@@ -301,23 +337,36 @@ class Schema(Frozen):
         # (metas tuple, agents tuple) -> tuple of Formulas
         object.__setattr__(self, "premises", premises)
         object.__setattr__(self, "side", side)  # atom sets of the metas -> bool
+        object.__setattr__(self, "_programs", {})  # Lang -> programs
+
+    def programs(self, lang):
+        """The programs of the premises, then of `build`, in lang, over the
+        metavariables $0, $1, ..., atoms the parser never gives, and the
+        agent slots (see compile_program); compiled on first use."""
+        if lang not in self._programs:
+            ms, ags = [Atom(f"${i}") for i in range(self.meta_arity)], range(self.agent_arity)
+            self._programs[lang] = [compile_program(f, ms, lang) for f in (
+                *(self.premises(ms, ags) if self.premises else ()), self.build(ms, ags))]
+        return self._programs[lang]
 
 
-def _pl_schemas():
-    return [
-        Schema("PL-Top", 0, 0, lambda ms, ags: TOP),
-        Schema("PL1", 2, 0, lambda ms, ags: implies(ms[0], implies(ms[1], ms[0]))),
-        Schema("PL2", 3, 0, lambda ms, ags: implies(
-            implies(ms[0], implies(ms[1], ms[2])),
-            implies(implies(ms[0], ms[1]), implies(ms[0], ms[2])))),
-        Schema("PL3", 2, 0, lambda ms, ags: implies(
-            implies(Not(ms[0]), Not(ms[1])), implies(ms[1], ms[0]))),
-    ]
+_PL_SCHEMAS = (
+    Schema("PL-Top", 0, 0, lambda ms, ags: TOP),
+    Schema("PL1", 2, 0, lambda ms, ags: implies(ms[0], implies(ms[1], ms[0]))),
+    Schema("PL2", 3, 0, lambda ms, ags: implies(
+        implies(ms[0], implies(ms[1], ms[2])),
+        implies(implies(ms[0], ms[1]), implies(ms[0], ms[2])))),
+    Schema("PL3", 2, 0, lambda ms, ags: implies(
+        implies(Not(ms[0]), Not(ms[1])), implies(ms[1], ms[0]))),
+)
 
 
-def _hms_schemas():
+# Each suite is built once per process, so that every check shares its
+# schemas' programs.
+@cache
+def hms_suite() -> AxiomSuite:
     A, K = Aware, Know
-    return _pl_schemas() + [
+    return AxiomSuite("HMS", _PL_SCHEMAS + (
         Schema("Symmetry", 1, 1,
                lambda ms, ags: iff(A(ags[0], Not(ms[0])), A(ags[0], ms[0]))),
         Schema("Awareness Conjunction", 2, 1,
@@ -329,12 +378,13 @@ def _hms_schemas():
         Schema("T", 1, 1, lambda ms, ags: implies(K(ags[0], ms[0]), ms[0])),
         Schema("4", 1, 1,
                lambda ms, ags: implies(K(ags[0], ms[0]), K(ags[0], K(ags[0], ms[0])))),
-    ]
+    ), (MP, RK_INFERENCE))
 
 
-def _lga_schemas():
+@cache
+def lga_suite() -> AxiomSuite:
     A, K, X = Aware, Know, ExplicitKnow
-    return _pl_schemas() + [
+    return AxiomSuite("LGA", _PL_SCHEMAS + (
         Schema("K-Distribution", 2, 1, lambda ms, ags: implies(
             And(K(ags[0], ms[0]), implies(K(ags[0], ms[0]), K(ags[0], ms[1]))),
             K(ags[0], ms[1]))),
@@ -353,7 +403,7 @@ def _lga_schemas():
             A(ags[0], ms[0]), K(ags[0], A(ags[0], ms[0])))),
         Schema("A12", 1, 1, lambda ms, ags: implies(
             Not(A(ags[0], ms[0])), K(ags[0], Not(A(ags[0], ms[0]))))),
-    ]
+    ), (MP, K_INFERENCE))
 
 
 SCHEMA_5 = Schema("5", 1, 1, lambda ms, ags: implies(
@@ -383,22 +433,15 @@ class AxiomSuite(Frozen):
         object.__setattr__(self, "rules", rules)  # Schemas with premises
 
 
-def hms_suite() -> AxiomSuite:
-    return AxiomSuite("HMS", tuple(_hms_schemas()), (MP, RK_INFERENCE))
-
-
-def lga_suite() -> AxiomSuite:
-    return AxiomSuite("LGA", tuple(_lga_schemas()), (MP, K_INFERENCE))
-
-
 def _suite_semantics(suite, model):
-    if isinstance(model, KripkeLatticeModel):
+    kind = getattr(type(model), "kind", None)
+    if kind == "klm":
         return "KLM_L" if suite.name == "HMS" else "KLM_LKA"
-    if isinstance(model, HMSModel):
+    if kind == "hms":
         if suite.name != "HMS":
             raise ValueError("the LGA suite does not apply to space-lattice models")
         return "HMS"
-    if isinstance(model, FHModel):
+    if kind == "fh":
         if suite.name != "LGA":
             raise ValueError("the HMS suite does not apply to awareness structures")
         return "FH_LKA"
@@ -446,10 +489,10 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     model corpus, and report per schema and per rule. A rule is checked as
     validity preservation over the same corpus (a necessary condition only).
     Each schema and rule is decided per tuple of filling classes: on lattice
-    models its program runs once over all the tuples (bit-sliced, in chunks
-    of at most SLICE_BITS bits), elsewhere once per tuple. Past
-    INSTANTIATION_CAP instances a failure is listed per class tuple, with its
-    first instance and instance count."""
+    models its program runs once per agent tuple over all the class tuples
+    (bit-sliced, in chunks of at most SLICE_BITS bits), elsewhere once per
+    class tuple. Past INSTANTIATION_CAP instances a failure is listed per
+    class tuple, with its first instance and instance count."""
     if not models:
         raise ValueError("empty model corpus")
     semantics = _suite_semantics(suite, models[0])
@@ -479,7 +522,9 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
                        for s in schemas + rules) <= INSTANTIATION_CAP
     C = len(reps)
     size = max(len(ev.states) for ev in evaluators) + len(atoms)  # ints per sliced value
-    sliced = isinstance(evaluators[0], Evaluator)
+    # on lattice models, per model its sliced tables and the value over one tuple per class
+    sliced = [Sliced(ev) for ev in evaluators] if isinstance(evaluators[0], Evaluator) else []
+    tables = [(alg, alg.classes(fill)) for alg, fill in zip(sliced, fills)]
     slices = {}  # arity -> its leading slots, and per model its algebra and slot inputs
 
     def chunked(n):
@@ -490,19 +535,15 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
             k = 0
             while k < n and C ** (n - k) * size > SLICE_BITS:
                 k += 1
-            per_model = []
-            for ev, fill in zip(evaluators if sliced else (), fills):
-                alg = Sliced(ev, C ** (n - k))
-                by_class = alg.classes(fill)
-                per_model.append((alg, by_class, alg.slots(by_class, C, n - k)))
-            slices[n] = k, per_model
+            slices[n] = k, [(alg.over(C ** (n - k)), by_class, alg.slots(by_class, C, n - k))
+                            for alg, by_class in tables]
         return slices[n]
 
-    def false_at(program, key):
+    def false_at(program, ags, key):
         """The first state of the first model where the program's instance at
-        the class tuple key is False, or None."""
+        the agent tuple ags and the class tuple key is False, or None."""
         for ev, fill in zip(evaluators, fills):
-            bad = ev.masks(program(ev, [fill[c] for c in key]))[1]
+            bad = ev.masks(program(ev, [fill[c] for c in key], ags))[1]
             if bad:
                 return str(ev.states[(bad & -bad).bit_length() - 1])
         return None
@@ -516,15 +557,12 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
         entry = {held: 0, "vacuous": 0, listed: []} if rule else {held: 0, listed: []}
         report["rules" if rule else "schemas"][schema.id] = entry
         n, side = schema.meta_arity, schema.side
-        holes = [Atom(f"${i}") for i in range(n)]  # names the parser never gives
+        *runs, conclusion = schema.programs(checker.lang)
         k, per_model = chunked(n)
         m = n - k
         full = (1 << C ** m) - 1
         sides = {}  # chunk -> its tuples that are instances of the rule
         for ags in product(agent_list, repeat=schema.agent_arity):
-            premises = schema.premises(holes, ags) if rule else ()
-            *runs, conclusion = [compile_program(f, holes, checker.lang)
-                                 for f in (*premises, schema.build(holes, ags))]
             failing = {}  # class tuple -> (witness state, instances)
             valid_premises = vacuous = 0  # instances
             for prefix in product(range(C), repeat=k):
@@ -542,26 +580,27 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
                 spent += evaluated.bit_count()
                 # the premises on every model, the conclusion where they all hold
                 vac = 0
-                if sliced and evaluated:
+                if tables and evaluated:
                     inputs = [(alg, [*(tuple(alg.full * (x >> c & 1) for x in by_class)
                                        for c in prefix), *trailing])
                               for alg, by_class, trailing in per_model]
                     for run in runs:
                         for alg, slots in inputs:
-                            vac |= alg.false(run(alg, slots))
+                            vac |= alg.false(run(alg, slots, ags))
                     vac &= evaluated
                     bad = 0
                     for alg, slots in inputs if evaluated ^ vac else ():
-                        bad |= alg.false(conclusion(alg, slots))
+                        bad |= alg.false(conclusion(alg, slots, ags))
                     for _, rest in _members(bad & (evaluated ^ vac), C, m):
                         key = (*prefix, *rest)  # its witness from its own run
-                        failing[key] = false_at(conclusion, key), prod(weights[c] for c in key)
+                        failing[key] = (false_at(conclusion, ags, key),
+                                        prod(weights[c] for c in key))
                 else:  # one tuple at a time
                     for t, rest in _members(evaluated, C, m):
                         key = (*prefix, *rest)
-                        if runs and any(false_at(run, key) for run in runs):
+                        if runs and any(false_at(run, ags, key) for run in runs):
                             vac |= 1 << t
-                        elif state := false_at(conclusion, key):
+                        elif state := false_at(conclusion, ags, key):
                             failing[key] = state, prod(weights[c] for c in key)
                 w = prod(weights[c] for c in prefix)
                 vacuous += w * _weighted(vac, weights, m)

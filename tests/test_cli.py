@@ -562,21 +562,26 @@ def test_package_import_loads_no_module():
 COLD_MODULES = {
     "transform": {"formula", "hms", "klm", "kripke", "modelio", "transforms", "truth", "values"},
     "check": {"formula", "hms", "kripke", "modelio", "truth", "values"},
+    "equiv": {"formula", "hms", "klm", "kripke", "modelio", "transforms", "truth", "values",
+              "verify"},
 }
+COLD_MODULES["equiv klm"] = COLD_MODULES["equiv"]
 
 
 def test_frame_commands_do_not_load_the_harness(tmp_path):
     """A cold `import awarekit.cli`, transform --kind H, check and equiv never
     load `dataclasses` or `inspect`. transform loads no awareness-structure
     module and no harness; check of a space-lattice model loads neither the
-    lattice models nor the transforms; equiv loads the harness."""
+    lattice models nor the transforms; equiv loads the harness, and in L, of
+    a space-lattice or a lattice model, no awareness-structure module."""
     out = str(tmp_path / "trade.hms.json")
     loaded = {}
     for name, argv in (("import", ("-c", "import awarekit.cli")),
                        ("transform", ("-m", "awarekit.cli", "transform", "--kind", "H",
                                       "--in", TRADE, "--out", out)),
                        ("check", ("-m", "awarekit.cli", "check", out)),
-                       ("equiv", ("-m", "awarekit.cli", "equiv", out, "--depth", "1"))):
+                       ("equiv", ("-m", "awarekit.cli", "equiv", out, "--depth", "1")),
+                       ("equiv klm", ("-m", "awarekit.cli", "equiv", TRADE, "--depth", "1"))):
         done = _python("-X", "importtime", *argv)
         assert done.returncode == 0, done.stderr
         loaded[name] = {line.split("|")[-1].strip() for line in done.stderr.splitlines()}
@@ -584,4 +589,3 @@ def test_frame_commands_do_not_load_the_harness(tmp_path):
     for name, modules in COLD_MODULES.items():
         assert {m for m in loaded[name] if m.startswith("awarekit.")} == \
             {f"awarekit.{m}" for m in modules}, name
-    assert "awarekit.verify" in loaded["equiv"]

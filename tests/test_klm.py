@@ -19,7 +19,8 @@ from awarekit.klm import (
     validate_klm,
 )
 from awarekit.kripke import KripkeModel, WorldId, members
-from awarekit.truth import Truth, compile_program
+from awarekit.truth import Truth
+from awarekit.verify import compile_program
 
 from conftest import make_trade, part
 
@@ -142,12 +143,16 @@ def test_sliced_algebra_matches_scalar():
     Evaluator's signature of that tuple's instance: true at the same states,
     with the same atoms; and `false` marks the tuples False at some state.
     On partitional models and on models where an agent has no successor,
-    under L and LKA."""
+    under L and LKA, with one set of tables shared by every width. A program
+    over agent slots, run with an agent tuple, gives in both algebras what
+    the program compiled for that tuple gives, on the diagonal tuples
+    (a, a) and (b, b) too. The latter names its agents, each read as
+    itself."""
     a, b, c = holes = [Atom(f"${i}") for i in range(3)]
-    programs = [Not(a), And(a, TOP), Know("a", Not(a)), Aware("b", a),
-                Know("b", Know("a", implies(a, Atom("p1")))),
-                implies(And(Know("a", a), Know("b", b)), Aware("a", And(a, b))),
-                implies(implies(a, b), implies(Not(c), Know("b", c)))]
+    schemas = [lambda g: Not(a), lambda g: And(a, TOP), lambda g: Know(g[0], Not(a)),
+               lambda g: Aware(g[1], a), lambda g: Know(g[1], Know(g[0], implies(a, Atom("p1")))),
+               lambda g: implies(And(Know(g[0], a), Know(g[1], b)), Aware(g[0], And(a, b))),
+               lambda g: implies(implies(a, b), implies(Not(c), Know(g[1], c)))]
     rng = random.Random(2111)
     models = [verify.random_klm_eq(rng, max_worlds=3, max_atoms=2),
               verify.random_klm(rng, max_worlds=3, max_atoms=2)]
@@ -157,14 +162,23 @@ def test_sliced_algebra_matches_scalar():
         ev = Evaluator(m, lang)
         reps, _, _, keys = verify._classes((m.base.atoms, m.base.agents, 1, lang), [ev])
         fill = [sig for _, sig in keys]
-        for f in programs:
-            n = max(i + 1 for i, h in enumerate(holes) if h.name in atoms_of(f))
-            run = compile_program(f, holes[:n], lang)
-            alg = Sliced(ev, len(reps) ** n)
-            value = run(alg, alg.slots(alg.classes(fill), len(reps), n))
-            false = alg.false(value)
-            for t, key in enumerate(product(range(len(reps)), repeat=n)):
-                true, atoms = run(ev, [fill[k] for k in key])
-                assert sum((row >> t & 1) << s for s, row in enumerate(value[:alg.n])) == true
-                assert sum((x >> t & 1) << i for i, x in enumerate(value[alg.n:])) == atoms
-                assert (false >> t & 1) == (ev.masks((true, atoms))[1] != 0), (f, key)
+        tables, named = Sliced(ev), {x: x for x in m.base.agents}
+        by_class = tables.classes(fill)
+        for build in schemas:
+            slotted = build((0, 1))
+            n = max(i + 1 for i, h in enumerate(holes) if h.name in atoms_of(slotted))
+            run = compile_program(slotted, holes[:n], lang)
+            alg = tables.over(len(reps) ** n)
+            inputs = alg.slots(by_class, len(reps), n)
+            for ags in product("ab", repeat=2):
+                fixed = compile_program(build(ags), holes[:n], lang)
+                value = run(alg, inputs, ags)
+                assert fixed(alg, inputs, named) == value
+                false = alg.false(value)
+                for t, key in enumerate(product(range(len(reps)), repeat=n)):
+                    sigs = [fill[k] for k in key]
+                    true, atoms = run(ev, sigs, ags)
+                    assert fixed(ev, sigs, named) == (true, atoms)
+                    assert sum((row >> t & 1) << s for s, row in enumerate(value[:alg.n])) == true
+                    assert sum((x >> t & 1) << i for i, x in enumerate(value[alg.n:])) == atoms
+                    assert (false >> t & 1) == (ev.masks((true, atoms))[1] != 0), (ags, key)

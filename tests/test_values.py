@@ -100,6 +100,18 @@ def test_explicit_compares_and_shows_its_formulas_only():
     assert repr(b) == "Explicit(formulas=(ExplicitKnow(agent='a', child=Atom(name='p')),))"
 
 
+def test_schema_programs_are_neither_compared_nor_shown():
+    """A schema keeps its compiled programs outside its fields: its equality,
+    hash and repr are those of a schema that has compiled nothing."""
+    a, b = Schema("T", 1, 1, _build), Schema("T", 1, 1, _build)
+    shown = repr(a), hash(a)
+    assert a.programs(Lang.L) is a.programs(Lang.L)
+    assert a.programs(Lang.LKA) is not a.programs(Lang.L)
+    assert a == b and (repr(a), hash(a)) == (repr(b), hash(b)) == shown
+    assert repr(a) == f"Schema(id='T', meta_arity=1, agent_arity=1, build={_build!r}, " \
+        "premises=None, side=None)"
+
+
 def test_defaults_are_fresh_per_instance():
     a, b = EquivalenceReport("equivalence", 1), EquivalenceReport("equivalence", 1)
     a.failures.append({})

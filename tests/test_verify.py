@@ -431,9 +431,11 @@ def _no_set_up(*args):
 
 def test_budget_is_refused_before_set_up(monkeypatch, trade_m):
     """A check past the formula budget is refused before any evaluator is
-    built, with the enumerator's message."""
-    for name in ("Evaluator", "DenotationEvaluator", "FHEvaluator"):
+    built, with the enumerator's message. The harness imports the
+    awareness-structure evaluator from its module when it runs."""
+    for name in ("Evaluator", "DenotationEvaluator"):
         monkeypatch.setattr(verify, name, _no_set_up)
+    monkeypatch.setattr("awarekit.fh.FHEvaluator", _no_set_up)
     for check, args in [(check_L_equiv_klm_hms, (trade_m, 4)),
                         (check_L_equiv_hms_klm, (h_transform(trade_m), 4)),
                         (check_equiv_fh_klm, (trade_m, Lang.LKA, 4)),
@@ -517,6 +519,40 @@ def test_suites_are_decided_without_enumeration(monkeypatch, trade_m):
     assert lga["passed"] and "capped" not in lga
     assert (lga["checked"], lga["classes"], lga["class_tuples"]) == (76_769_002, 19, 9_406)
     assert _rule_counts(lga) == {"MP": (11_236, 167_693, True), "K-Inference": (212, 634, True)}
+
+
+def _uncompiled(suite):
+    """A copy of suite whose schemas have compiled no program."""
+    def copy(s):
+        return Schema(s.id, s.meta_arity, s.agent_arity, s.build, s.premises, s.side)
+    return AxiomSuite(suite.name, tuple(map(copy, suite.schemas)), tuple(map(copy, suite.rules)))
+
+
+def test_a_suite_compiles_each_schema_once(monkeypatch, trade_m):
+    """A schema compiles its programs, one per premise and one for `build`,
+    over agent slots the first time a check reads it in a language, and
+    keeps them: a second check with the same suite compiles none, on
+    another model or another model class in that language neither. Each
+    suite is built once per process."""
+    compiled = []
+    compile_program = verify.compile_program
+
+    def counted(f, holes, lang):
+        compiled.append(lang)
+        return compile_program(f, holes, lang)
+
+    monkeypatch.setattr(verify, "compile_program", counted)
+    assert hms_suite() is hms_suite() and lga_suite() is lga_suite()
+    for suite, lang, corpora in (
+            (hms_suite(), Lang.L, [[trade_m], [trade_m], [random_klm_eq(random.Random(3))]]),
+            (lga_suite(), Lang.LKA, [[trade_m], [load_fixture("trade.fh.json")], [trade_m]])):
+        suite = _uncompiled(suite)
+        programs = sum(1 + len(s.premises([Atom("p")] * s.meta_arity, "ab") if s.premises else ())
+                       for s in suite.schemas + suite.rules)
+        compiled.clear()
+        for models in corpora:
+            assert check_axiom_suite(models, suite, 1)["passed"]
+            assert compiled == [lang] * programs
 
 
 def test_space_lattice_signature_fixes_the_denotation():
