@@ -190,12 +190,13 @@ class FHEvaluator(MaskEvaluator):
             conj=lambda t, u: up.setdefault((And, t, u), And(t, u)),
             know=lambda a, t: up.setdefault((Know, a, t), Know(a, t)),
             aware=lambda a, t: up.setdefault((Aware, a, t), Aware(a, t)))
+        # the formula-list sets, whose awareness reads a term, not an atom set
+        self.lists = [aset for per in s.awareness.values() for aset in per.values()
+                      if isinstance(aset, Explicit)]
         memo = {}
-        for per in s.awareness.values():
-            for aset in per.values():
-                if isinstance(aset, Explicit):
-                    for f in aset.listed:
-                        fold(f, recorder, memo)
+        for aset in self.lists:
+            for f in aset.listed:
+                fold(f, recorder, memo)
 
         def awareness(agent):
             """The worlds where the agent is aware of a key."""

@@ -405,6 +405,7 @@ class DenotationEvaluator(MaskEvaluator):
 
     def __init__(self, m: HMSModel):
         self.m = m
+        self.cells = m.frame.cells
         super().__init__(m.frame.states)
 
     lang = Lang.L
@@ -436,7 +437,7 @@ class DenotationEvaluator(MaskEvaluator):
 
     def know(self, agent, s):
         fr = self.m.frame
-        return _based(fr, box(fr.cells[agent], s[2]), s[0], "knowledge set")
+        return _based(fr, box(self.cells[agent], s[2]), s[0], "knowledge set")
 
     def masks(self, s):
         return s[2], _neg(self.m.frame, s[0], s[1])[2] & ~s[2]

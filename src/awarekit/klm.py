@@ -13,11 +13,10 @@ from __future__ import annotations
 import os
 import random
 from itertools import combinations
-from operator import and_, or_
 
 from .formula import Formula, Lang, in_language, require_signature
 from .kripke import (Filled, KripkeModel, PropertyReport, WorldId, box, group_cells, meet,
-                     members, relabel, validate_kripke)
+                     validate_kripke)
 from .values import Frozen
 from .truth import MaskEvaluator, Truth
 
@@ -238,16 +237,11 @@ class Evaluator(MaskEvaluator):
         def mask(holds):
             return sum(1 << i for i, s in enumerate(self.states) if holds(s))
 
-        # guard[p]: where p has a truth value
-        self.guard = {
-            p: self.full if self.strict else mask(lambda s: p in s.vocabulary)
-            for p in base.atoms
-        }
-        self.atom_true = {
-            p: self.guard[p] & mask(lambda s: s.base in base.valuation[p])
-            for p in base.atoms
-        }
-        guards, full = [self.guard[p] for p in atoms], self.full
+        # guards[i]: where atoms[i] has a truth value
+        guards = [self.full if self.strict else mask(lambda s: p in s.vocabulary) for p in atoms]
+        self.atom_true = {p: g & mask(lambda s: s.base in base.valuation[p])
+                          for p, g in zip(atoms, guards)}
+        full = self.full
         # the masks of an atom set (an int), filled on first use: where it is
         # defined, and per agent where it is also in the vocabulary of the
         # agent's awareness image X & Aw_a(w)
@@ -291,117 +285,6 @@ class Evaluator(MaskEvaluator):
 
     def masks(self, s):
         return s[0], self._defined[s[1]] & ~s[0]
-
-
-class Sliced:
-    """The algebra of an Evaluator's signatures over `width` class tuples at
-    once (bit-slicing). A value is a tuple of ints: one per state, whose bit
-    t says whether tuple t is true there, then one per atom (sorted), whose
-    bit t says whether tuple t's formula mentions the atom; no int has a
-    bit past `full`. A tuple is defined at w_X exactly when it mentions no
-    atom outside X; ¬ and K_a read that from the atom ints, as the scalar
-    algebra reads its atom-set int, and K_a ANDs the rows of each cell.
-
-    `Sliced(ev)` builds the tables that no width changes, once per
-    evaluator; `over(width)` gives the algebra over width tuples, sharing
-    them."""
-
-    def __init__(self, ev: Evaluator):
-        self.n = n = len(ev.states)
-        self.atoms = sorted(ev.bit)
-        self.atom_true = ev.atom_true
-
-        def outside(masks):
-            """The states grouped by the value slots of the atoms whose mask
-            lacks them."""
-            groups = {}
-            for s in range(n):
-                key = tuple(n + i for i, m in enumerate(masks) if not m >> s & 1)
-                groups.setdefault(key, []).append(s)
-            return list(groups.items())
-
-        self._defined = outside([ev.guard[p] for p in self.atoms])
-        self._aware = {a: outside([aw[1 << i] for i in range(len(self.atoms))])
-                       for a, aw in ev._aware.items()}
-        self._cells = {a: [(members(cell, range(n)), members(ms, range(n)))
-                           for cell, ms in groups] for a, groups in ev.cells.items()}
-
-    def over(self, width):
-        alg = object.__new__(Sliced)
-        alg.__dict__.update(self.__dict__, full=(1 << width) - 1)
-        return alg
-
-    def classes(self, sigs):
-        """The value over one tuple per class: bit c for signature sigs[c]."""
-        def column(xs, i):
-            return sum((x >> i & 1) << c for c, x in enumerate(xs))
-        trues, atom_sets = [t for t, _ in sigs], [at for _, at in sigs]
-        return (*(column(trues, s) for s in range(self.n)),
-                *(column(atom_sets, i) for i in range(len(self.atoms))))
-
-    @staticmethod
-    def slots(by_class, C, m):
-        """The inputs of m slots over the C ** m tuples of C classes in
-        product order (slot 0 the most significant), from the value
-        `by_class` of `classes`: slot j holds class c at the tuples whose
-        j-th class is c, a column repeated over the slots before it."""
-        inputs = []
-        for j in range(m):
-            s = C ** (m - 1 - j)  # the tuples of one run of a class in slot j
-            column = {1 << c: int(("0" * (C - 1 - c) * s + "1" * s + "0" * c * s) * C ** j, 2)
-                      for c in range(C)}
-            inputs.append(tuple(relabel(x, column) for x in by_class))
-        return inputs
-
-    def _escapes(self, v, groups):
-        """Per state, the tuples that mention an atom of its group."""
-        out = [0] * self.n
-        for where, states in groups:
-            u = 0
-            for i in where:
-                u |= v[i]
-            for s in states:
-                out[s] = u
-        return out
-
-    def top(self):
-        return (self.full,) * self.n + (0,) * len(self.atoms)
-
-    def atom(self, p):
-        full = self.full
-        return (*(full * (self.atom_true[p] >> s & 1) for s in range(self.n)),
-                *(full * (q == p) for q in self.atoms))
-
-    def neg(self, v):
-        full, n = self.full, self.n
-        return (*[full ^ (r | u) for r, u in zip(v, self._escapes(v, self._defined))],
-                *v[n:])
-
-    def conj(self, v, w):
-        n = self.n
-        return (*map(and_, v[:n], w[:n]), *map(or_, v[n:], w[n:]))
-
-    def know(self, agent, v):
-        rows = [0] * self.n
-        for cell, states in self._cells[agent]:
-            box = self.full
-            for s in cell:
-                box &= v[s]
-            for s in states:
-                rows[s] = box
-        return (*[r & ~u for r, u in zip(rows, self._escapes(v, self._defined))],
-                *v[self.n:])
-
-    def aware(self, agent, v):
-        return (*[self.full ^ u for u in self._escapes(v, self._aware[agent])],
-                *v[self.n:])
-
-    def false(self, v):
-        """The tuples False at some state."""
-        true_or_undefined = self.full
-        for r, u in zip(v, self._escapes(v, self._defined)):
-            true_or_undefined &= r | u
-        return self.full ^ true_or_undefined
 
 
 def eval_L(k: KripkeLatticeModel, w: WorldId, f: Formula, evaluator=None) -> Truth:

@@ -7,6 +7,7 @@ store/load round trip is byte-stable.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 
 from .formula import Lang, parse, require_names, to_text
 from .kripke import KripkeModel
@@ -47,24 +48,32 @@ def _check_shape(value, shape, path=()):
     if not ok:
         got = f"a list of {len(value)}" if isinstance(value, list) else type(value).__name__
         raise ValueError(f"{_spelt(path) or 'model'}: expected {expected}, got {got}")
-    # a string leaf where a string belongs needs no visit; most leaves are such
     if isinstance(shape, list):
-        for i, x in enumerate(value):
-            sub = shape[min(i, len(shape) - 1)]
-            if sub is not str or not isinstance(x, str):
-                _check_shape(x, sub, (*path, i))
-    elif isinstance(shape, dict) and "*" in shape:
-        sub = shape["*"]
-        for k, v in value.items():
-            if sub is not str or not isinstance(v, str):
-                _check_shape(v, sub, (*path, str(k)))
-    elif isinstance(shape, dict):
-        for key, sub in shape.items():
-            name = key.rstrip("?")
-            if name in value:
-                _check_shape(value[name], sub, (*path, name))
-            elif name == key:
-                raise ValueError(f"{_spelt((*path, name))}: missing")
+        items = ((i, x, shape[min(i, len(shape) - 1)]) for i, x in enumerate(value))
+    elif "*" in shape:
+        items = ((str(k), v, shape["*"]) for k, v in value.items())
+    else:
+        def fields():  # in order, so that the first fault is the one refused
+            for key, sub in shape.items():
+                name = key.rstrip("?")
+                if name in value:
+                    yield name, value[name], sub
+                elif name == key:
+                    raise ValueError(f"{_spelt((*path, name))}: missing")
+        items = fields()
+    # a string, or a list or object of strings, where the shape asks for one
+    # is checked here without a call; most of a body is such leaves
+    for step, x, sub in items:
+        if sub is str:
+            fits = isinstance(x, str)
+        elif isinstance(sub, list):
+            fits = (sub[0] is str and isinstance(x, list) and len(sub) in (1, len(x))
+                    and all(map(isinstance, x, repeat(str))))
+        else:
+            fits = (sub.get("*") is str and isinstance(x, dict)
+                    and all(map(isinstance, x.values(), repeat(str))))
+        if not fits:
+            _check_shape(x, sub, (*path, step))
 
 
 def _spelt(path):

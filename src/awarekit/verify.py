@@ -19,8 +19,8 @@ from types import SimpleNamespace
 from .formula import (TOP, And, Atom, Aware, ExplicitKnow, Formula, Know, Lang, Not, _formulas,
                       aware_in, enumerate_formulas, fold, formula_count, iff, implies,
                       require_signature, to_text)
-from .hms import DenotationEvaluator, HMSModel
-from .klm import Evaluator, KripkeLatticeModel, Sliced, random_klm, random_klm_eq, subsets
+from .hms import DenotationEvaluator, HMSModel, validate_model
+from .klm import Evaluator, KripkeLatticeModel, random_klm, random_klm_eq, subsets
 from .kripke import WorldId, relabel
 from .transforms import (_require_partitional, fh_transform, h_transform, k_transform,
                          l_transform)
@@ -488,20 +488,27 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     the given depth and all agent tuples, apply guarded validity over the
     model corpus, and report per schema and per rule. A rule is checked as
     validity preservation over the same corpus (a necessary condition only).
-    Each schema and rule is decided per tuple of filling classes: on lattice
-    models its program runs once per agent tuple over all the class tuples
-    (bit-sliced, in chunks of at most SLICE_BITS bits), elsewhere once per
-    class tuple. Past INSTANTIATION_CAP instances a failure is listed per
-    class tuple, with its first instance and instance count."""
+    Each schema and rule is decided per tuple of filling classes: its program
+    runs once per agent tuple and model over all the class tuples
+    (bit-sliced, in chunks of at most SLICE_BITS bits), or once per class
+    tuple on formula-list awareness sets. Past INSTANTIATION_CAP instances a
+    failure is listed per class tuple, with its first instance and instance
+    count. A lattice model that is not partitional, or a space-lattice model
+    that fails a frame check, is refused."""
+    from .sliced import Sliced
+
     if not models:
         raise ValueError("empty model corpus")
     semantics = _suite_semantics(suite, models[0])
     for m in models[1:]:
         if _suite_semantics(suite, m) != semantics:
             raise ValueError("mixed model classes in one corpus")
-    if suite.name == "HMS" and semantics == "KLM_L":
-        for m in models:
+    for m in models:
+        if semantics == "KLM_L":
             _require_partitional(m)
+        elif semantics == "HMS" and (failed := validate_model(m).witnesses):
+            name, witness = next(iter(failed.items()))  # the first to fail
+            raise ValueError(f"frame check {name} fails: witness {witness}")
     atoms, agents = _model_signature(models)
     language = atoms, agents, inst_depth, Lang.L if suite.name == "HMS" else Lang.LKA
     fillings = formula_count(*language)
@@ -522,9 +529,11 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
                        for s in schemas + rules) <= INSTANTIATION_CAP
     C = len(reps)
     size = max(len(ev.states) for ev in evaluators) + len(atoms)  # ints per sliced value
-    # on lattice models, per model its sliced tables and the value over one tuple per class
-    sliced = [Sliced(ev) for ev in evaluators] if isinstance(evaluators[0], Evaluator) else []
-    tables = [(alg, alg.classes(fill)) for alg, fill in zip(sliced, fills)]
+    # per model its sliced tables and the value over one tuple per class, but
+    # none where an awareness set lists formulas
+    tables = [] if semantics == "FH_LKA" and any(ev.lists for ev in evaluators) else [
+        (alg, alg.classes(atom_sets, fill))
+        for alg, fill in zip((Sliced(ev, atoms) for ev in evaluators), fills)]
     slices = {}  # arity -> its leading slots, and per model its algebra and slot inputs
 
     def chunked(n):

@@ -9,8 +9,10 @@ import pytest
 import awarekit
 from awarekit import verify
 from awarekit.cli import main
-from awarekit.modelio import fixture_path, load_model
+from awarekit.modelio import fixture_path, load_model, store_model
 from awarekit.verify import check_axiom_suite, lga_suite
+
+from test_hms import malformed_model
 
 TRADE = str(fixture_path("trade.klm.json"))
 TRADE_FH = str(fixture_path("trade.fh.json"))
@@ -305,6 +307,19 @@ def test_axioms_rules_share_the_cap(capsys, monkeypatch, explicit_fh):
         "later instances were not checked" in lines
     assert [line.split(" (")[0] for line in lines if line.startswith("rule ")] == [
         "rule MP: capped", "rule K-Inference: capped"]
+
+
+@pytest.mark.parametrize("check", ["Conf", "PPI"])
+def test_axioms_refuses_a_malformed_frame(tmp_path, capsys, check):
+    """A space-lattice model whose frame check fails is reported by check and
+    refused by axioms with exit 2, naming the check and its witness."""
+    m, refusal = malformed_model(check)
+    path = str(tmp_path / "bad.hms.json")
+    store_model(m, path)
+    code, out, _ = run(capsys, "check", path)
+    assert code == 1 and f"{check}: FAIL" in out.splitlines()
+    code, out, err = run(capsys, "axioms", "--suite", "hms", "--models", path, "--depth", "1")
+    assert (code, out, err) == (2, "", f"awarekit: {refusal}\n")
 
 
 def test_axioms_refuses_mixed_signatures(capsys):

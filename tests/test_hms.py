@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from awarekit.formula import Lang, parse
@@ -14,7 +16,7 @@ from awarekit.hms import (
 )
 from awarekit.transforms import h_transform
 from awarekit.truth import Truth
-from awarekit.verify import valid_over
+from awarekit.verify import check_axiom_suite, hms_suite, valid_over
 
 from conftest import make_trade
 from oracles import event_and, event_aware, event_know, event_neg
@@ -192,6 +194,22 @@ MALFORMED = [
         TWO, [("D", "U")], TWO_MAP,
         {"a": {"u1": ["u1"], "u2": ["u2"], "d1": ["d1", "d2"], "d2": ["d1", "d2"]}})),
 ]
+
+
+def malformed_model(check):
+    """A model on the malformed frame of a check, with p true on the whole
+    lower space, and the refusal that names the check and its witness. The
+    HMS suite at depth 1 finds no failure on the Conf and PPI frames."""
+    _, witness, fr = next(case for case in MALFORMED if case[0] == check)
+    return (HMSModel(fr, {"p": Event.make("D", fr.spaces["D"])}),
+            f"frame check {check} fails: witness {witness}")
+
+
+@pytest.mark.parametrize("check", ["Conf", "PPI"])
+def test_axiom_suite_refuses_a_malformed_frame(check):
+    m, refusal = malformed_model(check)
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        check_axiom_suite([m], hms_suite(), 1)
 
 
 @pytest.mark.parametrize("check, witness, fr", MALFORMED,

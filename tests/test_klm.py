@@ -1,14 +1,9 @@
-import random
-from itertools import product
-
 import pytest
 
-from awarekit import verify
-from awarekit.formula import TOP, And, Atom, Aware, Know, Lang, Not, atoms_of, implies, parse
+from awarekit.formula import Lang, parse
 from awarekit.klm import (
     Evaluator,
     KripkeLatticeModel,
-    Sliced,
     awareness_image,
     canonicalize,
     check_awareness_properties,
@@ -20,7 +15,6 @@ from awarekit.klm import (
 )
 from awarekit.kripke import KripkeModel, WorldId, members
 from awarekit.truth import Truth
-from awarekit.verify import compile_program
 
 from conftest import make_trade, part
 
@@ -136,49 +130,3 @@ def test_evaluator_memo_is_consistent(trade):
     first = [ev.value(f, w) for w in trade.omega()]
     second = [ev.value(f, w) for w in trade.omega()]
     assert first == second
-
-
-def test_sliced_algebra_matches_scalar():
-    """Every op of the bit-sliced algebra gives, at each class tuple, the
-    Evaluator's signature of that tuple's instance: true at the same states,
-    with the same atoms; and `false` marks the tuples False at some state.
-    On partitional models and on models where an agent has no successor,
-    under L and LKA, with one set of tables shared by every width. A program
-    over agent slots, run with an agent tuple, gives in both algebras what
-    the program compiled for that tuple gives, on the diagonal tuples
-    (a, a) and (b, b) too. The latter names its agents, each read as
-    itself."""
-    a, b, c = holes = [Atom(f"${i}") for i in range(3)]
-    schemas = [lambda g: Not(a), lambda g: And(a, TOP), lambda g: Know(g[0], Not(a)),
-               lambda g: Aware(g[1], a), lambda g: Know(g[1], Know(g[0], implies(a, Atom("p1")))),
-               lambda g: implies(And(Know(g[0], a), Know(g[1], b)), Aware(g[0], And(a, b))),
-               lambda g: implies(implies(a, b), implies(Not(c), Know(g[1], c)))]
-    rng = random.Random(2111)
-    models = [verify.random_klm_eq(rng, max_worlds=3, max_atoms=2),
-              verify.random_klm(rng, max_worlds=3, max_atoms=2)]
-    g = models[1].base
-    assert any(not g.successors(x, w) for x in "ab" for w in g.worlds)
-    for m, lang in product(models, (Lang.L, Lang.LKA)):
-        ev = Evaluator(m, lang)
-        reps, _, _, keys = verify._classes((m.base.atoms, m.base.agents, 1, lang), [ev])
-        fill = [sig for _, sig in keys]
-        tables, named = Sliced(ev), {x: x for x in m.base.agents}
-        by_class = tables.classes(fill)
-        for build in schemas:
-            slotted = build((0, 1))
-            n = max(i + 1 for i, h in enumerate(holes) if h.name in atoms_of(slotted))
-            run = compile_program(slotted, holes[:n], lang)
-            alg = tables.over(len(reps) ** n)
-            inputs = alg.slots(by_class, len(reps), n)
-            for ags in product("ab", repeat=2):
-                fixed = compile_program(build(ags), holes[:n], lang)
-                value = run(alg, inputs, ags)
-                assert fixed(alg, inputs, named) == value
-                false = alg.false(value)
-                for t, key in enumerate(product(range(len(reps)), repeat=n)):
-                    sigs = [fill[k] for k in key]
-                    true, atoms = run(ev, sigs, ags)
-                    assert fixed(ev, sigs, named) == (true, atoms)
-                    assert sum((row >> t & 1) << s for s, row in enumerate(value[:alg.n])) == true
-                    assert sum((x >> t & 1) << i for i, x in enumerate(value[alg.n:])) == atoms
-                    assert (false >> t & 1) == (ev.masks((true, atoms))[1] != 0), (ags, key)

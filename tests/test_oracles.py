@@ -233,29 +233,70 @@ def test_unsound_rule_is_violated(monkeypatch):
 
 
 def _lattice_cases(rng):
-    """Lattice corpora of both suites: partitional models (HMS) and models
-    with arbitrary relations (LGA)."""
+    """Corpora of both suites on every model class that the sweep slices:
+    partitional lattice models and their space-lattice transforms (HMS),
+    lattice models with arbitrary relations and their awareness-structure
+    transforms, whose awareness is atom-generated (LGA)."""
     for _ in range(2):
-        yield [random_klm_eq(rng, max_atoms=2)], hms_suite()
-        yield [random_klm(rng, max_atoms=2)], lga_suite()
+        k, g = random_klm_eq(rng, max_atoms=2), random_klm(rng, max_atoms=2)
+        yield [k], hms_suite()
+        yield [g], lga_suite()
+        yield [h_transform(k)], hms_suite()
+        yield [fh_transform(g)], lga_suite()
+
+
+def _states(m):
+    return m.omega() if m.kind == "klm" else m.frame.states if m.kind == "hms" else m.base.worlds
 
 
 def test_sliced_suite_matches_instance_sweeps(monkeypatch):
-    """On lattice models each schema and rule program runs once over all its
-    class tuples, bit-sliced: the counts, failures, violations and witnesses
-    are those of checking every instance on its own, with schema 5 and the
-    rules on, and a bit budget that cuts the sweep into chunks (one per
-    class of the leading slots) gives the same report as one chunk."""
+    """Each schema and rule program runs once over all its class tuples,
+    bit-sliced, on lattice models, space lattices and awareness structures
+    alike: the counts, failures, violations and witnesses are those of
+    checking every instance on its own, with schema 5 and the rules on, and
+    a bit budget that cuts the sweep into chunks (one per class of the
+    leading slots) gives the same report as one chunk."""
     for models, suite in _lattice_cases(random.Random(2109)):
         got = check_axiom_suite(models, suite, 1, extra_schemas=(SCHEMA_5,))
         assert _sweep_parts(got) == axiom_sweep(models, suite, 1, (SCHEMA_5,)), suite.name
         assert got["rules"] == rule_sweep(models, suite, 1), suite.name
         # arity 1 in one chunk, arity 2 in C chunks, arity 3 in C * C
-        size = len(models[0].omega()) + len(models[0].base.atoms)
+        size = len(_states(models[0])) + len(verify._signature_of(models[0])[0])
         with monkeypatch.context() as patch:
             patch.setattr(verify, "SLICE_BITS", got["classes"] * size)
             chunked = check_axiom_suite(models, suite, 1, extra_schemas=(SCHEMA_5,))
         assert json.dumps(chunked) == json.dumps(got), suite.name
+
+
+def _unlisted(report):
+    """A suite report with each failure and violation row cut down to its
+    formula: the states are named differently on each side of a transform."""
+    def entry(e):
+        return {k: [f["formula"] for f in v] if isinstance(v, list) else v for k, v in e.items()}
+
+    return {**report, "failures": [(f["schema"], f["formula"]) for f in report["failures"]],
+            "schemas": {sid: entry(e) for sid, e in report["schemas"].items()},
+            "rules": {rid: entry(e) for rid, e in report["rules"].items()}}
+
+
+def test_suite_reports_survive_the_transforms():
+    """The transforms preserve satisfaction, so a suite reports the same
+    counts, classes, class tuples, verdicts and failing formulas on a
+    lattice model as on its transform: the HMS suite on partitional models
+    and their space lattices, the LGA suite on models with arbitrary
+    relations and their awareness structures, at depth 1 with the rules on
+    and with schema 5, which fails on some of them."""
+    failing = 0
+    for make, transform, suite, seed in ((random_klm_eq, h_transform, hms_suite(), 11),
+                                         (random_klm, fh_transform, lga_suite(), 12)):
+        rng = random.Random(seed)
+        for _ in range(30):
+            k = make(rng)
+            got = check_axiom_suite([k], suite, 1, extra_schemas=(SCHEMA_5,))
+            assert _unlisted(got) == _unlisted(
+                check_axiom_suite([transform(k)], suite, 1, extra_schemas=(SCHEMA_5,)))
+            failing += not got["passed"]
+    assert failing
 
 
 def test_sliced_suite_under_the_cap(monkeypatch):

@@ -1,0 +1,79 @@
+import random
+from itertools import product
+
+from awarekit import verify
+from awarekit.fh import AtomGenerated, FHEvaluator, FHModel
+from awarekit.formula import TOP, And, Atom, Aware, Know, Lang, Not, atoms_of, implies
+from awarekit.hms import DenotationEvaluator
+from awarekit.klm import Evaluator
+from awarekit.sliced import Sliced
+from awarekit.transforms import fh_transform, h_transform
+from awarekit.verify import compile_program
+
+
+def _evaluators(rng):
+    """(evaluator, atoms, agents) of every model class that a suite reads:
+    lattice models under L and LKA, partitional and with agents that have
+    no successor, a space-lattice transform, and awareness structures under
+    LKA, one a transform and one whose atom-generated awareness changes
+    along the relations."""
+    k, g = (verify.random_klm_eq(rng, max_worlds=3, max_atoms=2),
+            verify.random_klm(rng, max_worlds=3, max_atoms=2))
+    assert any(not g.base.successors(x, w) for x in "ab" for w in g.base.worlds)
+    drawn = FHModel.make(g.base, {a: {w: AtomGenerated.make(p for p in sorted(g.base.atoms)
+                                                            if rng.random() < 0.5)
+                                      for w in g.base.worlds} for a in g.base.agents})
+    for m in k, g:
+        for lang in Lang.L, Lang.LKA:
+            yield Evaluator(m, lang), m.base.atoms, m.base.agents
+    h = h_transform(k)
+    yield DenotationEvaluator(h), h.atoms, h.frame.agents
+    for s in fh_transform(g), drawn:
+        yield FHEvaluator(s, Lang.LKA), s.base.atoms, s.base.agents
+
+
+def test_sliced_algebra_matches_scalar():
+    """Every op of the bit-sliced algebra gives, at each class tuple, the
+    evaluator's masks of that tuple's instance: true at the same states,
+    mentioning the same atoms, and `false` marks the tuples False at some
+    state. On every model class, with one set of tables shared by every
+    width. A program over agent slots, run with an agent tuple, gives in
+    both algebras what the program compiled for that tuple gives, on the
+    diagonal tuples (a, a) and (b, b) too. The latter names its agents, each
+    read as itself."""
+    holes = [Atom(f"${i}") for i in range(3)]
+    schemas = [lambda m, g: Not(m[0]), lambda m, g: And(m[0], TOP),
+               lambda m, g: Know(g[0], Not(m[0])), lambda m, g: Aware(g[1], m[0]),
+               lambda m, g: Know(g[1], Know(g[0], implies(m[0], Atom("p1")))),
+               lambda m, g: implies(And(Know(g[0], m[0]), Know(g[1], m[1])),
+                                    Aware(g[0], And(m[0], m[1]))),
+               lambda m, g: implies(implies(m[0], m[1]), implies(Not(m[2]), Know(g[1], m[2])))]
+    kinds = set()
+    for ev, atoms, agents in _evaluators(random.Random(2111)):
+        kinds.add(type(ev))
+        reps, _, _, keys = verify._classes((atoms, agents, 1, ev.lang), [ev])
+        atom_sets, fill = zip(*keys)
+        tables, named = Sliced(ev, atoms), {x: x for x in agents}
+        by_class = tables.classes(atom_sets, fill)
+        for build in schemas:
+            slotted = build(holes, (0, 1))
+            n = max(i + 1 for i, h in enumerate(holes) if h.name in atoms_of(slotted))
+            run = compile_program(slotted, holes[:n], ev.lang)
+            alg = tables.over(len(reps) ** n)
+            inputs = alg.slots(by_class, len(reps), n)
+            for ags in product("ab", repeat=2):
+                fixed = compile_program(build(holes, ags), holes[:n], ev.lang)
+                value = run(alg, inputs, ags)
+                assert fixed(alg, inputs, named) == value
+                false = alg.false(value)
+                for t, key in enumerate(product(range(len(reps)), repeat=n)):
+                    sigs = [fill[k] for k in key]
+                    assert fixed(ev, sigs, named) == run(ev, sigs, ags)
+                    true, bad = ev.masks(run(ev, sigs, ags))
+                    instance = build([reps[k] for k in key], ags)
+                    assert ev.truth_masks(instance) == (true, bad)
+                    assert sum((row >> t & 1) << s for s, row in enumerate(value[:alg.n])) == true
+                    assert {p for p, x in zip(alg.atoms, value[alg.n:]) if x >> t & 1} == \
+                        atoms_of(instance)
+                    assert (false >> t & 1) == (bad != 0), (ags, key)
+    assert kinds == {Evaluator, DenotationEvaluator, FHEvaluator}
