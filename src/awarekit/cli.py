@@ -204,6 +204,7 @@ def _cmd_transform(args):
 
 
 def _cmd_equiv(args):
+    from .transforms import _NAMED
     from .verify import check_equiv_fh_klm, check_L_equiv_hms_klm, check_L_equiv_klm_hms
 
     model = _evaluable(args.model)
@@ -211,18 +212,20 @@ def _cmd_equiv(args):
     if model.kind == "hms":
         if lang is not Lang.L:
             raise UsageError("space-lattice models only interpret the language L")
-        report = check_L_equiv_hms_klm(model, args.depth)
+        report, via = check_L_equiv_hms_klm(model, args.depth), ("L", "klm")
     elif model.kind == "fh":
-        report = check_equiv_fh_klm(model, lang, args.depth)
+        report, via = check_equiv_fh_klm(model, lang, args.depth), ("K", "klm")
     elif model.kind == "klm":
         if lang is Lang.L:
-            report = check_L_equiv_klm_hms(model, args.depth)
+            report, via = check_L_equiv_klm_hms(model, args.depth), ("H", "hms")
         else:
-            report = check_equiv_fh_klm(model, lang, args.depth)
+            report, via = check_equiv_fh_klm(model, lang, args.depth), ("FH", "fh")
     else:
         raise UsageError("plain Kripke models have no transform counterpart")
-    body = report.to_json()
-    lines = [f"checked: {report.checked}",
+    body = {**report.to_json(), "lang": lang.value}
+    lines = [f"equiv: {_NAMED[model.kind]} vs its {via[0]}-transform, {_NAMED[via[1]]}, "
+             f"language {lang.value}, depth {report.depth}",
+             f"checked: {report.checked}",
              f"disagreements: {len(report.failures)}"]
     if report.failures:
         first = report.first_disagreement

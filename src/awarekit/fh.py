@@ -171,6 +171,7 @@ class FHEvaluator(MaskEvaluator):
     def __init__(self, s: FHModel, lang: Lang):
         self.s = s
         self.lang = lang
+        self.explicit_know = lang is Lang.L  # K_a reads awareness too
         super().__init__(sorted(s.base.worlds))
         self.atom_true = {
             p: sum(1 << self.index[w] for w in holds) for p, holds in s.base.valuation.items()
@@ -230,7 +231,7 @@ class FHEvaluator(MaskEvaluator):
 
     def know(self, agent, s):
         out = box(self.cells[agent], s[0])
-        if self.lang is Lang.L:
+        if self.explicit_know:
             # explicit reading: awareness of the content plus truth
             # throughout the cell
             out &= self._aware[agent][s[1:]]

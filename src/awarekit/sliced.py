@@ -13,19 +13,22 @@ class Sliced:
     formula mentions the atom; no int has a bit past `full`. A tuple is
     defined where each atom it mentions is, and aware where the agent is
     aware of each: ¬, K_a and A_a read that from the atom ints, and K_a ANDs
-    the rows of each cell. The tables come from the evaluator's algebra: per
-    atom p `masks(atom(p))`, per agent `cells`, and per agent and atom the
-    true mask of `aware(a, atom(p))` (an awareness structure's atom-generated
-    sets; A unfolds under L). On a space lattice an atom is defined on the
-    up-closure of its base space, and a formula's base space is the join of
-    its atoms' (Heifetz, Meier and Schipper 2006). `Sliced(ev, atoms)` builds
-    the tables once per evaluator, `over(width)` the algebra over width
-    tuples."""
+    the rows of each cell, and awareness too where the evaluator's
+    `explicit_know` says so (an awareness structure under L). The tables
+    come from the evaluator's algebra: per atom p `masks(atom(p))`, per agent
+    `cells`, and per agent and atom the true mask of `aware(a, atom(p))` (an
+    awareness structure's atom-generated sets; A unfolds under L). On a space
+    lattice an atom is defined on the up-closure of its base space, and a
+    formula's base space is the join of its atoms' (Heifetz, Meier and
+    Schipper 2006). Suites sweep a lattice model's awareness structure, over
+    worlds. `Sliced(ev, atoms)` builds the tables once per evaluator,
+    `over(width)` the algebra over width tuples."""
 
     def __init__(self, ev, atoms):
         self.n = n = len(ev.states)
         self.atoms = sorted(atoms)
         self.masks = ev.masks
+        self.explicit_know = getattr(ev, "explicit_know", False)
         self.atom_masks = {p: ev.masks(ev.atom(p)) for p in self.atoms}  # (True, False)
 
         def outside(masks):
@@ -110,8 +113,10 @@ class Sliced:
                 box &= v[s]
             for s in states:
                 rows[s] = box
-        return (*[r & ~u for r, u in zip(rows, self._escapes(v, self._defined))],
-                *v[self.n:])
+        escapes = self._escapes(v, self._defined)
+        if self.explicit_know:
+            escapes = map(or_, escapes, self._escapes(v, self._aware[agent]))
+        return (*[r & ~u for r, u in zip(rows, escapes)], *v[self.n:])
 
     def aware(self, agent, v):
         return (*[self.full ^ u for u in self._escapes(v, self._aware[agent])],

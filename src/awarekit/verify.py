@@ -493,8 +493,9 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     (bit-sliced, in chunks of at most SLICE_BITS bits), or once per class
     tuple on formula-list awareness sets. Past INSTANTIATION_CAP instances a
     failure is listed per class tuple, with its first instance and instance
-    count. A lattice model that is not partitional, or a space-lattice model
-    that fails a frame check, is refused."""
+    count. A lattice model is decided on its awareness structure (below); one
+    not well formed, or under L not partitional, is refused, as is a
+    space-lattice model that fails a frame check."""
     from .sliced import Sliced
 
     if not models:
@@ -513,6 +514,16 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     language = atoms, agents, inst_depth, Lang.L if suite.name == "HMS" else Lang.LKA
     fillings = formula_count(*language)
     agent_list = sorted(agents)
+    name = str  # of a witness state
+    if semantics.startswith("KLM"):
+        # The FH-transform preserves satisfaction: at a copy w_X covering its
+        # atoms a formula has its value at w in the awareness structure, else
+        # none. So worlds are swept, and the first False copy in omega order
+        # is w_At of the first False world. Under L the lattice K_a and the
+        # structure's (K_a and awareness) agree on serial relations, which
+        # the partitional check above ensures.
+        models, semantics = [fh_transform(m) for m in models], "FH" + semantics[3:]
+        name = lambda w: str(WorldId(w, atoms))
     checker = ValidityChecker(models, semantics)
     evaluators = checker.evaluators
     reps, weights, walk, keys = _classes(language, evaluators)
@@ -554,7 +565,7 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
         for ev, fill in zip(evaluators, fills):
             bad = ev.masks(program(ev, [fill[c] for c in key], ags))[1]
             if bad:
-                return str(ev.states[(bad & -bad).bit_length() - 1])
+                return name(ev.states[(bad & -bad).bit_length() - 1])
         return None
 
     spent = 0  # class tuples evaluated, by schemas and rules alike

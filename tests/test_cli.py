@@ -246,7 +246,44 @@ def test_equiv(capsys):
     body = json.loads(out)
     assert code == 0
     assert body["kind"] == "equivalence" and body["failures"] == []
-    assert set(body) == {"kind", "depth", "checked", "failures"}
+    assert set(body) == {"kind", "depth", "checked", "failures", "lang"}
+    assert (body["depth"], body["lang"]) == (1, "L")
+
+
+@pytest.mark.parametrize("model, lang, scope", [
+    (TRADE, "L", "a Kripke lattice model vs its H-transform, a space-lattice model, "
+                 "language L, depth 2"),
+    (TRADE, "LKA", "a Kripke lattice model vs its FH-transform, an awareness structure, "
+                   "language LKA, depth 2"),
+    (TRADE_FH, "L", "an awareness structure vs its K-transform, a Kripke lattice model, "
+                    "language L, depth 2"),
+    ("hms", "L", "a space-lattice model vs its L-transform, a Kripke lattice model, "
+                 "language L, depth 2")])
+def test_equiv_states_its_scope(capsys, tmp_path, model, lang, scope):
+    """equiv says first what it compared, in which language and to which
+    depth, and its JSON names the language."""
+    if model == "hms":
+        model = str(tmp_path / "trade.hms.json")
+        assert run(capsys, "transform", "--kind", "H", "--in", TRADE, "--out", model)[0] == 0
+    code, out, _ = run(capsys, "equiv", model, "--lang", lang, "--depth", "2")
+    assert code == 0 and out.splitlines()[0] == f"equiv: {scope}"
+    code, out, _ = run(capsys, "equiv", model, "--lang", lang, "--depth", "2", "--json")
+    body = json.loads(out)
+    assert code == 0 and (body["lang"], body["depth"]) == (lang, 2)
+
+
+def test_axioms_answer_past_the_lattice_cap(capsys, monkeypatch):
+    """Suites decide lattice models over their worlds, not over the 2^|At|
+    copies that AWAREKIT_LATTICE_CAP bounds: past the cap they answer as
+    below it, while equiv, which compares copies, is refused with exit 2."""
+    argv = ("axioms", "--suite", "hms", "--models", TRADE, "--depth", "1", "--include-5",
+            "--json")
+    below = run(capsys, *argv)
+    assert below[0] == 1 and '"state": "w2@{i,l}"' in below[1]
+    monkeypatch.setenv("AWAREKIT_LATTICE_CAP", "1")
+    assert run(capsys, *argv) == below
+    code, out, err = run(capsys, "equiv", TRADE, "--depth", "1")
+    assert code == 2 and "refusing exhaustive scan over 2 atoms (cap 1;" in err
 
 
 def test_axioms_pass_and_include_5(capsys):

@@ -236,17 +236,29 @@ def _lattice_cases(rng):
     """Corpora of both suites on every model class that the sweep slices:
     partitional lattice models and their space-lattice transforms (HMS),
     lattice models with arbitrary relations and their awareness-structure
-    transforms, whose awareness is atom-generated (LGA)."""
+    transforms, whose awareness is atom-generated (LGA). Last, per suite a
+    corpus of two one-atom lattice models, drawn from a seed whose first
+    failure is on the second model, at a world after w1."""
     for _ in range(2):
         k, g = random_klm_eq(rng, max_atoms=2), random_klm(rng, max_atoms=2)
         yield [k], hms_suite()
         yield [g], lga_suite()
         yield [h_transform(k)], hms_suite()
         yield [fh_transform(g)], lga_suite()
+    rng = random.Random(499)
+    for make, suite in (random_klm_eq, hms_suite()), (random_klm, lga_suite()):
+        corpus = []
+        while len(corpus) < 2:
+            m = make(rng, max_atoms=2)
+            if len(m.base.atoms) == 1:
+                corpus.append(m)
+        yield corpus, suite
 
 
 def _states(m):
-    return m.omega() if m.kind == "klm" else m.frame.states if m.kind == "hms" else m.base.worlds
+    """The states a sweep runs over: a lattice model's are its worlds, as
+    suites decide it on its awareness structure."""
+    return m.frame.states if m.kind == "hms" else m.base.worlds
 
 
 def test_sliced_suite_matches_instance_sweeps(monkeypatch):
@@ -255,17 +267,28 @@ def test_sliced_suite_matches_instance_sweeps(monkeypatch):
     alike: the counts, failures, violations and witnesses are those of
     checking every instance on its own, with schema 5 and the rules on, and
     a bit budget that cuts the sweep into chunks (one per class of the
-    leading slots) gives the same report as one chunk."""
+    leading slots) gives the same report as one chunk. On a lattice corpus
+    the witness is the top copy w_At of the first failing world, as the
+    per-instance sweep over every copy finds, also where that is on a later
+    model than the first and at a world after w1."""
+    corpora = 0
     for models, suite in _lattice_cases(random.Random(2109)):
         got = check_axiom_suite(models, suite, 1, extra_schemas=(SCHEMA_5,))
         assert _sweep_parts(got) == axiom_sweep(models, suite, 1, (SCHEMA_5,)), suite.name
         assert got["rules"] == rule_sweep(models, suite, 1), suite.name
+        if len(models) > 1:
+            first = got["failures"][0]
+            assert first["state"].split("@")[0] != "w1", suite.name
+            assert first not in check_axiom_suite(models[:1], suite, 1,
+                                                  extra_schemas=(SCHEMA_5,))["failures"]
+            corpora += 1
         # arity 1 in one chunk, arity 2 in C chunks, arity 3 in C * C
         size = len(_states(models[0])) + len(verify._signature_of(models[0])[0])
         with monkeypatch.context() as patch:
             patch.setattr(verify, "SLICE_BITS", got["classes"] * size)
             chunked = check_axiom_suite(models, suite, 1, extra_schemas=(SCHEMA_5,))
         assert json.dumps(chunked) == json.dumps(got), suite.name
+    assert corpora == 2
 
 
 def _unlisted(report):

@@ -15,8 +15,8 @@ def _evaluators(rng):
     """(evaluator, atoms, agents) of every model class that a suite reads:
     lattice models under L and LKA, partitional and with agents that have
     no successor, a space-lattice transform, and awareness structures under
-    LKA, one a transform and one whose atom-generated awareness changes
-    along the relations."""
+    L (explicit K_a: the box and awareness) and LKA, one a transform and one
+    whose atom-generated awareness changes along the relations."""
     k, g = (verify.random_klm_eq(rng, max_worlds=3, max_atoms=2),
             verify.random_klm(rng, max_worlds=3, max_atoms=2))
     assert any(not g.base.successors(x, w) for x in "ab" for w in g.base.worlds)
@@ -29,7 +29,8 @@ def _evaluators(rng):
     h = h_transform(k)
     yield DenotationEvaluator(h), h.atoms, h.frame.agents
     for s in fh_transform(g), drawn:
-        yield FHEvaluator(s, Lang.LKA), s.base.atoms, s.base.agents
+        for lang in Lang.L, Lang.LKA:
+            yield FHEvaluator(s, lang), s.base.atoms, s.base.agents
 
 
 def test_sliced_algebra_matches_scalar():
