@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from importlib import import_module
 
 from .formula import (
     ExplicitKnow,
@@ -22,7 +21,7 @@ from .formula import (
     require_signature,
     to_text,
 )
-from .kripke import parse_world_id, relation_properties
+from .kripke import parse_world_id, well_formed
 from .modelio import fixture_path, load_model, store_model
 
 FIXTURES = ("trade.klm.json", "trade.fh.json", "triv1.klm.json")
@@ -51,29 +50,9 @@ def _load(path):
         raise UsageError(f"cannot load {path}: {_text(exc)}") from exc
 
 
-# The validator of each model kind, by module and name. Commands import the
-# model modules only for the kind they load (see modelio.KINDS).
-VALIDATORS = {"klm": ("klm", "validate_klm"), "fh": ("fh", "validate_fh"),
-              "kripke": ("kripke", "validate_kripke")}
-
-
-def _problems(model):
-    """What keeps a lattice model, awareness structure or Kripke model from
-    being well formed. A space-lattice model is checked by its frame report."""
-    if model.kind not in VALIDATORS:
-        return []
-    module, name = VALIDATORS[model.kind]
-    return list(getattr(import_module(f".{module}", __package__), name)(model))
-
-
 def _evaluable(path):
-    """A model file to evaluate or transform, refused with its first problem
-    unless it is well formed."""
-    model = _load(path)
-    problems = _problems(model)
-    if problems:
-        raise UsageError(f"{path} is not well formed: {problems[0]}")
-    return model
+    """A model file to evaluate or transform, refused unless it is well formed."""
+    return well_formed(_load(path), path)
 
 
 def _emit(args, report, human_lines):
@@ -90,46 +69,13 @@ def _emit(args, report, human_lines):
 
 def _cmd_check(args):
     model = _load(args.model)
-    problems = _problems(model)  # the properties below need a well-formed model
-    properties, witnesses = {}, {}
-    kind = model.kind
-    if kind == "klm":
-        if not problems:
-            from .klm import check_awareness_properties, induced_pointwise
-
-            report = check_awareness_properties(
-                model.base, induced_pointwise(model.base, model.awareness)
-            )
-            properties = dict(report.passed)
-            witnesses = report.witnesses
-            properties.update(
-                {f"equivalence[{a}]": flags["equivalence"]
-                 for a, flags in relation_properties(model.base).items()}
-            )
-    elif kind == "hms":
-        from .hms import validate_model
-
-        report = validate_model(model)
-        properties = dict(report.passed)
-        witnesses = report.witnesses
-    elif kind == "fh":
-        if not problems:
-            from .fh import check_ka, check_pp
-
-            pp = check_pp(model)
-            ka_ok, ka_witnesses = check_ka(model)
-            pp_name = f"pp ({pp['verdict']})"
-            properties = {pp_name: pp["passed"], "ka": ka_ok}
-            if pp["witnesses"]:
-                agent, world, formula = pp["witnesses"][0]
-                witnesses[pp_name] = (agent, world, to_text(formula))
-            if ka_witnesses:
-                witnesses["ka"] = ka_witnesses[0]
-    elif not problems:  # a plain Kripke model
-        properties = {
-            f"equivalence[{a}]": flags["equivalence"]
-            for a, flags in relation_properties(model).items()
-        }
+    problems = model.problems()
+    kind, properties, witnesses = model.kind, {}, {}
+    if not problems:  # the properties need a well-formed model
+        report = model.properties()
+        properties, witnesses = dict(report.passed), report.witnesses
+        if kind == "klm":  # and the relations of its base model
+            properties.update(model.base.properties().passed)
     passed = not problems and all(properties.values())
     report = {"kind": "check", "model": kind, "passed": passed,
               "problems": problems,
@@ -147,34 +93,21 @@ def _cmd_check(args):
 
 
 def _cmd_eval(args):
-    from .verify import _signature_of  # eval, equiv and axioms alone load the harness
-
     model = _evaluable(args.model)
     lang = Lang.L if args.lang == "L" else Lang.LKA
     f = parse(args.formula, Lang.LKA)
     if lang is Lang.L and ExplicitKnow in node_kinds(f):
         raise UsageError("X{a} has no reading in the language L")
-    at = args.at
-    if args.strict_two_valued and model.kind != "klm":
-        raise UsageError("--strict-two-valued applies to Kripke lattice models only")
+    at, options = args.at, {}
     if model.kind == "klm":
-        from .klm import Evaluator
-
         at = parse_world_id(at, model.base.atoms)
-        ev = Evaluator(model, lang, strict_two_valued=args.strict_two_valued)
-    elif model.kind == "hms":
-        from .hms import DenotationEvaluator
-
-        if lang is not Lang.L:
-            raise UsageError("space-lattice models only interpret the language L")
-        ev = DenotationEvaluator(model)
-    elif model.kind == "fh":
-        from .fh import FHEvaluator
-
-        ev = FHEvaluator(model, lang)
-    else:
+        options["strict_two_valued"] = args.strict_two_valued
+    elif args.strict_two_valued:
+        raise UsageError("--strict-two-valued applies to Kripke lattice models only")
+    if not hasattr(model, "evaluator"):
         raise UsageError("plain Kripke models carry no awareness; nothing to evaluate")
-    require_signature(f, *_signature_of(model))
+    ev = model.evaluator(lang, **options)
+    require_signature(f, *model.signature)
     print(ev.value(f, at).value)
     return 0
 
@@ -188,17 +121,12 @@ def _cmd_transform(args):
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
     store_model(report.output, args.output)
-    props = report.properties
-    if isinstance(props, dict):  # FH: {"pp": {...}, "ka": (ok, witnesses)}
-        flat = {f"pp ({props['pp']['verdict']})": props["pp"]["passed"],
-                "ka": props["ka"][0]}
-    else:
-        flat = dict(props.passed)
-    passed = all(flat.values())
+    properties = report.properties.passed
+    passed = all(properties.values())
     out = {"kind": "transform", "transform": args.kind, "output": args.output,
-           "passed": passed, "properties": {k: bool(v) for k, v in flat.items()}}
+           "passed": passed, "properties": {k: bool(v) for k, v in properties.items()}}
     lines = [f"wrote {args.output}"]
-    lines += [f"{name}: {'pass' if flat[name] else 'FAIL'}" for name in sorted(flat)]
+    lines += [f"{name}: {'pass' if properties[name] else 'FAIL'}" for name in sorted(properties)]
     _emit(args, out, lines)
     return 0 if passed else 1
 

@@ -25,8 +25,9 @@ from .formula import (
     atoms_of,
     expand_defined,
     fold,
+    to_text,
 )
-from .kripke import Filled, KripkeModel, box, group_cells, validate_kripke
+from .kripke import Filled, KripkeModel, PropertyReport, box, group_cells, validate_kripke
 from .truth import MaskEvaluator
 from .values import Frozen
 
@@ -96,6 +97,28 @@ class FHModel(Frozen):
     @classmethod
     def make(cls, base, awareness):
         return cls(base=base, awareness={a: dict(per) for a, per in awareness.items()})
+
+    @property
+    def signature(self):
+        return self.base.signature
+
+    def problems(self):
+        return validate_fh(self)
+
+    def properties(self) -> PropertyReport:
+        """PP, decided exactly, and KA, each with its first witness as text."""
+        pp, (ka, ka_witnesses) = check_pp(self), check_ka(self)
+        name = f"pp ({pp['verdict']})"
+        report = PropertyReport({name: pp["passed"], "ka": ka})
+        if pp["witnesses"]:
+            agent, world, formula = pp["witnesses"][0]
+            report.witnesses[name] = agent, world, to_text(formula)
+        if ka_witnesses:
+            report.witnesses["ka"] = ka_witnesses[0]
+        return report
+
+    def evaluator(self, lang: Lang):
+        return FHEvaluator(self, lang)
 
 
 def validate_fh(s: FHModel):

@@ -170,6 +170,14 @@ class UnawarenessFrame:
     def up(self, e: Event):
         return self.upward_closure(e.base_set, e.base_space)
 
+    def possibility_cells(self, agent):
+        """The agent's possibility sets grouped for kripke.box, refused unless
+        every state has one."""
+        if agent not in self.cells:
+            missing = next(s for s in self.states if s not in self.pi.get(agent, ()))
+            raise ValueError(f"agent {agent!r} has no possibility set at state {missing!r}")
+        return self.cells[agent]
+
     def cell_spaces(self, cell):
         """The spaces of a possibility set's states, sorted; one if well formed."""
         return sorted({self.state_space[t] for t in cell})
@@ -377,6 +385,21 @@ class HMSModel(Frozen):
     def atoms(self):
         return frozenset(self.valuation)
 
+    @property
+    def signature(self):
+        return self.atoms, self.frame.agents
+
+    def problems(self):
+        return []  # a space lattice is checked by its frame report, properties()
+
+    def properties(self) -> PropertyReport:
+        return validate_model(self)
+
+    def evaluator(self, lang: Lang):
+        if lang is not Lang.L:
+            raise ValueError("space-lattice models only interpret the language L")
+        return DenotationEvaluator(self)
+
 
 def validate_model(m: HMSModel) -> PropertyReport:
     report = validate_frame(m.frame)
@@ -437,7 +460,7 @@ class DenotationEvaluator(MaskEvaluator):
 
     def know(self, agent, s):
         fr = self.m.frame
-        return _based(fr, box(self.cells[agent], s[2]), s[0], "knowledge set")
+        return _based(fr, box(fr.possibility_cells(agent), s[2]), s[0], "knowledge set")
 
     def masks(self, s):
         return s[2], _neg(self.m.frame, s[0], s[1])[2] & ~s[2]

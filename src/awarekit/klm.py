@@ -24,7 +24,11 @@ DEFAULT_LATTICE_CAP = 12
 
 
 def lattice_cap() -> int:
-    return int(os.environ.get("AWAREKIT_LATTICE_CAP", DEFAULT_LATTICE_CAP))
+    value = os.environ.get("AWAREKIT_LATTICE_CAP", DEFAULT_LATTICE_CAP)
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"AWAREKIT_LATTICE_CAP is not an integer: {value!r}") from None
 
 
 def _check_cap(atoms):
@@ -65,6 +69,20 @@ class KripkeLatticeModel(Frozen):
         if world not in self.base.worlds:
             raise KeyError(f"unknown world {world!r}")
         return self.awareness[agent][world]
+
+    @property
+    def signature(self):
+        return self.base.signature
+
+    def problems(self):
+        return validate_klm(self)
+
+    def properties(self) -> PropertyReport:
+        """D, II and NS of the pointwise map that the assignment induces."""
+        return check_awareness_properties(self.base, induced_pointwise(self.base, self.awareness))
+
+    def evaluator(self, lang: Lang, strict_two_valued=False):
+        return Evaluator(self, lang, strict_two_valued)
 
     def omega(self):
         """All world copies w_X, ordered by world id, then by vocabulary from

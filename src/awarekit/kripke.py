@@ -78,6 +78,18 @@ class KripkeModel(Frozen):
         rel = self.relations.get(agent, frozenset())
         return frozenset(v for (w, v) in rel if w == world)
 
+    @property
+    def signature(self):
+        return self.atoms, self.agents
+
+    def problems(self):
+        return validate_kripke(self)
+
+    def properties(self) -> PropertyReport:
+        """Whether each agent's relation is an equivalence relation."""
+        return PropertyReport({f"equivalence[{a}]": flags["equivalence"]
+                               for a, flags in relation_properties(self).items()})
+
 
 class RestrictedModel(Frozen):
     """Lazy view of a KripkeModel restricted to vocabulary X."""
@@ -205,6 +217,13 @@ def validate_kripke(m: KripkeModel):
         if p not in m.valuation:
             problems.append(f"no valuation for atom {p!r}")
     return problems
+
+
+def well_formed(model, name):
+    """The model, refused with its first problem unless it is well formed."""
+    if problems := model.problems():
+        raise ValueError(f"{name} is not well formed: {problems[0]}")
+    return model
 
 
 def restrict(m: KripkeModel, X) -> RestrictedModel:

@@ -1,5 +1,6 @@
-"""The bit-sliced algebra of axiom-suite sweeps (Biham's bit-slicing), for
-every model class; only `verify.check_axiom_suite` imports it."""
+"""The bit-sliced algebra of axiom-suite sweeps (Biham's bit-slicing). Suites
+read it on space lattices and awareness structures, a lattice model through
+its awareness structure; only `verify.check_axiom_suite` imports it."""
 
 from operator import and_, or_
 
@@ -20,8 +21,7 @@ class Sliced:
     awareness structure's atom-generated sets; A unfolds under L). On a space
     lattice an atom is defined on the up-closure of its base space, and a
     formula's base space is the join of its atoms' (Heifetz, Meier and
-    Schipper 2006). Suites sweep a lattice model's awareness structure, over
-    worlds. `Sliced(ev, atoms)` builds the tables once per evaluator,
+    Schipper 2006). `Sliced(ev, atoms)` builds the tables once per evaluator,
     `over(width)` the algebra over width tuples."""
 
     def __init__(self, ev, atoms):

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from .hms import (DenotationEvaluator, Event, HMSModel, UnawarenessFrame, defined_atoms,
                   validate_model)
-from .klm import KripkeLatticeModel, _check_cap, subsets, validate_klm
-from .kripke import KripkeModel, WorldId, relation_properties
+from .klm import KripkeLatticeModel, _check_cap, subsets
+from .kripke import KripkeModel, WorldId, relation_properties, well_formed
 from .values import Frozen
 
 
@@ -80,6 +80,7 @@ def l_transform(m: HMSModel):
     worlds = frozenset(fr.spaces[T])
     relations = {}
     for a in sorted(fr.agents):
+        fr.possibility_cells(a)  # refuses a correspondence that is not total
         pairs = set()
         for w in worlds:
             cell = fr.pi[a][w]
@@ -120,10 +121,7 @@ def l_transform(m: HMSModel):
                     f"{src} maps to {img}, product form gives {product}"
                 )
 
-    klm = KripkeLatticeModel.make(base, awareness)
-    problems = validate_klm(klm)
-    if problems:
-        raise ValueError(f"transform output is not well formed: {problems[0]}")
+    klm = well_formed(KripkeLatticeModel.make(base, awareness), "transform output")
 
     mapping = {}
     for s, S in fr.state_space.items():
@@ -156,9 +154,7 @@ def _require_partitional(k):
 
 def _h_transform(k):
     """The H-transform output with the frame-check report that vouches for it."""
-    problems = validate_klm(k)
-    if problems:
-        raise ValueError(f"input is not well formed: {problems[0]}")
+    well_formed(k, "input")
     _require_partitional(k)
     _check_cap(k.base.atoms)
 
@@ -210,11 +206,7 @@ def k_transform(s) -> KripkeLatticeModel:
             for w in s.base.worlds}
         for a in s.base.agents
     }
-    out = KripkeLatticeModel.make(s.base, awareness)
-    problems = validate_klm(out)
-    if problems:
-        raise ValueError(f"transform output is not well formed: {problems[0]}")
-    return out
+    return well_formed(KripkeLatticeModel.make(s.base, awareness), "transform output")
 
 
 def fh_transform(k: KripkeLatticeModel):
@@ -222,9 +214,7 @@ def fh_transform(k: KripkeLatticeModel):
     top-level awareness atoms."""
     from .fh import AtomGenerated, FHModel
 
-    problems = validate_klm(k)
-    if problems:
-        raise ValueError(f"input is not well formed: {problems[0]}")
+    well_formed(k, "input")
     awareness = {
         a: {w: AtomGenerated.make(k.awareness_atoms(a, w) & k.base.atoms)
             for w in k.base.worlds}
@@ -241,29 +231,16 @@ _TAKES = {"L": "hms", "H": "klm", "K": "fh", "FH": "klm"}
 def transform(kind: str, model) -> TransformReport:
     """Dispatch on the transform kind and bundle the output with the property
     report of its class."""
-    from .klm import check_awareness_properties, induced_pointwise
-
-    takes, given = _TAKES.get(kind), getattr(type(model), "kind", None)
-    if takes and given != takes:
+    if kind not in _TAKES:
+        raise ValueError(f"unknown transform kind {kind!r}")
+    takes, given = _TAKES[kind], getattr(type(model), "kind", None)
+    if given != takes:
         raise TypeError(f"transform {kind} takes {_NAMED[takes]}, "
                         f"not {_NAMED.get(given, type(model).__name__)}")
+    if kind == "H":  # the frame report that vouches for the output
+        return TransformReport(*_h_transform(model))
     if kind == "L":
         out, corr = l_transform(model)
-        report = check_awareness_properties(
-            out.base, induced_pointwise(out.base, out.awareness)
-        )
-        return TransformReport(out, report, corr)
-    if kind == "H":
-        return TransformReport(*_h_transform(model))
-    if kind == "K":
-        out = k_transform(model)
-        report = check_awareness_properties(
-            out.base, induced_pointwise(out.base, out.awareness)
-        )
-        return TransformReport(out, report)
-    if kind == "FH":
-        from .fh import check_ka, check_pp
-
-        out = fh_transform(model)
-        return TransformReport(out, {"pp": check_pp(out), "ka": check_ka(out)})
-    raise ValueError(f"unknown transform kind {kind!r}")
+        return TransformReport(out, out.properties(), corr)
+    out = (k_transform if kind == "K" else fh_transform)(model)
+    return TransformReport(out, out.properties())

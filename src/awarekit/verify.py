@@ -258,14 +258,7 @@ class ValidityChecker:
                 raise ValueError(f"semantics {semantics} takes {_MODEL_CLASSES[takes]} models, "
                                  f"not {type(m).__name__}")
         self.semantics = semantics
-        if takes == "hms":
-            self.evaluators = [DenotationEvaluator(m) for m in self.models]
-        elif takes == "klm":
-            self.evaluators = [Evaluator(m, self.lang) for m in self.models]
-        else:
-            from .fh import FHEvaluator
-
-            self.evaluators = [FHEvaluator(m, self.lang) for m in self.models]
+        self.evaluators = [m.evaluator(self.lang) for m in self.models]
 
     def check(self, f: Formula):
         """Validity of f and its witnesses: (model index, state) pairs."""
@@ -281,7 +274,7 @@ def valid_over(models, f: Formula, semantics: str):
     outside a model's are refused."""
     checker = ValidityChecker(models, semantics)
     for m in checker.models:
-        require_signature(f, *_signature_of(m))
+        require_signature(f, *m.signature)
     return checker.check(f)
 
 
@@ -448,15 +441,10 @@ def _suite_semantics(suite, model):
     raise TypeError(f"unsupported model class {type(model).__name__}")
 
 
-def _signature_of(m):
-    """The atoms and agents of a model."""
-    return (m.atoms, m.frame.agents) if isinstance(m, HMSModel) else (m.base.atoms, m.base.agents)
-
-
 def _model_signature(models):
     """The atoms and agents of the corpus. Each evaluator knows only its own
     model's atoms and agents, so models that differ in them are refused."""
-    sigs = [_signature_of(m) for m in models]
+    sigs = [m.signature for m in models]
     for sig in sigs[1:]:
         if sig != sigs[0]:
             raise ValueError("the models differ in signature: " + " vs ".join(

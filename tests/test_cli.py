@@ -460,6 +460,36 @@ def test_check_refuses_an_oversized_frame_before_indexing_it(capsys, tmp_path, s
     assert (code, out, err) == (2, "", f"awarekit: cannot load {path}: {message}\n")
 
 
+@pytest.mark.parametrize("pi, formula, agent, state", [
+    ({"a": {"s1": ["s1"]}}, "K{a} p", "a", "s2"),
+    ({"a": {"s1": ["s1"], "s2": ["s2"]}, "b": {}}, "K{b} p", "b", "s1"),
+], ids=["one-state-missing", "empty"])
+def test_a_partial_possibility_correspondence_is_named(capsys, tmp_path, pi, formula, agent,
+                                                        state):
+    """A space lattice where some state has no possibility set: eval of the
+    agent's knowledge, equiv and the L-transform name the agent and the first
+    such state, with exit 2; check keeps its frame report."""
+    path = tmp_path / "partial.hms.json"
+    path.write_text(json.dumps({"kind": "hms", "spaces": {"S": ["s1", "s2"]}, "pi": pi,
+                                "valuation": {"p": {"base_space": "S", "base_set": ["s1"]}}}))
+    message = f"awarekit: agent '{agent}' has no possibility set at state '{state}'\n"
+    for argv in (["eval", formula, "--model", str(path), "--at", "s1"], ["equiv", str(path)],
+                 ["transform", "--kind", "L", "--in", str(path),
+                  "--out", str(tmp_path / "out.klm.json")]):
+        assert run(capsys, *argv) == (2, "", message), argv
+    assert not (tmp_path / "out.klm.json").exists()
+    assert run(capsys, "eval", "p", "--model", str(path), "--at", "s1") == (0, "True\n", "")
+    if agent == "a":
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 1 and "Conf: FAIL\n  witness: ('pi not total', 'a', 's2')\n" in out
+
+
+def test_a_lattice_cap_that_is_no_integer_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("AWAREKIT_LATTICE_CAP", "abc")
+    assert run(capsys, "check", TRADE) == (
+        2, "", "awarekit: AWAREKIT_LATTICE_CAP is not an integer: 'abc'\n")
+
+
 def test_check_witness_does_not_depend_on_hash_seed(tmp_path):
     """The first projections witness is the same under every hash seed."""
     path = _frame_file(tmp_path, {"T": ["t"], "A": ["a"], "B": ["b"], "C": ["c"]},
@@ -618,14 +648,18 @@ COLD_MODULES = {
               "verify"},
 }
 COLD_MODULES["equiv klm"] = COLD_MODULES["equiv"]
+# eval builds the model's own evaluator, without the harness
+COLD_MODULES["eval"] = {"formula", "klm", "kripke", "modelio", "truth", "values"}
 
 
 def test_frame_commands_do_not_load_the_harness(tmp_path):
-    """A cold `import awarekit.cli`, transform --kind H, check and equiv never
-    load `dataclasses` or `inspect`. transform loads no awareness-structure
-    module and no harness; check of a space-lattice model loads neither the
-    lattice models nor the transforms; equiv loads the harness, and in L, of
-    a space-lattice or a lattice model, no awareness-structure module."""
+    """A cold `import awarekit.cli`, transform --kind H, check, equiv and eval
+    never load `dataclasses` or `inspect`. transform loads no
+    awareness-structure module and no harness; check of a space-lattice model
+    loads neither the lattice models nor the transforms; equiv loads the
+    harness, and in L, of a space-lattice or a lattice model, no
+    awareness-structure module; eval of a lattice model loads its own module
+    and no harness."""
     out = str(tmp_path / "trade.hms.json")
     loaded = {}
     for name, argv in (("import", ("-c", "import awarekit.cli")),
@@ -633,7 +667,9 @@ def test_frame_commands_do_not_load_the_harness(tmp_path):
                                       "--in", TRADE, "--out", out)),
                        ("check", ("-m", "awarekit.cli", "check", out)),
                        ("equiv", ("-m", "awarekit.cli", "equiv", out, "--depth", "1")),
-                       ("equiv klm", ("-m", "awarekit.cli", "equiv", TRADE, "--depth", "1"))):
+                       ("equiv klm", ("-m", "awarekit.cli", "equiv", TRADE, "--depth", "1")),
+                       ("eval", ("-m", "awarekit.cli", "eval", "K{b} i", "--model", TRADE,
+                                 "--at", "w1"))):
         done = _python("-X", "importtime", *argv)
         assert done.returncode == 0, done.stderr
         loaded[name] = {line.split("|")[-1].strip() for line in done.stderr.splitlines()}

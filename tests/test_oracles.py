@@ -283,7 +283,7 @@ def test_sliced_suite_matches_instance_sweeps(monkeypatch):
                                                   extra_schemas=(SCHEMA_5,))["failures"]
             corpora += 1
         # arity 1 in one chunk, arity 2 in C chunks, arity 3 in C * C
-        size = len(_states(models[0])) + len(verify._signature_of(models[0])[0])
+        size = len(_states(models[0])) + len(models[0].signature[0])
         with monkeypatch.context() as patch:
             patch.setattr(verify, "SLICE_BITS", got["classes"] * size)
             chunked = check_axiom_suite(models, suite, 1, extra_schemas=(SCHEMA_5,))

@@ -8,7 +8,7 @@ from awarekit.klm import (
     induced_pointwise,
     validate_klm,
 )
-from awarekit.kripke import KripkeModel, WorldId, relation_properties
+from awarekit.kripke import KripkeModel, PropertyReport, WorldId, relation_properties
 from awarekit.transforms import (
     fh_transform,
     h_transform,
@@ -105,10 +105,16 @@ def test_k_transform_requires_ka():
 
 
 def test_transform_dispatcher(trade_m, hms_trade):
+    """Every transform reports the properties of its output's class as one
+    PropertyReport."""
     for kind, model in [("L", hms_trade), ("H", trade_m),
                         ("K", fh_transform(trade_m)), ("FH", trade_m)]:
         report = transform(kind, model)
         assert report.output is not None
+        assert isinstance(report.properties, PropertyReport), kind
+        assert report.properties == report.output.properties(), kind
+    fh = transform("FH", trade_m).properties
+    assert fh == PropertyReport({"pp (exact)": True, "ka": True})
     with pytest.raises(ValueError):
         transform("Z", trade_m)
 
