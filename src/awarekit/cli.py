@@ -150,7 +150,7 @@ def _cmd_equiv(args):
             report, via = check_equiv_fh_klm(model, lang, args.depth), ("FH", "fh")
     else:
         raise UsageError("plain Kripke models have no transform counterpart")
-    body = {**report.to_json(), "lang": lang.value}
+    body = {**report.to_json(), "lang": lang.value, "classes": report.classes}
     lines = [f"equiv: {_NAMED[model.kind]} vs its {via[0]}-transform, {_NAMED[via[1]]}, "
              f"language {lang.value}, depth {report.depth}",
              f"checked: {report.checked}",
@@ -159,6 +159,7 @@ def _cmd_equiv(args):
         first = report.first_disagreement
         lines.append(f"first: {first['formula']} at {first['state']}: "
                      f"{first['left']} vs {first['right']}")
+    lines.append(f"signature classes: {report.classes}")
     if report.capped:
         lines.append("incomplete: stopped at the instantiation cap; "
                      "later formulas were not checked")

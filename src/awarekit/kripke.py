@@ -41,7 +41,7 @@ def parse_world_id(text: str, full_vocabulary) -> WorldId:
     """Parse 'w@{a,b}' syntax; a bare world id means the full vocabulary."""
     if "@" not in text:
         return WorldId(text, frozenset(full_vocabulary))
-    base, _, voc = text.partition("@")
+    base, _, voc = text.rpartition("@")  # a base may hold "@" (a transformed state)
     voc = voc.strip()
     if not (voc.startswith("{") and voc.endswith("}")):
         raise ValueError(f"bad world id syntax: {text!r}")

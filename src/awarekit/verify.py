@@ -9,9 +9,8 @@ the reports label it as such.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache, reduce
-from itertools import islice, product
+from itertools import islice, product, repeat
 from math import prod
 from operator import or_
 from types import SimpleNamespace
@@ -43,6 +42,7 @@ class EquivalenceReport(Value):
         self.checked = checked
         self.failures = [] if failures is None else failures
         self.capped = capped  # stopped at INSTANTIATION_CAP before the last formula
+        self.classes = 0  # signature classes of the language, not compared or shown
         self._text = (None, "")  # the last recorded formula and its text
 
     def record(self, formula, state, left, right):
@@ -83,59 +83,68 @@ def _classes(language, evaluators):
     while it is a subterm of a listed formula, so the classes stay finitely
     many. Gives each class's first formula in the enumerator's order, its
     number of formulas, a walk of the class automaton that gives each
-    formula's class in that order from its operands' classes, and its key."""
+    formula's class in that order from its operands' classes, and its key.
+    The build and the walk share the automaton's transitions, each computed
+    once: an evaluator op runs once per (connective, agent, operand classes)."""
     atoms, agents, depth, lang = language
-    reps, keys, ids = [], [], {}
+    table = {}  # (connective, agent, operand classes) -> class
 
-    def cls(key, make, *args):
-        c = ids.setdefault(key, len(reps))
-        if c == len(reps):
-            reps.append(make(*args))
-            keys.append(key)
+    neg, conj, know = ((lambda ev, a, s: ev.neg(s)), (lambda ev, a, s, t: ev.conj(s, t)),
+                       (lambda ev, a, s: ev.know(a, s)))
+    make = {neg: lambda a, f: Not(f), conj: lambda a, f, g: And(f, g), know: Know,
+            aware_in: Aware}
+
+    def go(op, a, *cs):
+        """The class of the connective op, after agent a where it takes one,
+        over the operand classes cs in operand order (a term in a key does
+        not commute), from the table or, on first use, from their keys."""
+        t = op, a, *cs
+        if (c := table.get(t)) is None:
+            key = (keys[cs[0]][0] | keys[cs[-1]][0],
+                   *map(op, evaluators, repeat(a), *map(sigs.__getitem__, cs)))
+            c = table[t] = ids.setdefault(key, len(reps))
+            if c == len(reps):
+                reps.append(make[op](a, *map(reps.__getitem__, cs)))
+                keys.append(key)
+                sigs.append(key[1:])
         return c
 
-    def unary(op, c, *a):  # the key of a connective over class c
-        at, *sigs = keys[c]
-        return (at, *map(lambda ev, s: op(ev, *a, s), evaluators, sigs))
-
-    neg, know = (lambda ev, s: ev.neg(s)), (lambda ev, a, s: ev.know(a, s))
-    start = [cls((frozenset(), *(ev.top() for ev in evaluators)), lambda: TOP)] + [
-        cls((frozenset((p,)), *(ev.atom(p) for ev in evaluators)), Atom, p) for p in sorted(atoms)]
-    # class -> number of formulas of depth exactly d, at most d, at most d-1
-    exact = Counter(start)
-    upto, below = exact.copy(), Counter()
-    modal = [(Know, know), (Aware, aware_in)][:1 + (lang is Lang.LKA)]
+    # ⊤ and the atoms, each its own class: their atom sets differ
+    reps = [TOP, *map(Atom, sorted(atoms))]
+    keys = [(frozenset(), *(ev.top() for ev in evaluators))] + [
+        (frozenset((p,)), *(ev.atom(p) for ev in evaluators)) for p in sorted(atoms)]
+    ids = {key: c for c, key in enumerate(keys)}
+    sigs = [key[1:] for key in keys]  # per class its signature in each evaluator
+    # per class its number of formulas of depth exactly d, at most d, at most d-1
+    exact, upto, below = dict.fromkeys(range(len(keys)), 1), [1] * len(keys), [0] * len(keys)
+    modal = [know, aware_in][:1 + (lang is Lang.LKA)]
     for _ in range(depth):
-        level = Counter()
+        level = {}
         for c in sorted(exact):
-            level[cls(unary(neg, c), Not, reps[c])] += exact[c]
-        known = sorted(upto)
-        for i, c1 in enumerate(known):
-            at1, *sigs1 = keys[c1]
-            for c2 in known[i:]:
+            c1 = go(neg, None, c)
+            level[c1] = level.get(c1, 0) + exact[c]
+        for c1, (u1, b1) in enumerate(zip(upto, below)):
+            for c2 in range(c1, len(upto)):
                 # pairs with at least one formula of the last level
-                u1, u2, b1, b2 = upto[c1], upto[c2], below[c1], below[c2]
-                n = u1 * u2 - b1 * b2 if c1 != c2 else (u1 * (u1 + 1) - b1 * (b1 + 1)) // 2
-                if n:
-                    at2, *sigs2 = keys[c2]
-                    key = at1 | at2, *map(lambda ev, s, t: ev.conj(s, t), evaluators, sigs1, sigs2)
-                    level[cls(key, And, reps[c1], reps[c2])] += n
-        for (make, op), a in product(modal, sorted(agents)):
+                u2, b2 = upto[c2], below[c2]
+                if n := u1 * u2 - b1 * b2 if c1 != c2 else (u1 * (u1 + 1) - b1 * (b1 + 1)) // 2:
+                    # n counts both operand orders, so the reversed pair has this class too
+                    c = table[conj, None, c2, c1] = go(conj, None, c1, c2)
+                    level[c] = level.get(c, 0) + n
+        for op, a in product(modal, sorted(agents)):
             for c in sorted(exact):
-                level[cls(unary(op, c, a), make, a, reps[c])] += exact[c]
-        below, exact = upto.copy(), level
-        upto.update(level)
+                c1 = go(op, a, c)
+                level[c1] = level.get(c1, 0) + exact[c]
+        below, exact = upto + [0] * (len(reps) - len(upto)), level
+        upto = [u + level.get(c, 0) for c, u in enumerate(below)]
 
-    def conj(c1, c2):  # in the formula's operand order: a term in a key does not commute
-        (at1, *sigs1), (at2, *sigs2) = keys[c1], keys[c2]
-        return ids[(at1 | at2, *map(lambda ev, s, t: ev.conj(s, t), evaluators, sigs1, sigs2))]
-
-    step = SimpleNamespace(top=lambda: start[0], atom=dict(zip(sorted(atoms), start[1:])).get,
-                           neg=cache(lambda c: ids[unary(neg, c)]), conj=cache(conj),
-                           know=cache(lambda a, c: ids[unary(know, c, a)]),
-                           aware=cache(lambda a, c: ids[unary(aware_in, c, a)]))
-    return (reps, [upto[c] for c in range(len(reps))],
-            lambda: _formulas(atoms, agents, lang, depth, step), keys)
+    # the walk reads the table alone: a step the build did not take raises KeyError
+    step = SimpleNamespace(top=lambda: 0, atom={p: c for c, p in enumerate(sorted(atoms), 1)}.get,
+                           neg=lambda c: table[neg, None, c],
+                           conj=lambda c1, c2: table[conj, None, c1, c2],
+                           know=lambda a, c: table[know, a, c],
+                           aware=lambda a, c: table[aware_in, a, c])
+    return reps, upto, lambda: _formulas(atoms, agents, lang, depth, step), keys
 
 
 def _equivalence(language, left, right, pairs, left_defined_only=False):
@@ -170,6 +179,7 @@ def _equivalence(language, left, right, pairs, left_defined_only=False):
         return lt, lf, rt, rf, within.bit_count(), ((lt ^ rt) | (lf ^ rf)) & within
 
     _, weights, walk, keys = _classes(language, (left, right))
+    report.classes = len(keys)
     verdicts = [compare(ls, rs) for _, ls, rs in keys]  # per class
     checked = sum(w * v[4] for w, v in zip(weights, verdicts))
     if checked <= INSTANTIATION_CAP and not any(v[5] for v in verdicts):

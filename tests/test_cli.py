@@ -9,6 +9,8 @@ import pytest
 import awarekit
 from awarekit import verify
 from awarekit.cli import main
+from awarekit.formula import Lang
+from awarekit.kripke import parse_world_id
 from awarekit.modelio import fixture_path, load_model, store_model
 from awarekit.verify import check_axiom_suite, lga_suite
 
@@ -180,6 +182,21 @@ def test_eval_unknown_state_in_every_model_class(tmp_path, capsys):
                       (2, "", "awarekit: unknown state 'w9'\n")]
 
 
+def test_eval_addresses_every_state_of_a_twice_transformed_model(tmp_path, capsys):
+    """The L-transform of an H-transform names its worlds after the space
+    lattice's states, so a world copy such as `w2@{i,l}@{i}` holds two `@`;
+    its id splits at the last one, which atom names never hold."""
+    hms_path, back = str(tmp_path / "trade.hms.json"), str(tmp_path / "back.klm.json")
+    assert run(capsys, "transform", "--kind", "H", "--in", TRADE, "--out", hms_path)[0] == 0
+    assert run(capsys, "transform", "--kind", "L", "--in", hms_path, "--out", back)[0] == 0
+    model = load_model(back)
+    states = model.evaluator(Lang.L).states
+    assert len(states) == 12
+    assert all(parse_world_id(str(w), model.base.atoms) == w for w in states)
+    assert run(capsys, "eval", "i", "--model", back, "--at", "w2@{i,l}@{i,l}") == (0, "False\n", "")
+    assert run(capsys, "eval", "i", "--model", back, "--at", "w1@{i,l}@{i}") == (0, "True\n", "")
+
+
 def test_check_prints_the_pp_witness(tmp_path, capsys):
     """An Explicit awareness set, which fails PP exactly: the witness is
     keyed by the property's name and shows the formula as text."""
@@ -246,8 +263,10 @@ def test_equiv(capsys):
     body = json.loads(out)
     assert code == 0
     assert body["kind"] == "equivalence" and body["failures"] == []
-    assert set(body) == {"kind", "depth", "checked", "failures", "lang"}
-    assert (body["depth"], body["lang"]) == (1, "L")
+    assert set(body) == {"kind", "depth", "checked", "failures", "lang", "classes"}
+    assert (body["depth"], body["lang"], body["classes"]) == (1, "L", 10)
+    code, out, _ = run(capsys, "equiv", TRADE, "--depth", "1")
+    assert code == 0 and out.splitlines()[3:] == ["signature classes: 10"]
 
 
 @pytest.mark.parametrize("model, lang, scope", [

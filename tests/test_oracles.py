@@ -8,7 +8,7 @@ from collections import Counter
 
 from awarekit import verify
 from awarekit.fh import Explicit, FHEvaluator, FHModel
-from awarekit.formula import (Aware, ExplicitKnow, Know, Lang, atoms_of, enumerate_formulas,
+from awarekit.formula import (And, Aware, ExplicitKnow, Know, Lang, atoms_of, enumerate_formulas,
                               expand_defined, fold, implies, parse)
 from awarekit.hms import Event, HMSModel, UnawarenessFrame, validate_frame
 from awarekit.klm import Evaluator, PropertyReport
@@ -22,6 +22,7 @@ from awarekit.verify import (
     check_axiom_suite,
     check_equiv_fh_klm,
     check_L_equiv_hms_klm,
+    check_L_equiv_klm_hms,
     hms_suite,
     lga_suite,
     random_klm,
@@ -423,6 +424,37 @@ def test_class_keys_come_from_operand_keys(monkeypatch):
         assert [set(ev._memo) for ev in evaluators] == before, language
         assert keys == [(atoms_of(f), *(fold(f, ev) for ev in evaluators))
                         for f in reps], language
+
+
+def test_class_automaton_takes_each_transition_once(monkeypatch):
+    """The build and the walk share one table of the class automaton's
+    transitions: on trade's depth-3 L and LKA checks each evaluator runs one
+    op for T, one per atom and one per distinct (connective, agent, operand
+    classes) of the enumerated formulas, 207 and 288 in all, and a full walk
+    afterwards runs none."""
+    trade, checked = make_trade(), []
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_equivalence", lambda language, left, right, *_, **__:
+                      checked.append((language, (left, right))))
+        check_L_equiv_klm_hms(trade, 3)
+        check_equiv_fh_klm(trade, Lang.LKA, 3)
+    for (language, evaluators), ops in zip(checked, (207, 288)):
+        calls = Counter()  # evaluator index -> ops run
+        with monkeypatch.context() as patch:
+            for i, ev in enumerate(evaluators):
+                for op in {"top", "atom", "neg", "conj", "know", "aware"} & set(dir(ev)):
+                    patch.setattr(ev, op, lambda *args, f=getattr(ev, op), i=i:
+                                  calls.update([i]) or f(*args))
+            _, _, walk, _ = verify._classes(language, evaluators)
+            assert calls == {0: ops, 1: ops}, language
+            formulas = enumerate_formulas(*language)
+            ids = dict(zip(formulas, walk()))  # as test_class_builder_matches_grouping checks
+            assert calls == {0: ops, 1: ops}, language
+        steps = {(type(f), getattr(f, "agent", None),
+                  tuple(sorted(ids[g] for g in ((f.left, f.right) if isinstance(f, And)
+                                                else (f.child,)))))
+                 for f in formulas[1 + len(language[0]):]}  # past T and the atoms
+        assert 1 + len(language[0]) + len(steps) == ops, language
 
 
 def _workflow_explicit():
