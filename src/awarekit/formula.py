@@ -372,6 +372,10 @@ def _tokenize(text):
     return tokens
 
 
+def _shown(tok):
+    return "end of formula" if tok[0] == "end" else f"token {tok[1]!r}"
+
+
 class _Parser:
     """Recursive descent over the precedence chain -> < | < & < unary."""
 
@@ -406,12 +410,6 @@ class _Parser:
     def advance(self):
         tok = self.tokens[self.i]
         self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
     def parse_formula(self):
@@ -459,9 +457,11 @@ class _Parser:
         if kind == "(":
             self.advance()
             inner = self.nested(self.parse_formula, pos)
-            self.expect(")")
-            return inner
-        raise ParseError(f"unexpected token {value!r}", pos)
+            tok = self.advance()
+            if tok[0] == ")":
+                return inner
+            raise ParseError(f"expected ')', found {_shown(tok)}", tok[2])
+        raise ParseError(f"unexpected {_shown(self.peek())}", pos)
 
 
 def parse(text: str, lang: Lang = Lang.LKA) -> Formula:

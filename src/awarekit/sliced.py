@@ -2,27 +2,29 @@
 read it on space lattices and awareness structures, a lattice model through
 its awareness structure; only `verify.check_axiom_suite` imports it."""
 
-from operator import and_, or_
-
-from .kripke import Filled, members, relabel
+from .kripke import Filled, members
 
 
 class Sliced:
-    """An evaluator's algebra over `width` class tuples at once. A value is a
-    tuple of ints: one per state, whose bit t says whether tuple t is true
-    there, then one per atom (sorted), whose bit t says whether tuple t's
-    formula mentions the atom; no int has a bit past `full`. A tuple is
-    defined where each atom it mentions is, and aware where the agent is
-    aware of each: ¬, K_a and A_a read that from the atom ints, and K_a ANDs
-    the rows of each cell, and awareness too where the evaluator's
-    `explicit_know` says so (an awareness structure under L). The tables
-    come from the evaluator's algebra: per atom p `masks(atom(p))`, per agent
-    `cells`, and per agent and atom the true mask of `aware(a, atom(p))` (an
-    awareness structure's atom-generated sets; A unfolds under L). On a space
-    lattice an atom is defined on the up-closure of its base space, and a
-    formula's base space is the join of its atoms' (Heifetz, Meier and
-    Schipper 2006). `Sliced(ev, atoms)` builds the tables once per evaluator,
-    `over(width)` the algebra over width tuples."""
+    """An evaluator's algebra over W class tuples at once. A value is a pair
+    of ints (R, A) packed at stride W: bit s·W + t of R says whether tuple t
+    is true at state s, bit i·W + t of A whether tuple t's formula mentions
+    the i-th atom (sorted); no bit is set past the n·W rows of R or the
+    |atoms|·W rows of A. So ∧ is (R & R', A | A'). A tuple is defined where
+    each atom it mentions is, and aware where the agent is aware of each: per
+    state its undefined tuples U and unaware tuples U_a are read from A,
+    memoized by A in each width's algebra (a key means other tuples at
+    another width), and ¬ is rows ^ (R | U), A_a is rows ^ U_a. K_a ANDs the
+    rows R >> s·W of each cell and shifts the box back to each of its rows,
+    clearing U, and U_a too where the evaluator's `explicit_know` says so (an
+    awareness structure under L). The tables come from the evaluator's
+    algebra: per atom p `masks(atom(p))`, per agent `cells`, and per agent
+    and atom the true mask of `aware(a, atom(p))` (an awareness structure's
+    atom-generated sets; A unfolds under L). On a space lattice an atom is
+    defined on the up-closure of its base space, and a formula's base space
+    is the join of its atoms' (Heifetz, Meier and Schipper 2006).
+    `Sliced(ev, atoms)` builds the tables once per evaluator, `over(width)`
+    the algebra over width tuples."""
 
     def __init__(self, ev, atoms):
         self.n = n = len(ev.states)
@@ -32,99 +34,106 @@ class Sliced:
         self.atom_masks = {p: ev.masks(ev.atom(p)) for p in self.atoms}  # (True, False)
 
         def outside(masks):
-            """The states grouped by the slots of the atoms whose mask lacks
-            them, and a memo of _escapes."""
+            """The states grouped by the indices of the atoms whose mask
+            lacks them, where there are any."""
             groups = {}
             for s in range(n):
-                key = tuple(n + i for i, m in enumerate(masks) if not m >> s & 1)
+                key = tuple(i for i, m in enumerate(masks) if not m >> s & 1)
                 groups.setdefault(key, []).append(s)
-            return list(groups.items()), {}
+            return [(key, states) for key, states in groups.items() if key]
 
-        self._defined = outside([t | f for t, f in self.atom_masks.values()])
-        self._aware = Filled(lambda a: outside([ev.masks(ev.aware(a, ev.atom(p)))[0]
-                                                for p in self.atoms]))
+        defined = outside([t | f for t, f in self.atom_masks.values()])
+        self._groups = Filled(lambda a: defined if a is None else outside(
+            [ev.masks(ev.aware(a, ev.atom(p)))[0] for p in self.atoms]))
         self._cells = {a: [(members(cell, range(n)), members(ms, range(n)))
                            for cell, ms in groups] for a, groups in ev.cells.items()}
 
     def over(self, width):
         alg = object.__new__(Sliced)
-        alg.__dict__.update(self.__dict__, full=(1 << width) - 1)
+        alg.__dict__.update(self.__dict__, W=width, full=(1 << width) - 1,
+                            rows=(1 << self.n * width) - 1, _memo={})
         return alg
 
     def classes(self, atom_sets, sigs):
-        """The value over one tuple per class: bit c for the class of atom
-        set atom_sets[c] and signature sigs[c]."""
+        """Per state and then per atom the classes, bit c, true there or
+        mentioning it: class c of atom set atom_sets[c] and signature
+        sigs[c]."""
         trues = [self.masks(sig)[0] for sig in sigs]
-        return (*(sum((t >> s & 1) << c for c, t in enumerate(trues)) for s in range(self.n)),
-                *(sum(1 << c for c, at in enumerate(atom_sets) if p in at) for p in self.atoms))
+        return ([sum((t >> s & 1) << c for c, t in enumerate(trues)) for s in range(self.n)],
+                [sum(1 << c for c, at in enumerate(atom_sets) if p in at) for p in self.atoms])
 
-    @staticmethod
-    def slots(by_class, C, m):
-        """The inputs of m slots over the C ** m tuples of C classes in
-        product order (slot 0 the most significant), from the value
-        `by_class` of `classes`: slot j holds class c at the tuples whose
-        j-th class is c, a column repeated over the slots before it."""
-        inputs = []
+    def fixed(self, by_class):
+        """Per class the value with it at every tuple, made on first use."""
+        W, full = self.W, self.full
+        return Filled(lambda c: tuple(sum(full << s * W for s, x in enumerate(rows) if x >> c & 1)
+                                      for rows in by_class))
+
+    def slots(self, by_class, C, m):
+        """The inputs of m slots over the W = C ** m tuples of C classes in
+        product order (slot 0 the most significant): slot j holds class c at
+        the tuples whose j-th class is c, a run of C ** (m - 1 - j) bits
+        repeated every C runs."""
+        inputs, W = [], self.W
         for j in range(m):
-            s = C ** (m - 1 - j)  # the tuples of one run of a class in slot j
-            column = {1 << c: int(("0" * (C - 1 - c) * s + "1" * s + "0" * c * s) * C ** j, 2)
-                      for c in range(C)}
-            inputs.append(tuple(relabel(x, column) for x in by_class))
+            s = C ** (m - 1 - j)
+            rep = self.full // ((1 << C * s) - 1)  # bit 0 of every C runs
+            column = [((1 << s) - 1 << c * s) * rep for c in range(C)]
+            inputs.append(tuple(
+                sum(sum(column[c] for c, b in enumerate(bin(x)[:1:-1]) if b == "1") << r * W
+                    for r, x in enumerate(rows)) for rows in by_class))
         return inputs
 
-    def _escapes(self, v, table):
-        """Per state, the tuples that mention an atom of its group, kept per
-        atom ints, which ¬ and K_a pass on unchanged."""
-        groups, memo = table
-        key = v[self.n:]
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = [0] * self.n
-            for where, states in groups:
+    def _escapes(self, A, agent=None):
+        """U, or for an agent U_a: at row s the tuples that mention an atom
+        undefined at s, or of which the agent is unaware there."""
+        U = self._memo.get((agent, A))
+        if U is None:
+            W, U = self.W, 0
+            for where, states in self._groups[agent]:
                 u = 0
                 for i in where:
-                    u |= v[i]
-                for s in states:
-                    out[s] = u
-        return out
+                    u |= A >> i * W
+                u &= self.full
+                for s in states if u else ():
+                    U |= u << s * W
+            self._memo[agent, A] = U
+        return U
 
     def top(self):
-        return (self.full,) * self.n + (0,) * len(self.atoms)
+        return self.rows, 0
 
     def atom(self, p):
-        full = self.full
-        return (*(full * (self.atom_masks[p][0] >> s & 1) for s in range(self.n)),
-                *(full * (q == p) for q in self.atoms))
+        W, full = self.W, self.full
+        return (sum(full << s * W for s in range(self.n) if self.atom_masks[p][0] >> s & 1),
+                full << self.atoms.index(p) * W)
 
     def neg(self, v):
-        full, n = self.full, self.n
-        return (*[full ^ (r | u) for r, u in zip(v, self._escapes(v, self._defined))],
-                *v[n:])
+        return self.rows ^ (v[0] | self._escapes(v[1])), v[1]
 
     def conj(self, v, w):
-        n = self.n
-        return (*map(and_, v[:n], w[:n]), *map(or_, v[n:], w[n:]))
+        return v[0] & w[0], v[1] | w[1]
 
     def know(self, agent, v):
-        rows = [0] * self.n
+        (R, A), W, out = v, self.W, 0
         for cell, states in self._cells[agent]:
             box = self.full
             for s in cell:
-                box &= v[s]
-            for s in states:
-                rows[s] = box
-        escapes = self._escapes(v, self._defined)
+                box &= R >> s * W
+            for s in states if box else ():
+                out |= box << s * W
+        escapes = self._escapes(A)
         if self.explicit_know:
-            escapes = map(or_, escapes, self._escapes(v, self._aware[agent]))
-        return (*[r & ~u for r, u in zip(rows, escapes)], *v[self.n:])
+            escapes |= self._escapes(A, agent)
+        return out & ~escapes, A
 
     def aware(self, agent, v):
-        return (*[self.full ^ u for u in self._escapes(v, self._aware[agent])],
-                *v[self.n:])
+        return self.rows ^ self._escapes(v[1], agent), v[1]
 
     def false(self, v):
-        """The tuples False at some state."""
-        true_or_undefined = self.full
-        for r, u in zip(v, self._escapes(v, self._defined)):
-            true_or_undefined &= r | u
-        return self.full ^ true_or_undefined
+        """The tuples False at some state: the AND of the k rows of R | U,
+        folded in half until one is left."""
+        x, k = v[0] | self._escapes(v[1]), self.n
+        while k > 1:
+            x &= x >> k // 2 * self.W
+            k -= k // 2
+        return self.full ^ x

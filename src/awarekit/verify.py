@@ -27,8 +27,8 @@ from .truth import truth_at
 from .values import Frozen, Value
 
 INSTANTIATION_CAP = 10 ** 6
-# bits of one bit-sliced value in an axiom-suite sweep: class tuples of a
-# chunk times (states + atoms) of the largest model
+# bits of one bit-sliced value (its two packed ints) in an axiom-suite sweep:
+# class tuples of a chunk, the stride, times (states + atoms) of the largest model
 SLICE_BITS = 1 << 16
 
 
@@ -537,7 +537,7 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     per_instance = sum(len(agent_list) ** s.agent_arity * fillings ** s.meta_arity
                        for s in schemas + rules) <= INSTANTIATION_CAP
     C = len(reps)
-    size = max(len(ev.states) for ev in evaluators) + len(atoms)  # ints per sliced value
+    size = max(len(ev.states) for ev in evaluators) + len(atoms)  # rows per sliced value
     # per model its sliced tables and the value over one tuple per class, but
     # none where an awareness set lists formulas
     tables = [] if semantics == "FH_LKA" and any(ev.lists for ev in evaluators) else [
@@ -553,8 +553,8 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
             k = 0
             while k < n and C ** (n - k) * size > SLICE_BITS:
                 k += 1
-            slices[n] = k, [(alg.over(C ** (n - k)), by_class, alg.slots(by_class, C, n - k))
-                            for alg, by_class in tables]
+            slices[n] = k, [((wide := alg.over(C ** (n - k))), wide.fixed(by_class),
+                             wide.slots(by_class, C, n - k)) for alg, by_class in tables]
         return slices[n]
 
     def false_at(program, ags, key):
@@ -599,9 +599,8 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
                 # the premises on every model, the conclusion where they all hold
                 vac = 0
                 if tables and evaluated:
-                    inputs = [(alg, [*(tuple(alg.full * (x >> c & 1) for x in by_class)
-                                       for c in prefix), *trailing])
-                              for alg, by_class, trailing in per_model]
+                    inputs = [(alg, [*(fixed[c] for c in prefix), *trailing])
+                              for alg, fixed, trailing in per_model]
                     for run in runs:
                         for alg, slots in inputs:
                             vac |= alg.false(run(alg, slots, ags))

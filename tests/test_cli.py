@@ -133,6 +133,8 @@ def test_eval_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "eval", "i &", "--model", TRADE, "--at", "w1")
     assert code == 2
+    code, out, err = run(capsys, "eval", "(((", "--model", TRADE, "--at", "w1")
+    assert code == 2 and "unexpected end of formula (at position 3)" in err and not out
     code, out, err = run(capsys, "eval", "~" * 5000 + "i", "--model", TRADE,
                          "--at", "w1")
     assert code == 2 and "nested too deeply" in err and not out

@@ -77,6 +77,20 @@ def test_parse_errors():
             parse(bad)
 
 
+def test_parse_errors_name_the_end_of_the_formula():
+    """Text that stops short says so, where it stops; a wrong token is
+    named as a token."""
+    for bad, message in [("(((", "unexpected end of formula (at position 3)"),
+                         ("", "unexpected end of formula (at position 0)"),
+                         ("K{a}", "unexpected end of formula (at position 4)"),
+                         ("(p & q", "expected ')', found end of formula (at position 6)"),
+                         ("(p q", "expected ')', found token 'q' (at position 3)"),
+                         ("&", "unexpected token '&' (at position 0)")]:
+        with pytest.raises(ParseError) as raised:
+            parse(bad)
+        assert str(raised.value) == message, bad
+
+
 def test_atoms_agents_depth():
     f = parse("K{a} (p & A{b} q)")
     assert atoms_of(f) == frozenset({"p", "q"})

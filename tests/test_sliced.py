@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -6,9 +7,12 @@ from awarekit.fh import AtomGenerated, FHEvaluator, FHModel
 from awarekit.formula import TOP, And, Atom, Aware, Know, Lang, Not, atoms_of, implies
 from awarekit.hms import DenotationEvaluator
 from awarekit.klm import Evaluator
+from awarekit.kripke import relabel
 from awarekit.sliced import Sliced
 from awarekit.transforms import fh_transform, h_transform
-from awarekit.verify import compile_program
+from awarekit.verify import SCHEMA_5, check_axiom_suite, compile_program, hms_suite
+
+from test_oracles import _unlisted
 
 
 def _evaluators(rng):
@@ -33,6 +37,20 @@ def _evaluators(rng):
             yield FHEvaluator(s, lang), s.base.atoms, s.base.agents
 
 
+def _packed_slots(by_class, C, m):
+    """The slot inputs of Sliced.slots, built from strings: per slot and
+    class the column mask as a string of C ** m bits, then per state and per
+    atom the classes' columns, packed at stride C ** m."""
+    W, inputs = C ** m, []
+    for j in range(m):
+        s = C ** (m - 1 - j)
+        column = {1 << c: int(("0" * (C - 1 - c) * s + "1" * s + "0" * c * s) * C ** j, 2)
+                  for c in range(C)}
+        inputs.append(tuple(sum(relabel(x, column) << r * W for r, x in enumerate(rows))
+                            for rows in by_class))
+    return inputs
+
+
 def test_sliced_algebra_matches_scalar():
     """Every op of the bit-sliced algebra gives, at each class tuple, the
     evaluator's masks of that tuple's instance: true at the same states,
@@ -41,7 +59,9 @@ def test_sliced_algebra_matches_scalar():
     width. A program over agent slots, run with an agent tuple, gives in
     both algebras what the program compiled for that tuple gives, on the
     diagonal tuples (a, a) and (b, b) too. The latter names its agents, each
-    read as itself."""
+    read as itself. A value sets no bit past its n·W rows and |atoms|·W
+    atom rows, the slot inputs are the string-built column masks, and the
+    fixed value of a class is true wherever that class's is."""
     holes = [Atom(f"${i}") for i in range(3)]
     schemas = [lambda m, g: Not(m[0]), lambda m, g: And(m[0], TOP),
                lambda m, g: Know(g[0], Not(m[0])), lambda m, g: Aware(g[1], m[0]),
@@ -61,20 +81,56 @@ def test_sliced_algebra_matches_scalar():
             n = max(i + 1 for i, h in enumerate(holes) if h.name in atoms_of(slotted))
             run = compile_program(slotted, holes[:n], ev.lang)
             alg = tables.over(len(reps) ** n)
+            W, fields = alg.W, (alg.n, len(alg.atoms))
             inputs = alg.slots(by_class, len(reps), n)
+            assert inputs == _packed_slots(by_class, len(reps), n)
+            for c in range(len(reps)):
+                assert alg.fixed(by_class)[c] == tuple(
+                    sum(alg.full * (x >> c & 1) << r * W for r, x in enumerate(rows))
+                    for rows in by_class)
             for ags in product("ab", repeat=2):
                 fixed = compile_program(build(holes, ags), holes[:n], ev.lang)
                 value = run(alg, inputs, ags)
                 assert fixed(alg, inputs, named) == value
+                assert all(x >> k * W == 0 for x, k in zip(value, fields))
                 false = alg.false(value)
+                assert false >> W == 0
                 for t, key in enumerate(product(range(len(reps)), repeat=n)):
                     sigs = [fill[k] for k in key]
                     assert fixed(ev, sigs, named) == run(ev, sigs, ags)
                     true, bad = ev.masks(run(ev, sigs, ags))
                     instance = build([reps[k] for k in key], ags)
                     assert ev.truth_masks(instance) == (true, bad)
-                    assert sum((row >> t & 1) << s for s, row in enumerate(value[:alg.n])) == true
-                    assert {p for p, x in zip(alg.atoms, value[alg.n:]) if x >> t & 1} == \
+                    assert sum((value[0] >> s * W + t & 1) << s for s in range(alg.n)) == true
+                    assert {p for i, p in enumerate(alg.atoms) if value[1] >> i * W + t & 1} == \
                         atoms_of(instance)
                     assert (false >> t & 1) == (bad != 0), (ags, key)
     assert kinds == {Evaluator, DenotationEvaluator, FHEvaluator}
+
+
+def test_wide_space_lattice_in_one_chunk_or_many(monkeypatch):
+    """On a space lattice of 64 states, the H-transform of a partitional
+    model of 4 worlds and 4 atoms, a sliced value spans 64 rows, so K_a and
+    `false` shift rows far apart. Its depth-1 HMS report, with schema 5 and
+    the rules, is the same in one chunk, at the default bit budget and in
+    C chunks per slot past the first, and gives the counts, verdicts and
+    failing formulas of its lattice model."""
+    rng = random.Random(25)
+    k = verify.random_klm_eq(rng, max_worlds=4, max_atoms=4)
+    while (len(k.base.worlds), len(k.base.atoms)) != (4, 4):
+        k = verify.random_klm_eq(rng, max_worlds=4, max_atoms=4)
+    h = h_transform(k)
+    assert len(h.frame.states) == 64
+
+    def report(bits):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "SLICE_BITS", bits)
+            return check_axiom_suite([h], hms_suite(), 1, extra_schemas=(SCHEMA_5,))
+
+    whole = report(1 << 24)
+    size = len(h.frame.states) + len(h.atoms)
+    assert whole["classes"] ** 3 * size > verify.SLICE_BITS  # PL2 in chunks by default
+    for bits in verify.SLICE_BITS, whole["classes"] * size:
+        assert json.dumps(report(bits)) == json.dumps(whole)
+    assert _unlisted(whole) == _unlisted(
+        check_axiom_suite([k], hms_suite(), 1, extra_schemas=(SCHEMA_5,)))
