@@ -22,6 +22,7 @@ from .formula import (
     TOP,
     Top,
     _formulas,
+    agents_of,
     atoms_of,
     expand_defined,
     fold,
@@ -57,8 +58,8 @@ class AtomGenerated(Frozen):
 class Explicit(Frozen):
     """A finite list of formulas. It is matched through the definition of X,
     the one that LKA has: `X{a} g` is listed, or asked about, as
-    `A{a} g & K{a} g`. `atoms` are the atoms the listed formulas mention.
-    Only `formulas` is compared and shown."""
+    `A{a} g & K{a} g`. `atoms` and `agents` are those the listed formulas
+    mention. Only `formulas` is compared and shown."""
 
     _fields = ("formulas",)
 
@@ -67,6 +68,7 @@ class Explicit(Frozen):
         object.__setattr__(self, "listed", frozenset(
             expand_defined(f, Lang.LKA) for f in formulas))
         object.__setattr__(self, "atoms", frozenset().union(*map(atoms_of, formulas)))
+        object.__setattr__(self, "agents", frozenset().union(*map(agents_of, formulas)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -134,9 +136,11 @@ def validate_fh(s: FHModel):
         for key, aset in per.items():
             if key not in s.base.worlds:
                 problems.append(f"awareness of agent {a!r} keyed by unknown world {key!r}")
-            elif not aset.atoms <= s.base.atoms:
-                problems.append(f"awareness of agent {a!r} at {key!r} mentions unknown "
-                                f"atoms {sorted(aset.atoms - s.base.atoms)}")
+                continue
+            for what, known in (("atoms", s.base.atoms), ("agents", s.base.agents)):
+                if extra := getattr(aset, what, frozenset()) - known:
+                    problems.append(f"awareness of agent {a!r} at {key!r} mentions unknown "
+                                    f"{what} {sorted(extra)}")
     for a in s.awareness:
         if a not in s.base.agents:
             problems.append(f"awareness sets for unknown agent {a!r}")
@@ -214,13 +218,12 @@ class FHEvaluator(MaskEvaluator):
             conj=lambda t, u: up.setdefault((And, t, u), And(t, u)),
             know=lambda a, t: up.setdefault((Know, a, t), Know(a, t)),
             aware=lambda a, t: up.setdefault((Aware, a, t), Aware(a, t)))
-        # the formula-list sets, whose awareness reads a term, not an atom set
-        self.lists = [aset for per in s.awareness.values() for aset in per.values()
-                      if isinstance(aset, Explicit)]
+        # per agent (index, listed formulas) of each state whose awareness reads a term
+        self.listed_at = {a: [(i, x.listed) for i, x in enumerate(map(per.get, self.states))
+                              if isinstance(x, Explicit)] for a, per in s.awareness.items()}
         memo = {}
-        for aset in self.lists:
-            for f in aset.listed:
-                fold(f, recorder, memo)
+        for f in (f for lists in self.listed_at.values() for _, listed in lists for f in listed):
+            fold(f, recorder, memo)
 
         def awareness(agent):
             """The worlds where the agent is aware of a key."""

@@ -2,6 +2,7 @@
 read it on space lattices and awareness structures, a lattice model through
 its awareness structure; only `verify.check_axiom_suite` imports it."""
 
+from .formula import And, Atom, Aware, Know, Not, Top
 from .kripke import Filled, members
 
 
@@ -23,8 +24,11 @@ class Sliced:
     atom-generated sets; A unfolds under L). On a space lattice an atom is
     defined on the up-closure of its base space, and a formula's base space
     is the join of its atoms' (Heifetz, Meier and Schipper 2006).
-    `Sliced(ev, atoms)` builds the tables once per evaluator, `over(width)`
-    the algebra over width tuples."""
+    `Sliced(ev, atoms)` builds the tables once per evaluator, a `Listed`
+    one where a set lists formulas; `over(width)` the one over width tuples."""
+
+    def __new__(cls, ev, atoms):
+        return object.__new__(Listed if any(getattr(ev, "listed_at", {}).values()) else cls)
 
     def __init__(self, ev, atoms):
         self.n = n = len(ev.states)
@@ -49,7 +53,7 @@ class Sliced:
                            for cell, ms in groups] for a, groups in ev.cells.items()}
 
     def over(self, width):
-        alg = object.__new__(Sliced)
+        alg = object.__new__(type(self))
         alg.__dict__.update(self.__dict__, W=width, full=(1 << width) - 1,
                             rows=(1 << self.n * width) - 1, _memo={})
         return alg
@@ -137,3 +141,58 @@ class Sliced:
             x &= x >> k // 2 * self.W
             k -= k // 2
         return self.full ^ x
+
+
+class Listed(Sliced):
+    """Sliced on an awareness structure with a formula-list set: a value is
+    (R, A, T), T mapping each subterm of a listed formula (the evaluator's
+    `_up`) to the tuples whose instance has it, lifted through `_up` by ¬, ∧,
+    K_a and A_a. At a formula-list state A_a holds where the list names the
+    term (an empty list: nowhere), K_a under L reads that, and elsewhere both
+    are as in Sliced."""
+
+    def __init__(self, ev, atoms):
+        super().__init__(ev, atoms)
+        self._up, self._lists, self.listed_know = ev._up, ev.listed_at, self.explicit_know
+        self.explicit_know = False  # `know` reads `aware` instead
+
+    def _lift(self, T, *head):
+        return {u: m for t, m in T.items() if (u := self._up.get((*head, t))) is not None}
+
+    def classes(self, atom_sets, sigs):
+        return *super().classes(atom_sets, sigs), [sig[2] for sig in sigs]
+
+    def fixed(self, by_class):
+        base, terms = super().fixed(by_class[:2]), by_class[2]
+        return Filled(lambda c: (*base[c], {} if terms[c] is None else {terms[c]: self.full}))
+
+    def slots(self, by_class, C, m):
+        """Sliced.slots, with T from one more row per class that has a term."""
+        (rows, atom_rows, terms), W = by_class, self.W
+        have = [c for c, t in enumerate(terms) if t is not None]
+        return [(R, A, {terms[c]: X >> k * W & self.full for k, c in enumerate(have)})
+                for R, A, X in super().slots((rows, atom_rows, [1 << c for c in have]), C, m)]
+
+    def top(self):  # the key of ⊤ is (Top,)
+        return *super().top(), self._lift({Top: self.full})
+
+    def atom(self, p):
+        return *super().atom(p), self._lift({p: self.full}, Atom)
+
+    def neg(self, v):
+        return *super().neg(v), self._lift(v[2], Not)
+
+    def conj(self, v, w):
+        return *super().conj(v, w), {x: b for t, m in v[2].items() for u, k in w[2].items()
+                                     if (x := self._up.get((And, t, u))) and (b := m & k)}
+
+    def know(self, agent, v):
+        R, A = super().know(agent, v[:2])
+        R &= self.aware(agent, v)[0] if self.listed_know else R
+        return R, A, self._lift(v[2], Know, agent)
+
+    def aware(self, agent, v):
+        (R, A), W = super().aware(agent, v), self.W
+        for s, listed in self._lists[agent]:
+            R = R & ~(self.full << s * W) | sum(m for t, m in v[2].items() if t in listed) << s * W
+        return R, A, self._lift(v[2], Aware, agent)

@@ -488,12 +488,14 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     validity preservation over the same corpus (a necessary condition only).
     Each schema and rule is decided per tuple of filling classes: its program
     runs once per agent tuple and model over all the class tuples
-    (bit-sliced, in chunks of at most SLICE_BITS bits), or once per class
-    tuple on formula-list awareness sets. Past INSTANTIATION_CAP instances a
-    failure is listed per class tuple, with its first instance and instance
-    count. A lattice model is decided on its awareness structure (below); one
-    not well formed, or under L not partitional, is refused, as is a
-    space-lattice model that fails a frame check."""
+    (bit-sliced, in chunks of at most SLICE_BITS bits; on formula-list
+    awareness sets each tuple carries its term, see `sliced.Listed`), and
+    on the evaluator only to name a failing class tuple's witness. Past
+    INSTANTIATION_CAP instances a failure is listed per class tuple, with its
+    first instance and instance count. A lattice model is decided on its
+    awareness structure (below); one not well formed, or under L not
+    partitional, is refused, as is a space-lattice model that fails a frame
+    check."""
     from .sliced import Sliced
 
     if not models:
@@ -538,11 +540,9 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
                        for s in schemas + rules) <= INSTANTIATION_CAP
     C = len(reps)
     size = max(len(ev.states) for ev in evaluators) + len(atoms)  # rows per sliced value
-    # per model its sliced tables and the value over one tuple per class, but
-    # none where an awareness set lists formulas
-    tables = [] if semantics == "FH_LKA" and any(ev.lists for ev in evaluators) else [
-        (alg, alg.classes(atom_sets, fill))
-        for alg, fill in zip((Sliced(ev, atoms) for ev in evaluators), fills)]
+    # per model its sliced tables and its classes' rows
+    tables = [(alg, alg.classes(atom_sets, fill))
+              for alg, fill in zip((Sliced(ev, atoms) for ev in evaluators), fills)]
     slices = {}  # arity -> its leading slots, and per model its algebra and slot inputs
 
     def chunked(n):
@@ -558,13 +558,12 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
         return slices[n]
 
     def false_at(program, ags, key):
-        """The first state of the first model where the program's instance at
-        the agent tuple ags and the class tuple key is False, or None."""
+        """The witness of the failing class tuple key at the agent tuple ags,
+        named by the evaluators: the first state of the first model where the
+        program's instance is False."""
         for ev, fill in zip(evaluators, fills):
-            bad = ev.masks(program(ev, [fill[c] for c in key], ags))[1]
-            if bad:
+            if bad := ev.masks(program(ev, [fill[c] for c in key], ags))[1]:
                 return name(ev.states[(bad & -bad).bit_length() - 1])
-        return None
 
     spent = 0  # class tuples evaluated, by schemas and rules alike
     capped = False
@@ -598,7 +597,7 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
                 spent += evaluated.bit_count()
                 # the premises on every model, the conclusion where they all hold
                 vac = 0
-                if tables and evaluated:
+                if evaluated:
                     inputs = [(alg, [*(fixed[c] for c in prefix), *trailing])
                               for alg, fixed, trailing in per_model]
                     for run in runs:
@@ -612,13 +611,6 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
                         key = (*prefix, *rest)  # its witness from its own run
                         failing[key] = (false_at(conclusion, ags, key),
                                         prod(weights[c] for c in key))
-                else:  # one tuple at a time
-                    for t, rest in _members(evaluated, C, m):
-                        key = (*prefix, *rest)
-                        if runs and any(false_at(run, ags, key) for run in runs):
-                            vac |= 1 << t
-                        elif state := false_at(conclusion, ags, key):
-                            failing[key] = state, prod(weights[c] for c in key)
                 w = prod(weights[c] for c in prefix)
                 vacuous += w * _weighted(vac, weights, m)
                 valid_premises += w * _weighted(evaluated ^ vac, weights, m)

@@ -105,6 +105,24 @@ def test_malformed_models_are_refused_or_reported(tmp_path, capsys, kind, proble
         assert err.startswith(f"awarekit: {path} is not well formed: {problem}"), (argv, err)
 
 
+def test_formula_list_naming_an_unknown_agent_is_refused(tmp_path, capsys):
+    """A formula list that names an agent outside the model's is a problem
+    that check lists, with exit 1, and that equiv, axioms and transform
+    refuse with exit 2."""
+    body = _one_world("fh")
+    body["awareness_sets"]["a"]["w"] = {"kind": "explicit", "formulas": ["p", "K{z} p"]}
+    path = tmp_path / "model.fh.json"
+    path.write_text(json.dumps(body))
+    problem = "awareness of agent 'a' at 'w' mentions unknown agents ['z']"
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1 and f"\nproblem: {problem}" in out, out
+    for argv in (["equiv", str(path)], ["axioms", "--suite", "lga", "--models", str(path)],
+                 ["transform", "--kind", "K", "--in", str(path), "--out", str(tmp_path / "o")]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith(
+            f"awarekit: {path} is not well formed: {problem}"), (argv, err)
+
+
 def test_eval_fixture_truths(capsys):
     cases = [
         (("w1@{i,l}", "L", "K{b} i"), "True"),

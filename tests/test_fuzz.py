@@ -1,5 +1,6 @@
 """Seeded fuzzing of the model loader through the CLI: mutated fixture and
-H-output files end with exit code 0, 1 or 2, never with an exception."""
+H-output files end with exit code 0, 1 or 2, never with an exception, in
+check, eval, equiv, axioms and transform."""
 
 import copy
 import json
@@ -72,6 +73,8 @@ def commands(path, kind):
     transform = {"klm": "H", "hms": "L", "fh": "K"}[kind]
     return [["check", path], ["eval", "K{b} i", "--model", path, "--at", at],
             ["equiv", path, "--depth", "1"],
+            ["axioms", "--suite", "hms" if kind == "hms" else "lga", "--models", path,
+             "--depth", "1"],
             ["transform", "--kind", transform, "--in", path, "--out", path + ".out.json"]]
 
 

@@ -4,10 +4,11 @@ seeded random models."""
 
 import json
 import random
+import sys
 from collections import Counter
 
 from awarekit import verify
-from awarekit.fh import Explicit, FHEvaluator, FHModel
+from awarekit.fh import AtomGenerated, Explicit, FHEvaluator, FHModel
 from awarekit.formula import (And, Aware, ExplicitKnow, Know, Lang, atoms_of, enumerate_formulas,
                               expand_defined, fold, implies, parse)
 from awarekit.hms import Event, HMSModel, UnawarenessFrame, validate_frame
@@ -81,6 +82,22 @@ def _explicit_fh(rng, g):
         for a in sorted(g.base.agents)})
 
 
+def mixed_fh(rng, g):
+    """An awareness structure on g's frame whose sets mix, for each agent,
+    atom-generated sets, lists of formulas up to depth 2 and an empty list,
+    which is aware of nothing."""
+    atoms, agents, worlds = sorted(g.base.atoms), sorted(g.base.agents), sorted(g.base.worlds)
+    pool = enumerate_formulas(atoms, agents, 2, Lang.LKA)
+    sets = [lambda: AtomGenerated.make(p for p in atoms if rng.random() < 0.5),
+            lambda: Explicit.make(rng.sample(pool, 6)), lambda: Explicit.make([])]
+    s = FHModel.make(g.base, {a: {w: sets[(i + j) % 3]() for j, w in enumerate(worlds)}
+                              for i, a in enumerate(agents)})
+    kinds = {(type(x), bool(getattr(x, "formulas", 1))) for per in s.awareness.values()
+             for x in per.values()}
+    assert kinds == {(AtomGenerated, True), (Explicit, True), (Explicit, False)}
+    return s
+
+
 def _sweep_cases(rng):
     """(models, suite) corpora of every model class."""
     hms, lga = hms_suite(), lga_suite()
@@ -91,6 +108,12 @@ def _sweep_cases(rng):
         yield [h_transform(k)], hms
         yield [fh_transform(g)], lga
         yield [_explicit_fh(rng, g)], lga
+    # formula lists mixed with atom-generated sets in one structure, and a
+    # formula-list and an atom-generated structure in one corpus
+    g = next(g for g in iter(lambda: random_klm(rng, max_atoms=2), None) if len(g.base.worlds) > 1)
+    yield [mixed_fh(rng, g)], lga
+    g = random_klm(rng, max_atoms=1)
+    yield [_explicit_fh(rng, g), fh_transform(g)], lga
     # corpora of three one-atom models, which share their signature
     yield [random_klm_eq(rng, max_atoms=1) for _ in range(3)], hms
     yield [random_klm(rng, max_atoms=1) for _ in range(3)], lga
@@ -172,9 +195,10 @@ def test_capped_suite_matches_capped_instance_sweep(monkeypatch):
 def test_rules_match_instance_sweep():
     """The per-class rule verdicts of check_axiom_suite give the counts,
     violations and witnesses of checking every rule instance on its own, on
-    every model class, formula-list awareness sets and three-model corpora."""
+    every model class, formula-list awareness sets, mixed with atom-generated
+    ones in a structure or a corpus, and three-model corpora."""
     cases = list(_sweep_cases(random.Random(2107)))
-    cases = cases[:5] + cases[-2:]
+    cases = cases[:5] + cases[-4:]
     assert any(explicit_sets(models) for models, _ in cases)
     for models, suite in cases:
         got = check_axiom_suite(models, suite, 1)
@@ -409,7 +433,7 @@ def test_class_builder_matches_grouping(monkeypatch):
         assert reps == want_reps and counts == want_counts, language
         assert list(walk()) == want_ids, language
         cases += 1
-    assert cases == 13 * 3 + 4 * 8 + 2 + 2
+    assert cases == 15 * 3 + 4 * 8 + 2 + 2
 
 
 def test_class_keys_come_from_operand_keys(monkeypatch):
@@ -482,6 +506,25 @@ def test_formula_lists_have_finitely_many_classes():
         reps, counts, *_ = verify._classes(language, evaluators)
         assert len(reps) == n, depth
         assert (reps, counts) == signature_classes(language, evaluators)[:2], depth
+
+
+def test_formula_lists_take_the_sliced_sweep(monkeypatch):
+    """On the workflow's structure at depth 2, with the rules on, every
+    schema and rule runs bit-sliced: the evaluator's masks are read by the
+    sliced tables, and once per failing class tuple to name its witness,
+    and nowhere else."""
+    callers, masks = Counter(), FHEvaluator.masks
+
+    def counted(ev, sig):
+        code = sys._getframe(1).f_code
+        callers["tables" if code.co_filename.endswith("sliced.py") else code.co_name] += 1
+        return masks(ev, sig)
+
+    monkeypatch.setattr(FHEvaluator, "masks", counted)
+    got = check_axiom_suite([_workflow_explicit()], lga_suite(), 2)
+    named = len(got["failures"]) + sum(len(r["violations"]) for r in got["rules"].values())
+    assert (got["classes"], got["class_tuples"], got["passed"]) == (29, 30016, False)
+    assert set(callers) == {"tables", "false_at"} and callers["false_at"] == named
 
 
 # ---------------------------------------------------------------------------
