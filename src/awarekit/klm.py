@@ -124,6 +124,8 @@ def validate_klm(k: KripkeLatticeModel):
         for key in per_world or {}:
             if key not in k.base.worlds:
                 problems.append(f"awareness of agent {a!r} keyed by unknown world {key!r}")
+    problems += [f"awareness assignment for unknown agent {a!r}"
+                 for a in k.awareness if a not in k.base.agents]
     if not problems:
         for a in sorted(k.base.agents):
             for (w, v) in sorted(k.base.relations.get(a, frozenset())):

@@ -159,14 +159,16 @@ def store_hms(m) -> dict:
     }
 
 
-def _load_awareness_set(body):
+def _load_awareness_set(body, path):
     from .fh import AtomGenerated, Explicit
 
-    if body["kind"] == "atom-generated":
+    field = {"atom-generated": "atoms", "explicit": "formulas"}.get(body["kind"])
+    if field not in body:  # None for an unknown kind; the shape leaves both fields optional
+        raise ValueError(f"{_spelt((*path, field))}: missing" if field
+                         else f"unknown awareness set kind {body['kind']!r}")
+    if field == "atoms":
         return AtomGenerated.make(body["atoms"])
-    if body["kind"] == "explicit":
-        return Explicit.make(parse(t, Lang.LKA) for t in body["formulas"])
-    raise ValueError(f"unknown awareness set kind {body['kind']!r}")
+    return Explicit.make(parse(t, Lang.LKA) for t in body["formulas"])
 
 
 def load_fh(body):
@@ -174,7 +176,7 @@ def load_fh(body):
 
     base = load_kripke(body)
     awareness = {
-        a: {w: _load_awareness_set(s) for w, s in per.items()}
+        a: {w: _load_awareness_set(s, ("awareness_sets", a, w)) for w, s in per.items()}
         for a, per in body["awareness_sets"].items()
     }
     return FHModel.make(base, awareness)

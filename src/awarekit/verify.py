@@ -10,7 +10,7 @@ the reports label it as such.
 from __future__ import annotations
 
 from functools import cache, reduce
-from itertools import islice, product, repeat
+from itertools import compress, islice, product, repeat
 from math import prod
 from operator import or_
 from types import SimpleNamespace
@@ -324,10 +324,10 @@ def compile_program(f: Formula, holes, lang):
 
 class Schema(Frozen):
     """An axiom schema, or with premises an inference rule: valid premises
-    give a valid conclusion, `build`. A rule's `side` condition keeps the
-    fillings whose atom sets make an instance of it. Its programs are kept
-    per language once compiled, outside the fields that are compared and
-    shown."""
+    give a valid conclusion, `build`. A rule's `side` gives the atoms that
+    break its side condition (none for an instance) by `|` and `^` alone,
+    on frozensets and packed atom rows alike. Its programs are kept per
+    language once compiled, outside the fields that are compared and shown."""
 
     _fields = ("id", "meta_arity", "agent_arity", "build", "premises", "side")
 
@@ -339,7 +339,7 @@ class Schema(Frozen):
         object.__setattr__(self, "build", build)  # (metas tuple, agents tuple) -> Formula
         # (metas tuple, agents tuple) -> tuple of Formulas
         object.__setattr__(self, "premises", premises)
-        object.__setattr__(self, "side", side)  # atom sets of the metas -> bool
+        object.__setattr__(self, "side", side)  # atom sets of the metas -> atoms breaking it
         object.__setattr__(self, "_programs", {})  # Lang -> programs
 
     def programs(self, lang):
@@ -419,12 +419,12 @@ K_INFERENCE = Schema("K-Inference", 1, 1, lambda ms, ags: Know(ags[0], ms[0]),
                      premises=lambda ms, ags: (ms[0],))
 # One rule for groups of one and of two premises: the group of one f is the
 # diagonal f1 = f2, as f & f has f's signature on every model class the HMS
-# suite reads.
+# suite reads. `side`: the atoms of ψ outside At(φ1) ∪ At(φ2).
 RK_INFERENCE = Schema(
     "RK-Inference", 3, 1,
     lambda ms, ags: implies(And(Know(ags[0], ms[0]), Know(ags[0], ms[1])), Know(ags[0], ms[2])),
     premises=lambda ms, ags: (implies(And(ms[0], ms[1]), ms[2]),),
-    side=lambda ats: ats[2] <= ats[0] | ats[1])
+    side=lambda ats: (ats[0] | ats[1] | ats[2]) ^ (ats[0] | ats[1]))
 
 
 class AxiomSuite(Frozen):
@@ -467,17 +467,6 @@ def _members(mask, C, m):
     classes, in product order."""
     return ((t, key) for t, (key, f) in enumerate(zip(product(range(C), repeat=m),
                                                       bin(mask)[:1:-1])) if f == "1")
-
-
-def _weighted(mask, weights, m):
-    """The instances of the class tuples in mask, over m slots: per tuple the
-    product of its classes' weights."""
-    C = len(weights)
-    if not mask or mask == (1 << C ** m) - 1:
-        return sum(weights) ** m if mask else 0
-    stride = C ** (m - 1)
-    return sum(w * _weighted(mask >> c * stride & (1 << stride) - 1, weights, m - 1)
-               for c, w in enumerate(weights))
 
 
 def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
@@ -528,6 +517,8 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     evaluators = checker.evaluators
     reps, weights, walk, keys = _classes(language, evaluators)
     ids = cache(lambda: list(walk()))  # each filling's class, once a failure is listed by them
+    # per arity m the instances of each class tuple over m slots, in product order
+    by_tuple = cache(lambda m: [prod(ws) for ws in product(weights, repeat=m)])
     atom_sets, *fills = zip(*keys)  # per class its atom set, per model its signatures
     rules = list(suite.rules) if check_rules else []
     report = {"kind": "axioms", "suite": suite.name, "depth": inst_depth,
@@ -577,19 +568,25 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
         *runs, conclusion = schema.programs(checker.lang)
         k, per_model = chunked(n)
         m = n - k
-        full = (1 << C ** m) - 1
-        sides = {}  # chunk -> its tuples that are instances of the rule
+        W = C ** m
+        full = (1 << W) - 1
+
+        def instances(mask):  # per class tuple in mask, the product of its classes' weights
+            if mask in (0, full):
+                return sum(weights) ** m if mask else 0
+            return sum(compress(by_tuple(m), map("1".__eq__, bin(mask)[:1:-1])))
+
         for ags in product(agent_list, repeat=schema.agent_arity):
             failing = {}  # class tuple -> (witness state, instances)
             valid_premises = vacuous = 0  # instances
             for prefix in product(range(C), repeat=k):
+                inputs = [(alg, [*(fixed[c] for c in prefix), *trailing])
+                          for alg, fixed, trailing in per_model]
                 allowed = full
-                if side:
-                    if prefix not in sides:
-                        sides[prefix] = int("".join(
-                            "1" if side([atom_sets[c] for c in (*prefix, *rest)]) else "0"
-                            for rest in product(range(C), repeat=m))[::-1], 2)
-                    allowed = sides[prefix]
+                if side:  # read on the atom rows of the inputs, the same on every model
+                    broken = side([v[1] for v in inputs[0][1]])
+                    for i in range(len(atoms)):
+                        allowed &= ~(broken >> i * W)
                 evaluated, left = allowed, INSTANTIATION_CAP + 1 - spent
                 if allowed.bit_count() > left:  # the cap falls here: the tuples past it are left
                     t, _ = next(islice(_members(allowed, C, m), left, None))
@@ -598,8 +595,6 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
                 # the premises on every model, the conclusion where they all hold
                 vac = 0
                 if evaluated:
-                    inputs = [(alg, [*(fixed[c] for c in prefix), *trailing])
-                              for alg, fixed, trailing in per_model]
                     for run in runs:
                         for alg, slots in inputs:
                             vac |= alg.false(run(alg, slots, ags))
@@ -612,8 +607,8 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
                         failing[key] = (false_at(conclusion, ags, key),
                                         prod(weights[c] for c in key))
                 w = prod(weights[c] for c in prefix)
-                vacuous += w * _weighted(vac, weights, m)
-                valid_premises += w * _weighted(evaluated ^ vac, weights, m)
+                vacuous += w * instances(vac)
+                valid_premises += w * instances(evaluated ^ vac)
                 if evaluated != allowed:  # a tuple of this chunk was left
                     entry["capped"] = capped = True
                     break

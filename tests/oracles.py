@@ -410,7 +410,7 @@ def rule_sweep(models, suite, depth):
         entry = rules[rule.id] = {"premise_valid": 0, "vacuous": 0, "violations": []}
         for ags in product(sorted(agents), repeat=rule.agent_arity):
             for ms in product(metas, repeat=rule.meta_arity):
-                if rule.side and not rule.side([atoms_of(f) for f in ms]):
+                if rule.side and rule.side([atoms_of(f) for f in ms]):  # an atom breaks it
                     continue
                 if spent > verify.INSTANTIATION_CAP:
                     entry["capped"] = capped = True

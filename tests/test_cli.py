@@ -123,6 +123,27 @@ def test_formula_list_naming_an_unknown_agent_is_refused(tmp_path, capsys):
             f"awarekit: {path} is not well formed: {problem}"), (argv, err)
 
 
+def test_awareness_of_an_unknown_agent_is_refused(tmp_path, capsys):
+    """A lattice model that assigns awareness to an agent outside the
+    model's is a problem that check lists, with exit 1, and that eval,
+    equiv, axioms and transform refuse with exit 2, as for an awareness
+    structure; the FH-transform would drop the agent."""
+    body = json.loads(fixture_path("trade.klm.json").read_text())
+    body["awareness"]["zz"] = {"w1": ["i"]}
+    path = tmp_path / "model.klm.json"
+    path.write_text(json.dumps(body))
+    problem = "awareness assignment for unknown agent 'zz'"
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1 and f"\nproblem: {problem}" in out, out
+    for argv in (["eval", "i", "--model", str(path), "--at", "w1"], ["equiv", str(path)],
+                 ["axioms", "--suite", "hms", "--models", str(path)],
+                 ["transform", "--kind", "FH", "--in", str(path), "--out", str(tmp_path / "o")]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith(
+            f"awarekit: {path} is not well formed: {problem}"), (argv, err)
+    assert not (tmp_path / "o").exists()
+
+
 def test_eval_fixture_truths(capsys):
     cases = [
         (("w1@{i,l}", "L", "K{b} i"), "True"),

@@ -127,6 +127,15 @@ def _edited(model, edit):
     ("pi.hms.json",
      lambda: _edited(h_transform(make_trade()), lambda b: b.pop("pi")),
      "pi: missing"),
+    # an awareness set's field is optional in the shape, as its kind says which
+    ("atoms.fh.json",
+     lambda: _edited(fh_transform(make_trade()),
+                     lambda b: b["awareness_sets"]["b"]["w1"].pop("atoms")),
+     "awareness_sets.b.w1.atoms: missing"),
+    ("formulas.fh.json",
+     lambda: _edited(fh_transform(make_trade()),
+                     lambda b: b["awareness_sets"]["o"].update(w2={"kind": "explicit"})),
+     "awareness_sets.o.w2.formulas: missing"),
 ])
 def test_loader_refuses_bad_shapes(tmp_path, name, make, message):
     path = tmp_path / name
