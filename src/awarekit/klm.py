@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import random
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .formula import Formula, Lang, in_language, require_signature
 from .kripke import (Filled, KripkeModel, PropertyReport, WorldId, box, group_cells, meet,
@@ -243,6 +243,12 @@ class Evaluator(MaskEvaluator):
     when it mentions an atom outside X. With strict_two_valued the
     definedness guards are dropped and atoms read from the top valuation,
     giving a fully two-valued reading.
+
+    Omega is one block of B = 2^|At| vocabularies per world, and the world
+    and vocabulary orders are read off it. So the tables are block
+    arithmetic: a set of worlds is its blocks' low bits, a per-block pattern
+    times that set is the pattern in each of its blocks, and the copy of
+    world v at vocabulary Y is v's block bit shifted by the rank of Y.
     """
 
     def __init__(self, k: KripkeLatticeModel, lang: Lang = Lang.L, strict_two_valued=False):
@@ -252,14 +258,21 @@ class Evaluator(MaskEvaluator):
         super().__init__(k.omega())
         base = k.base
         atoms = sorted(base.atoms)
-        self.bit = {p: 1 << i for i, p in enumerate(atoms)}
+        self.bit = bit = {p: 1 << i for i, p in enumerate(atoms)}
+        B = 1 << len(atoms)
+        worlds = [s.base for s in self.states[::B]]
+        vocabularies = [sum(map(bit.get, s.vocabulary)) for s in self.states[:B]]  # as ints
+        rank = {x: i for i, x in enumerate(vocabularies)}
 
-        def mask(holds):
-            return sum(1 << i for i, s in enumerate(self.states) if holds(s))
+        def blocks(holds):  # the low bit of each block whose world satisfies holds
+            return sum(1 << j * B for j, w in enumerate(worlds) if holds(w))
 
+        # per atom the vocabularies of a block that hold it
+        pattern = [sum(1 << i for i, x in enumerate(vocabularies) if x & bit[p]) for p in atoms]
         # guards[i]: where atoms[i] has a truth value
-        guards = [self.full if self.strict else mask(lambda s: p in s.vocabulary) for p in atoms]
-        self.atom_true = {p: g & mask(lambda s: s.base in base.valuation[p])
+        repunit = blocks(lambda w: True)  # the sum of 1 << j·B over the worlds
+        guards = [self.full if self.strict else q * repunit for q in pattern]
+        self.atom_true = {p: g & blocks(base.valuation[p].__contains__) * ((1 << B) - 1)
                           for p, g in zip(atoms, guards)}
         full = self.full
         # the masks of an atom set (an int), filled on first use: where it is
@@ -268,19 +281,18 @@ class Evaluator(MaskEvaluator):
         self._defined = defined = Filled(lambda at: meet(at, guards, full))
         self._aware = {}
         for a in base.agents:
-            per = [mask(lambda s: p in s.vocabulary and p in k.awareness[a][s.base])
-                   for p in atoms]
+            per = [q * blocks(lambda w: p in k.awareness[a][w]) for p, q in zip(atoms, pattern)]
             self._aware[a] = Filled(lambda at, per=per: meet(at, per, defined[at]))
         # K_a quantifies over the cell of w: explicitly at the awareness
         # image's vocabulary, implicitly at the top vocabulary
-        top = frozenset(base.atoms)
         self.cells = {}
         for a in base.agents:
-            succ = {w: base.successors(a, w) for w in base.worlds}
             cells = []
-            for s in self.states:
-                Y = s.vocabulary & k.awareness[a][s.base] if lang is Lang.L else top
-                cells.append(sum(1 << self.index[WorldId(v, Y)] for v in succ[s.base]))
+            for w in worlds:
+                aw = sum(map(bit.get, k.awareness[a][w], repeat(0)))
+                image = [x & aw for x in vocabularies] if lang is Lang.L else [B - 1] * B
+                succ = blocks(base.successors(a, w).__contains__)
+                cells += [succ << rank[y] for y in image]
             self.cells[a] = group_cells(cells)
 
     # the algebra of (true mask, atom set) signatures

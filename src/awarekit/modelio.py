@@ -60,6 +60,8 @@ def _check_shape(value, shape, path=()):
                     yield name, value[name], sub
                 elif name == key:
                     raise ValueError(f"{_spelt((*path, name))}: missing")
+            if unknown := value.keys() - {key.rstrip("?") for key in shape}:
+                raise ValueError(f"{_spelt((*path, min(unknown)))}: unknown field")
         items = fields()
     # a string, or a list or object of strings, where the shape asks for one
     # is checked here without a call; most of a body is such leaves
@@ -166,6 +168,8 @@ def _load_awareness_set(body, path):
     if field not in body:  # None for an unknown kind; the shape leaves both fields optional
         raise ValueError(f"{_spelt((*path, field))}: missing" if field
                          else f"unknown awareness set kind {body['kind']!r}")
+    if (other := {"atoms": "formulas", "formulas": "atoms"}[field]) in body:
+        raise ValueError(f"{_spelt((*path, other))}: not a field of an {body['kind']} set")
     if field == "atoms":
         return AtomGenerated.make(body["atoms"])
     return Explicit.make(parse(t, Lang.LKA) for t in body["formulas"])
@@ -220,7 +224,8 @@ def load_model(path_or_body, kind=None):
             parts = str(path_or_body).split(".")
             if len(parts) >= 3 and parts[-2] in KINDS:
                 kind = parts[-2]
-        _check_shape(body, {})
+        if not isinstance(body, dict):
+            _check_shape(body, {})  # refuses it: a body is an object
     kind = body.pop("kind", kind)
     body.pop("comment", None)
     if kind not in KINDS:

@@ -9,7 +9,7 @@ the reports label it as such.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import compress, islice, product, repeat
 from math import prod
 from operator import or_
@@ -84,66 +84,67 @@ def _classes(language, evaluators):
     many. Gives each class's first formula in the enumerator's order, its
     number of formulas, a walk of the class automaton that gives each
     formula's class in that order from its operands' classes, and its key.
-    The build and the walk share the automaton's transitions, each computed
-    once: an evaluator op runs once per (connective, agent, operand classes)."""
+    The automaton's transitions are one table per connective, neg[c],
+    conj[c1][c2] and per agent know[a][c] and aware[a][c]; the build fills
+    each entry once, calling each evaluator's op (aware_in for A), and the
+    walk only reads them."""
     atoms, agents, depth, lang = language
-    table = {}  # (connective, agent, operand classes) -> class
-
-    neg, conj, know = ((lambda ev, a, s: ev.neg(s)), (lambda ev, a, s, t: ev.conj(s, t)),
-                       (lambda ev, a, s: ev.know(a, s)))
-    make = {neg: lambda a, f: Not(f), conj: lambda a, f, g: And(f, g), know: Know,
-            aware_in: Aware}
-
-    def go(op, a, *cs):
-        """The class of the connective op, after agent a where it takes one,
-        over the operand classes cs in operand order (a term in a key does
-        not commute), from the table or, on first use, from their keys."""
-        t = op, a, *cs
-        if (c := table.get(t)) is None:
-            key = (keys[cs[0]][0] | keys[cs[-1]][0],
-                   *map(op, evaluators, repeat(a), *map(sigs.__getitem__, cs)))
-            c = table[t] = ids.setdefault(key, len(reps))
-            if c == len(reps):
-                reps.append(make[op](a, *map(reps.__getitem__, cs)))
-                keys.append(key)
-                sigs.append(key[1:])
-        return c
-
+    atoms, agents = sorted(atoms), sorted(agents)
     # ⊤ and the atoms, each its own class: their atom sets differ
-    reps = [TOP, *map(Atom, sorted(atoms))]
+    reps = [TOP, *map(Atom, atoms)]
     keys = [(frozenset(), *(ev.top() for ev in evaluators))] + [
-        (frozenset((p,)), *(ev.atom(p) for ev in evaluators)) for p in sorted(atoms)]
+        (frozenset((p,)), *(ev.atom(p) for ev in evaluators)) for p in atoms]
     ids = {key: c for c, key in enumerate(keys)}
     sigs = [key[1:] for key in keys]  # per class its signature in each evaluator
+    neg, conj, know, aware = {}, [{} for _ in keys], {a: {} for a in agents}, {a: {} for a in agents}
+
+    def add(key, make, *operands):  # the class of a key, made from its operands if new
+        if (c := ids.get(key)) is None:
+            c = ids[key] = len(reps)
+            reps.append(make(*operands))
+            keys.append(key)
+            sigs.append(key[1:])
+            conj.append({})
+        return c
+
+    def unary(table, ops, make):  # one unary connective over the last level's classes
+        for c in sorted(exact):
+            if (c1 := table.get(c)) is None:
+                c1 = table[c] = add((keys[c][0], *[op(s) for op, s in zip(ops, sigs[c])]),
+                                    make, reps[c])
+            level[c1] = level.get(c1, 0) + exact[c]
+
+    negs, conjs = [ev.neg for ev in evaluators], [ev.conj for ev in evaluators]
+    modal = [(know[a], [partial(ev.know, a) for ev in evaluators], partial(Know, a))
+             for a in agents] + [(aware[a], [partial(aware_in, ev, a) for ev in evaluators],
+                                  partial(Aware, a)) for a in agents if lang is Lang.LKA]
     # per class its number of formulas of depth exactly d, at most d, at most d-1
     exact, upto, below = dict.fromkeys(range(len(keys)), 1), [1] * len(keys), [0] * len(keys)
-    modal = [know, aware_in][:1 + (lang is Lang.LKA)]
     for _ in range(depth):
         level = {}
-        for c in sorted(exact):
-            c1 = go(neg, None, c)
-            level[c1] = level.get(c1, 0) + exact[c]
+        unary(neg, negs, Not)
         for c1, (u1, b1) in enumerate(zip(upto, below)):
+            row = conj[c1]
             for c2 in range(c1, len(upto)):
                 # pairs with at least one formula of the last level
                 u2, b2 = upto[c2], below[c2]
                 if n := u1 * u2 - b1 * b2 if c1 != c2 else (u1 * (u1 + 1) - b1 * (b1 + 1)) // 2:
-                    # n counts both operand orders, so the reversed pair has this class too
-                    c = table[conj, None, c2, c1] = go(conj, None, c1, c2)
+                    if (c := row.get(c2)) is None:
+                        # n counts both operand orders, so the reversed pair has this class too
+                        c = row[c2] = conj[c2][c1] = add(
+                            (keys[c1][0] | keys[c2][0],
+                             *[op(s, t) for op, s, t in zip(conjs, sigs[c1], sigs[c2])]),
+                            And, reps[c1], reps[c2])
                     level[c] = level.get(c, 0) + n
-        for op, a in product(modal, sorted(agents)):
-            for c in sorted(exact):
-                c1 = go(op, a, c)
-                level[c1] = level.get(c1, 0) + exact[c]
+        for args in modal:
+            unary(*args)
         below, exact = upto + [0] * (len(reps) - len(upto)), level
         upto = [u + level.get(c, 0) for c, u in enumerate(below)]
 
-    # the walk reads the table alone: a step the build did not take raises KeyError
-    step = SimpleNamespace(top=lambda: 0, atom={p: c for c, p in enumerate(sorted(atoms), 1)}.get,
-                           neg=lambda c: table[neg, None, c],
-                           conj=lambda c1, c2: table[conj, None, c1, c2],
-                           know=lambda a, c: table[know, a, c],
-                           aware=lambda a, c: table[aware_in, a, c])
+    # the walk reads the tables alone: a step the build did not take raises KeyError
+    step = SimpleNamespace(top=lambda: 0, atom={p: c for c, p in enumerate(atoms, 1)}.get,
+                           neg=neg.__getitem__, conj=lambda c1, c2: conj[c1][c2],
+                           know=lambda a, c: know[a][c], aware=lambda a, c: aware[a][c])
     return reps, upto, lambda: _formulas(atoms, agents, lang, depth, step), keys
 
 

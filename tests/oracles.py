@@ -126,6 +126,36 @@ class KlmOracle:
         return Truth.TRUE
 
 
+def klm_tables(k: KripkeLatticeModel, lang: Lang, strict_two_valued=False):
+    """The lattice evaluator's tables, state by state over omega: where each
+    atom is True; per atom set (an int over the sorted atoms) where it is
+    defined, and per agent where it is also within the awareness image's
+    vocabulary X & Aw_a(w); and per agent each state's cell, the copies of
+    its successors at that vocabulary under L and at the top under LKA."""
+    states, atoms, top = k.omega(), sorted(k.base.atoms), frozenset(k.base.atoms)
+    index = {s: i for i, s in enumerate(states)}
+
+    def mask(holds):
+        return sum(1 << i for i, s in enumerate(states) if holds(s))
+
+    def atom_set(at):
+        return {p for i, p in enumerate(atoms) if at >> i & 1}
+
+    def defined(s, at):
+        return strict_two_valued or atom_set(at) <= s.vocabulary
+
+    sets = range(1 << len(atoms))
+    atom_true = {p: mask(lambda s: (strict_two_valued or p in s.vocabulary)
+                         and s.base in k.base.valuation[p]) for p in atoms}
+    aware = {a: {at: mask(lambda s: defined(s, at) and atom_set(at) <= s.vocabulary
+                          & k.awareness[a][s.base]) for at in sets} for a in k.base.agents}
+    cells = {a: [sum(1 << index[WorldId(v, s.vocabulary & k.awareness[a][s.base]
+                                         if lang is Lang.L else top)]
+                     for v in k.base.successors(a, s.base)) for s in states]
+             for a in k.base.agents}
+    return atom_true, {at: mask(lambda s: defined(s, at)) for at in sets}, aware, cells
+
+
 class FhOracle:
     """Memoizing two-valued evaluator for one model."""
 

@@ -136,6 +136,27 @@ def _edited(model, edit):
      lambda: _edited(fh_transform(make_trade()),
                      lambda b: b["awareness_sets"]["o"].update(w2={"kind": "explicit"})),
      "awareness_sets.o.w2.formulas: missing"),
+    # a field the shape does not name is refused, not dropped
+    ("extra.klm.json", lambda: _edited(make_trade(), lambda b: b.update(extra=1)),
+     "extra: unknown field"),
+    ("event.hms.json",
+     lambda: _edited(h_transform(make_trade()), lambda b: b["valuation"]["l"].update(space="S")),
+     "valuation.l.space: unknown field"),
+    ("set.fh.json",
+     lambda: _edited(fh_transform(make_trade()),
+                     lambda b: b["awareness_sets"]["b"]["w2"].update(note="")),
+     "awareness_sets.b.w2.note: unknown field"),
+    # and so is the field of the other awareness set kind
+    ("listed.fh.json",
+     lambda: _edited(fh_transform(make_trade()),
+                     lambda b: b["awareness_sets"]["b"].update(
+                         w2={"kind": "atom-generated", "atoms": [], "formulas": ["i"]})),
+     "awareness_sets.b.w2.formulas: not a field of an atom-generated set"),
+    ("generated.fh.json",
+     lambda: _edited(fh_transform(make_trade()),
+                     lambda b: b["awareness_sets"]["o"].update(
+                         w1={"kind": "explicit", "formulas": ["i"], "atoms": ["i"]})),
+     "awareness_sets.o.w1.atoms: not a field of an explicit set"),
 ])
 def test_loader_refuses_bad_shapes(tmp_path, name, make, message):
     path = tmp_path / name

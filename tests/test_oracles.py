@@ -6,13 +6,14 @@ import json
 import random
 import sys
 from collections import Counter
+from itertools import product
 
 from awarekit import verify
 from awarekit.fh import AtomGenerated, Explicit, FHEvaluator, FHModel
 from awarekit.formula import (And, Aware, ExplicitKnow, Know, Lang, atoms_of, enumerate_formulas,
                               expand_defined, fold, implies, parse)
 from awarekit.hms import Event, HMSModel, UnawarenessFrame, validate_frame
-from awarekit.klm import Evaluator, PropertyReport
+from awarekit.klm import Evaluator, KripkeLatticeModel, PropertyReport
 from awarekit.kripke import KripkeModel
 from awarekit.transforms import fh_transform, h_transform
 from awarekit.truth import truth_of
@@ -31,8 +32,8 @@ from awarekit.verify import (
 )
 
 from conftest import make_trade, part
-from oracles import (FhOracle, KlmOracle, axiom_sweep, explicit_sets, frame_report, rule_sweep,
-                     signature_classes)
+from oracles import (FhOracle, KlmOracle, axiom_sweep, explicit_sets, frame_report, klm_tables,
+                     rule_sweep, signature_classes)
 from test_hms import MALFORMED
 from test_verify import _class_cases, _refuse_evaluator_folds
 
@@ -73,6 +74,47 @@ def test_cores_match_oracles():
                 for f, g in sample:
                     for w in core.states:
                         assert core.value(f, w) is truth_of(oracle.value(g, w)), (lang, f, w)
+
+
+def _table_shapes():
+    """Lattice models of the edge shapes of omega's blocks: no atoms, no
+    worlds, one world, an agent with no successor at some world, and world
+    names whose sorted order is not their insertion order; then seeded
+    random models."""
+    def klm(atoms, worlds, relations, valuation, awareness):
+        base = KripkeModel.make(atoms, sorted(relations), worlds, relations, valuation)
+        return KripkeLatticeModel.make(base, awareness)
+
+    yield klm([], ["w1", "w2"], {"a": part([["w1", "w2"]])}, {}, {"a": {"w1": [], "w2": []}})
+    yield klm(["p", "q"], [], {"a": []}, {"p": [], "q": []}, {"a": {}})
+    yield klm(["p", "q"], ["w"], {"a": [("w", "w")], "b": []}, {"p": ["w"], "q": []},
+              {"a": {"w": ["p"]}, "b": {"w": ["p", "q"]}})
+    yield klm(["p", "q"], ["w1", "w2"], {"a": [("w1", "w2")]}, {"p": ["w2"], "q": ["w1"]},
+              {"a": {"w1": ["q"], "w2": ["p", "q"]}})
+    yield klm(["q", "p", "r"], ["z", "b", "m"],
+              {"a": [("z", "b"), ("b", "b"), ("m", "z")], "c": part([["z", "m"], ["b"]])},
+              {"p": ["z", "m"], "q": ["b"], "r": ["m"]},
+              {"a": {"z": ["p"], "b": ["p", "r"], "m": ["p"]},
+               "c": {"z": ["q", "r"], "b": [], "m": ["q", "r"]}})
+    rng = random.Random(2107)
+    for _ in range(10):
+        yield random_klm(rng)
+
+
+def test_evaluator_tables_match_per_state_construction():
+    """The lattice evaluator builds its tables by block arithmetic over
+    omega; they equal the state-by-state construction on every edge shape,
+    in L, LKA and strict mode: where each atom is True, where each atom set
+    is defined and within each agent's awareness, and each state's cell."""
+    for k in _table_shapes():
+        for lang, strict in product((Lang.L, Lang.LKA), (False, True)):
+            ev = Evaluator(k, lang, strict)
+            atom_true, defined, aware, cells = klm_tables(k, lang, strict)
+            assert ev.states == k.omega() and ev.atom_true == atom_true, (k, lang, strict)
+            assert {at: ev._defined[at] for at in defined} == defined, (k, lang, strict)
+            assert {a: {at: ev._aware[a][at] for at in per} for a, per in aware.items()} == aware
+            assert {a: [next(cell for cell, members in ev.cells[a] if members >> i & 1)
+                        for i in range(len(ev.states))] for a in cells} == cells, (k, lang)
 
 
 def _explicit_fh(rng, g):
