@@ -39,14 +39,6 @@ class AtomGenerated(Frozen):
     def __init__(self, atoms: frozenset):
         object.__setattr__(self, "atoms", atoms)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.atoms,) == (other.atoms,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.atoms,))
-
     @classmethod
     def make(cls, atoms):
         return cls(frozenset(atoms))
@@ -69,14 +61,6 @@ class Explicit(Frozen):
             expand_defined(f, Lang.LKA) for f in formulas))
         object.__setattr__(self, "atoms", frozenset().union(*map(atoms_of, formulas)))
         object.__setattr__(self, "agents", frozenset().union(*map(agents_of, formulas)))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.formulas,) == (other.formulas,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.formulas,))
 
     @classmethod
     def make(cls, formulas):

@@ -480,9 +480,9 @@ def parse(text: str, lang: Lang = Lang.LKA) -> Formula:
 # formula_count, and so enumerate_formulas, refuses more formulas than this
 # before any is allocated. The largest list the checks, tests and benchmark
 # build has 91,794 (LKA, two atoms and two agents, depth 3); depth 4 starts at
-# 2.6e6 (L, one atom, one agent). A longer list only reaches
-# verify.INSTANTIATION_CAP, also 10^6, since each formula adds at least one
-# checked pair or instance.
+# 2.6e6 (L, one atom, one agent). The checks refuse past it before set-up: an
+# equivalence check walks the formulas to list its disagreements, and an axiom
+# suite enumerates them to list its failures per instance.
 MAX_FORMULAS = 10 ** 6
 
 

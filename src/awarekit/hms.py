@@ -32,14 +32,6 @@ class Event(Frozen):
         object.__setattr__(self, "base_space", base_space)
         object.__setattr__(self, "base_set", base_set)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base_space, self.base_set) == (other.base_space, other.base_set)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.base_space, self.base_set))
-
     @classmethod
     def make(cls, base_space, base_set):
         return cls(base_space, frozenset(base_set))

@@ -5,8 +5,8 @@ decorator would import `inspect`, `ast`, `dis` and `tokenize` and compile each
 class's methods through `exec`, a cost every cold CLI process pays again when
 no bytecode is cached. A subclass names its compared fields in `_fields`,
 which give its `repr` and, unless it writes its own, its `__eq__` and
-`__hash__`. The classes on hot paths (formula nodes, world copies, events,
-awareness sets) write `__eq__` and `__hash__` out field by field.
+`__hash__`. The classes on hot paths (formula nodes and world copies) write
+`__eq__` and `__hash__` out field by field.
 """
 
 

@@ -41,7 +41,7 @@ class EquivalenceReport(Value):
         self.depth = depth
         self.checked = checked
         self.failures = [] if failures is None else failures
-        self.capped = capped  # stopped at INSTANTIATION_CAP before the last formula
+        self.capped = capped  # failures lists only the first INSTANTIATION_CAP rows
         self.classes = 0  # signature classes of the language, not compared or shown
         self._text = (None, "")  # the last recorded formula and its text
 
@@ -153,8 +153,10 @@ def _equivalence(language, left, right, pairs, left_defined_only=False):
     arguments, comparing two evaluators at the positions `pairs` lists as
     (label, left state, right state), in report order, or only where the left
     side is defined. A comparison depends on the signature pair alone, so each
-    class is decided from its key; formulas are enumerated only to list
-    disagreements, up to the cap."""
+    class is decided from its key, and `checked` is the sum of class weight
+    times compared positions. Formulas are walked only when a class
+    disagrees, to list the disagreement rows in enumeration order, at most
+    INSTANTIATION_CAP of them; `capped` says that some were left out."""
     report = EquivalenceReport("equivalence", language[2])
     labels, lefts, rights = zip(*pairs)
     for base, own in (left, lefts), (right, rights):
@@ -182,21 +184,14 @@ def _equivalence(language, left, right, pairs, left_defined_only=False):
     _, weights, walk, keys = _classes(language, (left, right))
     report.classes = len(keys)
     verdicts = [compare(ls, rs) for _, ls, rs in keys]  # per class
-    checked = sum(w * v[4] for w, v in zip(weights, verdicts))
-    if checked <= INSTANTIATION_CAP and not any(v[5] for v in verdicts):
-        report.checked = checked
-        return report
-    formulas = enumerate_formulas(*language)
-    for n, (f, c) in enumerate(zip(formulas, walk()), 1):
-        lt, lf, rt, rf, within, differ = verdicts[c]
-        report.checked += within
-        if differ:
-            for label, b in zip(labels, bits):
-                if differ >> b & 1:
-                    report.record(f, label, truth_at(lt, lf, b), truth_at(rt, rf, b))
-        if report.checked > INSTANTIATION_CAP:
-            report.capped = n < len(formulas)
-            break
+    report.checked = sum(w * v[4] for w, v in zip(weights, verdicts))
+    if any(v[5] for v in verdicts):
+        rows = sum(w * v[5].bit_count() for w, v in zip(weights, verdicts))
+        report.capped = rows > INSTANTIATION_CAP
+        found = ((f, label, v, b) for f, c in zip(enumerate_formulas(*language), walk())
+                 if (v := verdicts[c])[5] for label, b in zip(labels, bits) if v[5] >> b & 1)
+        for f, label, (lt, lf, rt, rf, _, _), b in islice(found, min(rows, INSTANTIATION_CAP)):
+            report.record(f, label, truth_at(lt, lf, b), truth_at(rt, rf, b))
     return report
 
 

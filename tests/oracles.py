@@ -271,10 +271,8 @@ def equiv_hms_klm(m, depth):
             for v in sorted(corr[s], key=WorldId.sort_key):
                 right = ev_klm.value(f, v)
                 report.checked += 1
-                if left is not right:
+                if left is not right and len(report.failures) < verify.INSTANTIATION_CAP:
                     report.record(f, f"{s}/{v}", left, right)
-        if report.checked > verify.INSTANTIATION_CAP:
-            break
     return report
 
 
@@ -290,10 +288,8 @@ def equiv_klm_hms(k, depth):
             left = ev_klm.value(f, w)
             right = ev_hms.value(f, str(w))
             report.checked += 1
-            if left is not right:
+            if left is not right and len(report.failures) < verify.INSTANTIATION_CAP:
                 report.record(f, w, left, right)
-        if report.checked > verify.INSTANTIATION_CAP:
-            break
     return report
 
 
@@ -316,10 +312,8 @@ def equiv_fh_klm(x, lang, depth):
             for X in covering:
                 left = ev_klm.value(f, WorldId(w, X))
                 report.checked += 1
-                if left is not right:
+                if left is not right and len(report.failures) < verify.INSTANTIATION_CAP:
                     report.record(f, WorldId(w, X), left, right)
-        if report.checked > verify.INSTANTIATION_CAP:
-            break
     return report
 
 

@@ -15,6 +15,7 @@ from awarekit.modelio import fixture_path, load_model, store_model
 from awarekit.verify import check_axiom_suite, lga_suite
 
 from test_hms import malformed_model
+from test_verify import _flip_hms
 
 TRADE = str(fixture_path("trade.klm.json"))
 TRADE_FH = str(fixture_path("trade.fh.json"))
@@ -238,6 +239,21 @@ def test_eval_addresses_every_state_of_a_twice_transformed_model(tmp_path, capsy
     assert run(capsys, "eval", "i", "--model", back, "--at", "w1@{i,l}@{i}") == (0, "True\n", "")
 
 
+def test_eval_on_a_frame_without_joins(tmp_path, capsys):
+    """On two incomparable one-state spaces, with p based at one and q at the
+    other, a conjunction has no base space and ⊤ no bottom space: both are
+    refused with exit 2, naming the missing space."""
+    path = tmp_path / "two.hms.json"
+    path.write_text(json.dumps(
+        {"kind": "hms", "spaces": {"A": ["a"], "B": ["b"]}, "pi": {"x": {"a": ["a"], "b": ["b"]}},
+         "valuation": {"p": {"base_space": "A", "base_set": ["a"]},
+                       "q": {"base_space": "B", "base_set": ["b"]}}}))
+    assert run(capsys, "eval", "p & q", "--model", str(path), "--at", "a") == (
+        2, "", "awarekit: join of base spaces undefined\n")
+    assert run(capsys, "eval", "T", "--model", str(path), "--at", "a") == (
+        2, "", "awarekit: frame has no bottom space\n")
+
+
 def test_check_prints_the_pp_witness(tmp_path, capsys):
     """An Explicit awareness set, which fails PP exactly: the witness is
     keyed by the property's name and shows the formula as text."""
@@ -427,6 +443,15 @@ def test_axioms_refuses_mixed_signatures(capsys):
                    "agents ['b', 'o'] vs atoms ['p'], agents ['a']\n")
 
 
+def test_axioms_refuses_a_plain_kripke_model(tmp_path, capsys):
+    path = tmp_path / "plain.kripke.json"
+    path.write_text(json.dumps(
+        {"kind": "kripke", "atoms": ["p"], "agents": ["a"], "worlds": ["w"],
+         "relations": {"a": [["w", "w"]]}, "valuation": {"p": ["w"]}}))
+    assert run(capsys, "axioms", "--suite", "hms", "--models", str(path), "--depth", "1") == (
+        2, "", "awarekit: unsupported model class KripkeModel\n")
+
+
 def test_enumerate(capsys):
     code, out, _ = run(capsys, "enumerate", "--atoms", "p", "--agents", "a",
                        "--depth", "1")
@@ -597,18 +622,43 @@ def test_l_transform_error_does_not_depend_on_hash_seed(capsys, tmp_path):
     assert len(errors) == 1 and "w2@{i,l}@{i} maps to" in errors.pop()
 
 
+def _plant_h_disagreement(monkeypatch):
+    """The H-transform with one atom flipped at one state, so that
+    `equiv` on a lattice model disagrees at depth 2 in 125 rows on trade."""
+    h_transform = verify.h_transform
+    monkeypatch.setattr(verify, "h_transform", lambda k: _flip_hms(h_transform(k), 0))
+
+
 def test_equiv_capped_is_incomplete(capsys, monkeypatch):
-    """An equivalence check stopped by the instantiation cap is flagged in
-    the JSON and in the human report, and never exits 0."""
+    """The instantiation cap bounds the disagreements an equivalence check
+    lists, not the pairs it decides: trade agrees, so even a low cap leaves
+    it complete. A disagreement listed past the cap is flagged in the JSON
+    and in the human report, and exits 1."""
     monkeypatch.setattr(verify, "INSTANTIATION_CAP", 50)
     code, out, _ = run(capsys, "equiv", TRADE, "--depth", "2", "--json")
     body = json.loads(out)
-    assert code == 1 and body["capped"] is True and body["failures"] == []
+    assert code == 0 and "capped" not in body and body["checked"] == 2736
     code, out, _ = run(capsys, "equiv", TRADE, "--depth", "2")
-    assert code == 1 and "incomplete" in out
-    monkeypatch.undo()
+    assert code == 0 and "incomplete" not in out
+    _plant_h_disagreement(monkeypatch)
     code, out, _ = run(capsys, "equiv", TRADE, "--depth", "2", "--json")
-    assert code == 0 and "capped" not in json.loads(out)
+    body = json.loads(out)
+    assert code == 1 and body["capped"] is True and body["checked"] == 2736
+    assert len(body["failures"]) == 50
+    code, out, _ = run(capsys, "equiv", TRADE, "--depth", "2")
+    assert code == 1 and out.splitlines()[-1] == (
+        "incomplete: the listing stopped at the instantiation cap; "
+        "later disagreements are not shown")
+
+
+def test_equiv_prints_the_first_disagreement(capsys, monkeypatch):
+    """The human report of a disagreeing check names its first row; every
+    row is listed within the cap, so it is complete."""
+    _plant_h_disagreement(monkeypatch)
+    code, out, _ = run(capsys, "equiv", TRADE, "--depth", "2")
+    assert code == 1 and "incomplete" not in out
+    assert "disagreements: 125" in out.splitlines()
+    assert "first: i at w1@{i,l}: True vs False" in out.splitlines()
 
 
 @pytest.fixture

@@ -444,25 +444,52 @@ def test_budget_is_refused_before_set_up(monkeypatch, trade_m):
             check(*args)
 
 
+def _plant(patch, seed):
+    """Patch in the flipped transforms of `_injectors(seed)`."""
+    for name, flipped in _injectors(seed).items():
+        patch.setattr(verify, name, flipped)
+
+
 def test_capped_report(monkeypatch, trade_m):
-    """A check stopped by the instantiation cap before its last formula
-    says so; the count and the failures match the per-state loops."""
-    full = check_L_equiv_klm_hms(trade_m, 2)
+    """The cap bounds the disagreement rows a check lists, never the pairs it
+    decides. With the cap at 100, trade and every check with at most 100
+    rows report as uncapped; a check with more, planted by a flipped
+    transform or not, is capped, counts every pair and lists the uncapped
+    check's first 100 rows, as the per-state loops do. A cap equal to the
+    row total caps nothing."""
+    def every_report():
+        out = {"trade": check_L_equiv_klm_hms(trade_m, 3)}
+        for seed in range(12):
+            for planted in (False, True):
+                with monkeypatch.context() as patch:
+                    if planted:
+                        _plant(patch, seed)
+                    for i, (check, _, args) in enumerate(_checker_cases(seed)):
+                        out[seed, planted, i] = check(*args)
+        return out
+
+    full = every_report()
     monkeypatch.setattr(verify, "INSTANTIATION_CAP", 100)
-    for check, oracle, args in _checker_cases(3) + [
-            (check_L_equiv_klm_hms, oracles.equiv_klm_hms, (trade_m, 2))]:
-        report = check(*args)
-        assert report.capped and report.to_json()["capped"] is True
-        body = report.to_json()
-        del body["capped"]
-        assert body == oracle(*args).to_json()
-    capped = check_L_equiv_klm_hms(trade_m, 2)
-    assert 100 < capped.checked < full.checked
-    # a cap passed exactly at the last formula truncates nothing
-    monkeypatch.setattr(verify, "INSTANTIATION_CAP", full.checked - 1)
-    report = check_L_equiv_klm_hms(trade_m, 2)
-    assert report.checked == full.checked and not report.capped
-    assert "capped" not in report.to_json()
+    capped = every_report()
+    assert not full["trade"].failures and not capped["trade"].capped
+    for case, want in full.items():
+        got = capped[case]
+        if len(want.failures) <= 100:
+            assert repr(got) == repr(want) and got.to_json() == want.to_json(), case
+        else:
+            assert got.capped and got.to_json()["capped"] is True, case
+            assert got.checked == want.checked and got.failures == want.failures[:100], case
+    assert sum(len(want.failures) > 100 for want in full.values()) == 76
+
+    check, oracle, args = _checker_cases(0)[4]
+    want = full[0, True, 4]
+    assert len(want.failures) == 141
+    with monkeypatch.context() as patch:
+        _plant(patch, 0)
+        body = check(*args).to_json()
+        assert body.pop("capped") and body == oracle(*args).to_json()
+        patch.setattr(verify, "INSTANTIATION_CAP", len(want.failures))
+        assert repr(check(*args)) == repr(want)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +512,45 @@ def test_trade_depth_3_is_decided_by_class(monkeypatch, trade_m):
     assert [r.to_json() for r in reports] == [
         {"kind": "equivalence", "depth": 3, "checked": n, "failures": []}
         for n in (321_516, 321_516, 114_885, 114_885, 405_525, 405_525)]
+
+
+def _wide_klm():
+    """The first partitional model of 4 worlds and 4 atoms that
+    `random_klm_eq` draws from seed 25."""
+    rng = random.Random(25)
+    k = random_klm_eq(rng, max_worlds=4, max_atoms=4)
+    while (len(k.base.worlds), len(k.base.atoms)) != (4, 4):
+        k = random_klm_eq(rng, max_worlds=4, max_atoms=4)
+    return k
+
+
+def test_wide_depth_3_is_decided_by_class(monkeypatch):
+    """On a model of 4 worlds and 4 atoms the six depth-3 checks count up to
+    1.8e7 formula x state pairs, past the instantiation cap. No class
+    disagrees, so none of them enumerates or walks a formula, and none is
+    capped: the cap bounds the rows listed, not the pairs decided."""
+    k = _wide_klm()
+    hms, fh = h_transform(k), fh_transform(k)
+    monkeypatch.setattr(verify, "enumerate_formulas", _no_enumeration)
+    monkeypatch.setattr(verify, "_formulas", _no_enumeration)
+    reports = [check_L_equiv_klm_hms(k, 3), check_L_equiv_hms_klm(hms, 3)]
+    reports += [check_equiv_fh_klm(x, lang, 3)
+                for lang in (Lang.L, Lang.LKA) for x in (fh, k)]
+    assert [r.to_json() for r in reports] == [
+        {"kind": "equivalence", "depth": 3, "checked": n, "failures": []}
+        for n in (17_689_280, 17_689_280, 3_362_492, 3_362_492, 10_567_424, 10_567_424)]
+
+
+def test_equiv_fh_klm_refuses_a_space_lattice(trade_m):
+    with pytest.raises(TypeError, match="expected an FH or Kripke lattice model, got HMSModel"):
+        check_equiv_fh_klm(h_transform(trade_m), Lang.L, 1)
+
+
+def test_suite_refuses_mixed_model_classes(trade_m):
+    """A lattice model and its H-transform take one suite, but not in one
+    corpus."""
+    with pytest.raises(ValueError, match="mixed model classes in one corpus"):
+        check_axiom_suite([trade_m, h_transform(trade_m)], hms_suite(), 1)
 
 
 def _rule_counts(report):
