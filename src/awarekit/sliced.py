@@ -75,16 +75,15 @@ class Sliced:
     def slots(self, by_class, C, m):
         """The inputs of m slots over the W = C ** m tuples of C classes in
         product order (slot 0 the most significant): slot j holds class c at
-        the tuples whose j-th class is c, a run of C ** (m - 1 - j) bits
-        repeated every C runs."""
+        the tuples whose j-th class is c, a run of s = C ** (m - 1 - j) bits
+        repeated every C runs, class 0's column `unit` shifted by c·s; so a
+        row x of class bits gets unit times x spread to bit c at c·s."""
         inputs, W = [], self.W
         for j in range(m):
             s = C ** (m - 1 - j)
-            rep = self.full // ((1 << C * s) - 1)  # bit 0 of every C runs
-            column = [((1 << s) - 1 << c * s) * rep for c in range(C)]
-            inputs.append(tuple(
-                sum(sum(column[c] for c, b in enumerate(bin(x)[:1:-1]) if b == "1") << r * W
-                    for r, x in enumerate(rows)) for rows in by_class))
+            unit, gap = ((1 << s) - 1) * (self.full // ((1 << C * s) - 1)), "0" * (s - 1)
+            inputs.append(tuple(sum(unit * int(gap.join(format(x, "b")), 2) << r * W
+                                    for r, x in enumerate(rows)) for rows in by_class))
         return inputs
 
     def _escapes(self, A, agent=None):

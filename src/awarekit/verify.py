@@ -83,7 +83,8 @@ def _classes(language, evaluators):
     while it is a subterm of a listed formula, so the classes stay finitely
     many. Gives each class's first formula in the enumerator's order, its
     number of formulas, a walk of the class automaton that gives each
-    formula's class in that order from its operands' classes, and its key.
+    formula's class in that order from its operands' classes (walk(None)
+    makes the formulas themselves, one by one), and its key.
     The automaton's transitions are one table per connective, neg[c],
     conj[c1][c2] and per agent know[a][c] and aware[a][c]; the build fills
     each entry once, calling each evaluator's op (aware_in for A), and the
@@ -145,7 +146,7 @@ def _classes(language, evaluators):
     step = SimpleNamespace(top=lambda: 0, atom={p: c for c, p in enumerate(atoms, 1)}.get,
                            neg=neg.__getitem__, conj=lambda c1, c2: conj[c1][c2],
                            know=lambda a, c: know[a][c], aware=lambda a, c: aware[a][c])
-    return reps, upto, lambda: _formulas(atoms, agents, lang, depth, step), keys
+    return reps, upto, lambda alg=step: _formulas(atoms, agents, lang, depth, alg), keys
 
 
 def _equivalence(language, left, right, pairs, left_defined_only=False):
@@ -188,7 +189,7 @@ def _equivalence(language, left, right, pairs, left_defined_only=False):
     if any(v[5] for v in verdicts):
         rows = sum(w * v[5].bit_count() for w, v in zip(weights, verdicts))
         report.capped = rows > INSTANTIATION_CAP
-        found = ((f, label, v, b) for f, c in zip(enumerate_formulas(*language), walk())
+        found = ((f, label, v, b) for f, c in zip(walk(None), walk())
                  if (v := verdicts[c])[5] for label, b in zip(labels, bits) if v[5] >> b & 1)
         for f, label, (lt, lf, rt, rf, _, _), b in islice(found, min(rows, INSTANTIATION_CAP)):
             report.record(f, label, truth_at(lt, lf, b), truth_at(rt, rf, b))
@@ -289,33 +290,34 @@ def valid_over(models, f: Formula, semantics: str):
 
 
 def compile_program(f: Formula, holes, lang):
-    """f as a straight-line program of algebra ops, one step per slot after
-    the slots of the placeholder atoms `holes`, recorded by `fold` in lang (A
-    and X unfold as in fold; a shared subterm is one step). f's agents are
-    agent slots, the ints 0, 1, ..., which no parsed formula names. Gives
-    run(alg, sigs, agents): the signature of f in alg, with the signatures
-    sigs in the holes and agents[j] in agent slot j."""
-    steps = []
+    """f as a kernel: one generated straight-line Python function of algebra
+    ops, recorded by `fold` in lang (A and X unfold as in fold; a shared
+    subterm is one step), each step assigning the next slot after the slots
+    of the placeholder atoms `holes`. f's agents are agent slots, the ints 0,
+    1, ..., which no parsed formula names. The source holds only op names and
+    slot indices: atom names and agent slots are bound constants. Gives
+    run(alg, sigs, agents), the signature of f in alg with the signatures
+    sigs in the holes and agents[j] in agent slot j, in every algebra alike:
+    an evaluator's and the bit-sliced ones of `sliced`."""
+    lines, consts = [], {}
 
-    def emit(step):
-        steps.append(step)
-        return len(holes) + len(steps) - 1
+    def const(x):  # an atom name or agent slot, bound to the next k{i}
+        return consts.setdefault(x, f"k{len(consts)}")
+
+    def emit(op, *args):
+        lines.append(f"        v{len(holes) + len(lines)} = alg.{op}({', '.join(args)})\n")
+        return f"v{len(holes) + len(lines) - 1}"
 
     out = fold(f, SimpleNamespace(
-        lang=lang, top=lambda: emit(lambda alg, s, g: alg.top()),
-        atom=lambda p: emit(lambda alg, s, g: alg.atom(p)),
-        neg=lambda i: emit(lambda alg, s, g: alg.neg(s[i])),
-        conj=lambda i, j: emit(lambda alg, s, g: alg.conj(s[i], s[j])),
-        know=lambda a, i: emit(lambda alg, s, g: alg.know(g[a], s[i])),
-        aware=lambda a, i: emit(lambda alg, s, g: alg.aware(g[a], s[i]))),
-        {h: i for i, h in enumerate(holes)})
-
-    def run(alg, sigs, agents):
-        s = list(sigs)
-        for step in steps:
-            s.append(step(alg, s, agents))
-        return s[out]
-    return run
+        lang=lang, top=lambda: emit("top"), atom=lambda p: emit("atom", const(p)),
+        neg=partial(emit, "neg"), conj=partial(emit, "conj"),
+        know=lambda a, v: emit("know", f"g[{const(a)}]", v),
+        aware=lambda a, v: emit("aware", f"g[{const(a)}]", v)),
+        {h: f"v{i}" for i, h in enumerate(holes)})
+    exec(f"def bind({', '.join(consts.values())}):\n    def run(alg, s, g):\n"
+         f"        [{', '.join(f'v{i}' for i in range(len(holes)))}] = s\n{''.join(lines)}"
+         f"        return {out}\n    return run\n", scope := {})
+    return scope["bind"](*consts)
 
 
 class Schema(Frozen):
@@ -471,7 +473,7 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     the given depth and all agent tuples, apply guarded validity over the
     model corpus, and report per schema and per rule. A rule is checked as
     validity preservation over the same corpus (a necessary condition only).
-    Each schema and rule is decided per tuple of filling classes: its program
+    Each schema and rule is decided per tuple of filling classes: its kernel
     runs once per agent tuple and model over all the class tuples
     (bit-sliced, in chunks of at most SLICE_BITS bits; on formula-list
     awareness sets each tuple carries its term, see `sliced.Listed`), and
@@ -530,19 +532,23 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     # per model its sliced tables and its classes' rows
     tables = [(alg, alg.classes(atom_sets, fill))
               for alg, fill in zip((Sliced(ev, atoms) for ev in evaluators), fills)]
-    slices = {}  # arity -> its leading slots, and per model its algebra and slot inputs
 
+    @cache
     def chunked(n):
         """The tuples of arity n are cut into chunks, one per filling of the
-        leading k slots, small enough that a sliced value over the trailing
-        slots fits in SLICE_BITS."""
-        if n not in slices:
-            k = 0
-            while k < n and C ** (n - k) * size > SLICE_BITS:
-                k += 1
-            slices[n] = k, [((wide := alg.over(C ** (n - k))), wide.fixed(by_class),
-                             wide.slots(by_class, C, n - k)) for alg, by_class in tables]
-        return slices[n]
+        leading k slots, small enough that a sliced value over the trailing m
+        slots fits in SLICE_BITS. Gives m, the count (Σ weights)^m of a full
+        chunk and per chunk its prefix, weight and per model algebra and
+        inputs: built once per arity, for every schema and agent tuple."""
+        k = 0
+        while k < n and C ** (n - k) * size > SLICE_BITS:
+            k += 1
+        per_model = [((wide := alg.over(C ** (n - k))), wide.fixed(by_class),
+                      wide.slots(by_class, C, n - k)) for alg, by_class in tables]
+        return n - k, sum(weights) ** (n - k), [
+            (prefix, prod(weights[c] for c in prefix),
+             [(alg, [*(fixed[c] for c in prefix), *slots]) for alg, fixed, slots in per_model])
+            for prefix in product(range(C), repeat=k)]
 
     def false_at(program, ags, key):
         """The witness of the failing class tuple key at the agent tuple ags,
@@ -562,27 +568,22 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
         report["rules" if rule else "schemas"][schema.id] = entry
         n, side = schema.meta_arity, schema.side
         *runs, conclusion = schema.programs(checker.lang)
-        k, per_model = chunked(n)
-        m = n - k
-        W = C ** m
-        full = (1 << W) - 1
+        m, whole, chunks = chunked(n)
+        full = (1 << (W := C ** m)) - 1
 
         def instances(mask):  # per class tuple in mask, the product of its classes' weights
             if mask in (0, full):
-                return sum(weights) ** m if mask else 0
+                return whole if mask else 0
             return sum(compress(by_tuple(m), map("1".__eq__, bin(mask)[:1:-1])))
 
+        masks = [  # read on the atom rows of the inputs, the same on every model
+            full & ~reduce(or_, (broken >> i * W for i in range(len(atoms))))
+            for broken in (side([v[1] for v in inputs[0][1]]) for _, _, inputs in chunks)
+        ] if side else repeat(full)
         for ags in product(agent_list, repeat=schema.agent_arity):
             failing = {}  # class tuple -> (witness state, instances)
             valid_premises = vacuous = 0  # instances
-            for prefix in product(range(C), repeat=k):
-                inputs = [(alg, [*(fixed[c] for c in prefix), *trailing])
-                          for alg, fixed, trailing in per_model]
-                allowed = full
-                if side:  # read on the atom rows of the inputs, the same on every model
-                    broken = side([v[1] for v in inputs[0][1]])
-                    for i in range(len(atoms)):
-                        allowed &= ~(broken >> i * W)
+            for (prefix, w, inputs), allowed in zip(chunks, masks):
                 evaluated, left = allowed, INSTANTIATION_CAP + 1 - spent
                 if allowed.bit_count() > left:  # the cap falls here: the tuples past it are left
                     t, _ = next(islice(_members(allowed, C, m), left, None))
@@ -598,11 +599,11 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
                     bad = 0
                     for alg, slots in inputs if evaluated ^ vac else ():
                         bad |= alg.false(conclusion(alg, slots, ags))
-                    for _, rest in _members(bad & (evaluated ^ vac), C, m):
+                    bad &= evaluated ^ vac
+                    for _, rest in _members(bad, C, m) if bad else ():
                         key = (*prefix, *rest)  # its witness from its own run
                         failing[key] = (false_at(conclusion, ags, key),
                                         prod(weights[c] for c in key))
-                w = prod(weights[c] for c in prefix)
                 vacuous += w * instances(vac)
                 valid_premises += w * instances(evaluated ^ vac)
                 if evaluated != allowed:  # a tuple of this chunk was left

@@ -12,6 +12,7 @@ from awarekit.sliced import Listed, Sliced
 from awarekit.transforms import fh_transform, h_transform
 from awarekit.verify import SCHEMA_5, check_axiom_suite, compile_program, hms_suite
 
+from oracles import explicit_sets
 from test_oracles import _unlisted, mixed_fh
 
 
@@ -155,3 +156,69 @@ def test_wide_space_lattice_in_one_chunk_or_many(monkeypatch):
         assert json.dumps(report(bits)) == json.dumps(whole)
     assert _unlisted(whole) == _unlisted(
         check_axiom_suite([k], hms_suite(), 1, extra_schemas=(SCHEMA_5,)))
+
+
+def _assert_columns(alg, by_class, C, m, inputs):
+    """Slot inputs over m slots of C classes are the string-built columns
+    of `_packed_slots`, with the term of each class that has one at its
+    column where some set lists formulas, and alg's width is C ** m."""
+    assert alg.W == C ** m
+    assert [x[:2] for x in inputs] == _packed_slots(by_class[:2], C, m)
+    if isinstance(alg, Listed):
+        tuples = list(product(range(C), repeat=m))
+        for j, x in enumerate(inputs):
+            assert x[2] == {by_class[2][c]: sum(1 << t for t, key in enumerate(tuples)
+                                                if key[j] == c)
+                            for c in range(C) if by_class[2][c] is not None}
+
+
+def test_slot_columns_at_the_edges(monkeypatch):
+    """Slot inputs are `_packed_slots`' columns at the edges, on Sliced and
+    on Listed: one class (C = 1, a class with a term where one has one), no
+    slot (m = 0), and the trailing slots of a suite sweep whose small
+    SLICE_BITS cuts arities 2 and 3 into chunks over one slot (k >= 1), with
+    the report of the sweep in one chunk."""
+    listed = 0
+    for ev, atoms, agents in _evaluators(random.Random(2111)):
+        tables = Sliced(ev, atoms)
+        reps, _, _, keys = verify._classes((atoms, agents, 1, ev.lang), [ev])
+        atom_sets, fill = zip(*keys)
+        by_class = tables.classes(atom_sets, fill)
+        termed = [c for c, t in enumerate(by_class[2]) if t is not None] if isinstance(
+            tables, Listed) else []
+        listed += bool(termed)
+        alg = tables.over(1)
+        for c in {0, *termed[:1]}:
+            one = tables.classes(atom_sets[c:c + 1], fill[c:c + 1])
+            for m in range(4):
+                _assert_columns(alg, one, 1, m, alg.slots(one, 1, m))
+        assert alg.slots(by_class, len(reps), 0) == [] == _packed_slots(by_class[:2], len(reps), 0)
+    assert listed == 2
+
+    rng = random.Random(2111)
+    g = verify.random_klm(rng, max_worlds=3, max_atoms=2)
+    h = h_transform(verify.random_klm_eq(rng, max_worlds=3, max_atoms=2))
+    for models, suite in (([fh_transform(g)], verify.lga_suite()),
+                          ([mixed_fh(rng, g)], verify.lga_suite()), ([h], hms_suite())):
+        whole = check_axiom_suite(models, suite, 1)
+        seen, depth = [], []
+
+        def checking(slots):  # Listed.slots calls Sliced.slots: only the outer call is checked
+            def checked(alg, by_class, C, m):
+                depth.append(alg)
+                inputs = slots(alg, by_class, C, m)
+                depth.pop()
+                if not depth:
+                    seen.append((type(alg), m))
+                    _assert_columns(alg, by_class, C, m, inputs)
+                return inputs
+            return checked
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Sliced, "slots", checking(Sliced.slots))
+            patch.setattr(Listed, "slots", checking(Listed.slots))
+            size = len(models[0].evaluator(Lang.L).states) + len(models[0].signature[0])
+            patch.setattr(verify, "SLICE_BITS", whole["classes"] * size)
+            assert json.dumps(check_axiom_suite(models, suite, 1)) == json.dumps(whole)
+        assert {m for _, m in seen} == {0, 1}
+        assert {kind for kind, _ in seen} == {Listed if explicit_sets(models) else Sliced}

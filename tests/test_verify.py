@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -21,14 +22,18 @@ from awarekit.formula import (
     implies,
     lor,
     parse,
+    terms,
 )
 from awarekit.hms import DenotationEvaluator, Event, HMSModel, UnawarenessFrame
-from awarekit.klm import validate_klm
+from awarekit.klm import KripkeLatticeModel, validate_klm
 from awarekit.kripke import KripkeModel, relation_properties
 from awarekit.modelio import load_fixture
 from awarekit.transforms import fh_transform, h_transform
 from awarekit.truth import MaskEvaluator, Truth
 from awarekit.verify import (
+    K_INFERENCE,
+    MP,
+    RK_INFERENCE,
     SCHEMA_5,
     AxiomSuite,
     Schema,
@@ -37,6 +42,7 @@ from awarekit.verify import (
     check_equiv_fh_klm,
     check_L_equiv_hms_klm,
     check_L_equiv_klm_hms,
+    compile_program,
     hms_suite,
     lga_suite,
     random_klm,
@@ -663,20 +669,95 @@ def _class_cases(seed):
 
 def test_class_verdicts_match_per_state_oracle(monkeypatch):
     """Every report equals the per-state loops'. A report with no failure is
-    decided by class without enumerating, on formula-list awareness sets too,
-    where a formula's term is in its key only while it is a subterm of a
-    listed formula; a report with failures falls back to the formula sweep
-    for them."""
-    enumerated = []
-    enumerate_formulas_ = verify.enumerate_formulas
-    monkeypatch.setattr(verify, "enumerate_formulas",
-                        lambda *args: enumerated.append(args) or enumerate_formulas_(*args))
+    decided by class without walking a formula, on formula-list awareness
+    sets too, where a formula's term is in its key only while it is a
+    subterm of a listed formula; a report with failures walks the formulas
+    one by one, never as a list, to list them."""
+    walked = []
+    formulas = verify._formulas
+    monkeypatch.setattr(verify, "_formulas",
+                        lambda *args: walked.append(args) or formulas(*args))
+    monkeypatch.setattr(verify, "enumerate_formulas", None)
     kinds = set()
     for seed in range(3):
         for check, oracle, args in _class_cases(seed):
-            enumerated.clear()
+            walked.clear()
             body = check(*args).to_json()
             assert body == oracle(*args).to_json(), (seed, check.__name__, args[1:])
-            assert bool(enumerated) == bool(body["failures"]), (seed, args[1:])
+            # the formulas and the class automaton, each walked once
+            assert len(walked) == (2 if body["failures"] else 0), (seed, args[1:])
             kinds.add((oracles.explicit_sets(args[:1]), bool(body["failures"])))
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _suite_programs():
+    """Every schema and rule of both suites, schema 5 and the three rules, by id."""
+    return {s.id: s for s in (*hms_suite().schemas, *lga_suite().schemas, SCHEMA_5, MP,
+                              K_INFERENCE, RK_INFERENCE)}
+
+
+def test_every_program_kernel_equals_fold_on_scalar_evaluators():
+    """Each program of every schema and rule, under L and LKA, is one kernel
+    that runs on an evaluator's scalar algebra as on the sliced ones: at
+    every class tuple and agent tuple it gives the signature `fold` gives
+    the instance built from the tuple's classes, on a lattice model with
+    arbitrary relations, a partitional one and an awareness structure with
+    formula-list sets."""
+    r = verify.random_klm(random.Random(5), max_worlds=3, max_atoms=1)
+    models = [r, verify.random_klm_eq(random.Random(5), max_worlds=3, max_atoms=1),
+              _explicit(r, 5)]
+    assert oracles.explicit_sets(models[2:])
+    checked = 0
+    for model in models:
+        atoms, agents = model.signature
+        for lang in Lang.L, Lang.LKA:
+            ev = model.evaluator(lang)
+            reps, _, _, keys = verify._classes((atoms, agents, 1, lang), [ev])
+            for schema in _suite_programs().values():
+                n = schema.meta_arity
+                for ags in product(sorted(agents), repeat=schema.agent_arity):
+                    for key in product(range(len(reps)), repeat=n):
+                        ms = [reps[c] for c in key]
+                        instances = (*(schema.premises(ms, ags) if schema.premises else ()),
+                                     schema.build(ms, ags))
+                        for run, f in zip(schema.programs(lang), instances, strict=True):
+                            assert run(ev, [keys[c][1] for c in key], ags) == fold(f, ev), \
+                                (schema.id, lang, ags, key)
+                            checked += 1
+    assert checked > 10_000
+
+
+def test_a_kernel_binds_names_it_never_writes_into_its_source():
+    """Atom and agent names holding quotes, backslashes, newlines and
+    Python keywords compile into a kernel whose code names none of them (they
+    are bound constants) and which evaluates as `fold` does, on a model
+    with those names and in the term algebra."""
+    atoms = ['it"s', "back\\slash", "new\nline", "class", "'; import os; '"]
+    agents = ["def", 'o"\nr']
+    base = KripkeModel.make(atoms, agents, ["w1", "w2"],
+                            {agents[0]: [("w1", "w1"), ("w2", "w2")],
+                             agents[1]: [("w1", "w2"), ("w2", "w1"), ("w2", "w2")]},
+                            {atoms[0]: ["w1"], atoms[1]: [], atoms[2]: ["w1", "w2"],
+                             atoms[3]: ["w2"], atoms[4]: ["w1"]})
+    model = KripkeLatticeModel.make(base, {agents[0]: {"w1": atoms[:3], "w2": atoms[:3]},
+                                           agents[1]: {"w1": atoms, "w2": atoms}})
+    assert not validate_klm(model)
+    p = [Atom(x) for x in atoms]
+
+    def build(x):
+        return implies(And(Know(agents[0], And(p[0], x)), Aware(agents[1], Not(p[1]))),
+                       And(Know(agents[1], implies(p[2], p[3])), Not(Aware(agents[0], p[4]))))
+
+    hole, named = Atom("$0"), {a: a for a in agents}
+    for lang in Lang.L, Lang.LKA:
+        run = compile_program(build(hole), [hole], lang)
+        code = run.__code__
+        text = {*code.co_consts, *code.co_names, *code.co_varnames}
+        assert not text & {*atoms, *agents}, text
+        assert {*atoms, *agents} <= {cell.cell_contents for cell in run.__closure__}
+        ev = model.evaluator(lang)
+        for filling in p[3], Not(p[0]), Know(agents[1], p[2]):
+            instance = build(filling)
+            assert run(ev, [fold(filling, ev)], named) == fold(instance, ev)
+            assert run(terms(lang), [filling], named) == fold(instance, terms(lang))
+            assert ev.masks(run(ev, [fold(filling, ev)], named)) == ev.truth_masks(instance)
