@@ -10,7 +10,7 @@ the reports label it as such.
 from __future__ import annotations
 
 from functools import cache, partial, reduce
-from itertools import compress, islice, product, repeat
+from itertools import compress, islice, product
 from math import prod
 from operator import or_
 from types import SimpleNamespace
@@ -20,7 +20,7 @@ from .formula import (TOP, And, Atom, Aware, ExplicitKnow, Formula, Know, Lang, 
                       require_signature, to_text)
 from .hms import DenotationEvaluator, HMSModel, validate_model
 from .klm import Evaluator, KripkeLatticeModel, random_klm, random_klm_eq, subsets
-from .kripke import WorldId, relabel
+from .kripke import Filled, WorldId, relabel
 from .transforms import (_require_partitional, fh_transform, h_transform, k_transform,
                          l_transform)
 from .truth import truth_at
@@ -536,19 +536,17 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     @cache
     def chunked(n):
         """The tuples of arity n are cut into chunks, one per filling of the
-        leading k slots, small enough that a sliced value over the trailing m
-        slots fits in SLICE_BITS. Gives m, the count (Σ weights)^m of a full
-        chunk and per chunk its prefix, weight and per model algebra and
-        inputs: built once per arity, for every schema and agent tuple."""
+        leading k slots, so that a sliced value over the trailing m slots fits
+        in SLICE_BITS. Gives m, a full chunk's count (Σ weights)^m, the prefixes
+        and a map from each to its weight and per model inputs, made on first use."""
         k = 0
         while k < n and C ** (n - k) * size > SLICE_BITS:
             k += 1
         per_model = [((wide := alg.over(C ** (n - k))), wide.fixed(by_class),
                       wide.slots(by_class, C, n - k)) for alg, by_class in tables]
-        return n - k, sum(weights) ** (n - k), [
-            (prefix, prod(weights[c] for c in prefix),
-             [(alg, [*(fixed[c] for c in prefix), *slots]) for alg, fixed, slots in per_model])
-            for prefix in product(range(C), repeat=k)]
+        return n - k, sum(weights) ** (n - k), list(product(range(C), repeat=k)), Filled(
+            lambda prefix: (prod(weights[c] for c in prefix), [
+                (alg, [*(fixed[c] for c in prefix), *slots]) for alg, fixed, slots in per_model]))
 
     def false_at(program, ags, key):
         """The witness of the failing class tuple key at the agent tuple ags,
@@ -568,22 +566,23 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
         report["rules" if rule else "schemas"][schema.id] = entry
         n, side = schema.meta_arity, schema.side
         *runs, conclusion = schema.programs(checker.lang)
-        m, whole, chunks = chunked(n)
+        m, whole, prefixes, chunk = chunked(n)
         full = (1 << (W := C ** m)) - 1
+        # per chunk the tuples side leaves in, read on its atom rows (the same on every model)
+        allowed_in = side and Filled(lambda prefix: full & ~reduce(or_, (
+            broken >> i * W for broken in [side([v[1] for v in chunk[prefix][1][0][1]])]
+            for i in range(len(atoms))), 0))
 
         def instances(mask):  # per class tuple in mask, the product of its classes' weights
             if mask in (0, full):
                 return whole if mask else 0
             return sum(compress(by_tuple(m), map("1".__eq__, bin(mask)[:1:-1])))
 
-        masks = [  # read on the atom rows of the inputs, the same on every model
-            full & ~reduce(or_, (broken >> i * W for i in range(len(atoms))))
-            for broken in (side([v[1] for v in inputs[0][1]]) for _, _, inputs in chunks)
-        ] if side else repeat(full)
         for ags in product(agent_list, repeat=schema.agent_arity):
             failing = {}  # class tuple -> (witness state, instances)
             valid_premises = vacuous = 0  # instances
-            for (prefix, w, inputs), allowed in zip(chunks, masks):
+            for prefix in prefixes:
+                (w, inputs), allowed = chunk[prefix], allowed_in[prefix] if side else full
                 evaluated, left = allowed, INSTANTIATION_CAP + 1 - spent
                 if allowed.bit_count() > left:  # the cap falls here: the tuples past it are left
                     t, _ = next(islice(_members(allowed, C, m), left, None))

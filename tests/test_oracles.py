@@ -15,6 +15,7 @@ from awarekit.formula import (And, Aware, ExplicitKnow, Know, Lang, atoms_of, en
 from awarekit.hms import Event, HMSModel, UnawarenessFrame, validate_frame
 from awarekit.klm import Evaluator, KripkeLatticeModel, PropertyReport
 from awarekit.kripke import KripkeModel
+from awarekit.sliced import Sliced
 from awarekit.transforms import fh_transform, h_transform
 from awarekit.truth import truth_of
 from awarekit.verify import (
@@ -389,11 +390,25 @@ def test_suite_reports_survive_the_transforms():
     assert failing
 
 
+class _Noted(dict):
+    """A sweep's fixed table that notes every class read from it."""
+
+    def __init__(self, table):
+        super().__init__()
+        self.table, self.read = table, []
+
+    def __getitem__(self, c):
+        self.read.append(c)
+        return self.table[c]
+
+
 def test_sliced_suite_under_the_cap(monkeypatch):
     """At depth 0 each filling (T or an atom) is a class of its own, so a
     class tuple is one instance: a cap inside PL2, or inside RK-Inference
     where its side condition leaves tuples out, leaves the instances the
-    capped per-instance sweeps leave, in one chunk or in many."""
+    capped per-instance sweeps leave, in one chunk or in many. In one chunk
+    per tuple each arity's chunk inputs are built once per prefix, in
+    product order, and only up to the chunk where the cap stops the sweep."""
     rng = random.Random(2110)
     m = next(k for k in (random_klm_eq(rng) for _ in range(50)) if len(k.base.atoms) == 3)
     hms = hms_suite()
@@ -408,8 +423,19 @@ def test_sliced_suite_under_the_cap(monkeypatch):
         # Implication, PL-Top and PL1 take 16 + 1 + 16 tuples; PL2 has 64
         monkeypatch.setattr(verify, "INSTANTIATION_CAP", 33 + 20)
         want = axiom_sweep([m], failing_first, 0)
-        got = check_axiom_suite([m], failing_first, 0, check_rules=False)
+        tables = []  # per arity, in the order of first use
+        with monkeypatch.context() as patch:
+            fixed = Sliced.fixed
+            patch.setattr(Sliced, "fixed", lambda alg, by_class: tables.append(
+                _Noted(fixed(alg, by_class))) or tables[-1])
+            got = check_axiom_suite([m], failing_first, 0, check_rules=False)
         assert got["capped"] and got["schemas"]["PL2"]["capped"]
+        if budget == 1:  # PL2 stops in its 22nd chunk, Symmetry in its first
+            assert list(dict.fromkeys(s.meta_arity for s in failing_first.schemas)) == [
+                2, 0, 3, 1] and not tables[1].read
+            for (n, reached), t in zip(((2, 16), (3, 22), (1, 1)), tables[0:1] + tables[2:]):
+                assert [tuple(t.read[i:i + n]) for i in range(0, len(t.read), n)] == list(
+                    product(range(4), repeat=n))[:reached], n
         assert got["class_tuples"] == got["checked"] == 33 + 21 == want["checked"]
         for f in got["failures"] + [f for e in got["schemas"].values() for f in e["failures"]]:
             assert f.pop("instances") == 1

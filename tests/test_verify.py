@@ -51,7 +51,7 @@ from awarekit.verify import (
 )
 
 import oracles
-from conftest import make_trade
+from conftest import make_trade, part
 from oracles import KlmOracle
 
 
@@ -247,6 +247,14 @@ def test_suite_model_mismatch(trade_m):
         check_axiom_suite([fh_transform(trade_m)], hms_suite(), 1)
     with pytest.raises(ValueError):
         check_axiom_suite([], hms_suite(), 1)
+    # a corpus without atoms has no fillings: refused before any sweep, rules on or off
+    base = KripkeModel.make([], ["a"], ["w1", "w2"], {"a": part([["w1", "w2"]])}, {})
+    k = KripkeLatticeModel.make(base, {"a": {"w1": [], "w2": []}})
+    for model, suite in ((k, hms_suite()), (k, lga_suite()), (h_transform(k), hms_suite()),
+                         (fh_transform(k), lga_suite())):
+        for rules in (True, False):
+            with pytest.raises(ValueError, match="^atoms and agents must be nonempty$"):
+                check_axiom_suite([model], suite, 1, check_rules=rules)
 
 
 DERIVED_THEOREMS = {
