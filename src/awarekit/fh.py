@@ -28,7 +28,7 @@ from .formula import (
     fold,
     to_text,
 )
-from .kripke import Filled, KripkeModel, PropertyReport, box, group_cells, validate_kripke
+from .kripke import KripkeModel, PropertyReport, group_cells, validate_kripke
 from .truth import MaskEvaluator
 from .values import Frozen
 
@@ -167,33 +167,36 @@ def check_ka(s: FHModel):
 
 
 class FHEvaluator(MaskEvaluator):
-    """Bitmask evaluator for one model, two-valued: the set of worlds where
-    a formula is True, as an int over the sorted worlds, computed by
-    `formula.fold` once per distinct subformula; it is False elsewhere.
+    """The tables of one awareness structure, for the one algebra; its
+    semantics is two-valued, so every atom is True or False at each world,
+    the states in sorted order.
 
-    A signature is the true mask and the key that awareness reads: the atom
-    set, as an int over the sorted atoms, and the formula's term (with the
-    defined operators unfolded as fold unfolds them) while it is a subterm of
-    some listed formula, else None. A formula with a subterm outside that
-    finite set is outside it too, so None absorbs every constructor, and on
-    a model with no Explicit set the term is always None. An Explicit set
-    reads the term, an AtomGenerated set the atom set."""
+    Where a set lists formulas, awareness reads the formula's term (with the
+    defined operators unfolded as fold unfolds them) while it is a subterm
+    of some listed formula: `_up` holds each such subterm under its
+    constructor and children, and `listed_at` per agent the states whose set
+    lists formulas, with the listed formulas. A formula with a subterm
+    outside that finite set is outside it too. An atom-generated set reads
+    the atom set, through `aware_masks`."""
 
     def __init__(self, s: FHModel, lang: Lang):
         self.s = s
         self.lang = lang
         self.explicit_know = lang is Lang.L  # K_a reads awareness too
         super().__init__(sorted(s.base.worlds))
-        self.atom_true = {
-            p: sum(1 << self.index[w] for w in holds) for p, holds in s.base.valuation.items()
-        }
-        self._bit = {p: 1 << i for i, p in enumerate(sorted(s.base.atoms))}
+        self.atom_masks = {}
+        for p, holds in s.base.valuation.items():
+            true = sum(1 << self.index[w] for w in holds)
+            self.atom_masks[p] = true, self.full & ~true
         self.cells = {
             a: group_cells([sum(1 << self.index[v] for v in s.base.successors(a, w))
                             for w in self.states])
             for a in s.base.agents
         }
-        # each subterm of a listed formula, under its constructor and children
+        sets = {a: [per[w] for w in self.states] for a, per in s.awareness.items()}
+        self.aware_masks = {a: {p: sum(1 << i for i, x in enumerate(sets[a])
+                                       if not isinstance(x, Explicit) and p in x.atoms)
+                                for p in self.atom_masks} for a in s.base.agents}
         self._up = up = {}
         recorder = SimpleNamespace(
             lang=None, top=lambda: up.setdefault((Top,), TOP),
@@ -202,53 +205,8 @@ class FHEvaluator(MaskEvaluator):
             conj=lambda t, u: up.setdefault((And, t, u), And(t, u)),
             know=lambda a, t: up.setdefault((Know, a, t), Know(a, t)),
             aware=lambda a, t: up.setdefault((Aware, a, t), Aware(a, t)))
-        # per agent (index, listed formulas) of each state whose awareness reads a term
-        self.listed_at = {a: [(i, x.listed) for i, x in enumerate(map(per.get, self.states))
-                              if isinstance(x, Explicit)] for a, per in s.awareness.items()}
+        self.listed_at = {a: [(i, x.listed) for i, x in enumerate(per) if isinstance(x, Explicit)]
+                          for a, per in sets.items()}
         memo = {}
         for f in (f for lists in self.listed_at.values() for _, listed in lists for f in listed):
             fold(f, recorder, memo)
-
-        def awareness(agent):
-            """The worlds where the agent is aware of a key."""
-            held = []
-            for w in self.states:
-                aset = s.awareness[agent][w]
-                if isinstance(aset, Explicit):
-                    held.append(lambda at, term, listed=aset.listed: term in listed)
-                else:
-                    aw = sum(self._bit.get(p, 0) for p in aset.atoms)
-                    held.append(lambda at, term, aw=aw: not at & ~aw)
-            return Filled(lambda key: sum(1 << i for i, has in enumerate(held) if has(*key)))
-
-        self._aware = {a: awareness(a) for a in s.base.agents}
-
-    # the algebra of (true mask, atom set, term) signatures
-    def top(self):
-        return self.full, 0, self._up.get((Top,))
-
-    def atom(self, p):
-        try:
-            return self.atom_true[p], self._bit[p], self._up.get((Atom, p))
-        except KeyError:
-            raise KeyError(f"atom {p!r} is outside the model's language") from None
-
-    def neg(self, s):
-        return self.full & ~s[0], s[1], self._up.get((Not, s[2]))
-
-    def conj(self, s, t):
-        return s[0] & t[0], s[1] | t[1], self._up.get((And, s[2], t[2]))
-
-    def know(self, agent, s):
-        out = box(self.cells[agent], s[0])
-        if self.explicit_know:
-            # explicit reading: awareness of the content plus truth
-            # throughout the cell
-            out &= self._aware[agent][s[1:]]
-        return out, s[1], self._up.get((Know, agent, s[2]))
-
-    def aware(self, agent, s):
-        return self._aware[agent][s[1:]], s[1], self._up.get((Aware, agent, s[2]))
-
-    def masks(self, s):
-        return s[0], self.full & ~s[0]

@@ -1,17 +1,18 @@
 """State-space lattices with projections and possibility correspondences,
-events and their algebra, and the three-valued semantics over them.
+events, and the tables of the three-valued semantics over them.
 
 A frame holds disjoint state spaces ordered by expressiveness, surjective
 commuting projections between comparable spaces, and one possibility
 correspondence per agent. Events are pairs (base set, base space). States are
-indexed as bits: an event's upward closure is the OR of per-state lift masks,
-and knowledge is `kripke.box`, as in the other model classes.
+indexed as bits: an event's upward closure is the OR of per-state lift masks.
 """
 
 from __future__ import annotations
 
-from .formula import Formula, Lang, fold, in_language
-from .kripke import Filled, PropertyReport, box, group_cells, members, relabel
+from functools import reduce
+
+from .formula import Formula, Lang, in_language
+from .kripke import Filled, PropertyReport, group_cells, members, relabel
 from .truth import MaskEvaluator
 from .values import Frozen
 
@@ -19,7 +20,7 @@ MAX_FRAME_STATES = 10_000
 
 
 class FrameDefect(ValueError):
-    """An event-algebra assertion failed; the frame is not well formed."""
+    """A frame check failed, so the model is not evaluated."""
 
 
 class Event(Frozen):
@@ -63,7 +64,7 @@ class UnawarenessFrame:
         self.index = {s: i for i, s in enumerate(self.states)}
         self.full = (1 << len(self.states)) - 1
         self.space_mask = {S: self.mask(states) for S, states in self.spaces.items()}
-        # possibility sets grouped for kripke.box, for each agent with total pi
+        # possibility sets grouped by kripke.group_cells, for each agent with total pi
         masks = Filled(self.mask)
         self.cells = {a: group_cells([masks[per[s]] for s in self.states])
                       for a, per in self.pi.items() if per.keys() >= self.state_space.keys()}
@@ -161,14 +162,6 @@ class UnawarenessFrame:
 
     def up(self, e: Event):
         return self.upward_closure(e.base_set, e.base_space)
-
-    def possibility_cells(self, agent):
-        """The agent's possibility sets grouped for kripke.box, refused unless
-        every state has one."""
-        if agent not in self.cells:
-            missing = next(s for s in self.states if s not in self.pi.get(agent, ()))
-            raise ValueError(f"agent {agent!r} has no possibility set at state {missing!r}")
-        return self.cells[agent]
 
     def cell_spaces(self, cell):
         """The spaces of a possibility set's states, sorted; one if well formed."""
@@ -335,33 +328,6 @@ def _check_pi(f, report):
 
 
 # ---------------------------------------------------------------------------
-# event algebra, on (base space, base mask, up-closure mask) triples, for
-# DenotationEvaluator
-
-
-def _based(f, up, space, what):
-    """The triple of the event based at `space` whose up-closure is `up`."""
-    base = up & f.space_mask[space]
-    if f.lift(base, space) != up:
-        raise FrameDefect(f"{what} is not an up-set based at {space!r}")
-    return space, base, up
-
-
-def _neg(f, space, base):
-    base = f.space_mask[space] & ~base
-    return space, base, f.lift(base, space)
-
-
-def _conj(f, left, right):
-    """The conjunction of two events: based at the join of their spaces, with
-    the intersection of their up-closures."""
-    space = f.join(left[0], right[0])
-    if space is None:
-        raise FrameDefect("join of base spaces undefined")
-    return _based(f, left[2] & right[2], space, "intersection of up-closures")
-
-
-# ---------------------------------------------------------------------------
 # models and satisfaction
 
 
@@ -372,6 +338,7 @@ class HMSModel(Frozen):
     def __init__(self, frame: UnawarenessFrame, valuation: dict):
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "valuation", valuation)  # atom -> Event
+        object.__setattr__(self, "_report", None)  # validate_model's, once asked for
 
     @property
     def atoms(self):
@@ -385,7 +352,10 @@ class HMSModel(Frozen):
         return []  # a space lattice is checked by its frame report, properties()
 
     def properties(self) -> PropertyReport:
-        return validate_model(self)
+        """The frame report of validate_model, made once per model."""
+        if self._report is None:
+            object.__setattr__(self, "_report", validate_model(self))
+        return self._report
 
     def evaluator(self, lang: Lang):
         if lang is not Lang.L:
@@ -408,58 +378,45 @@ def defined_atoms(m: HMSModel, O, evaluator=None) -> frozenset:
     """Atoms with a defined truth value throughout the state set O: in the
     True or the False mask of the atom, which are disjoint."""
     ev, O = evaluator or DenotationEvaluator(m), m.frame.mask(O)
-    return frozenset(p for p in m.valuation if not O & ~sum(ev.masks(ev.atom(p))))
+    return frozenset(p for p in m.valuation if not O & ~sum(ev.atom_masks[p]))
 
 
 class DenotationEvaluator(MaskEvaluator):
-    """Compositional event-denotation evaluator with a per-instance memo.
-    A denotation is a (base space, base mask, up-closure mask) triple over the
-    frame's states: True where its up-closure holds the state, False where
-    its negation's does. `formula.fold` computes it from the event algebra
-    below; its language is L, so A and X unfold to knowledge."""
-
-    def __init__(self, m: HMSModel):
-        self.m = m
-        self.cells = m.frame.cells
-        super().__init__(m.frame.states)
+    """The tables of one space-lattice model, for the one algebra. An atom
+    is True on the up-closure of its base set and False on that of the rest
+    of its base space; K_a reads the possibility sets. Its language is L, so
+    A and X unfold to knowledge. A model that fails a frame check is refused
+    before any table is built, with the first failed check and its witness:
+    on such a frame a knowledge or conjunction set need not be an event."""
 
     lang = Lang.L
 
+    def __init__(self, m: HMSModel):
+        if failed := m.properties().witnesses:
+            name, witness = next(iter(failed.items()))  # the first to fail
+            raise FrameDefect(f"frame check {name} fails: witness {witness}")
+        self.m = m
+        fr = m.frame
+        super().__init__(fr.states)
+        self.cells = fr.cells
+        self.atom_masks = {}
+        for p, e in m.valuation.items():
+            true = fr.up_mask(e)
+            self.atom_masks[p] = true, fr.lift(fr.space_mask[e.base_space] & ~true, e.base_space)
+
     def denotation(self, f: Formula) -> Event:
-        space, base, _ = fold(f, self, self._memo)
-        return Event(space, frozenset(members(base, self.states)))
-
-    # the event algebra on triples, for fold
-    def top(self):
-        bottom = self.m.frame.bottom_space()
-        if bottom is None:
-            raise FrameDefect("frame has no bottom space")
-        return _neg(self.m.frame, bottom, 0)  # the whole bottom space
-
-    def atom(self, p):
-        try:
-            e = self.m.valuation[p]
-        except KeyError:
-            raise KeyError(f"atom {p!r} has no valuation") from None
-        up = self.m.frame.up_mask(e)
-        return e.base_space, up & self.m.frame.space_mask[e.base_space], up
-
-    def neg(self, s):
-        return _neg(self.m.frame, s[0], s[1])
-
-    def conj(self, s, t):
-        return _conj(self.m.frame, s, t)
-
-    def know(self, agent, s):
+        """f's event: based at the join of its atoms' base spaces (the
+        bottom space if it has none), its base set the states there where
+        it is True."""
+        true, atoms = self.signature(f)
         fr = self.m.frame
-        return _based(fr, box(fr.possibility_cells(agent), s[2]), s[0], "knowledge set")
-
-    def masks(self, s):
-        return s[2], _neg(self.m.frame, s[0], s[1])[2] & ~s[2]
+        space = reduce(fr.join, (self.m.valuation[p].base_space for i, p in
+                                 enumerate(self.algebra.atoms) if atoms >> i & 1),
+                       fr.bottom_space())
+        return Event(space, frozenset(members(true & fr.space_mask[space], self.states)))
 
 
 def denotation(m: HMSModel, f: Formula) -> Event:
     if not in_language(f, Lang.L):
         raise ValueError("HMS denotation is defined for the explicit-knowledge language")
     return DenotationEvaluator(m).denotation(f)
-

@@ -15,8 +15,7 @@ import random
 from itertools import combinations, repeat
 
 from .formula import Formula, Lang, in_language, require_signature
-from .kripke import (Filled, KripkeModel, PropertyReport, WorldId, box, group_cells, meet,
-                     validate_kripke)
+from .kripke import KripkeModel, PropertyReport, WorldId, group_cells, validate_kripke
 from .values import Frozen
 from .truth import MaskEvaluator, Truth
 
@@ -94,14 +93,6 @@ class KripkeLatticeModel(Frozen):
         return [
             WorldId(w, X) for w in sorted(self.base.worlds) for X in vocabularies
         ]
-
-
-def awareness_image(k: KripkeLatticeModel, agent, w: WorldId) -> WorldId:
-    """pi_a(w_X) = w_{X & Aw_a(w)}: the same world under the agent's vocabulary."""
-    if not w.vocabulary <= k.base.atoms:
-        raise KeyError(f"vocabulary of {w} is not a subset of the model's atoms")
-    aw = k.awareness_atoms(agent, w.base)
-    return WorldId(w.base, w.vocabulary & aw)
 
 
 def validate_klm(k: KripkeLatticeModel):
@@ -234,15 +225,13 @@ def canonicalize(base: KripkeModel, pointwise):
 
 
 class Evaluator(MaskEvaluator):
-    """Bitmask evaluator for one model; safe to reuse across formulas.
+    """The tables of one lattice model, for the one algebra; safe to reuse
+    across formulas.
 
-    States are the world copies in omega order and a set of states is a
-    Python int. A formula's signature is its true mask and its atom set, an
-    int over the sorted atoms; `formula.fold` computes it once per distinct
-    subformula from the algebra below. A formula is Undefined at w_X exactly
-    when it mentions an atom outside X. With strict_two_valued the
-    definedness guards are dropped and atoms read from the top valuation,
-    giving a fully two-valued reading.
+    States are the world copies in omega order. An atom is Undefined at w_X
+    exactly when it is outside X, so a formula is Undefined where it mentions
+    such an atom. With strict_two_valued every atom is defined everywhere and
+    reads the top valuation, giving a fully two-valued reading.
 
     Omega is one block of B = 2^|At| vocabularies per world, and the world
     and vocabulary orders are read off it. So the tables are block
@@ -258,7 +247,7 @@ class Evaluator(MaskEvaluator):
         super().__init__(k.omega())
         base = k.base
         atoms = sorted(base.atoms)
-        self.bit = bit = {p: 1 << i for i, p in enumerate(atoms)}
+        bit = {p: 1 << i for i, p in enumerate(atoms)}
         B = 1 << len(atoms)
         worlds = [s.base for s in self.states[::B]]
         vocabularies = [sum(map(bit.get, s.vocabulary)) for s in self.states[:B]]  # as ints
@@ -269,20 +258,17 @@ class Evaluator(MaskEvaluator):
 
         # per atom the vocabularies of a block that hold it
         pattern = [sum(1 << i for i, x in enumerate(vocabularies) if x & bit[p]) for p in atoms]
-        # guards[i]: where atoms[i] has a truth value
+        # per atom where it has a truth value, and where it is True there
         repunit = blocks(lambda w: True)  # the sum of 1 << j·B over the worlds
-        guards = [self.full if self.strict else q * repunit for q in pattern]
-        self.atom_true = {p: g & blocks(base.valuation[p].__contains__) * ((1 << B) - 1)
-                          for p, g in zip(atoms, guards)}
-        full = self.full
-        # the masks of an atom set (an int), filled on first use: where it is
-        # defined, and per agent where it is also in the vocabulary of the
+        self.atom_masks = {}
+        for p, q in zip(atoms, pattern):
+            guard = self.full if self.strict else q * repunit
+            true = guard & blocks(base.valuation[p].__contains__) * ((1 << B) - 1)
+            self.atom_masks[p] = true, guard & ~true
+        # per agent and atom where the atom is in the vocabulary of the
         # agent's awareness image X & Aw_a(w)
-        self._defined = defined = Filled(lambda at: meet(at, guards, full))
-        self._aware = {}
-        for a in base.agents:
-            per = [q * blocks(lambda w: p in k.awareness[a][w]) for p, q in zip(atoms, pattern)]
-            self._aware[a] = Filled(lambda at, per=per: meet(at, per, defined[at]))
+        self.aware_masks = {a: {p: q * blocks(lambda w: p in k.awareness[a][w])
+                                for p, q in zip(atoms, pattern)} for a in base.agents}
         # K_a quantifies over the cell of w: explicitly at the awareness
         # image's vocabulary, implicitly at the top vocabulary
         self.cells = {}
@@ -294,29 +280,6 @@ class Evaluator(MaskEvaluator):
                 succ = blocks(base.successors(a, w).__contains__)
                 cells += [succ << rank[y] for y in image]
             self.cells[a] = group_cells(cells)
-
-    # the algebra of (true mask, atom set) signatures
-    def top(self):
-        return self.full, 0
-
-    def atom(self, p):
-        return self.atom_true[p], self.bit[p]
-
-    def neg(self, s):
-        return self._defined[s[1]] & ~s[0], s[1]
-
-    @staticmethod
-    def conj(s, t):
-        return s[0] & t[0], s[1] | t[1]
-
-    def know(self, agent, s):
-        return box(self.cells[agent], s[0]) & self._defined[s[1]], s[1]
-
-    def aware(self, agent, s):
-        return self._aware[agent][s[1]], s[1]
-
-    def masks(self, s):
-        return s[0], self._defined[s[1]] & ~s[0]
 
 
 def eval_L(k: KripkeLatticeModel, w: WorldId, f: Formula, evaluator=None) -> Truth:

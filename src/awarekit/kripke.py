@@ -1,5 +1,6 @@
-"""Plain Kripke models, the bitmask modal box, restrictions to atom subsets,
-and the property report that the checks of every model class fill.
+"""Plain Kripke models, the cells of the modal box grouped as bitmasks,
+restrictions to atom subsets, and the property report that the checks of
+every model class fill.
 
 A restriction is a lazy view: the restricted worlds w_X are (world, X) pairs,
 the relation mirrors the source relation exactly, and the valuation covers
@@ -118,21 +119,12 @@ class RestrictedModel(Frozen):
 
 def group_cells(cells):
     """Pair each distinct cell with the set of states that have it; both are
-    bitmasks, and `cells` holds one cell per state index."""
+    bitmasks, and `cells` holds one cell per state index. K_a holds at the
+    states of a pair whose cell lies inside the set of its operand."""
     groups = {}
     for i, cell in enumerate(cells):
         groups[cell] = groups.get(cell, 0) | (1 << i)
     return list(groups.items())
-
-
-def box(groups, child: int) -> int:
-    """The modal box over bitmasks: the states whose whole cell lies inside
-    the set `child`, for cells grouped by group_cells."""
-    out = 0
-    for cell, members in groups:
-        if child & cell == cell:
-            out |= members
-    return out
 
 
 def relabel(mask: int, table) -> int:
@@ -148,18 +140,12 @@ def relabel(mask: int, table) -> int:
 
 def members(mask: int, states):
     """The states whose bits are set in the mask, in index order."""
-    return [states[i] for i in range(mask.bit_length()) if (mask >> i) & 1]
-
-
-def meet(bits: int, masks, full: int) -> int:
-    """The AND of full and of masks[i] over the set bits i."""
-    i = 0
-    while bits:
-        if bits & 1:
-            full &= masks[i]
-        bits >>= 1
-        i += 1
-    return full
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(states[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 class Filled(dict):

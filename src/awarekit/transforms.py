@@ -5,8 +5,7 @@ copies of its lattice-of-restrictions counterpart.
 
 from __future__ import annotations
 
-from .hms import (DenotationEvaluator, Event, HMSModel, UnawarenessFrame, defined_atoms,
-                  validate_model)
+from .hms import DenotationEvaluator, Event, HMSModel, UnawarenessFrame, defined_atoms
 from .klm import KripkeLatticeModel, _check_cap, subsets
 from .kripke import KripkeModel, WorldId, relation_properties, well_formed
 from .values import Frozen
@@ -80,7 +79,6 @@ def l_transform(m: HMSModel):
     worlds = frozenset(fr.spaces[T])
     relations = {}
     for a in sorted(fr.agents):
-        fr.possibility_cells(a)  # refuses a correspondence that is not total
         pairs = set()
         for w in worlds:
             cell = fr.pi[a][w]
@@ -181,7 +179,7 @@ def _h_transform(k):
         X = frozenset((p,))
         valuation[p] = Event.make(space[X], (name[X][w] for w in k.base.valuation[p]))
     out = HMSModel(frame, valuation)
-    report = validate_model(out)
+    report = out.properties()  # kept by the model, whose evaluator reads it
     if not report.all_pass():
         failed = [n for n, ok in report.passed.items() if not ok]
         raise ValueError(f"transform output fails frame checks: {failed}")

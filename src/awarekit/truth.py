@@ -1,5 +1,5 @@
-"""Three-valued truth values for the guarded semantics, and the mask core
-that every evaluator reads them from."""
+"""Three-valued truth values for the guarded semantics, and the base class
+of the evaluators, whose tables the one algebra reads."""
 
 from __future__ import annotations
 
@@ -33,27 +33,42 @@ def truth_at(true: int, false: int, i: int) -> Truth:
 
 
 class MaskEvaluator:
-    """What the bitmask evaluators share after `formula.fold`.
+    """The tables of a model class's bitmask evaluator, and the truth
+    questions, answered by folding formulas into the one algebra over them.
 
-    A subclass is an algebra on its model class's signatures (see `fold`)
-    and gives `masks(sig)`, the (True, False) masks of a signature over the
-    states in `states`; the rest of the states are Undefined. Truth
-    questions are memoized, the signature per formula and the masks per
-    signature."""
+    A set of states is an int, bit i for `states[i]`. A subclass gives its
+    `lang` and builds its tables: `atom_masks`, per atom the (True, False)
+    masks (the atom is Undefined elsewhere); `cells`, per agent the cells of
+    K_a grouped by `kripke.group_cells`; `aware_masks`, per agent and atom
+    the states where the agent is aware of the atom, read by A_a and, where
+    `explicit_know` is set, by K_a; and on formula-list awareness sets
+    `listed_at` and `_up` (see `fh.FHEvaluator`). The algebra is
+    `sliced.Sliced` over these tables at width 1, `algebra`, built on first
+    use; a formula's value there is its signature, memoized per formula."""
+
+    explicit_know = False
+    listed_at = {}
 
     def __init__(self, states):
         self.states = states
         self.index = {s: i for i, s in enumerate(states)}
         self.full = (1 << len(states)) - 1
-        self._memo, self._masks = {}, {}
+        self._memo, self._algebra = {}, None
+
+    @property
+    def algebra(self):
+        if self._algebra is None:
+            from .sliced import Sliced
+
+            self._algebra = Sliced(self)
+        return self._algebra
+
+    def signature(self, f: Formula):
+        return fold(f, self.algebra, self._memo)
 
     def truth_masks(self, f: Formula):
-        """(True mask, False mask) of f, computed once per signature."""
-        sig = fold(f, self, self._memo)
-        got = self._masks.get(sig)
-        if got is None:
-            got = self._masks[sig] = self.masks(sig)
-        return got
+        """(True mask, False mask) of f."""
+        return self.algebra.masks(self.signature(f))
 
     def value(self, f: Formula, state) -> Truth:
         try:
@@ -69,4 +84,3 @@ class MaskEvaluator:
         if not bad:
             return True, []
         return False, members(bad, self.states)
-

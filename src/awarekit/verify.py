@@ -18,9 +18,10 @@ from types import SimpleNamespace
 from .formula import (TOP, And, Atom, Aware, ExplicitKnow, Formula, Know, Lang, Not, _formulas,
                       aware_in, enumerate_formulas, fold, formula_count, iff, implies,
                       require_signature, to_text)
-from .hms import DenotationEvaluator, HMSModel, validate_model
+from .hms import DenotationEvaluator, HMSModel
 from .klm import Evaluator, KripkeLatticeModel, random_klm, random_klm_eq, subsets
 from .kripke import Filled, WorldId, relabel
+from .sliced import Listed
 from .transforms import (_require_partitional, fh_transform, h_transform, k_transform,
                          l_transform)
 from .truth import truth_at
@@ -84,24 +85,32 @@ def _classes(language, evaluators):
     many. Gives each class's first formula in the enumerator's order, its
     number of formulas, a walk of the class automaton that gives each
     formula's class in that order from its operands' classes (walk(None)
-    makes the formulas themselves, one by one), and its key.
+    makes the formulas themselves, one by one), and per class its atom set
+    and its signature in each evaluator's algebra.
     The automaton's transitions are one table per connective, neg[c],
     conj[c1][c2] and per agent know[a][c] and aware[a][c]; the build fills
-    each entry once, calling each evaluator's op (aware_in for A), and the
+    each entry once, calling each algebra's op (aware_in for A), and the
     walk only reads them."""
     atoms, agents, depth, lang = language
     atoms, agents = sorted(atoms), sorted(agents)
+    algs = [ev.algebra for ev in evaluators]
     # ⊤ and the atoms, each its own class: their atom sets differ
     reps = [TOP, *map(Atom, atoms)]
-    keys = [(frozenset(), *(ev.top() for ev in evaluators))] + [
-        (frozenset((p,)), *(ev.atom(p) for ev in evaluators)) for p in atoms]
-    ids = {key: c for c, key in enumerate(keys)}
-    sigs = [key[1:] for key in keys]  # per class its signature in each evaluator
+    keys = [(frozenset(), *(alg.top() for alg in algs))] + [
+        (frozenset((p,)), *(alg.atom(p) for alg in algs)) for p in atoms]
+    listed = any(isinstance(alg, Listed) for alg in algs)
+
+    def hashable(key):  # a Listed value's T is a dict: its key has its term instead
+        return key[0], *(alg.key(v) if isinstance(alg, Listed) else v
+                         for alg, v in zip(algs, key[1:]))
+
+    ids = {hashable(key): c for c, key in enumerate(keys)}
+    sigs = [key[1:] for key in keys]  # per class its signature in each algebra
     neg, conj, know, aware = {}, [{} for _ in keys], {a: {} for a in agents}, {a: {} for a in agents}
 
     def add(key, make, *operands):  # the class of a key, made from its operands if new
-        if (c := ids.get(key)) is None:
-            c = ids[key] = len(reps)
+        if (c := ids.get(k := hashable(key) if listed else key)) is None:
+            c = ids[k] = len(reps)
             reps.append(make(*operands))
             keys.append(key)
             sigs.append(key[1:])
@@ -115,9 +124,9 @@ def _classes(language, evaluators):
                                     make, reps[c])
             level[c1] = level.get(c1, 0) + exact[c]
 
-    negs, conjs = [ev.neg for ev in evaluators], [ev.conj for ev in evaluators]
-    modal = [(know[a], [partial(ev.know, a) for ev in evaluators], partial(Know, a))
-             for a in agents] + [(aware[a], [partial(aware_in, ev, a) for ev in evaluators],
+    negs, conjs = [alg.neg for alg in algs], [alg.conj for alg in algs]
+    modal = [(know[a], [partial(alg.know, a) for alg in algs], partial(Know, a))
+             for a in agents] + [(aware[a], [partial(aware_in, alg, a) for alg in algs],
                                   partial(Aware, a)) for a in agents if lang is Lang.LKA]
     # per class its number of formulas of depth exactly d, at most d, at most d-1
     exact, upto, below = dict.fromkeys(range(len(keys)), 1), [1] * len(keys), [0] * len(keys)
@@ -175,10 +184,11 @@ def _equivalence(language, left, right, pairs, left_defined_only=False):
         return (lambda mask: mask) if ev is base else (lambda mask: relabel(mask, table))
 
     from_left, from_right = lift(left, lefts), lift(right, rights)
+    left_masks, right_masks = left.algebra.masks, right.algebra.masks
 
     def compare(ls, rs):  # both sides' masks, positions compared, positions differing
-        lt, lf = map(from_left, left.masks(ls))
-        rt, rf = map(from_right, right.masks(rs))
+        lt, lf = map(from_left, left_masks(ls))
+        rt, rf = map(from_right, right_masks(rs))
         within = (lt | lf) & everywhere if left_defined_only else everywhere
         return lt, lf, rt, rf, within.bit_count(), ((lt ^ rt) | (lf ^ rf)) & within
 
@@ -298,7 +308,7 @@ def compile_program(f: Formula, holes, lang):
     slot indices: atom names and agent slots are bound constants. Gives
     run(alg, sigs, agents), the signature of f in alg with the signatures
     sigs in the holes and agents[j] in agent slot j, in every algebra alike:
-    an evaluator's and the bit-sliced ones of `sliced`."""
+    `sliced.Sliced` at any width, and the term algebra."""
     lines, consts = [], {}
 
     def const(x):  # an atom name or agent slot, bound to the next k{i}
@@ -477,26 +487,21 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
     runs once per agent tuple and model over all the class tuples
     (bit-sliced, in chunks of at most SLICE_BITS bits; on formula-list
     awareness sets each tuple carries its term, see `sliced.Listed`), and
-    on the evaluator only to name a failing class tuple's witness. Past
+    at width 1 only to name a failing class tuple's witness. Past
     INSTANTIATION_CAP instances a failure is listed per class tuple, with its
     first instance and instance count. A lattice model is decided on its
     awareness structure (below); one not well formed, or under L not
-    partitional, is refused, as is a space-lattice model that fails a frame
-    check."""
-    from .sliced import Sliced
-
+    partitional, is refused, as its evaluator refuses a space-lattice model
+    that fails a frame check."""
     if not models:
         raise ValueError("empty model corpus")
     semantics = _suite_semantics(suite, models[0])
     for m in models[1:]:
         if _suite_semantics(suite, m) != semantics:
             raise ValueError("mixed model classes in one corpus")
-    for m in models:
-        if semantics == "KLM_L":
+    if semantics == "KLM_L":
+        for m in models:
             _require_partitional(m)
-        elif semantics == "HMS" and (failed := validate_model(m).witnesses):
-            name, witness = next(iter(failed.items()))  # the first to fail
-            raise ValueError(f"frame check {name} fails: witness {witness}")
     atoms, agents = _model_signature(models)
     language = atoms, agents, inst_depth, Lang.L if suite.name == "HMS" else Lang.LKA
     fillings = formula_count(*language)
@@ -529,9 +534,9 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
                        for s in schemas + rules) <= INSTANTIATION_CAP
     C = len(reps)
     size = max(len(ev.states) for ev in evaluators) + len(atoms)  # rows per sliced value
-    # per model its sliced tables and its classes' rows
-    tables = [(alg, alg.classes(atom_sets, fill))
-              for alg, fill in zip((Sliced(ev, atoms) for ev in evaluators), fills)]
+    # per model its algebra and its classes' rows
+    tables = [(ev.algebra, ev.algebra.classes(atom_sets, fill))
+              for ev, fill in zip(evaluators, fills)]
 
     @cache
     def chunked(n):
@@ -553,7 +558,8 @@ def check_axiom_suite(models, suite: AxiomSuite, inst_depth: int,
         named by the evaluators: the first state of the first model where the
         program's instance is False."""
         for ev, fill in zip(evaluators, fills):
-            if bad := ev.masks(program(ev, [fill[c] for c in key], ags))[1]:
+            alg = ev.algebra
+            if bad := alg.masks(program(alg, [fill[c] for c in key], ags))[1]:
                 return name(ev.states[(bad & -bad).bit_length() - 1])
 
     spent = 0  # class tuples evaluated, by schemas and rules alike

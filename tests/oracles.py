@@ -16,7 +16,9 @@ group the enumerated formulas, and are the oracle for the class builder of
 
 import gc
 from collections import Counter
+from functools import partial
 from itertools import product
+from types import SimpleNamespace
 
 from awarekit import verify
 from awarekit.fh import Explicit, FHEvaluator, FHModel, check_ka
@@ -38,9 +40,17 @@ from awarekit.formula import (
     to_text,
 )
 from awarekit.hms import DenotationEvaluator, Event, FrameDefect
-from awarekit.klm import Evaluator, KripkeLatticeModel, PropertyReport, awareness_image, subsets
+from awarekit.klm import Evaluator, KripkeLatticeModel, PropertyReport, subsets
 from awarekit.kripke import WorldId
 from awarekit.truth import Truth, truth_of
+
+
+def awareness_image(k: KripkeLatticeModel, agent, w: WorldId) -> WorldId:
+    """pi_a(w_X) = w_{X & Aw_a(w)}: the same world under the agent's vocabulary."""
+    if not w.vocabulary <= k.base.atoms:
+        raise KeyError(f"vocabulary of {w} is not a subset of the model's atoms")
+    aw = k.awareness_atoms(agent, w.base)
+    return WorldId(w.base, w.vocabulary & aw)
 
 
 class KlmOracle:
@@ -252,6 +262,16 @@ def event_aware(fr, agent, e):
     S = e.base_space
     expressible = fr.upward_closure(fr.spaces[S], S)
     return _based(fr, _box(fr, agent, expressible), S, "awareness set")
+
+
+def event_algebra(m):
+    """The event algebra of a space-lattice model as an algebra of `fold` on
+    events, in L: ⊤ the whole bottom space, each atom its valuation."""
+    fr = m.frame
+    bottom = fr.bottom_space()
+    return SimpleNamespace(lang=Lang.L, top=lambda: Event.make(bottom, fr.spaces[bottom]),
+                           atom=m.valuation.__getitem__, neg=partial(event_neg, fr),
+                           conj=lambda e, g: event_and(fr, (e, g)), know=partial(event_know, fr))
 
 
 # ---------------------------------------------------------------------------

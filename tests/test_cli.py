@@ -241,17 +241,17 @@ def test_eval_addresses_every_state_of_a_twice_transformed_model(tmp_path, capsy
 
 def test_eval_on_a_frame_without_joins(tmp_path, capsys):
     """On two incomparable one-state spaces, with p based at one and q at the
-    other, a conjunction has no base space and ⊤ no bottom space: both are
-    refused with exit 2, naming the missing space."""
+    other, a conjunction has no base space and ⊤ no bottom space: the frame
+    fails its lattice check, so every formula is refused with exit 2, naming
+    the check and its first witness, before anything is evaluated."""
     path = tmp_path / "two.hms.json"
     path.write_text(json.dumps(
         {"kind": "hms", "spaces": {"A": ["a"], "B": ["b"]}, "pi": {"x": {"a": ["a"], "b": ["b"]}},
          "valuation": {"p": {"base_space": "A", "base_set": ["a"]},
                        "q": {"base_space": "B", "base_set": ["b"]}}}))
-    assert run(capsys, "eval", "p & q", "--model", str(path), "--at", "a") == (
-        2, "", "awarekit: join of base spaces undefined\n")
-    assert run(capsys, "eval", "T", "--model", str(path), "--at", "a") == (
-        2, "", "awarekit: frame has no bottom space\n")
+    for formula in "p & q", "T", "p":
+        assert run(capsys, "eval", formula, "--model", str(path), "--at", "a") == (
+            2, "", "awarekit: frame check lattice fails: witness ('no unique join', 'A', 'B')\n")
 
 
 def test_check_prints_the_pp_witness(tmp_path, capsys):
@@ -425,14 +425,21 @@ def test_axioms_rules_share_the_cap(capsys, monkeypatch, explicit_fh):
 @pytest.mark.parametrize("check", ["Conf", "PPI"])
 def test_axioms_refuses_a_malformed_frame(tmp_path, capsys, check):
     """A space-lattice model whose frame check fails is reported by check and
-    refused by axioms with exit 2, naming the check and its witness."""
+    refused by axioms, eval (of an atom as of knowledge), equiv and the
+    L-transform with exit 2, naming the check and its witness."""
     m, refusal = malformed_model(check)
     path = str(tmp_path / "bad.hms.json")
     store_model(m, path)
     code, out, _ = run(capsys, "check", path)
     assert code == 1 and f"{check}: FAIL" in out.splitlines()
-    code, out, err = run(capsys, "axioms", "--suite", "hms", "--models", path, "--depth", "1")
-    assert (code, out, err) == (2, "", f"awarekit: {refusal}\n")
+    out_path = tmp_path / "out.klm.json"
+    for argv in (["axioms", "--suite", "hms", "--models", path, "--depth", "1"],
+                 ["eval", "p", "--model", path, "--at", "u1"],
+                 ["eval", "K{a} p", "--model", path, "--at", "u1"],
+                 ["equiv", path], ["transform", "--kind", "L", "--in", path,
+                                   "--out", str(out_path)]):
+        assert run(capsys, *argv) == (2, "", f"awarekit: {refusal}\n"), argv
+    assert not out_path.exists()
 
 
 def test_axioms_refuses_mixed_signatures(capsys):
@@ -551,22 +558,22 @@ def test_check_refuses_an_oversized_frame_before_indexing_it(capsys, tmp_path, s
 ], ids=["one-state-missing", "empty"])
 def test_a_partial_possibility_correspondence_is_named(capsys, tmp_path, pi, formula, agent,
                                                         state):
-    """A space lattice where some state has no possibility set: eval of the
-    agent's knowledge, equiv and the L-transform name the agent and the first
-    such state, with exit 2; check keeps its frame report."""
+    """A space lattice where some state has no possibility set fails the Conf
+    check: eval, of the agent's knowledge as of an atom, equiv and the
+    L-transform name the agent and the first such state, with exit 2; check
+    keeps its frame report."""
     path = tmp_path / "partial.hms.json"
     path.write_text(json.dumps({"kind": "hms", "spaces": {"S": ["s1", "s2"]}, "pi": pi,
                                 "valuation": {"p": {"base_space": "S", "base_set": ["s1"]}}}))
-    message = f"awarekit: agent '{agent}' has no possibility set at state '{state}'\n"
-    for argv in (["eval", formula, "--model", str(path), "--at", "s1"], ["equiv", str(path)],
+    message = f"awarekit: frame check Conf fails: witness ('pi not total', '{agent}', '{state}')\n"
+    for argv in (["eval", formula, "--model", str(path), "--at", "s1"],
+                 ["eval", "p", "--model", str(path), "--at", "s1"], ["equiv", str(path)],
                  ["transform", "--kind", "L", "--in", str(path),
                   "--out", str(tmp_path / "out.klm.json")]):
         assert run(capsys, *argv) == (2, "", message), argv
     assert not (tmp_path / "out.klm.json").exists()
-    assert run(capsys, "eval", "p", "--model", str(path), "--at", "s1") == (0, "True\n", "")
-    if agent == "a":
-        code, out, _ = run(capsys, "check", str(path))
-        assert code == 1 and "Conf: FAIL\n  witness: ('pi not total', 'a', 's2')\n" in out
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1 and f"Conf: FAIL\n  witness: ('pi not total', '{agent}', '{state}')\n" in out
 
 
 def test_a_lattice_cap_that_is_no_integer_is_named(capsys, monkeypatch):
@@ -603,8 +610,9 @@ def _run_seeded(seed, *argv):
 
 
 def test_l_transform_error_does_not_depend_on_hash_seed(capsys, tmp_path):
-    """Of two No-Surprises violations, the L-transform names the same one
-    under every hash seed."""
+    """Of two cells changed so that No-Surprises fails, one breaks the Stat
+    frame check, and the L-transform refuses the model with the same first
+    witness of that check under every hash seed."""
     path = str(tmp_path / "h.hms.json")
     assert run(capsys, "transform", "--kind", "H", "--in", TRADE, "--out", path)[0] == 0
     with open(path) as fh:
@@ -617,9 +625,9 @@ def test_l_transform_error_does_not_depend_on_hash_seed(capsys, tmp_path):
     for seed in range(7, 13):
         done = _run_seeded(seed, "transform", "--kind", "L", "--in", path,
                            "--out", str(tmp_path / "out.klm.json"))
-        assert done.returncode == 2 and "No-Surprises" in done.stderr, done.stderr
+        assert done.returncode == 2, done.stderr
         errors.add(done.stderr)
-    assert len(errors) == 1 and "w2@{i,l}@{i} maps to" in errors.pop()
+    assert errors == {"awarekit: frame check Stat fails: witness ('b', 'w2@{i,l}', 'w2@{i}')\n"}
 
 
 def _plant_h_disagreement(monkeypatch):
@@ -754,21 +762,22 @@ def test_package_import_loads_no_module():
 COLD_MODULES = {
     "transform": {"formula", "hms", "klm", "kripke", "modelio", "transforms", "truth", "values"},
     "check": {"formula", "hms", "kripke", "modelio", "truth", "values"},
-    "equiv": {"formula", "hms", "klm", "kripke", "modelio", "transforms", "truth", "values",
-              "verify"},
+    "equiv": {"formula", "hms", "klm", "kripke", "modelio", "sliced", "transforms", "truth",
+              "values", "verify"},
 }
 COLD_MODULES["equiv klm"] = COLD_MODULES["equiv"]
-# eval builds the model's own evaluator, without the harness
-COLD_MODULES["eval"] = {"formula", "klm", "kripke", "modelio", "truth", "values"}
+# eval builds the model's own evaluator and its algebra, without the harness
+COLD_MODULES["eval"] = {"formula", "klm", "kripke", "modelio", "sliced", "truth", "values"}
 
 
 def test_frame_commands_do_not_load_the_harness(tmp_path):
     """A cold `import awarekit.cli`, transform --kind H, check, equiv and eval
     never load `dataclasses` or `inspect`. transform loads no
-    awareness-structure module and no harness; check of a space-lattice model
-    loads neither the lattice models nor the transforms; equiv loads the
-    harness, and in L, of a space-lattice or a lattice model, no
-    awareness-structure module; eval of a lattice model loads its own module
+    awareness-structure module, no harness and no algebra (it builds no
+    evaluator); check of a space-lattice model loads neither the lattice
+    models nor the transforms; equiv loads the harness and the algebra, and
+    in L, of a space-lattice or a lattice model, no awareness-structure
+    module; eval of a lattice model loads its own module and the algebra,
     and no harness."""
     out = str(tmp_path / "trade.hms.json")
     loaded = {}

@@ -247,10 +247,21 @@ def test_witness_is_the_first_failing_state_in_index_order():
 
 def test_knowledge_event_must_be_an_up_set():
     """On the PPI-failing frame, the states that know {d1} are not the
-    up-closure of any event at D: the event algebra and the denotation say so."""
+    up-closure of any event at D: the event algebra says so. So a model on
+    that frame is refused before anything is evaluated, by its denotations,
+    its evaluator and guarded validity alike, naming the first failed frame
+    check and its witness, the one that check_axiom_suite names."""
     fr = next(fr for check, _, fr in MALFORMED if check == "PPI")
     with pytest.raises(FrameDefect, match="knowledge set is not an up-set based at 'D'"):
         event_know(fr, "a", Event.make("D", {"d1"}))
     m = HMSModel(fr, {"p": Event.make("D", {"d1"})})
-    with pytest.raises(FrameDefect, match="knowledge set is not an up-set based at 'D'"):
-        denotation(m, parse("K{a} p", Lang.L))
+    refusal = re.escape("frame check PPI fails: witness ('a', 'u1', 'D')")
+    for text in "p", "~p", "K{a} T", "K{a} p":
+        with pytest.raises(FrameDefect, match=refusal):
+            denotation(m, parse(text, Lang.L))
+        with pytest.raises(FrameDefect, match=refusal):
+            valid_over([m], parse(text, Lang.L), "HMS")
+    with pytest.raises(FrameDefect, match=refusal):
+        DenotationEvaluator(m)
+    with pytest.raises(FrameDefect, match=refusal):
+        check_axiom_suite([m], hms_suite(), 1)

@@ -4,7 +4,6 @@ from awarekit.formula import Lang, parse
 from awarekit.klm import (
     Evaluator,
     KripkeLatticeModel,
-    awareness_image,
     canonicalize,
     check_awareness_properties,
     eval_L,
@@ -17,6 +16,7 @@ from awarekit.kripke import KripkeModel, WorldId, members
 from awarekit.truth import Truth
 
 from conftest import make_trade, part
+from oracles import awareness_image
 
 I_L = frozenset({"i", "l"})
 

@@ -12,7 +12,8 @@ from awarekit import verify
 from awarekit.fh import AtomGenerated, Explicit, FHEvaluator, FHModel
 from awarekit.formula import (And, Aware, ExplicitKnow, Know, Lang, atoms_of, enumerate_formulas,
                               expand_defined, fold, implies, parse)
-from awarekit.hms import Event, HMSModel, UnawarenessFrame, validate_frame
+from awarekit.hms import (DenotationEvaluator, Event, HMSModel, UnawarenessFrame, denotation,
+                          validate_frame)
 from awarekit.klm import Evaluator, KripkeLatticeModel, PropertyReport
 from awarekit.kripke import KripkeModel
 from awarekit.sliced import Sliced
@@ -33,8 +34,8 @@ from awarekit.verify import (
 )
 
 from conftest import make_trade, part
-from oracles import (FhOracle, KlmOracle, axiom_sweep, explicit_sets, frame_report, klm_tables,
-                     rule_sweep, signature_classes)
+from oracles import (FhOracle, KlmOracle, axiom_sweep, event_algebra, explicit_sets, frame_report,
+                     klm_tables, rule_sweep, signature_classes)
 from test_hms import MALFORMED
 from test_verify import _class_cases, _refuse_evaluator_folds
 
@@ -77,6 +78,22 @@ def test_cores_match_oracles():
                         assert core.value(f, w) is truth_of(oracle.value(g, w)), (lang, f, w)
 
 
+def test_space_lattice_core_matches_event_algebra():
+    """On the H-transforms of partitional models, the denotation of every
+    formula of L up to depth 2, its base space and base set, is the fold of
+    the event algebra's complement, intersection and knowledge."""
+    rng, checked = random.Random(2112), 0
+    for _ in range(MODELS):
+        m = h_transform(random_klm_eq(rng))
+        ev, events, memo = DenotationEvaluator(m), event_algebra(m), {}
+        formulas = enumerate_formulas(m.atoms, m.frame.agents, 2, Lang.L)
+        for f in formulas:
+            assert ev.denotation(f) == fold(f, events, memo), f
+        assert all(denotation(m, f) == memo[f] for f in formulas[::97])
+        checked += len(formulas)
+    assert checked > 10_000
+
+
 def _table_shapes():
     """Lattice models of the edge shapes of omega's blocks: no atoms, no
     worlds, one world, an agent with no successor at some world, and world
@@ -105,15 +122,23 @@ def _table_shapes():
 def test_evaluator_tables_match_per_state_construction():
     """The lattice evaluator builds its tables by block arithmetic over
     omega; they equal the state-by-state construction on every edge shape,
-    in L, LKA and strict mode: where each atom is True, where each atom set
-    is defined and within each agent's awareness, and each state's cell."""
+    in L, LKA and strict mode: per atom where it is True and where False,
+    per agent and atom where the agent is aware of it, and each state's
+    cell. The algebra reads from them, per atom set, where it is defined and
+    within each agent's awareness."""
     for k in _table_shapes():
         for lang, strict in product((Lang.L, Lang.LKA), (False, True)):
             ev = Evaluator(k, lang, strict)
             atom_true, defined, aware, cells = klm_tables(k, lang, strict)
-            assert ev.states == k.omega() and ev.atom_true == atom_true, (k, lang, strict)
-            assert {at: ev._defined[at] for at in defined} == defined, (k, lang, strict)
-            assert {a: {at: ev._aware[a][at] for at in per} for a, per in aware.items()} == aware
+            assert ev.states == k.omega(), (k, lang, strict)
+            assert ev.atom_masks == {p: (t, defined[1 << i] & ~t) for i, (p, t) in
+                                     enumerate(sorted(atom_true.items()))}, (k, lang, strict)
+            assert ev.aware_masks == {a: {p: per[1 << i] for i, p in enumerate(sorted(atom_true))}
+                                      for a, per in aware.items()}, (k, lang, strict)
+            alg = ev.algebra
+            assert {at: alg.rows ^ alg._escapes(at) for at in defined} == defined
+            assert {a: {at: alg.rows ^ alg._escapes(at, a) for at in per}
+                    for a, per in aware.items()} == aware, (k, lang, strict)
             assert {a: [next(cell for cell, members in ev.cells[a] if members >> i & 1)
                         for i in range(len(ev.states))] for a in cells} == cells, (k, lang)
 
@@ -514,16 +539,16 @@ def test_class_keys_come_from_operand_keys(monkeypatch):
         before = [set(ev._memo) for ev in evaluators]
         reps, _, _, keys = verify._classes(language, evaluators)
         assert [set(ev._memo) for ev in evaluators] == before, language
-        assert keys == [(atoms_of(f), *(fold(f, ev) for ev in evaluators))
+        assert keys == [(atoms_of(f), *(fold(f, ev.algebra) for ev in evaluators))
                         for f in reps], language
 
 
 def test_class_automaton_takes_each_transition_once(monkeypatch):
     """The build and the walk share one table of the class automaton's
-    transitions: on trade's depth-3 L and LKA checks each evaluator runs one
-    op for T, one per atom and one per distinct (connective, agent, operand
-    classes) of the enumerated formulas, 207 and 288 in all, and a full walk
-    afterwards runs none."""
+    transitions: on trade's depth-3 L and LKA checks each evaluator's algebra
+    runs one op for T, one per atom and one per distinct (connective, agent,
+    operand classes) of the enumerated formulas, 207 and 288 in all, and a
+    full walk afterwards runs none."""
     trade, checked = make_trade(), []
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_equivalence", lambda language, left, right, *_, **__:
@@ -533,9 +558,9 @@ def test_class_automaton_takes_each_transition_once(monkeypatch):
     for (language, evaluators), ops in zip(checked, (207, 288)):
         calls = Counter()  # evaluator index -> ops run
         with monkeypatch.context() as patch:
-            for i, ev in enumerate(evaluators):
-                for op in {"top", "atom", "neg", "conj", "know", "aware"} & set(dir(ev)):
-                    patch.setattr(ev, op, lambda *args, f=getattr(ev, op), i=i:
+            for i, alg in enumerate(ev.algebra for ev in evaluators):
+                for op in "top", "atom", "neg", "conj", "know", "aware":
+                    patch.setattr(alg, op, lambda *args, f=getattr(alg, op), i=i:
                                   calls.update([i]) or f(*args))
             _, _, walk, _ = verify._classes(language, evaluators)
             assert calls == {0: ops, 1: ops}, language
@@ -578,21 +603,22 @@ def test_formula_lists_have_finitely_many_classes():
 
 def test_formula_lists_take_the_sliced_sweep(monkeypatch):
     """On the workflow's structure at depth 2, with the rules on, every
-    schema and rule runs bit-sliced: the evaluator's masks are read by the
-    sliced tables, and once per failing class tuple to name its witness,
-    and nowhere else."""
-    callers, masks = Counter(), FHEvaluator.masks
+    schema and rule runs bit-sliced: outside the algebra's own ops, the masks
+    of a value are read at width 1, once per failing class tuple to name its
+    witness, and nowhere else."""
+    callers, masks = Counter(), Sliced.masks
 
-    def counted(ev, sig):
+    def counted(alg, v):
         code = sys._getframe(1).f_code
-        callers["tables" if code.co_filename.endswith("sliced.py") else code.co_name] += 1
-        return masks(ev, sig)
+        if not code.co_filename.endswith("sliced.py"):
+            callers[code.co_name, alg.W] += 1
+        return masks(alg, v)
 
-    monkeypatch.setattr(FHEvaluator, "masks", counted)
+    monkeypatch.setattr(Sliced, "masks", counted)
     got = check_axiom_suite([_workflow_explicit()], lga_suite(), 2)
     named = len(got["failures"]) + sum(len(r["violations"]) for r in got["rules"].values())
     assert (got["classes"], got["class_tuples"], got["passed"]) == (29, 30016, False)
-    assert set(callers) == {"tables", "false_at"} and callers["false_at"] == named
+    assert callers == {("false_at", 1): named}
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,10 @@ def _packed_slots(by_class, C, m):
 
 def test_sliced_algebra_matches_scalar():
     """Every op of the bit-sliced algebra gives, at each class tuple, the
-    evaluator's masks of that tuple's instance: true at the same states,
-    mentioning the same atoms, and `false` marks the tuples False at some
-    state. On every model class, with one set of tables shared by every
-    width. A program over agent slots, run with an agent tuple, gives in
+    width-1 algebra's masks of that tuple's instance, which are the
+    evaluator's `truth_masks`: true at the same states, mentioning the same
+    atoms, and `false` marks the tuples False at some state. On every model
+    class, with one set of tables shared by every width. A program over agent slots, run with an agent tuple, gives in
     both algebras what the program compiled for that tuple gives, on the
     diagonal tuples (a, a) and (b, b) too. The latter names its agents, each
     read as itself. A value sets no bit past its n·W rows and |atoms|·W
@@ -79,7 +79,7 @@ def test_sliced_algebra_matches_scalar():
         kinds.add(type(ev))
         reps, _, _, keys = verify._classes((atoms, agents, 1, ev.lang), [ev])
         atom_sets, fill = zip(*keys)
-        tables, named = Sliced(ev, atoms), {x: x for x in agents}
+        tables, named = ev.algebra, {x: x for x in agents}  # at width 1
         by_class = tables.classes(atom_sets, fill)
         listed = isinstance(tables, Listed)
         lists += listed
@@ -113,8 +113,8 @@ def test_sliced_algebra_matches_scalar():
                 assert false >> W == 0
                 for t, key in enumerate(product(range(len(reps)), repeat=n)):
                     sigs = [fill[k] for k in key]
-                    assert fixed(ev, sigs, named) == run(ev, sigs, ags)
-                    true, bad = ev.masks(run(ev, sigs, ags))
+                    assert fixed(tables, sigs, named) == run(tables, sigs, ags)
+                    true, bad = tables.masks(run(tables, sigs, ags))
                     instance = build([reps[k] for k in key], ags)
                     assert ev.truth_masks(instance) == (true, bad)
                     assert sum((value[0] >> s * W + t & 1) << s for s in range(alg.n)) == true
@@ -122,7 +122,7 @@ def test_sliced_algebra_matches_scalar():
                         atoms_of(instance)
                     assert (false >> t & 1) == (bad != 0), (ags, key)
                     if listed:
-                        term = run(ev, sigs, ags)[2]
+                        term = tables.key(run(tables, sigs, ags))[2]
                         assert {u for u, x in value[2].items() if x >> t & 1} == \
                             ({term} if term is not None else set()), (ags, key)
                         terms += term is not None
@@ -180,7 +180,7 @@ def test_slot_columns_at_the_edges(monkeypatch):
     the report of the sweep in one chunk."""
     listed = 0
     for ev, atoms, agents in _evaluators(random.Random(2111)):
-        tables = Sliced(ev, atoms)
+        tables = Sliced(ev)
         reps, _, _, keys = verify._classes((atoms, agents, 1, ev.lang), [ev])
         atom_sets, fill = zip(*keys)
         by_class = tables.classes(atom_sets, fill)

@@ -1,6 +1,6 @@
 import pytest
 
-from awarekit import hms, transforms
+from awarekit import hms
 from awarekit.fh import AtomGenerated, check_ka, check_pp, FHModel
 from awarekit.hms import validate_model
 from awarekit.klm import (
@@ -17,6 +17,7 @@ from awarekit.transforms import (
     space_id,
     transform,
 )
+from awarekit.verify import check_L_equiv_klm_hms
 
 from conftest import make_trade, part
 
@@ -120,6 +121,10 @@ def test_transform_dispatcher(trade_m, hms_trade):
 
 
 def test_h_output_is_validated_once(trade_m, monkeypatch):
+    """The H-transform's frame report is kept by its output, so neither its
+    report nor the evaluators built on the output, which refuse a model that
+    fails a frame check, validate it again; another model is validated once,
+    when its report or its first evaluator is asked for."""
     calls = []
 
     def counted(m):
@@ -127,7 +132,15 @@ def test_h_output_is_validated_once(trade_m, monkeypatch):
         return validate_model(m)
 
     monkeypatch.setattr(hms, "validate_model", counted)
-    monkeypatch.setattr(transforms, "validate_model", counted)
     report = transform("H", trade_m)
     assert len(calls) == 1
     assert report.properties.all_pass(*FRAME_CHECKS, "valuation")
+    assert report.output.properties() is report.properties
+    hms.DenotationEvaluator(report.output)
+    assert len(calls) == 1
+    assert check_L_equiv_klm_hms(trade_m, 1).checked  # its own H-transform, validated once
+    assert len(calls) == 2
+    copy = hms.HMSModel(report.output.frame, report.output.valuation)
+    for _ in range(2):
+        hms.DenotationEvaluator(copy)
+    assert calls[2:] == [copy]

@@ -28,6 +28,7 @@ from awarekit.hms import DenotationEvaluator, Event, HMSModel, UnawarenessFrame
 from awarekit.klm import KripkeLatticeModel, validate_klm
 from awarekit.kripke import KripkeModel, relation_properties
 from awarekit.modelio import load_fixture
+from awarekit.sliced import Sliced
 from awarekit.transforms import fh_transform, h_transform
 from awarekit.truth import MaskEvaluator, Truth
 from awarekit.verify import (
@@ -220,9 +221,9 @@ def test_rk_diagonal_is_the_group_of_one(trade_m):
                 ValidityChecker([h_transform(trade_m)], "HMS"),
                 ValidityChecker([fh], "FH_L"), ValidityChecker([fh], "FH_LKA")]
     for checker in checkers:
-        ev = checker.evaluators[0]
+        alg = checker.evaluators[0].algebra
         for f in enumerate_formulas(trade_m.base.atoms, trade_m.base.agents, 2, checker.lang):
-            assert fold(And(f, f), ev) == fold(f, ev), (checker.semantics, f)
+            assert fold(And(f, f), alg) == fold(f, alg), (checker.semantics, f)
 
 
 def test_lga_suite_on_trade(trade_m):
@@ -385,14 +386,13 @@ def _injectors(seed):
 
 def _refuse_evaluator_folds(patch):
     """Patch fold where the evaluators call it to refuse folding a formula
-    into an evaluator's algebra; other algebras fold as before."""
+    into their algebra, `Sliced` at width 1; other algebras fold as before."""
     def guarded(f, alg, memo=None):
-        if isinstance(alg, MaskEvaluator):
+        if isinstance(alg, Sliced):
             raise AssertionError(f"{f} was folded into {type(alg).__name__}")
         return fold(f, alg, memo)
 
-    for target in ("awarekit.truth.fold", "awarekit.hms.fold"):
-        patch.setattr(target, guarded)
+    patch.setattr("awarekit.truth.fold", guarded)
 
 
 def test_injected_disagreements_match_oracle(monkeypatch):
@@ -706,7 +706,7 @@ def _suite_programs():
 
 def test_every_program_kernel_equals_fold_on_scalar_evaluators():
     """Each program of every schema and rule, under L and LKA, is one kernel
-    that runs on an evaluator's scalar algebra as on the sliced ones: at
+    that runs on an evaluator's algebra at width 1 as at wider widths: at
     every class tuple and agent tuple it gives the signature `fold` gives
     the instance built from the tuple's classes, on a lattice model with
     arbitrary relations, a partitional one and an awareness structure with
@@ -720,6 +720,7 @@ def test_every_program_kernel_equals_fold_on_scalar_evaluators():
         atoms, agents = model.signature
         for lang in Lang.L, Lang.LKA:
             ev = model.evaluator(lang)
+            alg = ev.algebra
             reps, _, _, keys = verify._classes((atoms, agents, 1, lang), [ev])
             for schema in _suite_programs().values():
                 n = schema.meta_arity
@@ -729,7 +730,7 @@ def test_every_program_kernel_equals_fold_on_scalar_evaluators():
                         instances = (*(schema.premises(ms, ags) if schema.premises else ()),
                                      schema.build(ms, ags))
                         for run, f in zip(schema.programs(lang), instances, strict=True):
-                            assert run(ev, [keys[c][1] for c in key], ags) == fold(f, ev), \
+                            assert run(alg, [keys[c][1] for c in key], ags) == fold(f, alg), \
                                 (schema.id, lang, ags, key)
                             checked += 1
     assert checked > 10_000
@@ -764,8 +765,9 @@ def test_a_kernel_binds_names_it_never_writes_into_its_source():
         assert not text & {*atoms, *agents}, text
         assert {*atoms, *agents} <= {cell.cell_contents for cell in run.__closure__}
         ev = model.evaluator(lang)
+        alg = ev.algebra
         for filling in p[3], Not(p[0]), Know(agents[1], p[2]):
             instance = build(filling)
-            assert run(ev, [fold(filling, ev)], named) == fold(instance, ev)
+            assert run(alg, [fold(filling, alg)], named) == fold(instance, alg)
             assert run(terms(lang), [filling], named) == fold(instance, terms(lang))
-            assert ev.masks(run(ev, [fold(filling, ev)], named)) == ev.truth_masks(instance)
+            assert alg.masks(run(alg, [fold(filling, alg)], named)) == ev.truth_masks(instance)
